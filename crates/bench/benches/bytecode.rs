@@ -1,13 +1,12 @@
-//! Evaluator-backend microbenchmarks: the same whole-space candidate scan
-//! run three ways — the tree-walk reference evaluator, the scalar bytecode
-//! executor, and the batched 256-lane block executor — on a Set-shaped and
-//! an ArrayList-shaped obligation drawn from the real catalog.
+//! Bytecode-executor microbenchmarks: the same whole-space candidate scan
+//! run two ways — the scalar bytecode executor and the batched 256-lane
+//! block executor — on a Set-shaped and an ArrayList-shaped obligation drawn
+//! from the real catalog.
 //!
-//! The full-catalog wall numbers live in `BENCH_pr6.json` (produced by the
-//! `perf_json` binary with `--evaluator both`); these benches isolate the
-//! per-candidate evaluation cost from scheduling, verdict caching, and
-//! obligation generation, so a regression in lowering or in the block
-//! executor is visible on its own.
+//! The full-catalog wall numbers come from the `perf_json` binary; these
+//! benches isolate the per-candidate evaluation cost from scheduling,
+//! verdict caching, and obligation generation, so a regression in lowering
+//! or in the block executor is visible on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -18,7 +17,7 @@ use semcommute_core::{interface_catalog, ConditionKind};
 use semcommute_prover::bytecode::{BlockEvent, Program, LANES};
 use semcommute_prover::compiled::CompiledObligation;
 use semcommute_prover::space::{BlockBuf, InputSpace};
-use semcommute_prover::{Obligation, Scope};
+use semcommute_prover::Obligation;
 use semcommute_spec::InterfaceId;
 
 /// A state-dependent update/observer obligation from the named interface's
@@ -44,47 +43,21 @@ fn representative(interface: InterfaceId, first: &str, second: &str) -> Obligati
         .expect("the soundness method yields an obligation")
 }
 
-/// One prepared scan: the enumeration space plus both compiled forms.
+/// One prepared scan: the enumeration space plus the lowered program.
 struct Prepared {
     space: InputSpace,
-    compiled: CompiledObligation,
     program: Program,
 }
 
 fn prepare(interface: InterfaceId, first: &str, second: &str) -> Prepared {
     let ob = representative(interface, first, second);
-    // The tree walk stays the oracle regardless of the scope flag; pin it
-    // off so the scope describes only the enumeration.
-    let scope = Scope {
-        bytecode: false,
-        ..scope_for(interface, 3)
-    };
-    let space = InputSpace::from_obligation(&ob, scope);
-    let compiled = CompiledObligation::compile(&ob, &space.var_order());
-    let program = Program::lower(&compiled);
-    Prepared {
-        space,
-        compiled,
-        program,
-    }
+    let space = InputSpace::from_obligation(&ob, scope_for(interface, 3));
+    let program = Program::lower(&CompiledObligation::compile(&ob, &space.var_order()));
+    Prepared { space, program }
 }
 
-/// Whole-space scan under the tree-walk evaluator; returns candidates seen.
-fn tree_scan(p: &Prepared) -> u64 {
-    let mut it = p.space.iter();
-    let mut env = p.compiled.env();
-    let mut buf = Vec::new();
-    let mut seen = 0u64;
-    while it.next_values(&mut buf) {
-        match p.compiled.check(&mut buf, &mut env) {
-            Ok(None) => seen += 1,
-            Ok(Some(())) | Err(_) => panic!("the representative obligations are valid"),
-        }
-    }
-    seen
-}
-
-/// Whole-space scan under the scalar bytecode executor.
+/// Whole-space scan under the scalar bytecode executor; returns candidates
+/// seen.
 fn scalar_scan(p: &Prepared) -> u64 {
     let mut it = p.space.iter();
     let mut exec = p.program.scalar_exec();
@@ -133,15 +106,10 @@ fn bench_evaluators(c: &mut Criterion) {
     let mut group = c.benchmark_group("candidate_scan");
     group.sample_size(10);
     for (name, prepared) in &workloads {
-        // All three scans must agree on the candidate count, or the bench
+        // Both scans must agree on the candidate count, or the bench
         // compares different workloads.
-        let expected = tree_scan(prepared);
-        assert_eq!(scalar_scan(prepared), expected);
-        assert_eq!(block_scan(prepared), expected);
+        assert_eq!(block_scan(prepared), scalar_scan(prepared));
 
-        group.bench_with_input(BenchmarkId::new("tree", name), prepared, |b, p| {
-            b.iter(|| tree_scan(p))
-        });
         group.bench_with_input(BenchmarkId::new("bytecode", name), prepared, |b, p| {
             b.iter(|| scalar_scan(p))
         });

@@ -9,8 +9,7 @@
 //! ```text
 //! cargo run --release -p semcommute-bench --bin perf_json -- [limit] \
 //!     [--seq-len N] [--threads N] [--threads-list N,M,...] \
-//!     [--split-threshold N] [--orbit on|off|both] \
-//!     [--evaluator tree|bytecode|both] [--out FILE]
+//!     [--split-threshold N] [--orbit on|off|both] [--out FILE]
 //! ```
 //!
 //! `--threads-list 1,4` runs the catalog once per listed scheduler width and
@@ -18,22 +17,18 @@
 //! shape of the committed `BENCH_pr3.json` snapshot. `--orbit both` crosses
 //! the listed widths with the orbit-canonical and the unreduced enumerator,
 //! which is how `BENCH_pr4.json` records the reduction's effect at both
-//! widths in one document. `--evaluator both` further crosses every
-//! combination with the batched bytecode backend and the tree-walk
-//! reference evaluator — the shape of `BENCH_pr6.json`, which records the
-//! bytecode speedup against the tree walk on identical workloads.
+//! widths in one document.
 
 use std::path::Path;
 
 use semcommute_bench::{
-    parse_evaluator, parse_orbit, perf_report_json, perf_report_json_runs, run_catalog_verification,
+    parse_orbit, perf_report_json, perf_report_json_runs, run_catalog_verification,
 };
 use semcommute_core::verify::VerifyOptions;
 
 const USAGE: &str = "\
 usage: perf_json [LIMIT] [--seq-len N] [--threads N | --threads-list N,M,...]
-                 [--split-threshold N] [--orbit on|off|both]
-                 [--evaluator tree|bytecode|both] [--out FILE]
+                 [--split-threshold N] [--orbit on|off|both] [--out FILE]
 
   LIMIT               verify only the first LIMIT conditions per interface
   --seq-len N         ArrayList sequence scope (default 4)
@@ -43,8 +38,6 @@ usage: perf_json [LIMIT] [--seq-len N] [--threads N | --threads-list N,M,...]
                       model search splits into stealable range tasks
   --orbit on|off|both orbit-canonical vs. unreduced enumeration (`both`
                       measures every width under each, in one doc)
-  --evaluator WHICH   batched bytecode backend (default) vs. the tree-walk
-                      reference evaluator; `both` crosses every combination
   --out FILE          also write the JSON report to FILE";
 
 fn fail(message: &str) -> ! {
@@ -58,7 +51,6 @@ fn main() {
     let mut threads_list: Option<Vec<usize>> = None;
     let mut threads_flag_set = false;
     let mut orbit_both = false;
-    let mut evaluator_both = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -73,18 +65,6 @@ fn main() {
                     None => fail("--orbit needs `on`, `off`, or `both`"),
                 },
                 None => fail("--orbit needs `on`, `off`, or `both`"),
-            },
-            "--evaluator" => match args.next().as_deref() {
-                Some("both") => evaluator_both = true,
-                Some(value) => match parse_evaluator(value) {
-                    Some(bytecode) => {
-                        // Last one wins, like every other repeated flag.
-                        options.bytecode = bytecode;
-                        evaluator_both = false;
-                    }
-                    None => fail("--evaluator needs `tree`, `bytecode`, or `both`"),
-                },
-                None => fail("--evaluator needs `tree`, `bytecode`, or `both`"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -171,33 +151,24 @@ fn main() {
     } else {
         vec![options.orbit]
     };
-    let evaluator_modes: Vec<bool> = if evaluator_both {
-        vec![true, false]
-    } else {
-        vec![options.bytecode]
-    };
-    let json = if threads_list.is_some() || orbit_both || evaluator_both {
+    let json = if threads_list.is_some() || orbit_both {
         let widths = threads_list.unwrap_or_else(|| vec![options.threads]);
         let mut runs = Vec::new();
-        for &bytecode in &evaluator_modes {
-            for &orbit in &orbit_modes {
-                for &threads in &widths {
-                    let run_options = VerifyOptions {
-                        threads,
-                        orbit,
-                        bytecode,
-                        ..options.clone()
-                    };
-                    // Reset this thread's term arena between runs so a
-                    // later run's keying is not warmed by an earlier run —
-                    // each measurement matches what a standalone
-                    // cold-process `--threads N` run would see. (Keying
-                    // happens on the workers, but the sequential baseline
-                    // keys here.)
-                    semcommute_logic::with_arena(|arena| arena.clear());
-                    let catalog = run_catalog_verification(&run_options);
-                    runs.push((run_options, catalog));
-                }
+        for &orbit in &orbit_modes {
+            for &threads in &widths {
+                let run_options = VerifyOptions {
+                    threads,
+                    orbit,
+                    ..options.clone()
+                };
+                // Reset this thread's term arena between runs so a later
+                // run's keying is not warmed by an earlier run — each
+                // measurement matches what a standalone cold-process
+                // `--threads N` run would see. (Keying happens on the
+                // workers, but the sequential baseline keys here.)
+                semcommute_logic::with_arena(|arena| arena.clear());
+                let catalog = run_catalog_verification(&run_options);
+                runs.push((run_options, catalog));
             }
         }
         perf_report_json_runs(&runs)

@@ -31,22 +31,11 @@ pub fn parse_orbit(value: &str) -> Option<bool> {
     }
 }
 
-/// Parses an `--evaluator` flag value: `bytecode` selects the batched
-/// register-bytecode backend, `tree` the tree-walk reference evaluator.
-pub fn parse_evaluator(value: &str) -> Option<bool> {
-    match value {
-        "bytecode" => Some(true),
-        "tree" => Some(false),
-        _ => None,
-    }
-}
-
 /// Parses the common command-line options of the table binaries: an optional
 /// per-interface condition limit, `--seq-len N`, `--threads N`,
 /// `--split-threshold N` (unreduced-space size above which a model search is
-/// split into stealable range tasks), `--orbit {on,off}` (orbit-canonical
-/// vs. unreduced enumeration), and `--evaluator {tree,bytecode}` (tree-walk
-/// reference evaluator vs. the batched bytecode backend).
+/// split into stealable range tasks), and `--orbit {on,off}`
+/// (orbit-canonical vs. unreduced enumeration).
 pub fn parse_options() -> VerifyOptions {
     let mut options = VerifyOptions::default();
     let mut args = std::env::args().skip(1);
@@ -76,13 +65,6 @@ pub fn parse_options() -> VerifyOptions {
                     .as_deref()
                     .and_then(parse_orbit)
                     .expect("--orbit needs `on` or `off`");
-            }
-            "--evaluator" => {
-                options.bytecode = args
-                    .next()
-                    .as_deref()
-                    .and_then(parse_evaluator)
-                    .expect("--evaluator needs `tree` or `bytecode`");
             }
             other => options.limit = Some(other.parse().expect("numeric limit expected")),
         }
@@ -131,7 +113,7 @@ pub fn perf_report_json(catalog: &CatalogReport, options: &VerifyOptions) -> Str
     let reports = &catalog.interfaces;
     let mut out = String::from("{\n");
     out.push_str(&format!(
-        "  \"options\": {{\"threads\": {}, \"split_threshold\": {}, \"seq_len\": {}, \"limit\": {}, \"orbit\": {}, \"evaluator\": \"{}\"}},\n",
+        "  \"options\": {{\"threads\": {}, \"split_threshold\": {}, \"seq_len\": {}, \"limit\": {}, \"orbit\": {}}},\n",
         options.threads,
         options.split_threshold,
         options.seq_len,
@@ -139,7 +121,6 @@ pub fn perf_report_json(catalog: &CatalogReport, options: &VerifyOptions) -> Str
             .limit
             .map_or("null".to_string(), |l| l.to_string()),
         options.orbit,
-        if options.bytecode { "bytecode" } else { "tree" }
     ));
     out.push_str("  \"interfaces\": [\n");
     for (i, r) in reports.iter().enumerate() {
@@ -268,7 +249,6 @@ mod tests {
             "\"p99_obligation_wall_s\"",
             "\"total\"",
             "\"wall_s\"",
-            "\"evaluator\"",
             "\"batches\"",
             "\"batch_fallbacks\"",
             "\"instrs_per_candidate\"",

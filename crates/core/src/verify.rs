@@ -36,7 +36,6 @@ pub fn scope_for(interface: InterfaceId, seq_len: usize) -> Scope {
             int_max: 4,
             max_models: 50_000_000,
             orbit: semcommute_prover::scope::default_orbit(),
-            bytecode: semcommute_prover::scope::default_bytecode(),
         },
     }
 }
@@ -65,12 +64,6 @@ pub struct VerifyOptions {
     /// oracle enumerator the differential soundness harness compares
     /// against). See [`semcommute_prover::orbit`].
     pub orbit: bool,
-    /// Whether the finite-model search evaluates candidates with the batched
-    /// flat-register bytecode backend (`true`, the default) or the tree-walk
-    /// oracle evaluator (`false`). The two backends report bit-identical
-    /// verdicts, counter-models, and counters — see
-    /// [`semcommute_prover::bytecode`].
-    pub bytecode: bool,
 }
 
 impl Default for VerifyOptions {
@@ -81,7 +74,6 @@ impl Default for VerifyOptions {
             limit: None,
             split_threshold: queue::default_split_threshold(),
             orbit: semcommute_prover::scope::default_orbit(),
-            bytecode: semcommute_prover::scope::default_bytecode(),
         }
     }
 }
@@ -96,7 +88,6 @@ impl VerifyOptions {
             limit: Some(limit),
             split_threshold: queue::default_split_threshold(),
             orbit: semcommute_prover::scope::default_orbit(),
-            bytecode: semcommute_prover::scope::default_bytecode(),
         }
     }
 }
@@ -192,7 +183,7 @@ impl InterfaceReport {
     }
 
     /// Total candidate blocks the batched bytecode evaluator executed across
-    /// the run (zero under the tree-walk evaluator).
+    /// the run.
     pub fn batches(&self) -> u64 {
         self.reports
             .iter()
@@ -423,9 +414,7 @@ pub fn verify_interface(interface: InterfaceId, options: &VerifyOptions) -> Inte
     if let Some(limit) = options.limit {
         catalog.truncate(limit);
     }
-    let scope = scope_for(interface, options.seq_len)
-        .with_orbit(options.orbit)
-        .with_bytecode(options.bytecode);
+    let scope = scope_for(interface, options.seq_len).with_orbit(options.orbit);
     let prover = Portfolio::new(scope);
     let threads = options.threads.max(1);
     // Even a single-condition catalog goes through the scheduler at
@@ -480,8 +469,7 @@ impl CatalogReport {
         self.interfaces.iter().map(|r| r.orbits_pruned()).sum()
     }
 
-    /// Total candidate blocks the batched bytecode evaluator executed (zero
-    /// under the tree-walk evaluator).
+    /// Total candidate blocks the batched bytecode evaluator executed.
     pub fn batches(&self) -> u64 {
         self.interfaces.iter().map(|r| r.batches()).sum()
     }
@@ -543,12 +531,9 @@ pub fn verify_catalog(options: &VerifyOptions) -> CatalogReport {
         if let Some(limit) = options.limit {
             catalog.truncate(limit);
         }
-        let portfolio = Portfolio::new(
-            scope_for(interface, options.seq_len)
-                .with_orbit(options.orbit)
-                .with_bytecode(options.bytecode),
-        )
-        .with_shared_cache(&cache);
+        let portfolio =
+            Portfolio::new(scope_for(interface, options.seq_len).with_orbit(options.orbit))
+                .with_shared_cache(&cache);
         portfolios.push(portfolio);
         plans.push((
             interface,

@@ -1,22 +1,23 @@
-//! Flat register bytecode for compiled obligations: the batched evaluation
-//! backend of the finite-model prover.
+//! Flat register bytecode for compiled obligations: the evaluation backend
+//! of the finite-model prover.
 //!
-//! [`crate::compiled::CompiledObligation::check`] walks a boxed `CTerm` tree
-//! per candidate — per-node dispatch and pointer chasing, millions of times
-//! per obligation. This module lowers the compiled form **once** to a flat
-//! register [`Program`]: a `Vec` of instructions over dense `u32` registers,
-//! with pooled constants, common subexpressions shared, and the
-//! define/hypothesis interleaving of the step sequence preserved — a
-//! hypothesis that fails still skips every later define, exactly as in the
-//! tree walk (a failed `Instr::Check` ends the candidate; in the batched
-//! executor it clears the candidate's lane from the active mask, which is the
-//! block-level form of the same jump-to-end).
+//! The search evaluates one obligation under millions of candidate models.
+//! This module lowers the slot-compiled form
+//! ([`crate::compiled::CompiledObligation`]) **once** to a flat register
+//! [`Program`]: a `Vec` of instructions over dense `u32` registers, with
+//! pooled constants, common subexpressions shared, and the obligation's
+//! define/hypothesis schedule (`compiled::schedule`) preserved — a
+//! hypothesis that fails still skips every later define (a failed
+//! `Instr::Check` ends the candidate; in the batched executor it clears the
+//! candidate's lane from the active mask, which is the block-level form of
+//! the same jump-to-end).
 //!
 //! Two executors run the program:
 //!
 //! * a **scalar** executor ([`Program::check`]) with one `Value` per
-//!   register — same calling convention as the tree walk, used by the
-//!   property harness and the microbenchmarks, and
+//!   register, used by the block executor's fallback, the runtime's
+//!   admission gatekeeper, the property harness, and the microbenchmarks,
+//!   and
 //! * a **block** executor ([`Program::run_block`]) that evaluates up to
 //!   [`LANES`] candidates at once, column-wise: each register holds a
 //!   [`LANES`]-wide column, boolean columns are 256-bit masks (`u64x4`
@@ -26,18 +27,18 @@
 //!   registers and error paths fall back to per-candidate scalar execution
 //!   of that instruction, lane by lane, in ascending lane order.
 //!
-//! Semantics mirror the reference evaluator **exactly** — totalization,
-//! operand evaluation order, sort-check order and error strings,
-//! `MAX_QUANTIFIER_RANGE`, and the first-deciding-event stopping rule. The
-//! block executor reports only the *minimum-lane* deciding event of a block
-//! (counter-model or evaluation error), which is precisely the event the
-//! sequential tree walk would have stopped at; everything a later candidate
-//! would have done is suppressed, so verdicts, counter-models, `Unknown`
-//! reasons, and the `models_checked` / `orbits_pruned` counters stay
-//! bit-identical to the tree-walk oracle at every thread count, split
+//! Semantics mirror the reference evaluator ([`mod@semcommute_logic::eval`])
+//! **exactly** — totalization, operand evaluation order, sort-check order
+//! and error strings, `MAX_QUANTIFIER_RANGE`, and the first-deciding-event
+//! stopping rule. The block executor reports only the *minimum-lane*
+//! deciding event of a block (counter-model or evaluation error), which is
+//! precisely the event a candidate-by-candidate scan would have stopped at;
+//! everything a later candidate would have done is suppressed, so verdicts,
+//! counter-models, `Unknown` reasons, and the `models_checked` /
+//! `orbits_pruned` counters match a reference scan through
+//! [`crate::FiniteModelProver::replay`] at every thread count, split
 //! threshold, and block boundary (pinned by `tests/diff_bytecode.rs` and
-//! `tests/prop_bytecode.rs`). The tree walk remains the oracle; the
-//! [`crate::scope::Scope::bytecode`] flag selects between them.
+//! `tests/prop_bytecode.rs`).
 
 use std::collections::{HashMap, HashSet};
 
@@ -987,12 +988,11 @@ impl Program {
     }
 
     /// Checks one candidate, scalar: `inputs` are the input-variable values
-    /// in compile order. Same contract as
-    /// [`crate::compiled::CompiledObligation::check`] — `Ok(None)` when the
-    /// candidate is not a counterexample, `Ok(Some(()))` when it is (call
-    /// [`Program::reconstruct`] on the same environment for the model), and
-    /// `Err` with the reference evaluator's exact message on an evaluation
-    /// error.
+    /// in compile order. Same contract as [`crate::FiniteModelProver::replay`]
+    /// — `Ok(None)` when the candidate is not a counterexample,
+    /// `Ok(Some(()))` when it is (call [`Program::reconstruct`] on the same
+    /// environment for the model), and `Err` with the reference evaluator's
+    /// exact message on an evaluation error.
     pub fn check(
         &self,
         inputs: &mut Vec<Value>,
@@ -2035,28 +2035,24 @@ mod tests {
     use crate::obligation::Obligation;
     use semcommute_logic::build::*;
 
+    /// Checks one candidate with the scalar executor and with the reference
+    /// ([`crate::FiniteModelProver::replay`] over `logic::eval`): the same
+    /// outcome, the same counter-model, the same wrapped error string.
     fn compare_scalar(ob: &Obligation, order: &[&str], inputs: Vec<Value>) {
+        let input = Model::from_bindings(order.iter().copied().zip(inputs.iter().cloned()));
         let order: Vec<String> = order.iter().map(|s| s.to_string()).collect();
-        let compiled = CompiledObligation::compile(ob, &order);
-        let program = Program::lower(&compiled);
-        let mut tree_env = compiled.env();
+        let program = Program::lower(&CompiledObligation::compile(ob, &order));
         let mut exec = program.scalar_exec();
-        let mut tree_inputs = inputs.clone();
         let mut bc_inputs = inputs;
-        let tree = compiled.check(&mut tree_inputs, &mut tree_env);
-        let bytecode = program.check(&mut bc_inputs, &mut exec);
-        match (&tree, &bytecode) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b),
-            (Err(a), Err(b)) => assert_eq!(a, b),
-            _ => panic!("tree {tree:?} != bytecode {bytecode:?}"),
-        }
-        if let Ok(Some(())) = tree {
-            assert_eq!(compiled.reconstruct(&tree_env), program.reconstruct(&exec));
-        }
+        let reference = crate::FiniteModelProver::default().replay(ob, &input);
+        let bytecode = program
+            .check(&mut bc_inputs, &mut exec)
+            .map(|cex| cex.map(|()| program.reconstruct(&exec)));
+        assert_eq!(reference, bytecode);
     }
 
     #[test]
-    fn scalar_execution_matches_tree_walk() {
+    fn scalar_execution_matches_the_reference() {
         let ob = Obligation::new("t")
             .define("r1", member(var_elem("v1"), var_set("s")))
             .define("s1", set_add(var_set("s"), var_elem("v2")))
@@ -2079,7 +2075,7 @@ mod tests {
     }
 
     #[test]
-    fn scalar_execution_matches_tree_walk_on_errors() {
+    fn scalar_execution_matches_the_reference_on_errors() {
         // Ill-sorted operand inside a define: identical wrapped message.
         let ob = Obligation::new("bad")
             .define("n", card(var_elem("v")))
@@ -2098,7 +2094,7 @@ mod tests {
     #[test]
     fn hypothesis_rejection_skips_the_goal() {
         // The goal would error (card of an elem), but the false input-only
-        // hypothesis rejects the candidate first — in both backends.
+        // hypothesis rejects the candidate first — in both evaluators.
         let ob = Obligation::new("rejected")
             .assume(lt(var_int("i"), int(0)))
             .goal(eq(card(var_elem("v")), int(0)));
@@ -2124,6 +2120,48 @@ mod tests {
             (Value::seq_of([semcommute_logic::ElemId(4)]), Value::elem(7)),
         ] {
             compare_scalar(&ob, &["q", "v"], vec![q, v]);
+        }
+    }
+
+    /// Collection reads agree with the reference on results and, for
+    /// ill-sorted operands, on the exact wrapped error message.
+    #[test]
+    fn collection_reads_match_the_reference() {
+        use semcommute_logic::ElemId;
+        let ob = Obligation::new("reads").goal(and2(
+            and2(
+                member(var_elem("v"), var_set("s")),
+                eq(card(var_set("s")), int(2)),
+            ),
+            and2(
+                eq(map_get(var_map("mp"), var_elem("v")), var_elem("w")),
+                and2(
+                    eq(seq_at(var_seq("q"), int(1)), var_elem("w")),
+                    eq(seq_index_of(var_seq("q"), var_elem("v")), int(0)),
+                ),
+            ),
+        ));
+        compare_scalar(
+            &ob,
+            &["v", "w", "s", "mp", "q"],
+            vec![
+                Value::elem(1),
+                Value::elem(2),
+                Value::set_of([ElemId(1), ElemId(2)]),
+                Value::map_of([(ElemId(1), ElemId(2))]),
+                Value::seq_of([ElemId(1), ElemId(2)]),
+            ],
+        );
+        for read in [
+            card(var_int("x")),
+            member(var_elem("v"), var_int("x")),
+            map_size(var_int("x")),
+            seq_len(var_int("x")),
+            seq_at(var_int("x"), int(0)),
+            map_get(var_int("x"), var_elem("v")),
+        ] {
+            let ob = Obligation::new("bad").goal(eq(read, int(0)));
+            compare_scalar(&ob, &["v", "x"], vec![Value::elem(1), Value::Int(3)]);
         }
     }
 

@@ -1,29 +1,20 @@
-//! Slot-compiled obligations: the finite-model prover's fast evaluation path.
+//! Slot-compiled obligations: the intermediate form the bytecode backend
+//! lowers from.
 //!
 //! The reference evaluator ([`mod@semcommute_logic::eval`]) looks free variables
-//! up by name in a `BTreeMap`-backed [`Model`] and clones the whole model to
-//! bind a quantifier variable. That is fine for one evaluation, but the
-//! finite-model prover evaluates the same obligation under *millions* of
-//! candidate models, so per-candidate name lookups, string-keyed map
-//! construction, and quantifier model clones dominate the search.
-//!
-//! A [`CompiledObligation`] resolves every variable occurrence to a dense
-//! *slot* index once, up front: candidate enumeration writes values straight
-//! into a flat slot vector (no names, no maps), defined variables evaluate
-//! into their slots, and quantifiers save/restore a single slot. Pure
-//! collection *reads* with a slot operand (`member`, `card`, `len`, `get`,
-//! `has-key`, `at`, `index-of`, `contains`) borrow the collection in place
-//! instead of cloning the handle out of the slot, eliminating the atomic
-//! refcount round-trip that dominated the read side after the persistent
-//! copy-on-write payloads landed. Semantics (including the totalization of
-//! partial operations, evaluation order, and the error cases) mirror the
-//! reference evaluator exactly; the property tests cross-check
-//! counterexamples against it.
+//! up by name in a `BTreeMap`-backed [`Model`](semcommute_logic::Model) and
+//! clones the whole model to bind a quantifier variable. That is fine for one
+//! evaluation, but the finite-model prover evaluates the same obligation
+//! under *millions* of candidate models. A [`CompiledObligation`] therefore
+//! resolves every variable occurrence to a dense *slot* index once, up
+//! front, and fixes the order in which defines are computed and hypotheses
+//! checked (`schedule`). [`crate::bytecode::Program::lower`] turns it into
+//! the flat register program the search executes; the slot layout becomes
+//! the register layout (input slot `i` is register `i`).
 
 use std::collections::HashMap;
 
-use semcommute_logic::eval::MAX_QUANTIFIER_RANGE;
-use semcommute_logic::{Model, PMap, PSeq, PSet, Term, Value, NULL_ELEM};
+use semcommute_logic::Term;
 
 use crate::obligation::Obligation;
 
@@ -80,19 +71,78 @@ pub(crate) enum CTerm {
 
 /// One step of the compiled evaluation program: compute a defined variable
 /// into its slot, or check a hypothesis (bailing out of the candidate when
-/// it fails).
+/// it fails). Steps follow the obligation's [`schedule`].
+#[derive(Debug, Clone)]
+pub(crate) enum Step {
+    Define(u32, CTerm),
+    Check(CTerm),
+}
+
+/// One entry of an obligation's evaluation [`schedule`]: compute define `i`
+/// (an index into [`Obligation::defines`]) or check hypothesis `i` (an index
+/// into [`Obligation::hypotheses`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    Define(usize),
+    Hypothesis(usize),
+}
+
+/// The order in which an obligation's defines are computed and its
+/// hypotheses checked — the single definition both evaluators follow:
+/// [`CompiledObligation::compile`] (and through it the bytecode) and the
+/// reference [`crate::FiniteModelProver::replay`].
 ///
 /// Hypotheses are scheduled at the *earliest* point their referenced defines
 /// are available — a hypothesis over input variables only (an index-bounds
 /// precondition, say) runs before any define is computed, so the large
 /// fraction of candidates that violate it never pays for the defines. The
-/// finite search checks millions of candidates per obligation; skipping the
-/// define computations for hypothesis-violating candidates is a measurable
-/// share of the whole catalog's wall-clock.
-#[derive(Debug, Clone)]
-pub(crate) enum Step {
-    Define(u32, CTerm),
-    Check(CTerm),
+/// schedule is observable: a candidate that fails an early hypothesis never
+/// evaluates a later define, so a define that would fail to evaluate on it
+/// does not turn the candidate into an error.
+///
+/// Definition order is preserved, hypothesis order is preserved, and each
+/// hypothesis sits immediately after the last define it reads.
+pub(crate) fn schedule(ob: &Obligation) -> Vec<Stage> {
+    let define_position: HashMap<&str, usize> = ob
+        .defines
+        .iter()
+        .enumerate()
+        .map(|(i, (name, _))| (name.as_str(), i))
+        .collect();
+    // For each hypothesis, the position of the last define it reads (`None`
+    // when it only reads inputs).
+    let mut pending = ob
+        .hypotheses
+        .iter()
+        .enumerate()
+        .map(|(i, h)| {
+            let latest = semcommute_logic::free_vars(h)
+                .keys()
+                .filter_map(|name| define_position.get(name.as_str()).copied())
+                .max();
+            (latest, i)
+        })
+        .peekable();
+    let mut stages = Vec::with_capacity(ob.defines.len() + ob.hypotheses.len());
+    let mut emit_ready = |after: Option<usize>, stages: &mut Vec<Stage>| {
+        // Hypothesis dependencies are monotone in hypothesis order (vcgen
+        // only references already-defined variables), so a peek-and-pop
+        // sweep preserves their relative order; a hypothesis that reads a
+        // later define merely holds back the ones behind it.
+        while matches!(pending.peek(), Some((latest, _)) if *latest <= after) {
+            let (_, i) = pending.next().expect("peeked");
+            stages.push(Stage::Hypothesis(i));
+        }
+    };
+    emit_ready(None, &mut stages);
+    for position in 0..ob.defines.len() {
+        stages.push(Stage::Define(position));
+        emit_ready(Some(position), &mut stages);
+    }
+    // Every `latest` is `None` or a define position, so the sweep after the
+    // last define has drained every hypothesis.
+    debug_assert!(pending.next().is_none());
+    stages
 }
 
 /// An obligation compiled against a fixed input-variable order.
@@ -101,9 +151,7 @@ pub struct CompiledObligation {
     /// Slots `0..input_count` hold the input variables, in the order given to
     /// [`CompiledObligation::compile`] (the enumeration order of the space).
     pub(crate) input_count: usize,
-    /// Defines and hypothesis checks, interleaved: definition order is
-    /// preserved, hypothesis order is preserved, and each hypothesis sits
-    /// immediately after the last define it depends on.
+    /// Defines and hypothesis checks, interleaved in [`schedule`] order.
     pub(crate) steps: Vec<Step>,
     pub(crate) goal: CTerm,
     /// Slot index → variable name, for reconstructing counter-models.
@@ -112,11 +160,6 @@ pub struct CompiledObligation {
     pub(crate) slot_names: Vec<String>,
     /// Number of named slots (inputs + defines); the rest are binder slots.
     pub(crate) named_slots: usize,
-}
-
-/// Evaluation environment: one value per slot, reused across candidates.
-pub struct SlotEnv {
-    values: Vec<Option<Value>>,
 }
 
 impl CompiledObligation {
@@ -143,61 +186,18 @@ impl CompiledObligation {
             slot_names,
             binders: Vec::new(),
         };
-        let defines: Vec<(u32, CTerm)> = ob
-            .defines
-            .iter()
-            .map(|(name, term)| {
-                let slot = compiler.slots[name.as_str()];
-                (slot, compiler.compile_term(term))
-            })
-            .collect();
-        // For each hypothesis, the position of the last define it reads
-        // (`None` when it only reads inputs): the earliest point in the
-        // define sequence at which the hypothesis can be checked.
-        let define_position: HashMap<&str, usize> = ob
-            .defines
-            .iter()
-            .enumerate()
-            .map(|(i, (name, _))| (name.as_str(), i))
-            .collect();
-        let hypotheses: Vec<(Option<usize>, CTerm)> = ob
-            .hypotheses
-            .iter()
-            .map(|h| {
-                let latest = semcommute_logic::free_vars(h)
-                    .keys()
-                    .filter_map(|name| define_position.get(name.as_str()).copied())
-                    .max();
-                (latest, compiler.compile_term(h))
+        let steps = schedule(ob)
+            .into_iter()
+            .map(|stage| match stage {
+                Stage::Define(i) => {
+                    let (name, term) = &ob.defines[i];
+                    let slot = compiler.slots[name.as_str()];
+                    Step::Define(slot, compiler.compile_term(term))
+                }
+                Stage::Hypothesis(i) => Step::Check(compiler.compile_term(&ob.hypotheses[i])),
             })
             .collect();
         let goal = compiler.compile_term(&ob.goal);
-
-        // Interleave: hypotheses over inputs only, then define 0, then the
-        // hypotheses unlocked by it, then define 1, ... Relative order within
-        // the defines and within the hypotheses is preserved.
-        let mut steps = Vec::with_capacity(defines.len() + hypotheses.len());
-        let mut pending = hypotheses.into_iter().peekable();
-        let mut emit_ready = |after: Option<usize>, steps: &mut Vec<Step>| {
-            // Hypothesis dependencies are monotone in hypothesis order
-            // (vcgen only references already-defined variables), so a
-            // peek-and-pop sweep preserves their relative order.
-            while matches!(pending.peek(), Some((latest, _)) if *latest <= after) {
-                let (_, h) = pending.next().expect("peeked");
-                steps.push(Step::Check(h));
-            }
-        };
-        emit_ready(None, &mut steps);
-        for (position, (slot, term)) in defines.into_iter().enumerate() {
-            steps.push(Step::Define(slot, term));
-            emit_ready(Some(position), &mut steps);
-        }
-        // Defensive: hypotheses whose dependencies were never satisfied
-        // (out-of-order references rejected by `Obligation::validate`) still
-        // run, last, and surface their evaluation errors.
-        for (_, h) in pending {
-            steps.push(Step::Check(h));
-        }
 
         CompiledObligation {
             input_count,
@@ -208,79 +208,10 @@ impl CompiledObligation {
         }
     }
 
-    /// Creates a reusable environment sized for this obligation.
-    pub fn env(&self) -> SlotEnv {
-        SlotEnv {
-            values: vec![None; self.slot_names.len()],
-        }
-    }
-
-    /// Number of input slots (the prefix of the environment the enumerator
+    /// Number of input slots (the prefix of the slot layout the enumerator
     /// fills).
     pub fn input_count(&self) -> usize {
         self.input_count
-    }
-
-    /// Checks one candidate: `inputs` are the values of the input variables
-    /// in compile order.
-    ///
-    /// Returns `Ok(None)` when the candidate is not a counterexample (a
-    /// hypothesis failed or the goal held), `Ok(Some(()))` when hypotheses
-    /// hold and the goal fails — call [`CompiledObligation::reconstruct`] on
-    /// the same env to obtain the full model — and `Err` on an evaluation
-    /// error.
-    ///
-    /// Hypotheses are checked as early as their dependencies allow (defines
-    /// and checks interleave; see the type-level docs); a candidate that
-    /// violates an input-only hypothesis returns
-    /// `Ok(None)` without computing any define.
-    pub fn check(&self, inputs: &mut Vec<Value>, env: &mut SlotEnv) -> Result<Option<()>, String> {
-        debug_assert_eq!(inputs.len(), self.input_count);
-        for (slot, value) in inputs.drain(..).enumerate() {
-            env.values[slot] = Some(value);
-        }
-        for step in &self.steps {
-            match step {
-                Step::Define(slot, term) => {
-                    let value = eval_c(term, &mut env.values).map_err(|e| {
-                        format!("evaluating `{}`: {e}", self.slot_names[*slot as usize])
-                    })?;
-                    env.values[*slot as usize] = Some(value);
-                }
-                Step::Check(h) => match eval_c(h, &mut env.values)
-                    .map_err(|e| format!("evaluating hypothesis: {e}"))?
-                {
-                    Value::Bool(true) => {}
-                    Value::Bool(false) => return Ok(None),
-                    other => {
-                        return Err(format!(
-                            "evaluating hypothesis: expected bool, found {}",
-                            other.sort()
-                        ))
-                    }
-                },
-            }
-        }
-        match eval_c(&self.goal, &mut env.values).map_err(|e| format!("evaluating goal: {e}"))? {
-            Value::Bool(true) => Ok(None),
-            Value::Bool(false) => Ok(Some(())),
-            other => Err(format!(
-                "evaluating goal: expected bool, found {}",
-                other.sort()
-            )),
-        }
-    }
-
-    /// Rebuilds the named-variable [`Model`] (inputs plus computed defines)
-    /// from the environment of the last [`CompiledObligation::check`] call.
-    pub fn reconstruct(&self, env: &SlotEnv) -> Model {
-        let mut model = Model::new();
-        for (slot, name) in self.slot_names.iter().enumerate().take(self.named_slots) {
-            if let Some(value) = &env.values[slot] {
-                model.insert(name.clone(), value.clone());
-            }
-        }
-        model
     }
 }
 
@@ -374,474 +305,61 @@ impl Compiler {
     }
 }
 
-/// Peeks the value bound in slot `i` without cloning it out of the
-/// environment.
-///
-/// Pure collection *reads* (membership, lookup, length) dominate the
-/// finite-model search, and moving a `Value` out of a slot — even with the
-/// persistent copy-on-write payloads — costs an atomic refcount round-trip
-/// per read. The read-shaped operators below therefore evaluate slot
-/// operands through this shared borrow. The borrow is never held across a
-/// recursive `eval_c` call: operators that evaluate another operand after
-/// identifying the slot re-peek afterwards, which is sound because `eval_c`
-/// never writes an input or defined slot (quantifiers save/restore their own
-/// private binder slots only).
-fn slot_ref(env: &[Option<Value>], i: u32) -> Result<&Value, String> {
-    env[i as usize]
-        .as_ref()
-        .ok_or_else(|| format!("unbound slot {i}"))
-}
-
-fn expect_bool_c(v: Value, context: &'static str) -> Result<bool, String> {
-    match v {
-        Value::Bool(x) => Ok(x),
-        other => Err(format!("{context}: expected bool, found {}", other.sort())),
-    }
-}
-
-fn expect_int_c(v: Value, context: &'static str) -> Result<i64, String> {
-    match v {
-        Value::Int(x) => Ok(x),
-        other => Err(format!("{context}: expected int, found {}", other.sort())),
-    }
-}
-
-fn expect_elem_c(v: Value, context: &'static str) -> Result<semcommute_logic::ElemId, String> {
-    match v {
-        Value::Elem(x) => Ok(x),
-        other => Err(format!("{context}: expected obj, found {}", other.sort())),
-    }
-}
-
-/// Expands the borrow-read fast path for a unary length read (`card`,
-/// `map-size`, `seq-len`): a slot operand is read through a shared borrow
-/// (no handle clone), anything else falls back to evaluating the operand.
-/// One definition keeps the protocol and the error strings of every such
-/// operator in lockstep.
-macro_rules! length_read {
-    ($coll:expr, $env:expr, $variant:ident, $err:literal) => {{
-        let len = match $coll.as_ref() {
-            CTerm::Slot(i) => match slot_ref($env, *i)? {
-                Value::$variant(c) => c.len(),
-                other => return Err(format!(concat!($err, ", found {}"), other.sort())),
-            },
-            _ => match eval_c($coll, $env)? {
-                Value::$variant(c) => c.len(),
-                other => return Err(format!(concat!($err, ", found {}"), other.sort())),
-            },
-        };
-        Value::Int(len as i64)
-    }};
-}
-
-/// Expands the borrow-read fast path for a collection-first binary read
-/// (`get`, `has-key`, `at`, `index-of`, `last-index-of`, `contains`): a
-/// slot operand is sort-checked up front (same error, same order as
-/// evaluating it would produce), the second operand (`$op`) is evaluated,
-/// and the slot re-peeked — the operand's evaluation cannot touch a named
-/// slot, so the collection is still there. A non-slot operand falls back
-/// to moving the evaluated collection, preserving the original evaluation
-/// order.
-macro_rules! collection_read {
-    ($coll:expr, $env:expr, $variant:ident, $err:literal,
-     $op:expr, |$c:ident, $x:ident| $body:expr) => {{
-        if let CTerm::Slot(i) = $coll.as_ref() {
-            match slot_ref($env, *i)? {
-                Value::$variant(_) => {}
-                other => return Err(format!(concat!($err, ", found {}"), other.sort())),
-            }
-            let $x = $op;
-            let Value::$variant($c) = slot_ref($env, *i)? else {
-                return Err(format!("slot {i} changed sort mid-evaluation"));
-            };
-            $body
-        } else {
-            match eval_c($coll, $env)? {
-                Value::$variant(c) => {
-                    let $x = $op;
-                    let $c = &c;
-                    $body
-                }
-                other => return Err(format!(concat!($err, ", found {}"), other.sort())),
-            }
-        }
-    }};
-}
-
-fn eval_c(term: &CTerm, env: &mut Vec<Option<Value>>) -> Result<Value, String> {
-    use CTerm::*;
-    Ok(match term {
-        Slot(i) => env[*i as usize]
-            .clone()
-            .ok_or_else(|| format!("unbound slot {i}"))?,
-        BoolLit(b) => Value::Bool(*b),
-        IntLit(i) => Value::Int(*i),
-        Null => Value::Elem(NULL_ELEM),
-        EmptySet => Value::Set(PSet::new()),
-        EmptyMap => Value::Map(PMap::new()),
-        EmptySeq => Value::Seq(PSeq::new()),
-
-        Not(a) => Value::Bool(!expect_bool_c(eval_c(a, env)?, "not")?),
-        And(cs) => {
-            let mut acc = true;
-            for c in cs {
-                acc &= expect_bool_c(eval_c(c, env)?, "and")?;
-            }
-            Value::Bool(acc)
-        }
-        Or(cs) => {
-            let mut acc = false;
-            for c in cs {
-                acc |= expect_bool_c(eval_c(c, env)?, "or")?;
-            }
-            Value::Bool(acc)
-        }
-        Implies(a, b) => {
-            let a = expect_bool_c(eval_c(a, env)?, "implies")?;
-            let b = expect_bool_c(eval_c(b, env)?, "implies")?;
-            Value::Bool(!a || b)
-        }
-        Iff(a, b) => {
-            let a = expect_bool_c(eval_c(a, env)?, "iff")?;
-            let b = expect_bool_c(eval_c(b, env)?, "iff")?;
-            Value::Bool(a == b)
-        }
-        Ite(c, t, e) => {
-            let c = expect_bool_c(eval_c(c, env)?, "ite condition")?;
-            let tv = eval_c(t, env)?;
-            let ev = eval_c(e, env)?;
-            if tv.sort() != ev.sort() {
-                return Err(format!(
-                    "cannot compare values of sorts {} and {}",
-                    tv.sort(),
-                    ev.sort()
-                ));
-            }
-            if c {
-                tv
-            } else {
-                ev
-            }
-        }
-        Eq(a, b) => {
-            let av = eval_c(a, env)?;
-            let bv = eval_c(b, env)?;
-            if av.sort() != bv.sort() {
-                return Err(format!(
-                    "cannot compare values of sorts {} and {}",
-                    av.sort(),
-                    bv.sort()
-                ));
-            }
-            Value::Bool(av == bv)
-        }
-
-        Add(a, b) => Value::Int(
-            expect_int_c(eval_c(a, env)?, "add")?
-                .wrapping_add(expect_int_c(eval_c(b, env)?, "add")?),
-        ),
-        Sub(a, b) => Value::Int(
-            expect_int_c(eval_c(a, env)?, "sub")?
-                .wrapping_sub(expect_int_c(eval_c(b, env)?, "sub")?),
-        ),
-        Neg(a) => Value::Int(expect_int_c(eval_c(a, env)?, "neg")?.wrapping_neg()),
-        Lt(a, b) => {
-            Value::Bool(expect_int_c(eval_c(a, env)?, "lt")? < expect_int_c(eval_c(b, env)?, "lt")?)
-        }
-        Le(a, b) => Value::Bool(
-            expect_int_c(eval_c(a, env)?, "le")? <= expect_int_c(eval_c(b, env)?, "le")?,
-        ),
-
-        SetAdd(s, v) => {
-            let mut s = match eval_c(s, env)? {
-                Value::Set(s) => s,
-                other => return Err(format!("set add: expected obj set, found {}", other.sort())),
-            };
-            s.insert(expect_elem_c(eval_c(v, env)?, "set add")?);
-            Value::Set(s)
-        }
-        SetRemove(s, v) => {
-            let mut s = match eval_c(s, env)? {
-                Value::Set(s) => s,
-                other => {
-                    return Err(format!(
-                        "set remove: expected obj set, found {}",
-                        other.sort()
-                    ))
-                }
-            };
-            s.remove(&expect_elem_c(eval_c(v, env)?, "set remove")?);
-            Value::Set(s)
-        }
-        Member(v, s) => {
-            let v = expect_elem_c(eval_c(v, env)?, "member")?;
-            // Set slot operands are read in place (see `slot_ref`); the
-            // fallback path moves the evaluated set out as before.
-            let contains = match s.as_ref() {
-                Slot(i) => match slot_ref(env, *i)? {
-                    Value::Set(s) => s.contains(&v),
-                    other => {
-                        return Err(format!("member: expected obj set, found {}", other.sort()))
-                    }
-                },
-                _ => match eval_c(s, env)? {
-                    Value::Set(s) => s.contains(&v),
-                    other => {
-                        return Err(format!("member: expected obj set, found {}", other.sort()))
-                    }
-                },
-            };
-            Value::Bool(contains)
-        }
-        Card(s) => length_read!(s, env, Set, "card: expected obj set"),
-
-        MapPut(m, k, v) => {
-            let mut m = match eval_c(m, env)? {
-                Value::Map(m) => m,
-                other => {
-                    return Err(format!(
-                        "map put: expected (obj, obj) map, found {}",
-                        other.sort()
-                    ))
-                }
-            };
-            let k = expect_elem_c(eval_c(k, env)?, "map put key")?;
-            let v = expect_elem_c(eval_c(v, env)?, "map put value")?;
-            m.insert(k, v);
-            Value::Map(m)
-        }
-        MapRemove(m, k) => {
-            let mut m = match eval_c(m, env)? {
-                Value::Map(m) => m,
-                other => {
-                    return Err(format!(
-                        "map remove: expected (obj, obj) map, found {}",
-                        other.sort()
-                    ))
-                }
-            };
-            let k = expect_elem_c(eval_c(k, env)?, "map remove key")?;
-            m.remove(&k);
-            Value::Map(m)
-        }
-        MapGet(m, k) => collection_read!(
-            m,
-            env,
-            Map,
-            "map get: expected (obj, obj) map",
-            expect_elem_c(eval_c(k, env)?, "map get key")?,
-            |map, k| Value::Elem(map.get(&k).copied().unwrap_or(NULL_ELEM))
-        ),
-        MapHasKey(m, k) => collection_read!(
-            m,
-            env,
-            Map,
-            "map has-key: expected (obj, obj) map",
-            expect_elem_c(eval_c(k, env)?, "map has-key key")?,
-            |map, k| Value::Bool(map.contains_key(&k))
-        ),
-        MapSize(m) => length_read!(m, env, Map, "map size: expected (obj, obj) map"),
-
-        SeqInsertAt(s, i, v) => {
-            let mut s = match eval_c(s, env)? {
-                Value::Seq(s) => s,
-                other => {
-                    return Err(format!(
-                        "seq insert-at: expected obj seq, found {}",
-                        other.sort()
-                    ))
-                }
-            };
-            let i = expect_int_c(eval_c(i, env)?, "seq insert-at index")?;
-            let v = expect_elem_c(eval_c(v, env)?, "seq insert-at value")?;
-            let idx = i.clamp(0, s.len() as i64) as usize;
-            s.insert(idx, v);
-            Value::Seq(s)
-        }
-        SeqRemoveAt(s, i) => {
-            let mut s = match eval_c(s, env)? {
-                Value::Seq(s) => s,
-                other => {
-                    return Err(format!(
-                        "seq remove-at: expected obj seq, found {}",
-                        other.sort()
-                    ))
-                }
-            };
-            let i = expect_int_c(eval_c(i, env)?, "seq remove-at index")?;
-            if i >= 0 && (i as usize) < s.len() {
-                s.remove(i as usize);
-            }
-            Value::Seq(s)
-        }
-        SeqSetAt(s, i, v) => {
-            let mut s = match eval_c(s, env)? {
-                Value::Seq(s) => s,
-                other => {
-                    return Err(format!(
-                        "seq set-at: expected obj seq, found {}",
-                        other.sort()
-                    ))
-                }
-            };
-            let i = expect_int_c(eval_c(i, env)?, "seq set-at index")?;
-            let v = expect_elem_c(eval_c(v, env)?, "seq set-at value")?;
-            if i >= 0 && (i as usize) < s.len() {
-                s.set(i as usize, v);
-            }
-            Value::Seq(s)
-        }
-        // Sequence reads are the hottest operators of the ArrayList
-        // fragment; a sequence slot operand is read in place via the shared
-        // validate / evaluate-operand / re-peek protocol.
-        SeqAt(s, i) => collection_read!(
-            s,
-            env,
-            Seq,
-            "seq at: expected obj seq",
-            expect_int_c(eval_c(i, env)?, "seq at index")?,
-            |seq, i| {
-                let e = if i >= 0 && (i as usize) < seq.len() {
-                    seq[i as usize]
-                } else {
-                    NULL_ELEM
-                };
-                Value::Elem(e)
-            }
-        ),
-        SeqLen(s) => length_read!(s, env, Seq, "seq len: expected obj seq"),
-        SeqIndexOf(s, v) => collection_read!(
-            s,
-            env,
-            Seq,
-            "seq index-of: expected obj seq",
-            expect_elem_c(eval_c(v, env)?, "seq index-of value")?,
-            |seq, v| Value::Int(seq.iter().position(|&e| e == v).map_or(-1, |i| i as i64))
-        ),
-        SeqLastIndexOf(s, v) => collection_read!(
-            s,
-            env,
-            Seq,
-            "seq last-index-of: expected obj seq",
-            expect_elem_c(eval_c(v, env)?, "seq last-index-of value")?,
-            |seq, v| Value::Int(seq.iter().rposition(|&e| e == v).map_or(-1, |i| i as i64))
-        ),
-        SeqContains(s, v) => collection_read!(
-            s,
-            env,
-            Seq,
-            "seq contains: expected obj seq",
-            expect_elem_c(eval_c(v, env)?, "seq contains value")?,
-            |seq, v| Value::Bool(seq.contains(&v))
-        ),
-
-        Quantifier {
-            universal,
-            slot,
-            lo,
-            hi,
-            body,
-        } => {
-            let lo = expect_int_c(eval_c(lo, env)?, "quantifier lower bound")?;
-            let hi = expect_int_c(eval_c(hi, env)?, "quantifier upper bound")?;
-            if hi - lo > MAX_QUANTIFIER_RANGE {
-                return Err(format!(
-                    "quantifier range of width {} is too large to enumerate",
-                    hi - lo
-                ));
-            }
-            let saved = env[*slot as usize].take();
-            let mut result = *universal;
-            let mut error = None;
-            for i in lo..hi {
-                env[*slot as usize] = Some(Value::Int(i));
-                match eval_c(body, env) {
-                    Ok(v) => match expect_bool_c(v, "quantifier body") {
-                        Ok(b) => {
-                            if *universal && !b {
-                                result = false;
-                                break;
-                            }
-                            if !*universal && b {
-                                result = true;
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            error = Some(e);
-                            break;
-                        }
-                    },
-                    Err(e) => {
-                        error = Some(e);
-                        break;
-                    }
-                }
-            }
-            env[*slot as usize] = saved;
-            if let Some(e) = error {
-                return Err(e);
-            }
-            Value::Bool(result)
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use semcommute_logic::build::*;
-    use semcommute_logic::{eval_bool, ElemId};
 
-    fn check_against_reference(ob: &Obligation, inputs: Vec<(&str, Value)>) {
-        let order: Vec<String> = inputs.iter().map(|(n, _)| n.to_string()).collect();
-        let compiled = CompiledObligation::compile(ob, &order);
-        let mut env = compiled.env();
-        let mut vals: Vec<Value> = inputs.iter().map(|(_, v)| v.clone()).collect();
-        let compiled_cex = compiled.check(&mut vals, &mut env).unwrap().is_some();
-
-        // Reference: evaluate with the tree evaluator.
-        let mut model =
-            Model::from_bindings(inputs.iter().map(|(n, v)| (n.to_string(), v.clone())));
-        for (name, term) in &ob.defines {
-            let v = semcommute_logic::eval(term, &model).unwrap();
-            model.insert(name.clone(), v);
-        }
-        let hyps_hold = ob.hypotheses.iter().all(|h| eval_bool(h, &model).unwrap());
-        let reference_cex = hyps_hold && !eval_bool(&ob.goal, &model).unwrap();
-        assert_eq!(compiled_cex, reference_cex);
-        if compiled_cex {
-            assert_eq!(compiled.reconstruct(&env), model);
-        }
+    #[test]
+    fn hypotheses_run_right_after_their_last_define() {
+        let ob = Obligation::new("sched")
+            .define("r1", member(var_elem("v"), var_set("s")))
+            .define("s1", set_add(var_set("s"), var_elem("v")))
+            .assume(lt(var_int("i"), int(2)))
+            .assume(var_bool("r1"))
+            .assume(member(var_elem("v"), var_set("s1")))
+            .goal(var_bool("r1"));
+        assert_eq!(
+            schedule(&ob),
+            [
+                Stage::Hypothesis(0),
+                Stage::Define(0),
+                Stage::Hypothesis(1),
+                Stage::Define(1),
+                Stage::Hypothesis(2),
+            ]
+        );
+        // The compiled steps follow the schedule.
+        let order = ["i", "s", "v"].map(String::from);
+        let compiled = CompiledObligation::compile(&ob, &order);
+        let defines: Vec<bool> = compiled
+            .steps
+            .iter()
+            .map(|step| matches!(step, Step::Define(..)))
+            .collect();
+        assert_eq!(defines, [false, true, false, true, false]);
     }
 
     #[test]
-    fn compiled_check_agrees_with_reference_evaluator() {
-        let ob = Obligation::new("t")
-            .define("r1", member(var_elem("v1"), var_set("s")))
-            .define("s1", set_add(var_set("s"), var_elem("v2")))
-            .define("r2", member(var_elem("v1"), var_set("s1")))
-            .goal(eq(var_bool("r1"), var_bool("r2")));
-        check_against_reference(
-            &ob,
-            vec![
-                ("v1", Value::elem(1)),
-                ("v2", Value::elem(1)),
-                ("s", Value::set_of([])),
-            ],
-        );
-        check_against_reference(
-            &ob,
-            vec![
-                ("v1", Value::elem(1)),
-                ("v2", Value::elem(2)),
-                ("s", Value::set_of([ElemId(1)])),
-            ],
+    fn a_hypothesis_on_a_later_define_holds_back_the_ones_behind_it() {
+        let ob = Obligation::new("held")
+            .define("a", int(1))
+            .define("b", int(2))
+            .assume(eq(var_int("b"), int(2)))
+            .assume(eq(var_int("x"), int(0)));
+        assert_eq!(
+            schedule(&ob),
+            [
+                Stage::Define(0),
+                Stage::Define(1),
+                Stage::Hypothesis(0),
+                Stage::Hypothesis(1),
+            ]
         );
     }
 
     #[test]
-    fn quantifier_slots_are_scoped() {
+    fn quantifier_binders_get_private_slots() {
         // exists i in [0, len(q)). q[i] = v — with a nested shadowing binder.
         let ob = Obligation::new("q").goal(exists_int(
             "i",
@@ -852,86 +370,22 @@ mod tests {
                 forall_int("i", int(0), int(2), le(int(0), var_int("i"))),
             ),
         ));
-        check_against_reference(
-            &ob,
-            vec![
-                ("q", Value::seq_of([ElemId(4), ElemId(7)])),
-                ("v", Value::elem(7)),
-            ],
-        );
-        check_against_reference(
-            &ob,
-            vec![("q", Value::seq_of([ElemId(4)])), ("v", Value::elem(7))],
-        );
-    }
-
-    #[test]
-    fn ill_sorted_terms_error() {
-        let ob = Obligation::new("bad").goal(eq(card(var_elem("v")), int(0)));
-        let compiled = CompiledObligation::compile(&ob, &["v".to_string()]);
-        let mut env = compiled.env();
-        let mut vals = vec![Value::elem(1)];
-        assert!(compiled.check(&mut vals, &mut env).is_err());
-    }
-
-    /// The borrow-read fast path (slot operands of `member`/`card`/`at`/...)
-    /// must agree with the reference evaluator on results *and* on the
-    /// ill-sorted error cases, since a slot operand skips the generic
-    /// evaluation that used to produce those errors.
-    #[test]
-    fn slot_read_specializations_match_reference_and_errors() {
-        let ob = Obligation::new("reads").goal(and2(
-            and2(
-                member(var_elem("v"), var_set("s")),
-                eq(card(var_set("s")), int(2)),
-            ),
-            and2(
-                and2(
-                    eq(map_get(var_map("mp"), var_elem("v")), var_elem("w")),
-                    map_has_key(var_map("mp"), var_elem("v")),
-                ),
-                and2(
-                    eq(seq_at(var_seq("q"), int(1)), var_elem("w")),
-                    and2(
-                        seq_contains(var_seq("q"), var_elem("v")),
-                        eq(seq_index_of(var_seq("q"), var_elem("v")), int(0)),
-                    ),
-                ),
-            ),
-        ));
-        check_against_reference(
-            &ob,
-            vec![
-                ("v", Value::elem(1)),
-                ("w", Value::elem(2)),
-                ("s", Value::set_of([ElemId(1), ElemId(2)])),
-                ("mp", Value::map_of([(ElemId(1), ElemId(2))])),
-                ("q", Value::seq_of([ElemId(1), ElemId(2)])),
-            ],
-        );
-
-        // Ill-sorted slot operands keep the reference error messages.
-        for (goal, expected) in [
-            (card(var_int("x")), "card: expected obj set"),
-            (
-                member(var_elem("v"), var_int("x")),
-                "member: expected obj set",
-            ),
-            (map_size(var_int("x")), "map size: expected (obj, obj) map"),
-            (seq_len(var_int("x")), "seq len: expected obj seq"),
-            (seq_at(var_int("x"), int(0)), "seq at: expected obj seq"),
-            (
-                map_get(var_int("x"), var_elem("v")),
-                "map get: expected (obj, obj) map",
-            ),
-        ] {
-            let ob = Obligation::new("bad").goal(eq(goal, int(0)));
-            let order = vec!["v".to_string(), "x".to_string()];
-            let compiled = CompiledObligation::compile(&ob, &order);
-            let mut env = compiled.env();
-            let mut vals = vec![Value::elem(1), Value::Int(3)];
-            let err = compiled.check(&mut vals, &mut env).unwrap_err();
-            assert!(err.contains(expected), "`{err}` missing `{expected}`");
-        }
+        let compiled = CompiledObligation::compile(&ob, &["q".to_string(), "v".to_string()]);
+        assert_eq!(compiled.named_slots, 2);
+        let CTerm::Quantifier {
+            slot: outer, body, ..
+        } = &compiled.goal
+        else {
+            panic!("goal is a quantifier");
+        };
+        let CTerm::And(parts) = body.as_ref() else {
+            panic!("body is a conjunction");
+        };
+        let CTerm::Quantifier { slot: inner, .. } = &parts[1] else {
+            panic!("second conjunct is a quantifier");
+        };
+        assert_ne!(outer, inner, "the shadowing binder gets its own slot");
+        assert!(*outer as usize >= compiled.named_slots && *inner as usize >= compiled.named_slots);
+        assert_eq!(compiled.slot_names.len(), 4);
     }
 }

@@ -5,10 +5,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use semcommute_logic::{Model, Value};
+use semcommute_logic::{eval, Model, Term, Value};
 
 use crate::bytecode::{BlockEvent, Program, LANES};
-use crate::compiled::CompiledObligation;
+use crate::compiled::{schedule, CompiledObligation, Stage};
 use crate::obligation::Obligation;
 use crate::scope::Scope;
 use crate::space::{BlockBuf, InputSpace};
@@ -53,8 +53,8 @@ impl FiniteModelProver {
     }
 
     /// Prepares the counter-model search for an obligation: validates it,
-    /// builds the input space, checks the model budget, and compiles the
-    /// obligation to its slot-indexed form. Returns the verdict directly
+    /// builds the input space, checks the model budget, and lowers the
+    /// obligation to its register program. Returns the verdict directly
     /// (`Err`) when the search cannot run at all — a malformed obligation or
     /// a space over budget.
     pub fn begin(&self, ob: &Obligation) -> Result<ModelSearch, Verdict> {
@@ -76,21 +76,13 @@ impl FiniteModelProver {
                 stats: ProofStats::finite(0, started.elapsed()),
             });
         }
-        // The obligation is compiled once per search: every variable
-        // occurrence becomes a slot index, so the per-candidate loop never
-        // builds a name-keyed model or looks anything up by string. The
-        // compiled form holds no arena ids, so one search can be scanned
-        // from many worker threads.
-        let compiled = CompiledObligation::compile(ob, &space.var_order());
-        // With the bytecode backend enabled the obligation is additionally
-        // lowered to its flat register program, once per search; the scans
-        // below then run candidates in batched 256-lane blocks instead of
-        // tree-walking `eval_c` per candidate. The tree-walk form is kept
-        // regardless: `replay` and the differential harnesses use it as the
-        // bit-reproducible oracle.
-        let program = self.scope.bytecode.then(|| Program::lower(&compiled));
+        // The obligation is compiled and lowered once per search: every
+        // variable occurrence becomes a register, so the per-candidate loop
+        // never builds a name-keyed model or looks anything up by string. The
+        // program holds no arena ids, so one search can be scanned from many
+        // worker threads.
+        let program = Program::lower(&CompiledObligation::compile(ob, &space.var_order()));
         Ok(ModelSearch {
-            compiled,
             space,
             program,
             // `estimate <= max_models` (a u64) was just checked.
@@ -109,21 +101,14 @@ impl FiniteModelProver {
         }
     }
 
-    /// Evaluates the obligation under one explicit input model, returning
-    /// `Some(full_model)` when the model is a counterexample. Used by tests
-    /// and by the runtime crate to replay reported counterexamples.
-    pub fn replay(&self, ob: &Obligation, input: &Model) -> Option<Model> {
-        let order: Vec<String> = ob.input_vars().keys().cloned().collect();
-        let compiled = crate::compiled::CompiledObligation::compile(ob, &order);
-        let mut env = compiled.env();
-        let mut buf: Vec<Value> = order
-            .iter()
-            .map(|name| input.get(name).cloned())
-            .collect::<Option<_>>()?;
-        match compiled.check(&mut buf, &mut env) {
-            Ok(Some(())) => Some(compiled.reconstruct(&env)),
-            _ => None,
-        }
+    /// Evaluates the obligation under one explicit input model with the
+    /// reference evaluator ([`mod@semcommute_logic::eval`]): the oracle the
+    /// bytecode search is differentially tested against, and the way tests
+    /// replay reported counterexamples. See [`Replayer::check`] for the
+    /// contract; a [`Replayer`] amortizes the per-obligation setup over many
+    /// candidates.
+    pub fn replay(&self, ob: &Obligation, input: &Model) -> Result<Option<Model>, String> {
+        Replayer::new(ob).check(input)
     }
 
     /// Returns the input model restricted to the obligation's input variables
@@ -138,7 +123,68 @@ impl FiniteModelProver {
     }
 }
 
-/// A prepared counter-model search: the compiled obligation plus its input
+/// An obligation prepared for reference evaluation
+/// ([`FiniteModelProver::replay`]): its define/hypothesis schedule
+/// (`compiled::schedule`) is computed once, so a candidate-by-candidate
+/// reference scan pays only for the [`mod@semcommute_logic::eval`] calls.
+#[derive(Debug, Clone)]
+pub struct Replayer<'a> {
+    ob: &'a Obligation,
+    schedule: Vec<Stage>,
+}
+
+impl<'a> Replayer<'a> {
+    /// Prepares `ob` for reference evaluation.
+    pub fn new(ob: &'a Obligation) -> Replayer<'a> {
+        Replayer {
+            ob,
+            schedule: schedule(ob),
+        }
+    }
+
+    /// Evaluates the obligation under one input model with `logic::eval`.
+    ///
+    /// Defines are computed and hypotheses checked in the obligation's
+    /// schedule (`compiled::schedule`), the order the search follows, and
+    /// evaluation errors carry the same `evaluating ...:` context the search
+    /// reports. Returns `Ok(Some(full_model))` (inputs plus computed
+    /// defines) when the model is a counterexample, `Ok(None)` when a
+    /// hypothesis fails or the goal holds, and `Err` on an evaluation error.
+    /// Defines are evaluated on top of `input`, overwriting any binding it
+    /// has for them; a missing input variable is an unbound-variable error
+    /// once evaluation reaches it.
+    pub fn check(&self, input: &Model) -> Result<Option<Model>, String> {
+        let ob = self.ob;
+        let mut model = input.clone();
+        for stage in &self.schedule {
+            match *stage {
+                Stage::Define(i) => {
+                    let (name, term) = &ob.defines[i];
+                    let value =
+                        eval(term, &model).map_err(|e| format!("evaluating `{name}`: {e}"))?;
+                    model.insert(name.clone(), value);
+                }
+                Stage::Hypothesis(i) => {
+                    if !eval_step(&ob.hypotheses[i], &model, "evaluating hypothesis")? {
+                        return Ok(None);
+                    }
+                }
+            }
+        }
+        Ok((!eval_step(&ob.goal, &model, "evaluating goal")?).then_some(model))
+    }
+}
+
+/// Evaluates a hypothesis or the goal for [`Replayer::check`], wrapping
+/// failures — a non-boolean result included — in `context`.
+fn eval_step(term: &Term, model: &Model, context: &str) -> Result<bool, String> {
+    match eval(term, model).map_err(|e| format!("{context}: {e}"))? {
+        Value::Bool(b) => Ok(b),
+        other => Err(format!("{context}: expected bool, found {}", other.sort())),
+    }
+}
+
+/// A prepared counter-model search: the lowered obligation plus its input
 /// space, ready to be scanned whole ([`ModelSearch::run`]) or as
 /// unreduced-position ranges ([`ModelSearch::run_range`]) that many worker
 /// threads drive concurrently against one [`SearchShared`].
@@ -153,11 +199,8 @@ impl FiniteModelProver {
 /// sequential oracle, not merely an equivalent one.
 #[derive(Debug)]
 pub struct ModelSearch {
-    compiled: CompiledObligation,
     space: InputSpace,
-    /// The lowered register program, present iff the scope selects the
-    /// bytecode backend ([`crate::scope::Scope::bytecode`]).
-    program: Option<Program>,
+    program: Program,
     total: u64,
     started: Instant,
 }
@@ -171,49 +214,16 @@ impl ModelSearch {
 
     /// Runs the whole search sequentially on the calling thread and returns
     /// the verdict. Equivalent to `run_range(0, total)` + finalize, but with
-    /// no shared state or atomics — the reproducible oracle path.
+    /// no shared state or atomics — the reproducible sequential form.
+    ///
+    /// Candidates are materialized in blocks of up to [`LANES`] and executed
+    /// column-wise. [`crate::bytecode::Program::run_block`] reports the
+    /// minimum-lane deciding event of each block, which is exactly the
+    /// candidate a one-at-a-time scan stops at, so verdict, counter-model,
+    /// `Unknown` reason, `models_checked`, and `orbits_pruned` all match a
+    /// candidate-by-candidate [`FiniteModelProver::replay`] of the space.
     pub fn run(self) -> Verdict {
-        if let Some(program) = self.program.as_ref() {
-            return self.run_blocks(program);
-        }
-        let mut env = self.compiled.env();
-        let mut buf = Vec::with_capacity(self.compiled.input_count());
-        let mut it = self.space.iter();
-        let mut checked: u64 = 0;
-        while it.next_values(&mut buf) {
-            checked += 1;
-            match self.compiled.check(&mut buf, &mut env) {
-                Ok(None) => continue,
-                Ok(Some(())) => {
-                    return Verdict::CounterModel {
-                        model: self.compiled.reconstruct(&env),
-                        stats: ProofStats::finite(checked, self.started.elapsed())
-                            .with_orbits_pruned(it.orbits_pruned()),
-                    }
-                }
-                Err(reason) => {
-                    return Verdict::Unknown {
-                        reason,
-                        stats: ProofStats::finite(checked, self.started.elapsed())
-                            .with_orbits_pruned(it.orbits_pruned()),
-                    }
-                }
-            }
-        }
-        Verdict::Valid {
-            stats: ProofStats::finite(checked, self.started.elapsed())
-                .with_orbits_pruned(it.orbits_pruned()),
-        }
-    }
-
-    /// The whole-search scan under the bytecode backend: candidates are
-    /// materialized in blocks of up to [`LANES`] and executed column-wise.
-    /// [`crate::bytecode::Program::run_block`] reports the minimum-lane
-    /// deciding event of each block, which is exactly the candidate the
-    /// per-candidate scan above stops at, so verdict, counter-model,
-    /// `Unknown` reason, `models_checked`, and `orbits_pruned` all match
-    /// the tree-walk oracle bit for bit.
-    fn run_blocks(&self, program: &Program) -> Verdict {
+        let program = &self.program;
         let mut it = self.space.iter();
         let mut block = BlockBuf::new();
         let mut exec = program.block_exec();
@@ -280,55 +290,21 @@ impl ModelSearch {
     /// records it — [`SearchShared`] keeps the minimum-position one — and
     /// stops, exactly as the sequential scan stops at its first deciding
     /// event.
+    ///
+    /// The deciding-event guard is polled once per block rather than once
+    /// per candidate; that is count-identical to a per-candidate guard under
+    /// any sequential execution order, because ranges are disjoint: a range
+    /// either contains its own minimum-position event (both scans stop
+    /// exactly there), lies entirely below the recorded minimum (both scan
+    /// it fully), or starts above it (both skip it). At more than one thread
+    /// the counters are racy; the verdict, counter-model, and `Unknown`
+    /// reason remain bit-identical because only the minimum-position event
+    /// decides.
     pub fn run_range(&self, lo: u64, hi: u64, shared: &SearchShared) {
         if shared.deciding.load(Ordering::Relaxed) < lo {
             return;
         }
-        if let Some(program) = self.program.as_ref() {
-            return self.run_range_blocks(program, lo, hi, shared);
-        }
-        let mut it = self.space.range_iter(lo, hi);
-        let mut env = self.compiled.env();
-        let mut buf = Vec::with_capacity(self.compiled.input_count());
-        let mut checked: u64 = 0;
-        loop {
-            let upos = it.position();
-            if !it.next_values(&mut buf) {
-                break;
-            }
-            checked += 1;
-            match self.compiled.check(&mut buf, &mut env) {
-                Ok(None) => {}
-                Ok(Some(())) => {
-                    shared.record_counterexample(upos, self.compiled.reconstruct(&env));
-                    break;
-                }
-                Err(reason) => {
-                    shared.record_error(upos, reason);
-                    break;
-                }
-            }
-            if shared.deciding.load(Ordering::Relaxed) < upos {
-                break;
-            }
-        }
-        shared.checked.fetch_add(checked, Ordering::Relaxed);
-        shared
-            .pruned
-            .fetch_add(it.orbits_pruned(), Ordering::Relaxed);
-    }
-
-    /// The range scan under the bytecode backend. The deciding-event guard
-    /// is polled once per block rather than once per candidate; that is
-    /// count-identical to the per-candidate guard under any sequential
-    /// execution order, because ranges are disjoint: a range either contains
-    /// its own minimum-position event (both scans stop exactly there), lies
-    /// entirely below the recorded minimum (both scan it fully), or starts
-    /// above it (both skip it). At more than one thread the counters are
-    /// racy in exactly the way the tree-walk scan's already are; the
-    /// verdict, counter-model, and `Unknown` reason remain bit-identical
-    /// because only the minimum-position event decides.
-    fn run_range_blocks(&self, program: &Program, lo: u64, hi: u64, shared: &SearchShared) {
+        let program = &self.program;
         let mut it = self.space.range_iter(lo, hi);
         let mut block = BlockBuf::new();
         let mut exec = program.block_exec();
@@ -402,8 +378,7 @@ pub struct SearchShared {
     /// Candidates pruned as non-canonical, summed over subranges (each
     /// range counts exactly the pruned positions inside itself).
     pruned: AtomicU64,
-    /// Bytecode blocks executed, summed over subranges (zero under the
-    /// tree-walk backend).
+    /// Bytecode blocks executed, summed over subranges.
     batches: AtomicU64,
     /// Lanes re-run through the scalar fallback, summed over subranges.
     batch_fallbacks: AtomicU64,
@@ -501,8 +476,7 @@ pub struct SearchOutcome {
     pub checked: u64,
     /// Candidates pruned as non-canonical, summed over subranges.
     pub pruned: u64,
-    /// Bytecode blocks executed, summed over subranges (zero under the
-    /// tree-walk backend).
+    /// Bytecode blocks executed, summed over subranges.
     pub batches: u64,
     /// Lanes re-run through the scalar fallback, summed over subranges.
     pub batch_fallbacks: u64,
@@ -673,7 +647,10 @@ mod tests {
         let full = verdict.counter_model().unwrap();
         let inputs = p.project_inputs(&ob, full);
         assert!(inputs.contains("v") && inputs.contains("s") && !inputs.contains("r"));
-        let replayed = p.replay(&ob, &inputs).expect("still a counterexample");
+        let replayed = p
+            .replay(&ob, &inputs)
+            .expect("evaluates")
+            .expect("still a counterexample");
         assert_eq!(replayed.get("r"), Some(&Value::Bool(false)));
     }
 
@@ -758,11 +735,8 @@ mod tests {
             max_models: 5_000_000,
             // The position reasoning below depends on the exact enumeration
             // order; a one-element padding block makes the orbit reduction a
-            // no-op anyway, so pin it off. The backend is irrelevant to the
-            // positions, but pin the tree walk so the test stays a pure
-            // oracle-path exercise.
+            // no-op anyway, so pin it off.
             orbit: false,
-            bytecode: false,
         };
         let quantifier = exists_int(
             "i",
@@ -884,7 +858,7 @@ mod tests {
         let verdict = on.prove(&ob);
         let full = verdict.counter_model().expect("counterexample expected");
         let inputs = on.project_inputs(&ob, full);
-        assert!(off.replay(&ob, &inputs).is_some());
+        assert!(matches!(off.replay(&ob, &inputs), Ok(Some(_))));
     }
 
     fn kind(v: &Verdict) -> &'static str {
@@ -895,12 +869,81 @@ mod tests {
         }
     }
 
-    /// The bytecode backend reports bit-identical verdicts, counter-models,
-    /// `Unknown` reasons, and work counters to the tree-walk oracle — whole
-    /// or range-split, with the orbit reduction on or off — and its batch
-    /// counters reconcile with the block size.
+    /// The candidate-by-candidate reference form of
+    /// [`ModelSearch::run_range`]: every candidate is replayed through
+    /// [`FiniteModelProver::replay`] (`logic::eval` on a `Model`), and the
+    /// deciding-event guard is polled after every candidate.
+    fn reference_range(
+        search: &ModelSearch,
+        ob: &Obligation,
+        lo: u64,
+        hi: u64,
+        shared: &SearchShared,
+    ) {
+        if shared.deciding.load(Ordering::Relaxed) < lo {
+            return;
+        }
+        let replayer = Replayer::new(ob);
+        let mut it = search.space.range_iter(lo, hi);
+        let mut checked: u64 = 0;
+        loop {
+            let upos = it.position();
+            let Some(input) = it.next() else {
+                break;
+            };
+            checked += 1;
+            match replayer.check(&input) {
+                Ok(None) => {}
+                Ok(Some(model)) => {
+                    shared.record_counterexample(upos, model);
+                    break;
+                }
+                Err(reason) => {
+                    shared.record_error(upos, reason);
+                    break;
+                }
+            }
+            if shared.deciding.load(Ordering::Relaxed) < upos {
+                break;
+            }
+        }
+        shared.checked.fetch_add(checked, Ordering::Relaxed);
+        shared
+            .pruned
+            .fetch_add(it.orbits_pruned(), Ordering::Relaxed);
+    }
+
+    /// [`run_split`] with every range scanned by [`reference_range`]; one
+    /// part is the sequential reference scan.
+    fn reference_split(ob: &Obligation, scope: Scope, parts: u64, order: &[u64]) -> Verdict {
+        let search = FiniteModelProver::new(scope).begin(ob).expect("searchable");
+        let total = search.total();
+        let shared = SearchShared::new();
+        for &part in order {
+            reference_range(
+                &search,
+                ob,
+                part * total / parts,
+                (part + 1) * total / parts,
+                &shared,
+            );
+        }
+        search.finalize(&shared)
+    }
+
+    fn unknown_reason(v: &Verdict) -> Option<&str> {
+        match v {
+            Verdict::Unknown { reason, .. } => Some(reason),
+            _ => None,
+        }
+    }
+
+    /// The bytecode search reports bit-identical verdicts, counter-models,
+    /// `Unknown` reasons, and work counters to a candidate-by-candidate
+    /// `logic::eval` scan — whole or range-split, with the orbit reduction
+    /// on or off — and its batch counters reconcile with the block size.
     #[test]
-    fn bytecode_backend_matches_the_tree_walk() {
+    fn bytecode_search_matches_the_reference_scan() {
         let valid = Obligation::new("bc_valid")
             .define("r1", member(var_elem("v1"), var_set("s")))
             .define("s1", set_add(var_set("s"), var_elem("v2")))
@@ -916,56 +959,86 @@ mod tests {
         for ob in [&valid, &bogus, &illsorted] {
             for orbit in [true, false] {
                 let scope = Scope::standard().with_orbit(orbit);
-                let tree = FiniteModelProver::new(scope.clone().with_bytecode(false)).prove(ob);
-                let bc = FiniteModelProver::new(scope.clone().with_bytecode(true)).prove(ob);
-                assert_eq!(kind(&tree), kind(&bc), "{}", ob.name);
-                assert_eq!(tree.counter_model(), bc.counter_model(), "{}", ob.name);
-                if let (Verdict::Unknown { reason: a, .. }, Verdict::Unknown { reason: b, .. }) =
-                    (&tree, &bc)
-                {
-                    assert_eq!(a, b)
-                }
-                assert_eq!(tree.stats().models_checked, bc.stats().models_checked);
-                assert_eq!(tree.stats().orbits_pruned, bc.stats().orbits_pruned);
-                assert_eq!(tree.stats().batches, 0);
+                let reference = reference_split(ob, scope.clone(), 1, &[0]);
+                let bc = FiniteModelProver::new(scope.clone()).prove(ob);
+                assert_eq!(kind(&reference), kind(&bc), "{}", ob.name);
+                assert_eq!(reference.counter_model(), bc.counter_model(), "{}", ob.name);
+                assert_eq!(
+                    unknown_reason(&reference),
+                    unknown_reason(&bc),
+                    "{}",
+                    ob.name
+                );
+                assert_eq!(reference.stats().models_checked, bc.stats().models_checked);
+                assert_eq!(reference.stats().orbits_pruned, bc.stats().orbits_pruned);
                 assert!(bc.stats().batches > 0, "{}", ob.name);
                 assert!(bc.stats().batches <= bc.stats().models_checked / 256 + 1);
                 assert!(bc.stats().instrs_executed > 0);
 
                 // The same agreement holds for a split execution driven in
                 // descending range order: the verdict matches the sequential
-                // oracle, and the work counters match a tree-walk split with
-                // the identical part structure and completion order (counts
-                // legitimately exceed the sequential scan's when ranges run
-                // before the deciding event is recorded).
+                // reference, and the work counters match a reference split
+                // with the identical part structure and completion order
+                // (counts legitimately exceed the sequential scan's when
+                // ranges run before the deciding event is recorded).
                 let order = [6, 5, 4, 3, 2, 1, 0];
-                let split_bc = run_split(ob, scope.clone().with_bytecode(true), 7, &order);
-                let split_tree = run_split(ob, scope.clone().with_bytecode(false), 7, &order);
-                assert_eq!(kind(&tree), kind(&split_bc), "{}", ob.name);
+                let split_bc = run_split(ob, scope.clone(), 7, &order);
+                let split_reference = reference_split(ob, scope.clone(), 7, &order);
+                assert_eq!(kind(&reference), kind(&split_bc), "{}", ob.name);
                 assert_eq!(
-                    tree.counter_model(),
+                    reference.counter_model(),
                     split_bc.counter_model(),
                     "{}",
                     ob.name
                 );
-                if let (Verdict::Unknown { reason: a, .. }, Verdict::Unknown { reason: b, .. }) =
-                    (&tree, &split_bc)
-                {
-                    assert_eq!(a, b)
-                }
+                assert_eq!(
+                    unknown_reason(&reference),
+                    unknown_reason(&split_bc),
+                    "{}",
+                    ob.name
+                );
                 assert_eq!(
                     split_bc.stats().models_checked,
-                    split_tree.stats().models_checked,
+                    split_reference.stats().models_checked,
                     "{}",
                     ob.name
                 );
                 assert_eq!(
                     split_bc.stats().orbits_pruned,
-                    split_tree.stats().orbits_pruned,
+                    split_reference.stats().orbits_pruned,
                     "{}",
                     ob.name
                 );
             }
+        }
+    }
+
+    /// The define/hypothesis schedule is shared by the bytecode and the
+    /// reference: an input-only hypothesis that is false rejects the
+    /// candidate before a define that cannot be evaluated runs, in both; when
+    /// the hypothesis holds, both report the same wrapped define error.
+    #[test]
+    fn bytecode_and_reference_share_the_evaluation_schedule() {
+        let ob = Obligation::new("schedule")
+            .define("n", card(var_elem("v")))
+            .assume(lt(var_int("i"), int(0)))
+            .goal(eq(var_int("n"), int(0)));
+        let order = ["i", "v"].map(String::from);
+        let program = Program::lower(&CompiledObligation::compile(&ob, &order));
+        let mut exec = program.scalar_exec();
+        for (i, expected) in [
+            (3, Ok(None)),
+            (
+                -1,
+                Err("evaluating `n`: card: expected obj set, found obj".to_string()),
+            ),
+        ] {
+            let input = Model::from_bindings([("i", Value::Int(i)), ("v", Value::elem(1))]);
+            let reference = prover().replay(&ob, &input);
+            let mut inputs = vec![Value::Int(i), Value::elem(1)];
+            let bytecode = program.check(&mut inputs, &mut exec);
+            assert_eq!(reference, expected, "i = {i}");
+            assert_eq!(bytecode, expected.map(|_| None), "i = {i}");
         }
     }
 

@@ -62,7 +62,7 @@ pub mod structural;
 pub mod verdict;
 
 pub use bytecode::Program;
-pub use finite::{FiniteModelProver, ModelSearch, SearchOutcome, SearchShared};
+pub use finite::{FiniteModelProver, ModelSearch, Replayer, SearchOutcome, SearchShared};
 pub use hints::{apply_hints, Hint};
 pub use obligation::Obligation;
 pub use portfolio::{Portfolio, Started, VerdictCache};

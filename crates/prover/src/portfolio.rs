@@ -147,8 +147,8 @@ pub enum Started {
     Decided(Verdict),
     /// A finite-model search is required; the caller runs it and publishes
     /// the finalized verdict via [`Portfolio::publish_keyed`]. Boxed: a
-    /// prepared search (compiled obligation, lowered bytecode program,
-    /// enumeration tables) is an order of magnitude larger than a verdict,
+    /// prepared search (lowered bytecode program, enumeration tables) is an
+    /// order of magnitude larger than a verdict,
     /// and this variant is the rare one — most obligations are answered by
     /// the cache or the structural prover.
     Search(Box<ModelSearch>),
@@ -237,11 +237,7 @@ impl Portfolio {
     /// Thread count and split granularity are deliberately *not* part of the
     /// key: the range-split model search reports exactly the sequential
     /// scan's verdict (the minimum-position deciding event), so verdicts are
-    /// shareable across every scheduling configuration. The evaluator
-    /// backend (tree walk vs. bytecode) *is* part of the key, via
-    /// [`Scope::fingerprint`]: the backends are proved bit-identical, but
-    /// keying them apart means a backend bug can never leak a wrong verdict
-    /// into the other backend's runs through the cache.
+    /// shareable across every scheduling configuration.
     pub fn canonical_key(&self, ob: &Obligation) -> u128 {
         use crate::scope::mix128 as mix;
         let config = (self.use_structural as u128) | ((self.use_finite as u128) << 1);

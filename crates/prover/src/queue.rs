@@ -27,11 +27,7 @@
 //! * workers publish verdicts through the portfolio's sharded
 //!   [`VerdictCache`](crate::portfolio::VerdictCache), keyed by the same
 //!   canonical hash, so duplicate work
-//!   is impossible even across scheduler runs sharing a cache — and because
-//!   the evaluator backend is part of that hash (via
-//!   [`Scope::fingerprint`](crate::Scope::fingerprint)), a cache shared
-//!   between a bytecode and a tree-walk run never crosses verdicts between
-//!   the two backends;
+//!   is impossible even across scheduler runs sharing a cache;
 //! * an optional [`ExitGuard`] per obligation group (the driver uses one per
 //!   testing method) reproduces the sequential early-exit semantics: once
 //!   the obligation at index `i` of a group fails, obligations of the same
@@ -315,7 +311,7 @@ struct ActiveSearch {
     submission: usize,
     /// The claiming submission's early-exit group membership.
     guard: GuardRef,
-    /// The prepared search (compiled obligation + input space), scanned
+    /// The prepared search (lowered program + input space), scanned
     /// concurrently by range.
     search: ModelSearch,
     /// The minimum-position deciding-event guard and merged counters shared

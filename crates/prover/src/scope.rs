@@ -22,26 +22,6 @@ pub fn default_orbit() -> bool {
     })
 }
 
-/// The process-wide default for [`Scope::bytecode`]: `true` (flat register
-/// bytecode with batched, column-wise candidate evaluation) unless the
-/// `SEMCOMMUTE_BYTECODE` environment variable is set to `off`, `0`, or
-/// `false` when first consulted.
-///
-/// Like [`default_orbit`], the env override exists for the CI oracle leg:
-/// running the whole test suite with `SEMCOMMUTE_BYTECODE=off` re-validates
-/// every prover-dependent test against the tree-walk evaluator the bytecode
-/// backend is differentially tested against. Tests that compare the two
-/// backends select them explicitly via [`Scope::with_bytecode`].
-pub fn default_bytecode() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var("SEMCOMMUTE_BYTECODE").ok().as_deref(),
-            Some("off" | "0" | "false")
-        )
-    })
-}
-
 /// The 128-bit mixing step shared by [`Scope::fingerprint`] and the
 /// portfolio's canonical obligation keys (an FNV-style multiply-xor fold);
 /// keeping one definition guarantees the two stay in lockstep.
@@ -90,21 +70,6 @@ pub struct Scope {
     /// why split granularity and thread count never enter this fingerprint:
     /// they cannot change any verdict.
     pub orbit: bool,
-    /// Whether obligations are evaluated by the flat register **bytecode**
-    /// backend (`prover::bytecode`): each compiled obligation is lowered once
-    /// to a flat instruction program and candidates are checked in batches of
-    /// up to 256, column-wise, with boolean subprograms evaluated as 256-bit
-    /// lanes. `false` selects the tree-walk evaluator
-    /// (`prover::compiled::CompiledObligation::check`) — the bit-reproducible
-    /// oracle the bytecode backend is differentially tested against.
-    ///
-    /// The two backends are required to report identical verdicts, counter
-    /// models, `Unknown` reasons, and `models_checked` / `orbits_pruned`
-    /// counts; the flag is nonetheless part of [`Scope::fingerprint`] so a
-    /// cached verdict always records which evaluator produced it and a
-    /// backend bug can never leak across the differential harness's legs
-    /// through the verdict cache.
-    pub bytecode: bool,
 }
 
 impl Scope {
@@ -118,7 +83,6 @@ impl Scope {
             int_max: 5,
             max_models: 50_000_000,
             orbit: default_orbit(),
-            bytecode: default_bytecode(),
         }
     }
 
@@ -132,7 +96,6 @@ impl Scope {
             int_max: 4,
             max_models: 5_000_000,
             orbit: default_orbit(),
-            bytecode: default_bytecode(),
         }
     }
 
@@ -149,7 +112,6 @@ impl Scope {
             int_max: max_seq_len as i64 + 1,
             max_models: 200_000_000,
             orbit: default_orbit(),
-            bytecode: default_bytecode(),
         }
     }
 
@@ -170,13 +132,6 @@ impl Scope {
     /// Returns a copy with orbit-canonical enumeration switched on or off.
     pub fn with_orbit(mut self, orbit: bool) -> Scope {
         self.orbit = orbit;
-        self
-    }
-
-    /// Returns a copy with the bytecode evaluation backend switched on or
-    /// off (`false` selects the tree-walk oracle evaluator).
-    pub fn with_bytecode(mut self, bytecode: bool) -> Scope {
-        self.bytecode = bytecode;
         self
     }
 
@@ -202,12 +157,6 @@ impl Scope {
         // non-canonical candidate). The enumerator choice is therefore part
         // of the fingerprint, and cached verdicts never cross the two modes.
         h = mix128(h, self.orbit as u128);
-        // The evaluation backend is semantically transparent (the
-        // differential harness pins bit-identical verdicts), but keying the
-        // cache per backend means a backend bug can never propagate a wrong
-        // verdict into the other backend's runs — each leg of the harness
-        // answers only from verdicts its own evaluator produced.
-        h = mix128(h, self.bytecode as u128);
         h
     }
 }
@@ -276,13 +225,5 @@ mod tests {
         let off = Scope::small().with_orbit(false);
         assert_ne!(on.fingerprint(), off.fingerprint());
         assert_eq!(on.with_orbit(false), off);
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_evaluation_backends() {
-        let bytecode = Scope::small().with_bytecode(true);
-        let tree = Scope::small().with_bytecode(false);
-        assert_ne!(bytecode.fingerprint(), tree.fingerprint());
-        assert_eq!(bytecode.with_bytecode(false), tree);
     }
 }

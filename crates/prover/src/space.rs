@@ -427,7 +427,7 @@ impl<'a> SpaceIter<'a> {
     /// Writes the current candidate's values into `buf` in
     /// [`InputSpace::var_order`] order and advances; returns `false` when the
     /// space is exhausted. This is the allocation-lean counterpart of
-    /// `next()` used by the prover's compiled evaluation path: no names, no
+    /// `next()` used by per-candidate scalar bytecode scans: no names, no
     /// `Model` map — just the values.
     pub fn next_values(&mut self, buf: &mut Vec<Value>) -> bool {
         if self.exhausted() {

@@ -51,7 +51,7 @@ pub struct ProofStats {
     /// (a previously proved obligation with the same canonical form).
     pub cache_hits: u64,
     /// Number of candidate blocks executed by the batched bytecode evaluator
-    /// (zero under the tree-walk evaluator). Each block evaluates up to 256
+    /// (zero for a structural verdict). Each block evaluates up to 256
     /// candidate models column-wise.
     pub batches: u64,
     /// Number of candidate lanes the batched evaluator re-ran through the

@@ -1,38 +1,44 @@
-//! Differential soundness harness: the batched bytecode evaluator against
-//! the tree-walk oracle.
+//! Differential soundness harness: the batched bytecode search against the
+//! reference evaluator.
 //!
 //! The bytecode backend re-implements the whole candidate-evaluation pipeline
 //! — lowering, constant pooling, short-circuit regions, 256-lane batched
 //! execution with scalar fallback — so its claim to *bit-identical* semantics
-//! is exactly the kind that must be pinned exhaustively. This harness runs
-//! the **full catalog** (every condition of all four interfaces) under both
-//! evaluators, at one and at four scheduler workers, with the orbit reduction
-//! on and off, and compares verdict by verdict: kinds, counter-models, and
-//! `Unknown` reasons must be equal, and the work counters must reconcile
-//! exactly (the two backends enumerate the same candidates in the same
-//! order). A second test sabotages conditions so the *refuted* path is
-//! exercised too — the bytecode search must report byte-for-byte the same
-//! minimum-position counterexample as the tree walk, and that model must
-//! replay under the tree-walk oracle prover.
+//! is exactly the kind that must be pinned exhaustively. The reference is
+//! `logic::eval` on a `Model`: [`FiniteModelProver::replay`] (through its
+//! prepared form, [`Replayer`]) run over every candidate of the same input
+//! space, in enumeration order, until the first counter-model or evaluation
+//! error.
+//!
+//! The first test runs every obligation of the **full catalog** (every
+//! condition of all four interfaces) that reaches the finite-model search,
+//! with the orbit reduction on and off, and compares verdict by verdict:
+//! kinds, counter-models, and `Unknown` reasons must be equal, and the work
+//! counters must reconcile exactly — per obligation, and summed against the
+//! catalog runs at one and at four scheduler workers. A second test
+//! sabotages conditions so the *refuted* path is exercised too — the
+//! bytecode search must report byte-for-byte the same minimum-position
+//! counterexample as the reference scan.
 //!
 //! The ArrayList sequence scope is 3 here (as in the orbit and parallel
-//! differential harnesses) so that eight full-catalog runs stay fast in
-//! debug builds; the scope is a verification parameter, not a truncation of
-//! the catalog.
+//! differential harnesses) so that the reference scans stay fast in debug
+//! builds; the scope is a verification parameter, not a truncation of the
+//! catalog.
 
-use semcommute_core::verify::{verify_catalog, CatalogReport, VerifyOptions};
-use semcommute_prover::{FiniteModelProver, Portfolio, Scope, Verdict};
+use std::collections::HashSet;
+use std::time::Duration;
 
-fn options(threads: usize, orbit: bool, bytecode: bool) -> VerifyOptions {
-    VerifyOptions {
-        threads,
-        seq_len: 3,
-        limit: None,
-        orbit,
-        bytecode,
-        ..VerifyOptions::default()
-    }
-}
+use semcommute_core::catalog::interface_catalog;
+use semcommute_core::template::testing_methods;
+use semcommute_core::vcgen::generate_obligations;
+use semcommute_core::verify::{scope_for, verify_catalog, VerifyOptions};
+use semcommute_prover::structural::prove_structural;
+use semcommute_prover::{
+    FiniteModelProver, InputSpace, Obligation, Portfolio, ProofStats, Replayer, Scope, Verdict,
+};
+use semcommute_spec::InterfaceId;
+
+const SEQ_LEN: usize = 3;
 
 fn kind(verdict: &Verdict) -> &'static str {
     match verdict {
@@ -49,103 +55,154 @@ fn unknown_reason(verdict: &Verdict) -> Option<&str> {
     }
 }
 
-/// Verdict-by-verdict equality between a bytecode and a tree-walk catalog
-/// run: kind, counter-model, and `Unknown` reason all match.
-fn assert_same_verdicts(bc: &CatalogReport, tree: &CatalogReport, label: &str) {
-    assert_eq!(bc.interfaces.len(), tree.interfaces.len());
-    for (bc_report, tree_report) in bc.interfaces.iter().zip(&tree.interfaces) {
-        assert_eq!(bc_report.interface, tree_report.interface);
-        assert_eq!(bc_report.total(), tree_report.total());
-        for (bc_cond, tree_cond) in bc_report.reports.iter().zip(&tree_report.reports) {
-            assert_eq!(bc_cond.condition.id(), tree_cond.condition.id());
-            for (leg, bc_verdict, tree_verdict) in [
-                ("soundness", &bc_cond.soundness, &tree_cond.soundness),
-                (
-                    "completeness",
-                    &bc_cond.completeness,
-                    &tree_cond.completeness,
-                ),
-            ] {
-                let id = bc_cond.condition.id();
-                assert_eq!(
-                    kind(bc_verdict),
-                    kind(tree_verdict),
-                    "{label}: {id} {leg} verdict kind differs between evaluators",
-                );
-                assert_eq!(
-                    bc_verdict.counter_model(),
-                    tree_verdict.counter_model(),
-                    "{label}: {id} {leg} counter-model differs between evaluators",
-                );
-                assert_eq!(
-                    unknown_reason(bc_verdict),
-                    unknown_reason(tree_verdict),
-                    "{label}: {id} {leg} Unknown reason differs between evaluators",
-                );
-            }
+/// The reference verdict of one obligation: every candidate of its input
+/// space, in enumeration order, replayed through a [`Replayer`] (the engine
+/// of [`FiniteModelProver::replay`]) until the first counter-model or error.
+fn reference_prove(ob: &Obligation, scope: &Scope) -> Verdict {
+    let replayer = Replayer::new(ob);
+    let space = InputSpace::from_obligation(ob, scope.clone());
+    let mut it = space.iter();
+    let mut checked = 0;
+    let event = loop {
+        let Some(input) = it.next() else {
+            break None;
+        };
+        checked += 1;
+        match replayer.check(&input) {
+            Ok(None) => {}
+            Ok(Some(model)) => break Some(Ok(model)),
+            Err(reason) => break Some(Err(reason)),
         }
+    };
+    let stats = ProofStats::finite(checked, Duration::ZERO).with_orbits_pruned(it.orbits_pruned());
+    match event {
+        None => Verdict::Valid { stats },
+        Some(Ok(model)) => Verdict::CounterModel { model, stats },
+        Some(Err(reason)) => Verdict::Unknown { reason, stats },
     }
 }
 
-/// The full catalog under both evaluators, at 1 and 4 workers, orbit on and
-/// off: verdicts (kinds, counter-models, `Unknown` reasons) are identical,
-/// and — because every obligation verifies, so every space is fully
-/// enumerated — `models_checked` and `orbits_pruned` reconcile exactly. The
-/// batch counters confirm which backend actually ran.
+/// Kind, counter-model, `Unknown` reason, and work counters of the bytecode
+/// search equal the reference scan's.
+fn assert_matches_reference(ob: &Obligation, scope: &Scope, label: &str) -> Verdict {
+    let bytecode = FiniteModelProver::new(scope.clone()).prove(ob);
+    let reference = reference_prove(ob, scope);
+    let name = &ob.name;
+    assert_eq!(
+        kind(&bytecode),
+        kind(&reference),
+        "{label}: {name} verdict kind"
+    );
+    assert_eq!(
+        bytecode.counter_model(),
+        reference.counter_model(),
+        "{label}: {name} counter-model"
+    );
+    assert_eq!(
+        unknown_reason(&bytecode),
+        unknown_reason(&reference),
+        "{label}: {name} Unknown reason"
+    );
+    assert_eq!(
+        bytecode.stats().models_checked,
+        reference.stats().models_checked,
+        "{label}: {name} models_checked"
+    );
+    assert_eq!(
+        bytecode.stats().orbits_pruned,
+        reference.stats().orbits_pruned,
+        "{label}: {name} orbits_pruned"
+    );
+    assert!(
+        bytecode.stats().batches > 0,
+        "{label}: {name}: the bytecode backend must actually batch"
+    );
+    assert!(
+        bytecode.stats().batch_fallbacks <= bytecode.stats().batches * 256,
+        "{label}: {name}: fallback lanes are bounded by the block size"
+    );
+    assert!(
+        bytecode.stats().instrs_executed > 0,
+        "{label}: {name}: the bytecode backend must report instruction work"
+    );
+    reference
+}
+
+/// Every obligation of the full catalog that reaches the finite-model
+/// search, orbit on and off: the bytecode verdict equals the reference scan
+/// verdict for verdict and counter for counter. Deduplicated by the
+/// portfolio's canonical key within each interface — exactly the searches a
+/// sequential catalog run performs — the reference counters sum to the
+/// catalog's totals at one and at four workers.
 #[test]
-fn full_catalog_verdicts_identical_under_both_evaluators() {
-    for threads in [1, 4] {
-        for orbit in [true, false] {
-            let label = format!("threads={threads} orbit={orbit}");
-            let bc = verify_catalog(&options(threads, orbit, true));
-            let tree = verify_catalog(&options(threads, orbit, false));
-            for report in bc.interfaces.iter().chain(&tree.interfaces) {
+fn full_catalog_matches_the_reference_evaluator() {
+    for orbit in [true, false] {
+        let label = format!("orbit={orbit}");
+        let runs = [1, 4].map(|threads| {
+            verify_catalog(&VerifyOptions {
+                threads,
+                seq_len: SEQ_LEN,
+                limit: None,
+                orbit,
+                ..VerifyOptions::default()
+            })
+        });
+        for interface in InterfaceId::ALL {
+            let scope = scope_for(interface, SEQ_LEN).with_orbit(orbit);
+            let portfolio = Portfolio::new(scope.clone());
+            let mut searched = HashSet::new();
+            let (mut checked, mut pruned) = (0, 0);
+            for (id, cond) in interface_catalog(interface).iter().enumerate() {
+                let (soundness, completeness) = testing_methods(cond, id);
+                for method in [soundness, completeness] {
+                    for ob in generate_obligations(&method).expect("vcgen") {
+                        // The portfolio's order: cache, structural, search.
+                        if !searched.insert(portfolio.canonical_key(&ob))
+                            || prove_structural(&ob).is_some()
+                        {
+                            continue;
+                        }
+                        let reference = assert_matches_reference(&ob, &scope, &label);
+                        assert!(reference.is_valid(), "{label}: {} verifies", ob.name);
+                        checked += reference.stats().models_checked;
+                        pruned += reference.stats().orbits_pruned;
+                    }
+                }
+            }
+            for (run, threads) in runs.iter().zip([1, 4]) {
+                let report = run
+                    .interfaces
+                    .iter()
+                    .find(|r| r.interface == interface)
+                    .expect("every interface is verified");
                 assert_eq!(
                     report.verified_count(),
                     report.total(),
-                    "{label}: the catalog verifies under both evaluators"
+                    "{label} threads={threads}: {interface} verifies"
+                );
+                assert_eq!(
+                    report.models_checked(),
+                    checked,
+                    "{label} threads={threads}: {interface} enumerates the reference's candidates"
+                );
+                assert_eq!(
+                    report.orbits_pruned(),
+                    pruned,
+                    "{label} threads={threads}: {interface} prunes the reference's candidates"
                 );
             }
-            assert_same_verdicts(&bc, &tree, &label);
-
-            assert_eq!(
-                bc.models_checked(),
-                tree.models_checked(),
-                "{label}: the evaluators enumerate the same candidates"
-            );
-            assert_eq!(
-                bc.orbits_pruned(),
-                tree.orbits_pruned(),
-                "{label}: the evaluators prune the same candidates"
-            );
-            assert_eq!(tree.batches(), 0, "{label}: the tree walk never batches");
-            assert!(
-                bc.batches() > 0,
-                "{label}: the bytecode backend must actually batch"
-            );
-            assert!(
-                bc.batch_fallbacks() <= bc.batches() * 256,
-                "{label}: fallback lanes are bounded by the block size"
-            );
-            assert!(
-                bc.instrs_executed() > 0,
-                "{label}: the bytecode backend must report instruction work"
-            );
         }
     }
 }
 
 /// Sabotaged conditions (claiming `contains`/`add` commute unconditionally)
 /// exercise the refuted path: the bytecode search must report the *same*
-/// minimum-position counterexample as the tree walk — not merely an
-/// equivalent refutation — and that model must replay under the tree-walk
-/// oracle prover. Run with the orbit reduction both on and off so the
-/// batched scan is exercised over both enumerators.
+/// minimum-position counterexample as the reference scan — not merely an
+/// equivalent refutation — and that model must replay to itself. Run with
+/// the orbit reduction both on and off so the batched scan is exercised over
+/// both enumerators.
 #[test]
-fn sabotaged_counterexamples_match_the_tree_walk_exactly() {
-    use semcommute_core::catalog::interface_catalog;
-    use semcommute_spec::InterfaceId;
-
+fn sabotaged_counterexamples_match_the_reference_exactly() {
     let mut sabotaged = interface_catalog(InterfaceId::Set)
         .into_iter()
         .filter(|c| c.first.op == "contains" && c.second.op == "add")
@@ -157,40 +214,23 @@ fn sabotaged_counterexamples_match_the_tree_walk_exactly() {
 
     for orbit in [true, false] {
         let scope = Scope::standard().with_orbit(orbit);
-        let portfolio_bc = Portfolio::new(scope.clone().with_bytecode(true));
-        let portfolio_tree = Portfolio::new(scope.clone().with_bytecode(false));
-        let oracle = FiniteModelProver::new(scope.with_bytecode(false));
-
+        let prover = FiniteModelProver::new(scope.clone());
+        let label = format!("orbit={orbit}");
         let mut refutations = 0;
         for (i, cond) in sabotaged.iter().enumerate() {
-            let (soundness, completeness) = semcommute_core::template::testing_methods(cond, i);
+            let (soundness, completeness) = testing_methods(cond, i);
             for method in [soundness, completeness] {
-                for ob in semcommute_core::vcgen::generate_obligations(&method).unwrap() {
-                    let bc = portfolio_bc.prove(&ob);
-                    let tree = portfolio_tree.prove(&ob);
-                    assert_eq!(kind(&bc), kind(&tree), "{}", ob.name);
-                    assert_eq!(
-                        bc.counter_model(),
-                        tree.counter_model(),
-                        "orbit={orbit} {}: the evaluators must report the same \
-                         minimum-position counterexample",
-                        ob.name
-                    );
-                    assert_eq!(
-                        bc.stats().models_checked,
-                        tree.stats().models_checked,
-                        "orbit={orbit} {}: the sequential scans stop at the same candidate",
-                        ob.name
-                    );
-                    assert_eq!(bc.stats().orbits_pruned, tree.stats().orbits_pruned);
-                    let Some(full) = bc.counter_model() else {
+                for ob in generate_obligations(&method).unwrap() {
+                    let reference = assert_matches_reference(&ob, &scope, &label);
+                    let Some(full) = reference.counter_model() else {
                         continue;
                     };
                     refutations += 1;
-                    let inputs = oracle.project_inputs(&ob, full);
-                    assert!(
-                        oracle.replay(&ob, &inputs).is_some(),
-                        "{}: the tree-walk oracle does not refute {full}",
+                    let inputs = prover.project_inputs(&ob, full);
+                    assert_eq!(
+                        prover.replay(&ob, &inputs),
+                        Ok(Some(full.clone())),
+                        "{}: the counterexample does not replay to itself",
                         ob.name
                     );
                 }

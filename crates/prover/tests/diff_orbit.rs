@@ -168,7 +168,7 @@ fn sabotaged_counterexamples_are_canonical_and_refute_under_the_oracle() {
 
                 // (b) The oracle refutes the same model.
                 assert!(
-                    oracle.replay(&ob, &inputs).is_some(),
+                    matches!(oracle.replay(&ob, &inputs), Ok(Some(_))),
                     "{}: the unreduced oracle does not refute {full}",
                     ob.name
                 );

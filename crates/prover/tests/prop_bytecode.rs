@@ -1,7 +1,9 @@
 //! Property-based tests of the bytecode backend: random obligations built
 //! from every term shape — including ill-sorted subterms and oversized
-//! quantifier ranges — lower and execute exactly like the tree-walk
-//! reference evaluator, candidate by candidate; and the batched block
+//! quantifier ranges — lower and execute exactly like the reference
+//! evaluator (`logic::eval`, through `FiniteModelProver::replay`'s
+//! `Replayer`), candidate
+//! by candidate, error strings included; and the batched block
 //! executor agrees with the scalar executor at *every* block size, so batch
 //! boundaries never change the deciding event, its counter-model, or its
 //! error message.
@@ -15,7 +17,7 @@ use semcommute_logic::{Model, Term};
 use semcommute_prover::bytecode::{BlockEvent, Program, LANES};
 use semcommute_prover::compiled::CompiledObligation;
 use semcommute_prover::space::{BlockBuf, InputSpace};
-use semcommute_prover::{Obligation, Scope};
+use semcommute_prover::{Obligation, Replayer, Scope};
 
 /// A tiny scope keeping whole-space scans fast in debug builds while still
 /// exercising sets, maps, sequences, padding permutations, and integers.
@@ -28,7 +30,6 @@ fn tiny_scope(orbit: bool) -> Scope {
         int_max: 1,
         max_models: 5_000_000,
         orbit,
-        bytecode: false,
     }
 }
 
@@ -110,7 +111,7 @@ fn bool_leaf() -> impl Strategy<Value = Term> {
         (int_expr(), int_expr()).prop_map(|(a, b)| lt(a, b)),
         (int_expr(), int_expr()).prop_map(|(a, b)| le(a, b)),
         // Ill-sorted shapes: the error message (with its wrapping context)
-        // must come out identical from both evaluators.
+        // must come out identical from the bytecode and the reference.
         Just(eq(card(var_elem("a")), int(0))),
         (int_expr(), set_expr()).prop_map(|(a, b)| eq(a, b)),
         Just(member(var_int("i"), var_set("s"))),
@@ -189,16 +190,15 @@ enum Outcome {
     Error(u64, String),
 }
 
-/// The reference scan: the tree-walk evaluator, candidate by candidate.
-fn tree_scan(space: &InputSpace, compiled: &CompiledObligation) -> Outcome {
-    let mut it = space.iter();
-    let mut env = compiled.env();
-    let mut buf = Vec::new();
+/// The reference scan: every candidate replayed through a [`Replayer`]
+/// (`logic::eval` on a `Model`).
+fn reference_scan(space: &InputSpace, ob: &Obligation) -> Outcome {
+    let replayer = Replayer::new(ob);
     let mut seen = 0u64;
-    while it.next_values(&mut buf) {
-        match compiled.check(&mut buf, &mut env) {
+    for input in space.iter() {
+        match replayer.check(&input) {
             Ok(None) => seen += 1,
-            Ok(Some(())) => return Outcome::Cex(seen, compiled.reconstruct(&env)),
+            Ok(Some(model)) => return Outcome::Cex(seen, model),
             Err(e) => return Outcome::Error(seen, e),
         }
     }
@@ -248,14 +248,13 @@ proptest! {
     /// Lowering preserves the reference semantics exactly: over the whole
     /// candidate space the scalar bytecode executor reports the same
     /// deciding event — same candidate, same counter-model, same wrapped
-    /// error message — as the tree walk.
+    /// error message — as the reference.
     #[test]
-    fn scalar_execution_matches_the_tree_walk(ob in obligation(), orbit in proptest::bool::ANY) {
+    fn scalar_execution_matches_the_reference(ob in obligation(), orbit in proptest::bool::ANY) {
         let space = InputSpace::from_obligation(&ob, tiny_scope(orbit));
         prop_assume!(space.estimated_size() <= 2_000);
-        let compiled = CompiledObligation::compile(&ob, &space.var_order());
-        let program = Program::lower(&compiled);
-        prop_assert_eq!(tree_scan(&space, &compiled), scalar_scan(&space, &program));
+        let program = Program::lower(&CompiledObligation::compile(&ob, &space.var_order()));
+        prop_assert_eq!(reference_scan(&space, &ob), scalar_scan(&space, &program));
     }
 
     /// Batch boundaries never change the deciding event: the block executor

@@ -32,7 +32,6 @@ fn tiny_scope(elem_padding: usize) -> Scope {
         int_max: 1,
         max_models: 5_000_000,
         orbit: true,
-        bytecode: false,
     }
 }
 
@@ -216,7 +215,7 @@ proptest! {
             if let Some(full) = verdict.counter_model() {
                 let inputs = found_by.project_inputs(&ob, full);
                 prop_assert!(
-                    checked_with.replay(&ob, &inputs).is_some(),
+                    matches!(checked_with.replay(&ob, &inputs), Ok(Some(_))),
                     "counterexample does not cross-replay: {}", full
                 );
             }

@@ -34,7 +34,6 @@ fn tiny_scope(orbit: bool) -> Scope {
         int_max: 1,
         max_models: 5_000_000,
         orbit,
-        bytecode: false,
     }
 }
 

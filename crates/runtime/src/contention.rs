@@ -156,9 +156,8 @@ impl FallbackOptions {
 
 /// Knobs of the retry backoff in [`SpeculativeRuntime::run`].
 ///
-/// The process-wide default is [`BackoffOptions::on`]; set
-/// `SEMCOMMUTE_BACKOFF=off` for the pre-backoff behavior (a bare
-/// `yield_now` between attempts).
+/// The default is [`BackoffOptions::on`]; [`BackoffOptions::off`] restores
+/// the pre-backoff behavior (a bare `yield_now` between attempts).
 ///
 /// [`SpeculativeRuntime::run`]: crate::SpeculativeRuntime::run
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,25 +195,6 @@ impl BackoffOptions {
             base: Duration::from_micros(10),
             cap: Duration::from_micros(500),
         }
-    }
-
-    /// Parses a `SEMCOMMUTE_BACKOFF` setting: `off` (or `0` / `false`)
-    /// disables backoff, anything else — including unset — selects the
-    /// production preset.
-    pub fn parse(setting: Option<&str>) -> BackoffOptions {
-        match setting {
-            Some("off" | "0" | "false") => BackoffOptions::off(),
-            _ => BackoffOptions::on(),
-        }
-    }
-
-    /// The process-wide default: the `SEMCOMMUTE_BACKOFF` environment
-    /// variable, read once.
-    pub fn default_options() -> BackoffOptions {
-        static DEFAULT: OnceLock<BackoffOptions> = OnceLock::new();
-        *DEFAULT.get_or_init(|| {
-            BackoffOptions::parse(std::env::var("SEMCOMMUTE_BACKOFF").ok().as_deref())
-        })
     }
 
     /// Waits between retry attempt `attempt` (0-based) and the next one,
@@ -520,8 +500,6 @@ mod tests {
         );
         assert_eq!(FallbackOptions::parse(None), FallbackOptions::on());
         assert_eq!(FallbackOptions::parse(Some("on")), FallbackOptions::on());
-        assert!(!BackoffOptions::parse(Some("off")).enabled);
-        assert_eq!(BackoffOptions::parse(None), BackoffOptions::on());
     }
 
     #[test]

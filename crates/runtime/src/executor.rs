@@ -214,9 +214,9 @@ pub struct RuntimeStats {
 /// Construction-time knobs of a [`SpeculativeRuntime`]
 /// (see [`SpeculativeRuntime::with_options`]).
 ///
-/// [`Default`] resolves every knob from its environment variable
-/// (`SEMCOMMUTE_ADMIT`, `SEMCOMMUTE_FALLBACK`, `SEMCOMMUTE_BACKOFF`), read
-/// once per process, with no fault plan attached.
+/// [`Default`] resolves the admission backend and the fallback from their
+/// environment variables (`SEMCOMMUTE_ADMIT`, `SEMCOMMUTE_FALLBACK`), read
+/// once per process, turns backoff on, and attaches no fault plan.
 #[derive(Debug, Clone)]
 pub struct RuntimeOptions {
     /// How admission evaluates between conditions (see [`AdmitBackend`]).
@@ -235,7 +235,7 @@ impl Default for RuntimeOptions {
         RuntimeOptions {
             backend: AdmitBackend::default_backend(),
             fallback: FallbackOptions::default_options(),
-            backoff: BackoffOptions::default_options(),
+            backoff: BackoffOptions::on(),
             faults: None,
         }
     }
@@ -388,8 +388,7 @@ pub struct SpeculativeRuntime {
 
 impl SpeculativeRuntime {
     /// Wraps a concrete data structure for speculative access, with every
-    /// knob at its process-wide default (`SEMCOMMUTE_ADMIT`,
-    /// `SEMCOMMUTE_FALLBACK`, `SEMCOMMUTE_BACKOFF`).
+    /// knob at its default ([`RuntimeOptions::default`]).
     pub fn new(structure: AnyStructure) -> SpeculativeRuntime {
         SpeculativeRuntime::with_options(structure, RuntimeOptions::default())
     }

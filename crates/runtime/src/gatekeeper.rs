@@ -26,8 +26,7 @@
 //! registers, the interpreter reports variable names).
 //!
 //! The `SEMCOMMUTE_ADMIT` environment variable (`bytecode` | `interp`)
-//! selects the process-wide default backend, mirroring the prover's
-//! `SEMCOMMUTE_BYTECODE` knob.
+//! selects the process-wide default backend.
 //!
 //! # Two anchors per state-reading condition
 //!

@@ -9,10 +9,7 @@
 //! `--threads N` to size the work-stealing obligation scheduler (`1` runs
 //! the reproducible sequential baseline), `--orbit off` to enumerate
 //! candidate models unreduced (the oracle the differential soundness
-//! harness compares the default orbit-canonical enumeration against), and
-//! `--evaluator tree` to decide candidates with the tree-walk reference
-//! evaluator instead of the default batched bytecode backend (also
-//! selectable via the `SEMCOMMUTE_BYTECODE` environment variable).
+//! harness compares the default orbit-canonical enumeration against).
 
 use std::time::Instant;
 
@@ -23,17 +20,13 @@ use semcommute::prover::Portfolio;
 const USAGE: &str = "\
 usage: verify_catalog [LIMIT] [--seq-len N] [--threads N]
                       [--split-threshold N] [--orbit on|off]
-                      [--evaluator tree|bytecode]
 
   LIMIT               verify only the first LIMIT conditions per interface
   --seq-len N         ArrayList sequence scope (default 4)
   --threads N         work-stealing scheduler width; 1 = sequential baseline
   --split-threshold N unreduced-space size above which one obligation's
                       model search splits into stealable range tasks
-  --orbit on|off      orbit-canonical (default) vs. unreduced enumeration
-  --evaluator WHICH   batched bytecode backend (default) vs. the tree-walk
-                      reference evaluator; the default honours the
-                      SEMCOMMUTE_BYTECODE environment variable";
+  --orbit on|off      orbit-canonical (default) vs. unreduced enumeration";
 
 /// Parses a required numeric option value; on a missing or non-numeric value
 /// prints what was wrong plus the usage text and exits with status 2 (instead
@@ -65,17 +58,6 @@ fn main() {
             "--split-threshold" => {
                 options.split_threshold = numeric_option("--split-threshold", args.next()) as u64
             }
-            "--evaluator" => match args.next().as_deref() {
-                Some("bytecode") => options.bytecode = true,
-                Some("tree") => options.bytecode = false,
-                other => {
-                    eprintln!(
-                        "error: --evaluator needs `tree` or `bytecode`, got {}\n{USAGE}",
-                        other.map_or("nothing".to_string(), |v| format!("`{v}`"))
-                    );
-                    std::process::exit(2);
-                }
-            },
             "--orbit" => match args.next().as_deref() {
                 Some("on") => options.orbit = true,
                 Some("off") => options.orbit = false,
@@ -99,12 +81,11 @@ fn main() {
 
     println!("Verifying the commutativity-condition catalog");
     println!(
-        "(threads: {}, ArrayList sequence scope: {}, limit: {:?}, orbit: {}, evaluator: {})\n",
+        "(threads: {}, ArrayList sequence scope: {}, limit: {:?}, orbit: {})\n",
         options.threads,
         options.seq_len,
         options.limit,
         if options.orbit { "on" } else { "off" },
-        if options.bytecode { "bytecode" } else { "tree" }
     );
 
     let start = Instant::now();
@@ -138,14 +119,12 @@ fn main() {
         catalog.models_checked(),
         catalog.orbits_pruned()
     );
-    if options.bytecode {
-        println!(
-            "bytecode batches: {} ({} fallback lanes, {} instructions executed)",
-            catalog.batches(),
-            catalog.batch_fallbacks(),
-            catalog.instrs_executed()
-        );
-    }
+    println!(
+        "bytecode batches: {} ({} fallback lanes, {} instructions executed)",
+        catalog.batches(),
+        catalog.batch_fallbacks(),
+        catalog.instrs_executed()
+    );
     let reports = catalog.interfaces;
 
     if let Some(s) = &catalog.scheduler {
@@ -176,8 +155,7 @@ fn main() {
     let mut inverse_ok = 0;
     for inverse in inverse_catalog() {
         let scope = semcommute::core::verify::scope_for(inverse.interface, options.seq_len)
-            .with_orbit(options.orbit)
-            .with_bytecode(options.bytecode);
+            .with_orbit(options.orbit);
         let verdict = semcommute::core::inverse::verify_inverse(&inverse, &Portfolio::new(scope));
         println!(
             "  {:<60} {}",

@@ -41,9 +41,6 @@ fn scope() -> Scope {
         int_max: 0,
         max_models: 1_000_000,
         orbit: true,
-        // The counts pin the enumeration, not the evaluator; the tree walk
-        // keeps this test independent of the bytecode backend.
-        bytecode: false,
     }
 }
 
