@@ -3,8 +3,8 @@
 //!
 //! The production [`semcommute_runtime::SpeculativeRuntime`] replaced the
 //! seed's hot path (one global structure mutex + one flat shared operation
-//! log + a full abstract-state clone recorded per operation) with the sharded
-//! in-flight index, pre-state projections, and per-transaction logs. To
+//! log + a full abstract-state clone recorded per operation) with
+//! per-transaction logs and pre-state projections. To
 //! measure what that bought *on the same host in the same run*, this module
 //! preserves the seed engine exactly as it was:
 //!

@@ -30,7 +30,7 @@
 //! the structure enters **Degraded** mode: new transactions route through a
 //! coarse mutex section (the [`CoarseLockRuntime`] discipline inside the
 //! speculative engine — whole-transaction mutual exclusion, no admission,
-//! no publishing) behind the [`ModeGate`]. After
+//! no pre-state projections) behind the [`ModeGate`]. After
 //! [`FallbackOptions::probe_period`] degraded transactions the structure
 //! enters **Probing**: transactions speculate again, and after
 //! [`FallbackOptions::probe_window`] probe outcomes the abort rate decides —
@@ -59,7 +59,7 @@ pub enum Mode {
     /// disabled.
     Speculative,
     /// The abort rate crossed the threshold: transactions run one at a time
-    /// through the coarse mutex section, without admission or publishing.
+    /// through the coarse mutex section, without admission.
     Degraded,
     /// A probe phase: transactions speculate again so the runtime can
     /// measure whether contention has subsided.

@@ -15,37 +15,26 @@
 //!
 //! # Concurrency protocol
 //!
-//! The runtime keeps the structure behind one mutex but keeps the *admission*
-//! work — the expensive part, one condition evaluation per outstanding
-//! operation — off that mutex. Uncommitted operations live in the sharded
-//! [`InFlightIndex`]; a monotone publish sequence (`publish_seq`) orders them.
-//! [`Transaction::execute`] runs in two phases:
+//! The structure and the in-flight log are one value behind one mutex: the
+//! tracked structure, plus one slot per live transaction holding the
+//! operations it has executed and not yet committed or undone.
+//! [`Transaction::execute`] is single-phase. Under the mutex it checks the
+//! incoming operation against every logged operation of every *other* live
+//! transaction — each state-reading condition at two anchors, the entry's
+//! captured pre-state and the live state (see `Shared::admit_against`) —
+//! then applies the operation, records its pre-state projection where a
+//! condition needs one, and appends the entry to its own slot. Admission,
+//! apply and logging are one critical section, so every admission sees one
+//! consistent instant, and no operation takes effect without being visible
+//! to every later admission.
 //!
-//! 1. **Optimistic phase (no structure lock).** Load `publish_seq` with
-//!    `Acquire` as a snapshot, read every other transaction's published
-//!    operations from the index (shard read locks only), and evaluate the
-//!    between conditions lock-free.
-//! 2. **Validated apply (structure lock).** Take the structure lock, give
-//!    the operations published *after* the snapshot their first full check,
-//!    and **re-anchor** every state-reading condition at the live state —
-//!    pre-state-anchored certificates alone do not compose across the
-//!    operations admitted since an entry was logged (see
-//!    `Shared::check_against_locked`). Then apply the operation, publish
-//!    its log entry to the index, and bump `publish_seq` with a `Release`
-//!    store — in that order, so any operation whose sequence number a later
-//!    `Acquire` load observes is already visible in its shard.
+//! Commit draws its ticket, then removes its slot under the mutex. Abort
+//! takes its slot and applies the verified inverses newest-first in one
+//! critical section, so no admission can run against a state that still
+//! contains an effect whose log entry has already disappeared. A
+//! transaction that executed nothing commits and aborts without the lock.
 //!
-//! Publishing under the structure lock makes apply-and-publish atomic: no
-//! operation can take effect without being visible to the revalidation pass
-//! of every concurrent admission. Commit takes **no** structure lock — the
-//! committed effects are already applied, so commit only removes the
-//! transaction's slot from the index (O(own operations)). Abort removes the
-//! slot *and* applies the verified inverses, both under the structure lock,
-//! so no admission can run against a state that still contains an effect
-//! whose log entry has already disappeared.
-//!
-//! Lock order: mode gate before structure mutex before index shard lock,
-//! never the reverse.
+//! Lock order: mode gate before structure mutex, never the reverse.
 //!
 //! # Contention management
 //!
@@ -67,6 +56,7 @@
 //! deterministic per-transaction jitter instead of spinning, and a
 //! [`FaultPlan`] can drive every recovery path deterministically.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -79,7 +69,6 @@ use semcommute_spec::AbstractState;
 use crate::contention::{BackoffOptions, ContentionState, FallbackOptions, Mode, ModeGate};
 use crate::fault::FaultPlan;
 use crate::gatekeeper::{AdmissionError, AdmitBackend, CommutativityGatekeeper, Conflict};
-use crate::index::{InFlightIndex, PublishedOp};
 use crate::log::LogEntry;
 use crate::rollback::InverseRollback;
 use crate::structure::{AnyStructure, DispatchError, TrackedStructure};
@@ -241,8 +230,26 @@ impl Default for RuntimeOptions {
     }
 }
 
+/// One operation in a live transaction's slot of the in-flight log.
+struct LoggedOp {
+    /// The operation's dense index in the gatekeeper's operation universe,
+    /// resolved once when it executed, so admission against it never hashes
+    /// the operation name (see [`CommutativityGatekeeper::op_index`]).
+    op_idx: Option<u16>,
+    entry: LogEntry,
+}
+
+/// Everything the structure mutex guards. The structure and the in-flight
+/// log change together, so one lock acquisition sees them consistent.
+struct Guarded {
+    tracked: TrackedStructure,
+    /// Per live transaction that has executed an operation: its log, oldest
+    /// first. Commit removes the slot; abort removes it and undoes it.
+    inflight: HashMap<u64, Vec<LoggedOp>>,
+}
+
 struct Shared {
-    structure: Mutex<TrackedStructure>,
+    guarded: Mutex<Guarded>,
     /// The concrete structure's name, captured before the structure moves
     /// behind its mutex — retry reports shouldn't need a lock acquisition.
     structure_name: &'static str,
@@ -254,14 +261,9 @@ struct Shared {
     /// Global operation ordinal, drawn per `execute` only while a fault plan
     /// is attached — the coordinate system faults are scheduled in.
     op_ordinal: AtomicU64,
-    index: InFlightIndex,
     gatekeeper: CommutativityGatekeeper,
     rollback: InverseRollback,
     next_txn: AtomicU64,
-    /// Monotone count of published operations. Written only under the
-    /// structure lock (with `Release`); admission reads it with `Acquire` to
-    /// snapshot which operations its optimistic pass has covered.
-    publish_seq: AtomicU64,
     /// Monotone commit tickets, the serialization order certified by the
     /// between conditions (see [`Transaction::commit`]).
     commit_seq: AtomicU64,
@@ -282,101 +284,53 @@ struct Shared {
 }
 
 impl Shared {
-    /// Classifies the incoming operation against a batch of published
-    /// operations, translating admission outcomes to transaction errors.
-    fn check_against(
-        &self,
-        published: &[Arc<PublishedOp>],
-        op: &str,
-        op_idx: Option<u16>,
-        args: &[Value],
-    ) -> Result<(), TxnError> {
-        for p in published {
-            // Both operation names resolved to dense indices already (the
-            // logged one at publish time, the incoming one once per batch by
-            // the caller): the per-entry check hashes no strings.
-            let verdict = match (p.op_idx, op_idx) {
-                (Some(first), Some(second)) => self
-                    .gatekeeper
-                    .check_indexed(first, &p.entry, second, op, args),
-                _ => self.gatekeeper.check_entry(&p.entry, op, args),
-            };
-            match verdict {
-                Ok(()) => {}
-                Err(AdmissionError::Conflict(c)) => {
-                    self.conflicts.fetch_add(1, Ordering::Relaxed);
-                    return Err(TxnError::Conflict(c));
-                }
-                Err(AdmissionError::Evaluation(e)) => return Err(TxnError::Condition(e)),
-            }
-        }
-        Ok(())
-    }
-
-    /// The under-lock admission pass. Entries published after `snap` get the
-    /// full between-condition check — the optimistic pass never saw them.
-    /// In addition, **every** live entry whose condition reads the abstract
-    /// state is re-anchored: the condition must also hold with `s1` bound to
-    /// the current state (`state`, read under the held structure lock).
+    /// Admits the incoming operation against one logged operation of another
+    /// live transaction, translating the verdict to a transaction error.
+    /// Runs under the structure mutex; `state` is the live abstract state.
     ///
-    /// The re-anchor closes a composition hole in pairwise admission. A
-    /// condition certified against a logged entry's captured pre-state
-    /// certifies swapping the pair adjacent *at that state*; once other
-    /// admitted operations separate the pair, the certificate is anchored to
-    /// a state that no longer exists, and individually-valid certificates
-    /// need not compose. Concretely: a logged `get(3)` over
-    /// `[1, 1, 1, 1, 1, 1, 10]` admits any one `removeAt` below it (one left
-    /// shift keeps index 3 reading a `1`), but three such removals — each
-    /// certified against the same stale capture — compose to a shift of
-    /// three and move the `10` into the observed slot, breaking serial
-    /// replay. Anchoring each certificate at the live state as well keeps
-    /// every logged, state-dependent certificate current at each
-    /// intermediate state, so the certificates compose inductively.
+    /// A state-reading condition is checked at two anchors. The logged
+    /// entry's **captured pre-state** certifies swapping the pair at the
+    /// state the logged operation ran in — needed because ticket order may
+    /// serialize the incoming operation *before* the logged one. The **live
+    /// state** closes a composition hole: once other admitted operations
+    /// separate the pair, a certificate anchored to a state that no longer
+    /// exists need not compose with the others. Concretely: a logged
+    /// `get(3)` over `[1, 1, 1, 1, 1, 1, 10]` admits any one `removeAt` below
+    /// it (one left shift keeps index 3 reading a `1`), but three such
+    /// removals — each certified against the same stale capture — compose
+    /// to a shift of three and move the `10` into the observed slot,
+    /// breaking serial replay. Anchoring each certificate at the live state
+    /// as well keeps every logged, state-dependent certificate current at
+    /// each intermediate state, so the certificates compose inductively.
     /// State-free conditions are exempt: their verdict cannot drift, and the
-    /// gatekeeper skips their re-evaluation.
-    fn check_against_locked(
+    /// gatekeeper skips their re-evaluation. The two anchors are not a
+    /// complete argument once transactions that finish in between separate
+    /// the pair: `docs/ARCHITECTURE.md` records a diverging trace.
+    fn admit_against(
         &self,
-        published: &[Arc<PublishedOp>],
+        logged: &LoggedOp,
         op: &str,
         op_idx: Option<u16>,
         args: &[Value],
-        snap: u64,
         state: &Value,
     ) -> Result<(), TxnError> {
-        for p in published {
-            let fresh = p.seq > snap;
-            let verdict = match (p.op_idx, op_idx) {
-                (Some(first), Some(second)) => {
-                    let pre = if fresh {
-                        self.gatekeeper
-                            .check_indexed(first, &p.entry, second, op, args)
-                    } else {
-                        Ok(())
-                    };
-                    pre.and_then(|()| {
-                        self.gatekeeper
-                            .check_indexed_at(first, &p.entry, second, op, args, state)
-                    })
-                }
-                _ => {
-                    let pre = if fresh {
-                        self.gatekeeper.check_entry(&p.entry, op, args)
-                    } else {
-                        Ok(())
-                    };
-                    pre.and_then(|()| self.gatekeeper.check_entry_at(&p.entry, op, args, state))
-                }
-            };
-            match verdict {
-                Ok(()) => {}
-                Err(AdmissionError::Conflict(c)) => {
-                    self.conflicts.fetch_add(1, Ordering::Relaxed);
-                    return Err(TxnError::Conflict(c));
-                }
-                Err(AdmissionError::Evaluation(e)) => return Err(TxnError::Condition(e)),
+        let gk = &self.gatekeeper;
+        let entry = &logged.entry;
+        let verdict = match (logged.op_idx, op_idx) {
+            (Some(first), Some(second)) => gk
+                .check_indexed(first, entry, second, op, args)
+                .and_then(|()| gk.check_indexed_at(first, entry, second, op, args, state)),
+            _ => gk
+                .check_entry(entry, op, args)
+                .and_then(|()| gk.check_entry_at(entry, op, args, state)),
+        };
+        verdict.map_err(|e| match e {
+            AdmissionError::Conflict(c) => {
+                self.conflicts.fetch_add(1, Ordering::Relaxed);
+                TxnError::Conflict(c)
             }
-        }
-        Ok(())
+            AdmissionError::Evaluation(e) => TxnError::Condition(e),
+        })
     }
 }
 
@@ -416,17 +370,18 @@ impl SpeculativeRuntime {
         let structure_name = structure.name();
         SpeculativeRuntime {
             shared: Arc::new(Shared {
-                structure: Mutex::new(TrackedStructure::new(structure)),
+                guarded: Mutex::new(Guarded {
+                    tracked: TrackedStructure::new(structure),
+                    inflight: HashMap::new(),
+                }),
                 structure_name,
                 contention: ContentionState::new(options.fallback),
                 gate: ModeGate::new(),
                 op_ordinal: AtomicU64::new(0),
-                index: InFlightIndex::new(),
                 gatekeeper: CommutativityGatekeeper::with_backend(interface, options.backend),
                 rollback: InverseRollback::new(interface),
                 options,
                 next_txn: AtomicU64::new(1),
-                publish_seq: AtomicU64::new(0),
                 commit_seq: AtomicU64::new(0),
                 begun: AtomicU64::new(0),
                 commits: AtomicU64::new(0),
@@ -446,8 +401,7 @@ impl SpeculativeRuntime {
         Transaction {
             runtime: self.clone(),
             id: self.shared.next_txn.fetch_add(1, Ordering::Relaxed),
-            entries: Vec::new(),
-            scratch: Vec::new(),
+            logged: 0,
             mode: TxnMode::Pending,
             finished: false,
         }
@@ -505,7 +459,7 @@ impl SpeculativeRuntime {
 
     /// The current abstract state of the shared structure.
     pub fn snapshot(&self) -> AbstractState {
-        self.shared.structure.lock().inner().abstract_state()
+        self.shared.guarded.lock().tracked.inner().abstract_state()
     }
 
     /// Checks the representation invariant of the shared structure.
@@ -514,7 +468,12 @@ impl SpeculativeRuntime {
     ///
     /// Returns the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.shared.structure.lock().inner().check_invariants()
+        self.shared
+            .guarded
+            .lock()
+            .tracked
+            .inner()
+            .check_invariants()
     }
 
     /// Execution statistics so far.
@@ -557,13 +516,14 @@ impl SpeculativeRuntime {
     /// applying.
     #[doc(hidden)]
     pub fn apply_unlogged(&self, op: &str, args: &[Value]) -> Result<Option<Value>, TxnError> {
-        Ok(self.shared.structure.lock().apply(op, args)?)
+        Ok(self.shared.guarded.lock().tracked.apply(op, args)?)
     }
 
-    /// The number of operations currently published by uncommitted
+    /// The number of operations currently logged by uncommitted
     /// transactions.
     pub fn pending_operations(&self) -> usize {
-        self.shared.index.len()
+        let guarded = self.shared.guarded.lock();
+        guarded.inflight.values().map(Vec::len).sum()
     }
 
     /// The admission backend this runtime's gatekeeper evaluates
@@ -593,15 +553,10 @@ enum TxnMode {
 pub struct Transaction {
     runtime: SpeculativeRuntime,
     id: u64,
-    /// This transaction's published operations, oldest first — the
-    /// per-transaction log. Rollback walks it newest-first; nobody else ever
-    /// needs to scan it. Degraded transactions log here too (for rollback),
-    /// but never publish to the index.
-    entries: Vec<Arc<PublishedOp>>,
-    /// Reusable buffer for the outstanding operations each admission pass
-    /// checks against — cleared after every operation so it pins nothing,
-    /// but its capacity persists and the hot path allocates no `Vec`.
-    scratch: Vec<Arc<PublishedOp>>,
+    /// How many operations this transaction has logged in its in-flight
+    /// slot. The slot itself lives under the structure mutex; zero means
+    /// there is no slot, so commit and abort need no lock.
+    logged: usize,
     mode: TxnMode,
     finished: bool,
 }
@@ -614,7 +569,7 @@ impl Transaction {
 
     /// The number of operations this transaction has executed.
     pub fn operations(&self) -> usize {
-        self.entries.len()
+        self.logged
     }
 
     /// Executes one operation inside the transaction.
@@ -651,11 +606,22 @@ impl Transaction {
         if self.mode == TxnMode::Pending {
             self.enter();
         }
-        match self.mode {
-            TxnMode::Speculative => self.execute_speculative(op, args, ordinal),
-            TxnMode::Degraded => self.execute_degraded(op, args),
-            TxnMode::Pending => unreachable!("enter() always picks a path"),
+        if self.mode == TxnMode::Speculative && ordinal != 0 {
+            if let Some(faults) = &self.runtime.shared.options.faults {
+                if faults.fire_forced_conflict(self.id, ordinal) {
+                    self.runtime
+                        .shared
+                        .conflicts
+                        .fetch_add(1, Ordering::Relaxed);
+                    return Err(TxnError::Conflict(Conflict {
+                        with_txn: 0,
+                        logged_op: "<fault-injection>".to_string(),
+                        incoming_op: op.to_string(),
+                    }));
+                }
+            }
         }
+        self.execute_locked(op, args)
     }
 
     /// Picks this transaction's execution path — called exactly once, at the
@@ -716,66 +682,37 @@ impl Transaction {
         self.mode = TxnMode::Pending;
     }
 
-    /// The optimistic path: two-phase admission, apply, publish.
-    fn execute_speculative(
-        &mut self,
-        op: &str,
-        args: &[Value],
-        ordinal: u64,
-    ) -> Result<Option<Value>, TxnError> {
+    /// Admission, apply and logging, in one structure critical section.
+    ///
+    /// A speculative transaction is admitted against every logged operation
+    /// of every other live transaction (see `Shared::admit_against`) and
+    /// records a pre-state projection where a condition needs one. A
+    /// degraded transaction holds the gate exclusively, so no other
+    /// transaction is live: there is nothing to admit against and no
+    /// pre-state to project. Both log into their slot, which is what abort
+    /// undoes.
+    fn execute_locked(&mut self, op: &str, args: &[Value]) -> Result<Option<Value>, TxnError> {
         let shared = &self.runtime.shared;
-        if ordinal != 0 {
-            if let Some(faults) = &shared.options.faults {
-                if faults.fire_forced_conflict(self.id, ordinal) {
-                    shared.conflicts.fetch_add(1, Ordering::Relaxed);
-                    return Err(TxnError::Conflict(Conflict {
-                        with_txn: 0,
-                        logged_op: "<fault-injection>".to_string(),
-                        incoming_op: op.to_string(),
-                    }));
+        // One string resolution for the incoming operation; every per-entry
+        // check goes through dense indices.
+        let op_idx = shared.gatekeeper.op_index(op);
+        let mut guarded = shared.guarded.lock();
+        let Guarded { tracked, inflight } = &mut *guarded;
+        let pre_state = if self.mode == TxnMode::Speculative {
+            for (_, slot) in inflight.iter().filter(|(&owner, _)| owner != self.id) {
+                for logged in slot {
+                    shared.admit_against(logged, op, op_idx, args, tracked.state_value())?;
                 }
             }
-        }
-        // One string resolution for the incoming operation; every per-entry
-        // check below goes through dense indices.
-        let op_idx = shared.gatekeeper.op_index(op);
-
-        // Optimistic phase: evaluate conditions against everything published
-        // up to `snap` without touching the structure lock.
-        let snap = shared.publish_seq.load(Ordering::Acquire);
-        shared.index.others_into(self.id, &mut self.scratch);
-        let optimistic = shared.check_against(&self.scratch, op, op_idx, args);
-        self.scratch.clear();
-        optimistic?;
-
-        // Validated apply: under the structure lock, operations published
-        // after the snapshot get their first full check, and every
-        // state-reading condition is re-anchored at the live state (see
-        // `check_against_locked`).
-        let mut structure = shared.structure.lock();
-        shared.index.others_into(self.id, &mut self.scratch);
-        let validated = shared.check_against_locked(
-            &self.scratch,
-            op,
-            op_idx,
-            args,
-            snap,
-            structure.state_value(),
-        );
-        self.scratch.clear();
-        if let Err(e) = validated {
-            drop(structure);
-            return Err(e);
-        }
-
-        let pre_state = shared
-            .gatekeeper
-            .requires_pre_state(op)
-            .then(|| structure.state_value().clone());
-        let result = structure.apply(op, args)?;
-        let seq = shared.publish_seq.load(Ordering::Relaxed) + 1;
-        let published = Arc::new(PublishedOp {
-            seq,
+            op_idx
+                .is_some_and(|idx| shared.gatekeeper.requires_pre_state_indexed(idx))
+                .then(|| tracked.state_value().clone())
+        } else {
+            debug_assert!(inflight.keys().all(|&owner| owner == self.id));
+            None
+        };
+        let result = tracked.apply(op, args)?;
+        inflight.entry(self.id).or_default().push(LoggedOp {
             op_idx,
             entry: LogEntry {
                 txn: self.id,
@@ -785,46 +722,8 @@ impl Transaction {
                 pre_state,
             },
         });
-        // Publish to the shard *before* the sequence store: an admission that
-        // Acquire-loads `seq` must already find the entry in the index.
-        shared.index.publish(self.id, Arc::clone(&published));
-        if ordinal != 0 {
-            if let Some(faults) = &shared.options.faults {
-                // Stretch the entry-visible-but-sequence-unadvanced state.
-                faults.fire_delayed_publish(self.id, ordinal);
-            }
-        }
-        shared.publish_seq.store(seq, Ordering::Release);
-        drop(structure);
-
-        self.entries.push(published);
-        shared.operations.fetch_add(1, Ordering::Relaxed);
-        Ok(result)
-    }
-
-    /// The degraded path: the coarse-lock discipline of
-    /// [`CoarseLockRuntime`](crate::CoarseLockRuntime) inside the
-    /// speculative engine. The gate is held exclusively (no speculative
-    /// transaction is in flight — see [`Transaction::enter`]), so there is
-    /// nothing to admit against and no pre-state to project; operations are
-    /// logged locally for inverse rollback but never published to the
-    /// in-flight index.
-    fn execute_degraded(&mut self, op: &str, args: &[Value]) -> Result<Option<Value>, TxnError> {
-        let shared = &self.runtime.shared;
-        // The structure mutex still guards against lock-path bystanders
-        // (snapshots, invariant checks, unlogged test writes).
-        let result = shared.structure.lock().apply(op, args)?;
-        self.entries.push(Arc::new(PublishedOp {
-            seq: 0,
-            op_idx: None,
-            entry: LogEntry {
-                txn: self.id,
-                op: op.to_string(),
-                args: args.to_vec(),
-                result: result.clone(),
-                pre_state: None,
-            },
-        }));
+        drop(guarded);
+        self.logged += 1;
         shared.operations.fetch_add(1, Ordering::Relaxed);
         Ok(result)
     }
@@ -836,31 +735,27 @@ impl Transaction {
     /// serialization order. The between conditions guarantee that replaying
     /// the committed transactions serially in ticket order reproduces every
     /// recorded return value and the final abstract state (the differential
-    /// harness checks exactly this). Commit takes no structure lock and is
-    /// O(this transaction's operations).
+    /// harness checks exactly this). Commit takes the structure mutex once,
+    /// to remove its slot, and no lock at all if it executed nothing.
     pub fn commit(mut self) -> u64 {
         self.finished = true;
         let shared = &self.runtime.shared;
-        // The ticket must be drawn *before* the index slot disappears: a
+        // The ticket must be drawn *before* the slot disappears: a
         // transaction that executes a non-commuting operation can only be
         // admitted after this removal, so its own (later) fetch_add is
-        // guaranteed a larger ticket — the shard lock release/acquire orders
-        // the two RMWs. Removing first would let that transaction draw a
-        // smaller ticket and break the replay order. It is also drawn before
-        // `leave` releases the gate, which is what serializes tickets across
-        // mode transitions: a transaction on the other gate side begins
-        // strictly after this release, so its ticket is strictly later.
+        // guaranteed a larger ticket — the mutex release/acquire orders the
+        // two RMWs. Removing first would let that transaction draw a smaller
+        // ticket and break the replay order. It is also drawn before `leave`
+        // releases the gate, which is what serializes tickets across mode
+        // transitions: a transaction on the other gate side begins strictly
+        // after this release, so its ticket is strictly later.
         let ticket = shared.commit_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        if !self.entries.is_empty() {
-            if self.mode == TxnMode::Degraded {
-                // Degraded operations were never published; the log was only
-                // kept in case of rollback.
-                shared.degraded_commits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared.index.remove(self.id);
-            }
-            self.entries.clear();
-        } else if self.mode == TxnMode::Degraded {
+        if self.logged > 0 {
+            // The guard is a temporary: the slot is freed after the unlock.
+            let _slot = shared.guarded.lock().inflight.remove(&self.id);
+            self.logged = 0;
+        }
+        if self.mode == TxnMode::Degraded {
             shared.degraded_commits.fetch_add(1, Ordering::Relaxed);
         }
         shared.commits.fetch_add(1, Ordering::Relaxed);
@@ -879,72 +774,68 @@ impl Transaction {
     fn rollback(&mut self) {
         let shared = &self.runtime.shared;
         shared.aborts.fetch_add(1, Ordering::Relaxed);
-        if self.entries.is_empty() {
-            // Nothing was published: there is no slot in the index and no
-            // effect on the structure, so the abort is a counter bump (plus
-            // the gate release if an admission-refused first operation
-            // already picked a path).
+        if self.logged == 0 {
+            // No slot and no effect on the structure: the abort is a counter
+            // bump (plus the gate release if an admission-refused first
+            // operation already picked a path).
             self.leave(true);
             return;
         }
-        {
-            // Index removal and inverse application happen under one
-            // structure lock acquisition: otherwise a concurrent admission
-            // could evaluate against a state that still contains an effect
-            // whose log entry has already vanished.
-            let mut structure = shared.structure.lock();
-            if self.mode != TxnMode::Degraded {
-                shared.index.remove(self.id);
-            }
-            let injected = shared
-                .options
-                .faults
-                .as_ref()
-                .is_some_and(|faults| faults.fire_rollback_failure(self.id));
-            if injected {
-                // Fault injection: behave exactly as if the first inverse
-                // had been rejected.
-                let reason = format!(
-                    "rolling back txn {}: injected rollback failure (fault plan)",
-                    self.id
-                );
-                shared.rollback_failures.fetch_add(1, Ordering::Relaxed);
-                let _ = shared.poison.set(reason);
-            } else {
-                for published in self.entries.iter().rev() {
-                    let entry = &published.entry;
-                    let Some(inverse) = shared.rollback.inverse_of(&entry.op) else {
-                        // Observer operations change nothing and need no undo.
-                        continue;
-                    };
-                    let Some((op, args)) =
-                        inverse.concrete_call(&entry.args, entry.result.as_ref())
-                    else {
-                        // Nothing to undo (e.g. `add` returned false).
-                        continue;
-                    };
-                    if let Err(e) = structure.apply(&op, &args) {
-                        // A verified inverse failed to apply: the structure no
-                        // longer matches the log (something mutated it outside
-                        // the protocol, or an invariant broke). Panicking here
-                        // — while holding the structure lock — used to take
-                        // the whole process down; instead, poison the runtime
-                        // so every subsequent operation is refused with a
-                        // diagnosable [`TxnError::Poisoned`], and stop
-                        // undoing: applying more inverses to a state we no
-                        // longer understand could only compound the damage.
-                        let reason = format!(
-                            "rolling back txn {}: verified inverse `{op}` of `{}` was rejected: {e}",
-                            self.id, entry.op
-                        );
-                        shared.rollback_failures.fetch_add(1, Ordering::Relaxed);
-                        let _ = shared.poison.set(reason);
-                        break;
-                    }
+        self.logged = 0;
+        // Slot removal and inverse application happen under one structure
+        // lock acquisition: otherwise a concurrent admission could evaluate
+        // against a state that still contains an effect whose log entry has
+        // already vanished.
+        let mut guarded = shared.guarded.lock();
+        let Guarded { tracked, inflight } = &mut *guarded;
+        let slot = inflight.remove(&self.id).unwrap_or_default();
+        let injected = shared
+            .options
+            .faults
+            .as_ref()
+            .is_some_and(|faults| faults.fire_rollback_failure(self.id));
+        if injected {
+            // Fault injection: behave exactly as if the first inverse had
+            // been rejected.
+            let reason = format!(
+                "rolling back txn {}: injected rollback failure (fault plan)",
+                self.id
+            );
+            shared.rollback_failures.fetch_add(1, Ordering::Relaxed);
+            let _ = shared.poison.set(reason);
+        } else {
+            for LoggedOp { entry, .. } in slot.iter().rev() {
+                let Some(inverse) = shared.rollback.inverse_of(&entry.op) else {
+                    // Observer operations change nothing and need no undo.
+                    continue;
+                };
+                let Some((op, args)) = inverse.concrete_call(&entry.args, entry.result.as_ref())
+                else {
+                    // Nothing to undo (e.g. `add` returned false).
+                    continue;
+                };
+                if let Err(e) = tracked.apply(&op, &args) {
+                    // A verified inverse failed to apply: the structure no
+                    // longer matches the log (something mutated it outside
+                    // the protocol, or an invariant broke). Panicking here
+                    // — while holding the structure lock — used to take the
+                    // whole process down; instead, poison the runtime so
+                    // every subsequent operation is refused with a
+                    // diagnosable [`TxnError::Poisoned`], and stop undoing:
+                    // applying more inverses to a state we no longer
+                    // understand could only compound the damage.
+                    let reason = format!(
+                        "rolling back txn {}: verified inverse `{op}` of `{}` was rejected: {e}",
+                        self.id, entry.op
+                    );
+                    shared.rollback_failures.fetch_add(1, Ordering::Relaxed);
+                    let _ = shared.poison.set(reason);
+                    break;
                 }
             }
-            self.entries.clear();
         }
+        // The slot is freed after the unlock.
+        drop(guarded);
         self.leave(true);
     }
 }
@@ -1158,26 +1049,27 @@ mod tests {
     }
 
     #[test]
-    fn empty_abort_is_lock_free() {
-        // Hold the structure lock hostage on another thread; an empty abort
-        // must still complete because it never touches the lock.
+    fn empty_commit_and_abort_are_lock_free() {
+        // Hold the structure lock hostage on another thread; an empty commit
+        // or abort must still complete because it never touches the lock.
         let rt = set_runtime();
         let hold = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
         let rt2 = rt.clone();
         let hold2 = std::sync::Arc::clone(&hold);
         let blocker = std::thread::spawn(move || {
-            let _guard = rt2.shared.structure.lock();
+            let _guard = rt2.shared.guarded.lock();
             while hold2.load(Ordering::Relaxed) {
                 std::thread::yield_now();
             }
         });
         // Give the blocker time to take the lock.
-        while rt.shared.structure.try_lock().is_some() {
+        while rt.shared.guarded.try_lock().is_some() {
             std::thread::yield_now();
         }
-        let t = rt.begin();
-        t.abort(); // would deadlock here if the empty abort locked
+        rt.begin().abort(); // would deadlock here if the empty abort locked
+        rt.begin().commit(); // likewise for the empty commit
         assert_eq!(rt.stats().aborts, 1);
+        assert_eq!(rt.stats().commits, 1);
         hold.store(false, Ordering::Relaxed);
         blocker.join().unwrap();
     }
@@ -1300,7 +1192,7 @@ mod tests {
     #[test]
     fn pre_state_is_projected_not_cloned_per_op() {
         // `add`/`contains` need no pre-state; `remove` and `size` do. Check
-        // the published entries carry exactly that.
+        // the logged entries carry exactly that.
         let rt = set_runtime();
         let mut setup = rt.begin();
         setup.execute("add", &[Value::elem(1)]).unwrap();
@@ -1309,14 +1201,15 @@ mod tests {
         t.execute("add", &[Value::elem(2)]).unwrap();
         t.execute("remove", &[Value::elem(1)]).unwrap();
         t.execute("size", &[]).unwrap();
-        let states: Vec<bool> = t
-            .entries
+        let pre_states: Vec<Option<Value>> = rt.shared.guarded.lock().inflight[&t.id()]
             .iter()
-            .map(|p| p.entry.pre_state.is_some())
+            .map(|logged| logged.entry.pre_state.clone())
             .collect();
-        assert_eq!(states, vec![false, true, true]);
+        let captured: Vec<bool> = pre_states.iter().map(Option::is_some).collect();
+        assert_eq!(captured, vec![false, true, true]);
+        assert_eq!(t.operations(), 3);
         // The `remove` pre-state is the abstract state just before it ran.
-        let pre = t.entries[1].entry.pre_state.clone().unwrap();
+        let pre = pre_states[1].clone().unwrap();
         assert_eq!(
             AbstractState::from_value(&pre).unwrap(),
             AbstractState::Set([ElemId(1), ElemId(2)].into_iter().collect())

@@ -14,10 +14,6 @@
 //!   exactly as if the gatekeeper had rejected the operation. This is how
 //!   tests and the high-contention bench leg drive the abort rate without
 //!   depending on scheduler interleavings.
-//! * **Delayed publish** — the executor sleeps *between* inserting the
-//!   operation into the in-flight index and advancing the published
-//!   sequence number, widening the two-phase admission race window on
-//!   demand.
 //! * **Injected rollback failure** — the abort path of a chosen transaction
 //!   poisons the runtime as if a verified inverse had been rejected,
 //!   exercising the [`TxnError::Poisoned`](crate::TxnError::Poisoned)
@@ -39,15 +35,12 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// What kind of fault to inject (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The speculative path reports a synthetic admission conflict.
     ForcedConflict,
-    /// The executor sleeps between index publish and sequence advance.
-    DelayedPublish(Duration),
     /// `Transaction::execute` panics.
     Panic,
     /// The transaction's rollback poisons the runtime.
@@ -120,12 +113,6 @@ impl FaultPlan {
         self.conflict_period.store(period, Ordering::Release);
     }
 
-    /// Schedules a publish delay of `delay` at global operation ordinal
-    /// `ordinal`.
-    pub fn delay_publish_at(&self, ordinal: u64, delay: Duration) {
-        self.schedule(ordinal, FaultKind::DelayedPublish(delay));
-    }
-
     /// Schedules a panic at global operation ordinal `ordinal`.
     pub fn panic_at(&self, ordinal: u64) {
         self.schedule(ordinal, FaultKind::Panic);
@@ -191,14 +178,6 @@ impl FaultPlan {
         false
     }
 
-    /// Executor hook: sleeps if a publish delay is scheduled at `ordinal`.
-    pub(crate) fn fire_delayed_publish(&self, txn: u64, ordinal: u64) {
-        if let Some(FaultKind::DelayedPublish(delay)) = self.scheduled(ordinal) {
-            self.record(FaultKind::DelayedPublish(delay), txn, Some(ordinal));
-            std::thread::sleep(delay);
-        }
-    }
-
     /// Executor hook: whether transaction `txn`'s rollback should fail.
     pub(crate) fn fire_rollback_failure(&self, txn: u64) -> bool {
         if !self.has_rollback.load(Ordering::Acquire) {
@@ -220,11 +199,9 @@ mod tests {
     fn hooks_fire_exactly_where_scheduled() {
         let plan = FaultPlan::new();
         plan.force_conflict_at(3);
-        plan.delay_publish_at(5, Duration::from_micros(1));
         plan.fail_rollback_of(9);
         for ordinal in 1..=6 {
             assert_eq!(plan.fire_forced_conflict(1, ordinal), ordinal == 3);
-            plan.fire_delayed_publish(1, ordinal);
             plan.fire_panic(1, ordinal); // none scheduled: must not panic
         }
         assert!(!plan.fire_rollback_failure(8));
@@ -236,11 +213,6 @@ mod tests {
                     kind: FaultKind::ForcedConflict,
                     txn: 1,
                     ordinal: Some(3),
-                },
-                FiredFault {
-                    kind: FaultKind::DelayedPublish(Duration::from_micros(1)),
-                    txn: 1,
-                    ordinal: Some(5),
                 },
                 FiredFault {
                     kind: FaultKind::RollbackFailure,

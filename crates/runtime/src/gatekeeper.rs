@@ -37,8 +37,7 @@
 //!   ([`check_entry`](CommutativityGatekeeper::check_entry) /
 //!   [`check_indexed`](CommutativityGatekeeper::check_indexed)) — the exact
 //!   certificate for swapping the pair adjacent at the state the logged
-//!   operation executed in, evaluable lock-free because it reads only
-//!   immutable log data; and
+//!   operation executed in; and
 //! * against the **live state** under the structure lock
 //!   ([`check_entry_at`](CommutativityGatekeeper::check_entry_at) /
 //!   [`check_indexed_at`](CommutativityGatekeeper::check_indexed_at)) — the
@@ -50,7 +49,7 @@
 //! a single anchor; their re-anchored evaluation is skipped as a no-op.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -300,16 +299,16 @@ impl Prepared {
 /// discussion: before executing an operation, check that it commutes with
 /// every operation executed by other uncommitted transactions.
 ///
-/// Construction also computes, per first operation, whether *any* of its
+/// The gatekeeper also answers, per first operation, whether *any* of its
 /// between conditions reads the initial state `s1`; the executor consults
-/// [`requires_pre_state`](CommutativityGatekeeper::requires_pre_state) to
-/// decide whether a pre-state projection must be captured when logging the
-/// operation. Most recorded-variant conditions test `r1` instead, so most
+/// [`requires_pre_state_indexed`](CommutativityGatekeeper::requires_pre_state_indexed)
+/// to decide whether a pre-state projection must be captured when logging
+/// the operation. Most recorded-variant conditions test `r1` instead, so most
 /// operations log no state at all. Under the bytecode backend this
-/// projection is derived from the compiled programs' actual slot reads (and
-/// memoized per operation); the interpreter backend uses the syntactic
-/// free-variable scan. The two projections agree across the whole catalog —
-/// `tests/diff_runtime.rs` asserts it pair by pair.
+/// projection is derived from the compiled programs' actual slot reads; the
+/// interpreter backend uses the syntactic free-variable scan. Either way it
+/// is memoized per operation. The two projections agree across the whole
+/// catalog — `tests/diff_runtime.rs` asserts it pair by pair.
 #[derive(Debug, Clone)]
 pub struct CommutativityGatekeeper {
     interface: InterfaceId,
@@ -318,21 +317,17 @@ pub struct CommutativityGatekeeper {
     /// operation, then second operation (two `&str` lookups, no allocation
     /// on the admission path).
     conditions: HashMap<String, HashMap<String, Prepared>>,
-    /// First operations at least one of whose between conditions mentions
-    /// `s1` — the only operations whose log entries need a pre-state
-    /// (interpreter projection).
-    pre_state_ops: HashSet<String>,
-    /// Per first operation, the memoized bytecode projection: does any
-    /// compiled condition with this operation first read the `s1` slot?
-    /// Shared across clones, filled on first
-    /// [`requires_pre_state`](CommutativityGatekeeper::requires_pre_state)
+    /// Per operation of `ops`, the memoized pre-state projection: does any
+    /// condition with this operation first read `s1` under the active
+    /// backend? Shared across clones, filled on the first
+    /// [`requires_pre_state_indexed`](CommutativityGatekeeper::requires_pre_state_indexed)
     /// query for the operation.
-    pre_state_compiled: HashMap<String, Arc<OnceLock<bool>>>,
+    pre_state: Arc<[OnceLock<bool>]>,
     /// The dense operation universe for index-based admission: the
     /// interface's operation names in specification order.
-    /// [`op_index`](CommutativityGatekeeper::op_index) resolves a name once
-    /// (at publish time for logged entries, once per admission batch for the
-    /// incoming operation); after that the hot path never hashes a string.
+    /// [`op_index`](CommutativityGatekeeper::op_index) resolves a name once,
+    /// when the operation executes, and the log entry keeps the index; after
+    /// that the hot path never hashes a string.
     ops: Vec<String>,
     /// The flattened (first × second) pair table, indexed
     /// `first * ops.len() + second`. Entries share the same lazily-compiled
@@ -351,8 +346,6 @@ impl CommutativityGatekeeper {
     pub fn with_backend(interface: InterfaceId, backend: AdmitBackend) -> CommutativityGatekeeper {
         let iface = semcommute_spec::interface_by_id(interface);
         let mut conditions: HashMap<String, HashMap<String, Prepared>> = HashMap::new();
-        let mut pre_state_ops = HashSet::new();
-        let mut pre_state_compiled = HashMap::new();
         for condition in interface_catalog(interface) {
             if condition.kind != ConditionKind::Between
                 || !condition.first.recorded
@@ -369,12 +362,6 @@ impl CommutativityGatekeeper {
                 })
             };
             let needs_initial = free_vars(&condition.formula).contains_key(names::INITIAL);
-            if needs_initial {
-                pre_state_ops.insert(condition.first.op.clone());
-            }
-            pre_state_compiled
-                .entry(condition.first.op.clone())
-                .or_insert_with(|| Arc::new(OnceLock::new()));
             let prepared = Prepared {
                 first_params: params(&condition.first.op, 1),
                 second_params: params(&condition.second.op, 2),
@@ -403,8 +390,7 @@ impl CommutativityGatekeeper {
             interface,
             backend,
             conditions,
-            pre_state_ops,
-            pre_state_compiled,
+            pre_state: ops.iter().map(|_| OnceLock::new()).collect(),
             ops,
             table,
         }
@@ -469,18 +455,22 @@ impl CommutativityGatekeeper {
     /// compiled program consumes the `s1` input slot; under the interpreter
     /// backend, that the formula mentions `s1`. The executor captures the
     /// (O(1), persistent) state projection only for these operations.
+    /// Unknown operations need none.
     pub fn requires_pre_state(&self, op: &str) -> bool {
-        match self.backend {
-            AdmitBackend::Interp => self.pre_state_ops.contains(op),
-            AdmitBackend::Bytecode => match self.pre_state_compiled.get(op) {
-                None => false,
-                Some(memo) => *memo.get_or_init(|| {
-                    self.conditions
-                        .get(op)
-                        .is_some_and(|seconds| seconds.values().any(|p| p.program().reads_initial))
-                }),
-            },
-        }
+        self.op_index(op)
+            .is_some_and(|idx| self.requires_pre_state_indexed(idx))
+    }
+
+    /// [`requires_pre_state`](CommutativityGatekeeper::requires_pre_state)
+    /// for an operation pre-resolved via
+    /// [`op_index`](CommutativityGatekeeper::op_index): after the first
+    /// query per operation, one atomic load.
+    pub fn requires_pre_state_indexed(&self, op_idx: u16) -> bool {
+        let first = op_idx as usize;
+        *self.pre_state[first].get_or_init(|| {
+            let row = &self.table[first * self.ops.len()..(first + 1) * self.ops.len()];
+            row.iter().flatten().any(|p| self.reads_state(p))
+        })
     }
 
     /// Does the incoming operation commute with one logged operation?
@@ -548,8 +538,8 @@ impl CommutativityGatekeeper {
 
     /// Resolves an operation name to its dense index in this gatekeeper's
     /// operation universe, or `None` if the interface does not know the
-    /// operation. The executor resolves each logged operation once at publish
-    /// time and each incoming operation once per admission batch, so
+    /// operation. The executor resolves each operation once, when it
+    /// executes, and keeps the index with its log entry, so
     /// [`check_indexed`](CommutativityGatekeeper::check_indexed) never hashes
     /// a string.
     pub fn op_index(&self, op: &str) -> Option<u16> {
@@ -597,7 +587,7 @@ impl CommutativityGatekeeper {
     /// not compose. Requiring the condition to also hold at the live state
     /// keeps every logged, state-dependent certificate current at each
     /// intermediate state, so the certificates compose inductively (see the
-    /// executor's `check_against_locked`).
+    /// executor's `admit_against`).
     ///
     /// Pairs whose condition never reads `s1` — the majority; they test `r1`
     /// and arguments — are admitted without evaluation: re-running a

@@ -19,9 +19,10 @@
 //!   structures (dispatching operation names to the trait implementations and
 //!   exposing the abstraction function), wrapped by [`TrackedStructure`] to
 //!   maintain an O(1)-snapshottable persistent mirror of the abstract state,
-//! * [`LogEntry`] / [`index`] — executed operations (arguments, recorded
-//!   return values, pre-state projections) published through the sharded
-//!   in-flight index so admission never holds the structure lock,
+//! * [`LogEntry`] — executed operations (arguments, recorded return
+//!   values, pre-state projections), kept per live transaction in an
+//!   in-flight log that shares the structure's mutex, so admission, apply
+//!   and logging happen at one instant,
 //! * [`gatekeeper`] — the dynamic commutativity check driven by the verified
 //!   between conditions,
 //! * [`SpeculativeRuntime`] / [`Transaction`] — optimistic transactions with
@@ -46,7 +47,6 @@ pub mod contention;
 pub mod executor;
 pub mod fault;
 pub mod gatekeeper;
-pub mod index;
 pub mod log;
 pub mod rollback;
 pub mod structure;
@@ -58,7 +58,6 @@ pub use executor::{
 };
 pub use fault::{FaultKind, FaultPlan, FiredFault};
 pub use gatekeeper::{AdmissionError, AdmitBackend, CommutativityGatekeeper, Conflict};
-pub use index::InFlightIndex;
 pub use log::{LogEntry, OperationLog};
 pub use rollback::{InverseRollback, SnapshotRollback};
 pub use structure::{AnyStructure, TrackedStructure};

@@ -43,8 +43,9 @@ pub struct LogEntry {
 
 /// An append-ordered log of operations tagged with their transactions.
 ///
-/// Since the runtime moved to per-transaction logs published through the
-/// sharded [`InFlightIndex`](crate::index::InFlightIndex), this type is no
+/// The runtime keeps its in-flight log per transaction, next to the
+/// structure behind the structure mutex (see the
+/// [executor's concurrency protocol](crate::executor)), so this type is no
 /// longer the runtime's shared hot-path structure; it remains the convenient
 /// flat shape for unit tests, benchmarks, and
 /// [`CommutativityGatekeeper::admit`](crate::CommutativityGatekeeper::admit),

@@ -320,7 +320,10 @@ fn differential_across_mode_transitions(structure_name: &str, threads: u64) {
 /// the interpreter's syntactic free-variable projection and the compiled
 /// programs' actual `s1` slot reads have to agree pair by pair across the
 /// full catalog, or one backend would log pre-states the other expects —
-/// snapshotting would regress silently.
+/// snapshotting would regress silently. The per-operation projection — in
+/// the by-name form and the by-index form the executor calls — must be the
+/// disjunction of its pairs' projections, for every operation of every
+/// interface under both backends.
 #[test]
 fn requires_pre_state_projections_agree_across_the_catalog() {
     for interface in InterfaceId::ALL {
@@ -335,12 +338,34 @@ fn requires_pre_state_projections_agree_across_the_catalog() {
                 "{interface}: {first}/{second}: syntactic s1 projection and compiled \
                  slot-read projection disagree"
             );
-            // And the per-operation projection the executor consults follows.
-            assert_eq!(
-                bytecode.requires_pre_state(&first),
-                interp.requires_pre_state(&first),
-                "{interface}: requires_pre_state(`{first}`) differs between backends"
-            );
+        }
+        let iface = semcommute_spec::interface_by_id(interface);
+        for op in iface.ops.iter().map(|op| op.name.as_str()) {
+            let expected = bytecode
+                .pairs()
+                .iter()
+                .filter(|(first, _)| first == op)
+                .any(|(first, second)| {
+                    bytecode
+                        .pair_pre_state_projection(first, second)
+                        .is_some_and(|(syntactic, _)| syntactic)
+                });
+            for gatekeeper in [&bytecode, &interp] {
+                let backend = gatekeeper.backend();
+                let idx = gatekeeper
+                    .op_index(op)
+                    .unwrap_or_else(|| panic!("{interface}: `{op}` has no dense index"));
+                assert_eq!(
+                    gatekeeper.requires_pre_state(op),
+                    expected,
+                    "{interface}: requires_pre_state(`{op}`) under {backend:?}"
+                );
+                assert_eq!(
+                    gatekeeper.requires_pre_state_indexed(idx),
+                    expected,
+                    "{interface}: requires_pre_state_indexed(`{op}`) under {backend:?}"
+                );
+            }
         }
     }
 }

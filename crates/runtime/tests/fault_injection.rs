@@ -11,12 +11,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use semcommute_logic::Value;
 use semcommute_runtime::{
-    AnyStructure, BackoffOptions, FallbackOptions, FaultKind, FaultPlan, Mode, RuntimeOptions,
-    SpeculativeRuntime, TxnError,
+    AnyStructure, BackoffOptions, CoarseLockRuntime, FallbackOptions, FaultKind, FaultPlan, Mode,
+    RuntimeOptions, SpeculativeRuntime, TxnError,
 };
 
 fn runtime_with(plan: &Arc<FaultPlan>, fallback: FallbackOptions) -> SpeculativeRuntime {
@@ -139,34 +138,6 @@ fn forced_conflict_fires_exactly_where_scheduled() {
 }
 
 #[test]
-fn delayed_publish_fires_and_sleeps_where_scheduled() {
-    let plan = Arc::new(FaultPlan::new());
-    let delay = Duration::from_millis(20);
-    plan.delay_publish_at(2, delay);
-    let rt = runtime_with(&plan, FallbackOptions::off());
-
-    let fast = Instant::now();
-    rt.run(0, |txn| txn.execute("add", &[Value::elem(1)]).map(|_| ()))
-        .unwrap();
-    let fast = fast.elapsed();
-    let slow = Instant::now();
-    rt.run(0, |txn| txn.execute("add", &[Value::elem(2)]).map(|_| ()))
-        .unwrap();
-    let slow = slow.elapsed();
-    assert!(slow >= delay, "delayed publish must sleep: {slow:?}");
-    assert!(
-        fast < delay,
-        "unscheduled ordinals must not sleep: {fast:?}"
-    );
-
-    let fired = plan.fired();
-    assert_eq!(fired.len(), 1);
-    assert_eq!(fired[0].kind, FaultKind::DelayedPublish(delay));
-    assert_eq!(fired[0].ordinal, Some(2));
-    assert_stats_identity(&rt);
-}
-
-#[test]
 fn injected_rollback_failure_poisons_the_runtime() {
     let plan = Arc::new(FaultPlan::new());
     let rt = runtime_with(&plan, FallbackOptions::off());
@@ -274,4 +245,57 @@ fn stats_stay_consistent_while_probing_keeps_failing() {
     );
     assert!(plan.periodic_conflicts() > 0);
     assert_eq!(rt.check_invariants(), Ok(()));
+}
+
+/// Degraded transactions log into the same in-flight slot as speculative
+/// ones (their abort undoes it). With every speculative admission forced
+/// into conflict, an operation that succeeds must have run degraded. After a
+/// committed and an aborted degraded transaction nothing is left in flight,
+/// and the state matches a coarse-lock replay of the committed one.
+#[test]
+fn degraded_transactions_log_in_flight_and_leave_nothing_behind() {
+    let plan = Arc::new(FaultPlan::new());
+    plan.force_conflict_every(1);
+    let rt = runtime_with(&plan, FallbackOptions::aggressive());
+    while rt.mode() != Mode::Degraded {
+        let mut txn = rt.begin();
+        assert!(matches!(
+            txn.execute("add", &[Value::elem(9)]),
+            Err(TxnError::Conflict(_))
+        ));
+        txn.abort();
+    }
+
+    let script = [("add", 1), ("add", 2), ("remove", 1)];
+    let mut committed = rt.begin();
+    let mut recorded = Vec::new();
+    for (op, element) in script {
+        recorded.push(committed.execute(op, &[Value::elem(element)]).unwrap());
+    }
+    assert_eq!(committed.operations(), 3);
+    assert_eq!(rt.pending_operations(), 3);
+    committed.commit();
+    assert_eq!(rt.pending_operations(), 0);
+    assert_eq!(rt.stats().degraded_commits, 1);
+
+    let mut aborted = rt.begin();
+    aborted.execute("add", &[Value::elem(3)]).unwrap();
+    aborted.execute("remove", &[Value::elem(2)]).unwrap();
+    assert_eq!(rt.pending_operations(), 2);
+    aborted.abort();
+    assert_eq!(rt.pending_operations(), 0);
+    assert_eq!(rt.mode(), Mode::Degraded);
+
+    let oracle = CoarseLockRuntime::new(AnyStructure::by_name("HashSet").unwrap());
+    let replayed: Vec<_> = oracle.run_transaction(|serial| {
+        script
+            .iter()
+            .map(|(op, element)| serial.execute(op, &[Value::elem(*element)]).unwrap())
+            .collect()
+    });
+    assert_eq!(replayed, recorded);
+    assert_eq!(rt.snapshot(), oracle.snapshot());
+    assert_eq!(rt.poisoned(), None);
+    assert_eq!(rt.check_invariants(), Ok(()));
+    assert_stats_identity(&rt);
 }

@@ -12,11 +12,13 @@
 //! single-threaded reconstruction of a divergence the differential stress
 //! harness hits only rarely, under heavy interleaving.)
 //!
-//! The fix: the validated admission pass re-anchors every state-reading
-//! condition at the live state under the structure lock (see
-//! `Shared::check_against_locked` and the gatekeeper's `check_*_at`
-//! methods). This test pins the exact trace: two removals are admitted, the
-//! third must conflict with the logged observer.
+//! The fix: admission re-anchors every state-reading condition at the live
+//! state under the structure lock (see `Shared::admit_against` and the
+//! gatekeeper's `check_*_at` methods). The first test pins the exact trace:
+//! two removals are admitted, the third must conflict with the logged
+//! observer. The second pins the other anchor: the captured pre-state is
+//! still checked, even where the live state alone would admit. The third,
+//! ignored, replays a trace the two anchors still get wrong.
 
 use semcommute_logic::{ElemId, Value};
 use semcommute_runtime::{
@@ -24,16 +26,22 @@ use semcommute_runtime::{
 };
 use semcommute_spec::AbstractState;
 
+const BACKENDS: [AdmitBackend; 2] = [AdmitBackend::Bytecode, AdmitBackend::Interp];
+
+fn runtime(structure: &str, backend: AdmitBackend) -> SpeculativeRuntime {
+    SpeculativeRuntime::with_options(
+        AnyStructure::by_name(structure).unwrap(),
+        RuntimeOptions {
+            backend,
+            ..RuntimeOptions::default()
+        },
+    )
+}
+
 #[test]
 fn stale_observer_certificates_do_not_compose() {
-    for backend in [AdmitBackend::Bytecode, AdmitBackend::Interp] {
-        let rt = SpeculativeRuntime::with_options(
-            AnyStructure::by_name("ArrayList").unwrap(),
-            RuntimeOptions {
-                backend,
-                ..RuntimeOptions::default()
-            },
-        );
+    for backend in BACKENDS {
+        let rt = runtime("ArrayList", backend);
 
         // Seed [1, 1, 1, 1, 1, 1, 10].
         let mut seed = rt.begin();
@@ -80,6 +88,77 @@ fn stale_observer_certificates_do_not_compose() {
         assert_eq!(
             rt.snapshot(),
             AbstractState::List([1, 1, 1, 1, 10].iter().map(|&i| ElemId(i)).collect()),
+            "{backend:?}"
+        );
+    }
+}
+
+/// T1 logs `remove(1)` over `{1}`. T2's `contains(1)` would read `false` at
+/// the live state, where the condition holds (`1` is no longer present) —
+/// but ticket order may put T2 first, where `contains(1)` reads `true`. Only
+/// the anchor at T1's captured pre-state sees that, so it must still be
+/// checked: T2 conflicts.
+#[test]
+fn single_phase_keeps_the_pre_state_anchor() {
+    for backend in BACKENDS {
+        let rt = runtime("HashSet", backend);
+        let mut seed = rt.begin();
+        seed.execute("add", &[Value::elem(1)]).unwrap();
+        seed.commit();
+
+        let mut t1 = rt.begin();
+        let removed = t1.execute("remove", &[Value::elem(1)]).unwrap();
+        assert_eq!(removed, Some(Value::Bool(true)), "{backend:?}");
+
+        let mut t2 = rt.begin();
+        match t2.execute("contains", &[Value::elem(1)]) {
+            Err(TxnError::Conflict(conflict)) => {
+                assert_eq!(conflict.logged_op, "remove", "{backend:?}");
+                assert_eq!(conflict.incoming_op, "contains", "{backend:?}");
+            }
+            other => panic!("pre-state anchor was skipped ({backend:?}): {other:?}"),
+        }
+        t2.abort();
+        t1.commit();
+        assert_eq!(rt.snapshot(), AbstractState::Set(Default::default()));
+    }
+}
+
+/// The gap the two anchors leave open, as a deterministic trace (found by
+/// the differential soak). A logs `addAt(0, 2)` over `[1]`; two transactions
+/// each add a `2` at index 0 and commit; B's `removeAt(2)` over `[2, 2, 2, 1]`
+/// passes both of A's anchors. A aborts, then B aborts, and their inverses
+/// leave `[2, 1, 2]` instead of the committed `[2, 2, 1]`: the pair is
+/// adjacent at `[2, 2, 1]`, which is neither anchor. Ignored until admission
+/// closes the gap; `--ignored` runs it.
+#[test]
+#[ignore = "known admission gap: see `A known gap` in docs/ARCHITECTURE.md"]
+fn aborts_across_committed_separators_restore_the_serial_state() {
+    for backend in BACKENDS {
+        let rt = runtime("ArrayList", backend);
+        let add_at_0 = |txn: &mut semcommute_runtime::Transaction, element: u32| {
+            txn.execute("addAt", &[Value::Int(0), Value::elem(element)])
+                .unwrap();
+        };
+        let mut seed = rt.begin();
+        add_at_0(&mut seed, 1);
+        seed.commit();
+
+        let mut a = rt.begin();
+        add_at_0(&mut a, 2);
+        for _ in 0..2 {
+            let mut separator = rt.begin();
+            add_at_0(&mut separator, 2);
+            separator.commit();
+        }
+        let mut b = rt.begin();
+        b.execute("removeAt", &[Value::Int(2)]).unwrap();
+        a.abort();
+        b.abort();
+
+        assert_eq!(
+            rt.snapshot(),
+            AbstractState::List([2, 2, 1].iter().map(|&i| ElemId(i)).collect()),
             "{backend:?}"
         );
     }
