@@ -654,13 +654,8 @@ const HOT_ADAPTIVE_OVER_COARSE_MAX: f64 = 8.0;
 /// How much worse the non-adaptive (`fallback=off`) runtime must do than
 /// the adaptive one on the forced-contention leg: every transaction pays
 /// the speculate-abort-retry cycle the adaptive engine escapes by
-/// degrading. Under two-phase admission that cycle cost ~2.1 µs/op and the
-/// ratio was 3.3–3.7× (2-core host); single-phase admission takes one
-/// lock per attempt and no index scans, so the cycle fell to ~1.2 µs/op
-/// while the adaptive leg stayed at ~0.6 µs/op, and the ratio to 1.8–2.9×
-/// (same host, 13 runs). The bar pins that adaptation still pays by a clear
-/// margin.
-const HOT_OFF_OVER_ADAPTIVE_MIN: f64 = 1.5;
+/// degrading, and adaptation must win by a wide margin.
+const HOT_OFF_OVER_ADAPTIVE_MIN: f64 = 3.0;
 
 /// The key distribution of the snapshot loops: hot-key skew over a domain
 /// twice the structure size (so inserts and removes both happen).

@@ -20,9 +20,11 @@
 //! operations it has executed and not yet committed or undone.
 //! [`Transaction::execute`] is single-phase. Under the mutex it checks the
 //! incoming operation against every logged operation of every *other* live
-//! transaction — each state-reading condition at two anchors, the entry's
-//! captured pre-state and the live state (see `Shared::admit_against`) —
-//! then applies the operation, records its pre-state projection where a
+//! transaction — each state-reading condition at the entry's captured
+//! pre-state, at the live state, and at the live state with the entry's
+//! transaction rolled back, and only while no third live transaction has
+//! changed the state (see `Shared::admit_against_slot`) — then applies the
+//! operation, records its pre-state projection where a
 //! condition needs one, and appends the entry to its own slot. Admission,
 //! apply and logging are one critical section, so every admission sees one
 //! consistent instant, and no operation takes effect without being visible
@@ -71,7 +73,7 @@ use crate::fault::FaultPlan;
 use crate::gatekeeper::{AdmissionError, AdmitBackend, CommutativityGatekeeper, Conflict};
 use crate::log::LogEntry;
 use crate::rollback::InverseRollback;
-use crate::structure::{AnyStructure, DispatchError, TrackedStructure};
+use crate::structure::{apply_to_state, AnyStructure, DispatchError, TrackedStructure};
 
 /// An error observed by a transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,6 +238,10 @@ struct LoggedOp {
     /// resolved once when it executed, so admission against it never hashes
     /// the operation name (see [`CommutativityGatekeeper::op_index`]).
     op_idx: Option<u16>,
+    /// The structure's [`version`](TrackedStructure::version) just before
+    /// the operation ran, and whether the operation changed the state.
+    version: u64,
+    changed: bool,
     entry: LogEntry,
 }
 
@@ -284,46 +290,122 @@ struct Shared {
 }
 
 impl Shared {
-    /// Admits the incoming operation against one logged operation of another
-    /// live transaction, translating the verdict to a transaction error.
-    /// Runs under the structure mutex; `state` is the live abstract state.
+    /// Admits the incoming operation against the slot of one other live
+    /// transaction, newest entry first. Runs under the structure mutex;
+    /// `tracked`'s mirror is the live abstract state.
     ///
-    /// A state-reading condition is checked at two anchors. The logged
-    /// entry's **captured pre-state** certifies swapping the pair at the
-    /// state the logged operation ran in — needed because ticket order may
-    /// serialize the incoming operation *before* the logged one. The **live
-    /// state** closes a composition hole: once other admitted operations
-    /// separate the pair, a certificate anchored to a state that no longer
-    /// exists need not compose with the others. Concretely: a logged
-    /// `get(3)` over `[1, 1, 1, 1, 1, 1, 10]` admits any one `removeAt` below
-    /// it (one left shift keeps index 3 reading a `1`), but three such
-    /// removals — each certified against the same stale capture — compose
-    /// to a shift of three and move the `10` into the observed slot,
-    /// breaking serial replay. Anchoring each certificate at the live state
-    /// as well keeps every logged, state-dependent certificate current at
-    /// each intermediate state, so the certificates compose inductively.
-    /// State-free conditions are exempt: their verdict cannot drift, and the
-    /// gatekeeper skips their re-evaluation. The two anchors are not a
-    /// complete argument once transactions that finish in between separate
-    /// the pair: `docs/ARCHITECTURE.md` records a diverging trace.
-    fn admit_against(
+    /// A state-reading condition is checked at up to three anchors. The
+    /// logged entry's **captured pre-state** certifies swapping the pair at
+    /// the state the logged operation ran in. The **live state** keeps the
+    /// certificates of long-lived observers composing: a logged `get(3)` over
+    /// `[1, 1, 1, 1, 1, 1, 10]` admits any one `removeAt` below it (one left
+    /// shift keeps index 3 reading a `1`), but three such removals — each
+    /// certified against the same stale capture — compose to a shift of
+    /// three and move the `10` into the observed slot. The **undo anchor**
+    /// is the state the pair is adjacent at when the logged transaction is
+    /// serialized last, which is what its abort and every later commit order
+    /// assume: the live state with the slot's operations, from the newest
+    /// down to the entry itself, rolled back by their verified inverses.
+    /// Operations of transactions that finished in between stay applied.
+    /// A logged `addAt(0, 2)` over `[1]`, separated by two committed
+    /// `addAt(0, 2)`s from an incoming `removeAt(2)`, is adjacent to it at
+    /// `[2, 2, 1]` — neither `[1]` nor the live `[2, 2, 2, 1]` — and only
+    /// there does the pair fail to commute.
+    ///
+    /// Each anchor still contains the effects of any *third* live
+    /// transaction, and its abort removes them from all three: over
+    /// `[1, 1]`, a `get(0)` logged after another transaction's `addAt(0, 1)`
+    /// commutes with an incoming `removeAt(0)` at every anchor, but not at
+    /// `[1]`, where the pair is adjacent once that `addAt` is undone. Over a
+    /// sequence, where conditions read positions that any insertion or
+    /// removal shifts, a state-reading pair is therefore certified only
+    /// while no live transaction other than the logged one and the incoming
+    /// one has changed the state (`bystanders`); otherwise the incoming
+    /// operation conflicts. Set and map conditions read the membership of
+    /// the pair's own keys, and a random exploration of schedules found no
+    /// such divergence there, so they keep admitting (see "No third party
+    /// over sequences" in `docs/ARCHITECTURE.md`). With two workers there
+    /// is never a third live transaction.
+    ///
+    /// The undo anchor is built lazily, on a persistent copy of the live
+    /// state, and checked only where it can differ from the anchors already
+    /// checked: it equals the live state until an entry at or after
+    /// the checked one changed the state, and it equals the captured
+    /// pre-state while every state change since that pre-state was the
+    /// slot's own (the structure's version counts changes). State-free
+    /// conditions are checked once: their verdict cannot depend on an anchor.
+    fn admit_against_slot(
         &self,
-        logged: &LoggedOp,
+        slot: &[LoggedOp],
         op: &str,
         op_idx: Option<u16>,
         args: &[Value],
-        state: &Value,
+        tracked: &TrackedStructure,
+        bystanders: bool,
     ) -> Result<(), TxnError> {
         let gk = &self.gatekeeper;
-        let entry = &logged.entry;
-        let verdict = match (logged.op_idx, op_idx) {
-            (Some(first), Some(second)) => gk
-                .check_indexed(first, entry, second, op, args)
-                .and_then(|()| gk.check_indexed_at(first, entry, second, op, args, state)),
-            _ => gk
-                .check_entry(entry, op, args)
-                .and_then(|()| gk.check_entry_at(entry, op, args, state)),
-        };
+        let live = tracked.state_value();
+        // `live` with `slot[rolled_back..]` undone, newest first; `None`
+        // while nothing undone so far changed the state.
+        let mut anchor: Option<Value> = None;
+        let mut rolled_back = slot.len();
+        // State changes made by `slot[i..]`.
+        let mut own_changes = 0;
+        for (i, logged) in slot.iter().enumerate().rev() {
+            own_changes += u64::from(logged.changed);
+            let entry = &logged.entry;
+            let (Some(first), Some(second)) = (logged.op_idx, op_idx) else {
+                self.verdict(
+                    gk.check_entry(entry, op, args)
+                        .and_then(|()| gk.check_entry_at(entry, op, args, live)),
+                )?;
+                continue;
+            };
+            self.verdict(
+                gk.check_indexed(first, entry, second, op, args)
+                    .and_then(|()| gk.check_indexed_at(first, entry, second, op, args, live)),
+            )?;
+            let reads_state = gk.pair_reads_state_indexed(first, second);
+            if reads_state && bystanders {
+                return Err(self.conflict(entry, op));
+            }
+            if !reads_state || own_changes == 0 || tracked.version() - logged.version == own_changes
+            {
+                continue;
+            }
+            for newer in slot[i..rolled_back].iter().rev() {
+                let Some((inverse, inverse_args)) = self.rollback.inverse_call(&newer.entry) else {
+                    continue;
+                };
+                let state = anchor.get_or_insert_with(|| live.clone());
+                if !apply_to_state(state, &inverse, &inverse_args) {
+                    // The inverse does not even apply: no serialization puts
+                    // the logged transaction last, so the pair cannot be
+                    // certified.
+                    return Err(self.conflict(entry, op));
+                }
+            }
+            rolled_back = i;
+            if let Some(state) = &anchor {
+                self.verdict(gk.check_indexed_at(first, entry, second, op, args, state))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A conflict with `entry` that no condition evaluation reported.
+    fn conflict(&self, entry: &LogEntry, op: &str) -> TxnError {
+        self.conflicts.fetch_add(1, Ordering::Relaxed);
+        TxnError::Conflict(Conflict {
+            with_txn: entry.txn,
+            logged_op: entry.op.clone(),
+            incoming_op: op.to_string(),
+        })
+    }
+
+    /// Translates an admission verdict to a transaction error, counting
+    /// conflicts.
+    fn verdict(&self, verdict: Result<(), AdmissionError>) -> Result<(), TxnError> {
         verdict.map_err(|e| match e {
             AdmissionError::Conflict(c) => {
                 self.conflicts.fetch_add(1, Ordering::Relaxed);
@@ -685,7 +767,7 @@ impl Transaction {
     /// Admission, apply and logging, in one structure critical section.
     ///
     /// A speculative transaction is admitted against every logged operation
-    /// of every other live transaction (see `Shared::admit_against`) and
+    /// of every other live transaction (see `Shared::admit_against_slot`) and
     /// records a pre-state projection where a condition needs one. A
     /// degraded transaction holds the gate exclusively, so no other
     /// transaction is live: there is nothing to admit against and no
@@ -699,10 +781,19 @@ impl Transaction {
         let mut guarded = shared.guarded.lock();
         let Guarded { tracked, inflight } = &mut *guarded;
         let pre_state = if self.mode == TxnMode::Speculative {
-            for (_, slot) in inflight.iter().filter(|(&owner, _)| owner != self.id) {
-                for logged in slot {
-                    shared.admit_against(logged, op, op_idx, args, tracked.state_value())?;
-                }
+            // Only sequences need the no-third-party rule (see
+            // `Shared::admit_against_slot`).
+            let sequence = matches!(tracked.state_value(), Value::Seq(_));
+            let changed = |slot: &[LoggedOp]| slot.iter().any(|logged| logged.changed);
+            let others = || inflight.iter().filter(|(&owner, _)| owner != self.id);
+            let changers = if sequence {
+                others().filter(|(_, slot)| changed(slot)).count()
+            } else {
+                0
+            };
+            for (_, slot) in others() {
+                let bystanders = sequence && changers > usize::from(changed(slot));
+                shared.admit_against_slot(slot, op, op_idx, args, tracked, bystanders)?;
             }
             op_idx
                 .is_some_and(|idx| shared.gatekeeper.requires_pre_state_indexed(idx))
@@ -711,9 +802,12 @@ impl Transaction {
             debug_assert!(inflight.keys().all(|&owner| owner == self.id));
             None
         };
+        let version = tracked.version();
         let result = tracked.apply(op, args)?;
         inflight.entry(self.id).or_default().push(LoggedOp {
             op_idx,
+            version,
+            changed: tracked.version() != version,
             entry: LogEntry {
                 txn: self.id,
                 op: op.to_string(),
@@ -805,13 +899,9 @@ impl Transaction {
             let _ = shared.poison.set(reason);
         } else {
             for LoggedOp { entry, .. } in slot.iter().rev() {
-                let Some(inverse) = shared.rollback.inverse_of(&entry.op) else {
-                    // Observer operations change nothing and need no undo.
-                    continue;
-                };
-                let Some((op, args)) = inverse.concrete_call(&entry.args, entry.result.as_ref())
-                else {
-                    // Nothing to undo (e.g. `add` returned false).
+                let Some((op, args)) = shared.rollback.inverse_call(entry) else {
+                    // Nothing to undo: an observer, or an update that changed
+                    // nothing (e.g. `add` returned false).
                     continue;
                 };
                 if let Err(e) = tracked.apply(&op, &args) {

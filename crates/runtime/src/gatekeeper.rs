@@ -587,7 +587,8 @@ impl CommutativityGatekeeper {
     /// not compose. Requiring the condition to also hold at the live state
     /// keeps every logged, state-dependent certificate current at each
     /// intermediate state, so the certificates compose inductively (see the
-    /// executor's `admit_against`).
+    /// executor's `admit_against_slot`, which also passes this method the
+    /// state with the logged transaction rolled back).
     ///
     /// Pairs whose condition never reads `s1` — the majority; they test `r1`
     /// and arguments — are admitted without evaluation: re-running a
@@ -618,6 +619,16 @@ impl CommutativityGatekeeper {
                 logged.op
             ))),
         }
+    }
+
+    /// Does the condition of the pair (`first` logged, `second` incoming)
+    /// read the abstract state `s1` under the active backend? `false` for an
+    /// unknown pair. Indices come from
+    /// [`op_index`](CommutativityGatekeeper::op_index).
+    pub fn pair_reads_state_indexed(&self, first: u16, second: u16) -> bool {
+        self.table[first as usize * self.ops.len() + second as usize]
+            .as_ref()
+            .is_some_and(|prepared| self.reads_state(prepared))
     }
 
     /// Does this pair's condition read the abstract state `s1` under the

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use semcommute_core::{inverse_catalog, InverseOperation};
-use semcommute_logic::ElemId;
+use semcommute_logic::{ElemId, Value};
 use semcommute_spec::{AbstractState, InterfaceId};
 
 use crate::log::LogEntry;
@@ -45,6 +45,15 @@ impl InverseRollback {
         self.inverses.get(op)
     }
 
+    /// The concrete call that undoes one logged operation, or `None` if there
+    /// is nothing to undo: an observer, or an update that changed nothing
+    /// (e.g. `add` returned false).
+    pub fn inverse_call(&self, entry: &LogEntry) -> Option<(String, Vec<Value>)> {
+        self.inverses
+            .get(&entry.op)?
+            .concrete_call(&entry.args, entry.result.as_ref())
+    }
+
     /// Undoes the given log entries (a single transaction's operations),
     /// newest first, by applying inverse operations to the structure.
     ///
@@ -55,12 +64,7 @@ impl InverseRollback {
     /// (the inverse preconditions are verified).
     pub fn undo(&self, structure: &mut AnyStructure, entries: &[LogEntry]) -> Result<(), String> {
         for entry in entries.iter().rev() {
-            let Some(inverse) = self.inverses.get(&entry.op) else {
-                // Observer operations change nothing and need no undo.
-                continue;
-            };
-            let Some((op, args)) = inverse.concrete_call(&entry.args, entry.result.as_ref()) else {
-                // Nothing to undo (e.g. `add` returned false).
+            let Some((op, args)) = self.inverse_call(entry) else {
                 continue;
             };
             structure
@@ -116,7 +120,6 @@ impl SnapshotRollback {
 /// hand-crafted log, which must surface as an `Evaluation`-class error for
 /// the caller to handle — not a panic.
 pub fn rebuild(name: &str, state: &AbstractState) -> Result<AnyStructure, String> {
-    use semcommute_logic::Value;
     let mut structure = AnyStructure::by_name(name)
         .ok_or_else(|| format!("rebuild: unknown structure name `{name}`"))?;
     let mut replay = |op: &str, args: &[Value]| {

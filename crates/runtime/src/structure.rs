@@ -295,6 +295,8 @@ fn apply_list<L: ListInterface>(
 pub struct TrackedStructure {
     inner: AnyStructure,
     mirror: Value,
+    /// Successful operations that changed the mirror so far.
+    version: u64,
 }
 
 impl TrackedStructure {
@@ -302,7 +304,11 @@ impl TrackedStructure {
     /// abstraction function (the only full walk this type ever performs).
     pub fn new(inner: AnyStructure) -> TrackedStructure {
         let mirror = inner.abstract_state().to_value();
-        TrackedStructure { inner, mirror }
+        TrackedStructure {
+            inner,
+            mirror,
+            version: 0,
+        }
     }
 
     /// The wrapped concrete structure.
@@ -323,6 +329,13 @@ impl TrackedStructure {
         &self.mirror
     }
 
+    /// How many applied operations have changed the abstract state so far.
+    /// Equal versions mean an unchanged state; an operation that leaves the
+    /// state as it was (`add` of a present element, say) does not count.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
     /// Invokes an interface operation by name, keeping the mirror in step.
     ///
     /// # Errors
@@ -336,55 +349,86 @@ impl TrackedStructure {
     }
 
     /// Mirrors the effect of a *successfully dispatched* operation. The
-    /// arguments were validated by the dispatch, so the extractions below
-    /// cannot fail.
+    /// arguments were validated by the dispatch, so the extractions in
+    /// [`apply_to_mirror`] cannot fail.
     fn track(&mut self, op: &str, args: &[Value]) {
-        fn elem(args: &[Value], index: usize) -> ElemId {
-            match &args[index] {
-                Value::Elem(e) => *e,
-                other => unreachable!("dispatch validated argument {index}, got {other:?}"),
-            }
+        if apply_to_mirror(&mut self.mirror, op, args) {
+            self.version += 1;
         }
-        fn int(args: &[Value], index: usize) -> i64 {
-            match &args[index] {
-                Value::Int(i) => *i,
-                other => unreachable!("dispatch validated argument {index}, got {other:?}"),
-            }
+    }
+}
+
+/// Applies an operation's effect to an abstract-state value alone, the way
+/// [`TrackedStructure::apply`] updates its mirror, with no concrete structure
+/// behind it. Admission uses it to roll a copy of the live state back past a
+/// transaction's logged operations. Returns `false`, leaving `state`
+/// unchanged, if a list index is out of range; the argument shapes are those
+/// of a dispatched operation or of its verified inverse.
+pub(crate) fn apply_to_state(state: &mut Value, op: &str, args: &[Value]) -> bool {
+    if let (Value::Seq(seq), Some(Value::Int(index))) = (&*state, args.first()) {
+        let len = seq.len() as i64;
+        let in_range = match op {
+            "addAt" => (0..=len).contains(index),
+            "removeAt" | "set" => (0..len).contains(index),
+            _ => true,
+        };
+        if !in_range {
+            return false;
         }
-        match &mut self.mirror {
-            Value::Int(counter) => {
-                if op == "increase" {
-                    *counter += int(args, 0);
-                }
-            }
-            Value::Set(set) => match op {
-                "add" => {
-                    set.insert(elem(args, 0));
-                }
-                "remove" => {
-                    set.remove(&elem(args, 0));
-                }
-                _ => {}
-            },
-            Value::Map(map) => match op {
-                "put" => {
-                    map.insert(elem(args, 0), elem(args, 1));
-                }
-                "remove" => {
-                    map.remove(&elem(args, 0));
-                }
-                _ => {}
-            },
-            Value::Seq(seq) => match op {
-                "addAt" => seq.insert(int(args, 0) as usize, elem(args, 1)),
-                "removeAt" => {
-                    seq.remove(int(args, 0) as usize);
-                }
-                "set" => seq.set(int(args, 0) as usize, elem(args, 1)),
-                _ => {}
-            },
-            other => unreachable!("no structure mirrors to {other:?}"),
+    }
+    apply_to_mirror(state, op, args);
+    true
+}
+
+/// Applies an operation's effect to a mirror value whose argument shapes
+/// (and list indices) are known to be valid, returning whether the state
+/// changed. A `set` that rewrites the
+/// same element counts as a change; nothing relies on it not counting.
+fn apply_to_mirror(mirror: &mut Value, op: &str, args: &[Value]) -> bool {
+    fn elem(args: &[Value], index: usize) -> ElemId {
+        match &args[index] {
+            Value::Elem(e) => *e,
+            other => unreachable!("dispatch validated argument {index}, got {other:?}"),
         }
+    }
+    fn int(args: &[Value], index: usize) -> i64 {
+        match &args[index] {
+            Value::Int(i) => *i,
+            other => unreachable!("dispatch validated argument {index}, got {other:?}"),
+        }
+    }
+    match mirror {
+        Value::Int(counter) => {
+            let delta = if op == "increase" { int(args, 0) } else { 0 };
+            *counter += delta;
+            delta != 0
+        }
+        Value::Set(set) => match op {
+            "add" => set.insert(elem(args, 0)),
+            "remove" => set.remove(&elem(args, 0)),
+            _ => false,
+        },
+        Value::Map(map) => match op {
+            "put" => map.insert(elem(args, 0), elem(args, 1)) != Some(elem(args, 1)),
+            "remove" => map.remove(&elem(args, 0)).is_some(),
+            _ => false,
+        },
+        Value::Seq(seq) => match op {
+            "addAt" => {
+                seq.insert(int(args, 0) as usize, elem(args, 1));
+                true
+            }
+            "removeAt" => {
+                seq.remove(int(args, 0) as usize);
+                true
+            }
+            "set" => {
+                seq.set(int(args, 0) as usize, elem(args, 1));
+                true
+            }
+            _ => false,
+        },
+        other => unreachable!("no structure mirrors to {other:?}"),
     }
 }
 
@@ -587,13 +631,51 @@ mod tests {
         for (name, trace) in traces {
             let mut tracked = TrackedStructure::new(AnyStructure::by_name(name).unwrap());
             for (op, args) in *trace {
-                let _ = tracked.apply(op, args);
+                let before = tracked.state_value().clone();
+                let version = tracked.version();
+                let applied = tracked.apply(op, args).is_ok();
                 assert_eq!(
                     *tracked.state_value(),
                     tracked.inner().abstract_state().to_value(),
                     "{name}.{op} mirror drifted"
                 );
+                // The version counts exactly the operations that changed the
+                // state (no trace step rewrites an element with itself).
+                assert_eq!(
+                    tracked.version() != version,
+                    *tracked.state_value() != before,
+                    "{name}.{op} version"
+                );
+                // The state-only form lands on the same value.
+                if applied {
+                    let mut copy = before.clone();
+                    assert!(apply_to_state(&mut copy, op, args), "{name}.{op}");
+                    assert_eq!(copy, *tracked.state_value(), "{name}.{op} state-only apply");
+                }
             }
         }
+    }
+
+    #[test]
+    fn state_only_apply_refuses_out_of_range_list_indices() {
+        let mut state = TrackedStructure::new(AnyStructure::by_name("ArrayList").unwrap())
+            .state_value()
+            .clone();
+        assert!(apply_to_state(
+            &mut state,
+            "addAt",
+            &[Value::Int(0), Value::elem(1)]
+        ));
+        let one = state.clone();
+        for (op, args) in [
+            ("addAt", vec![Value::Int(2), Value::elem(2)]),
+            ("addAt", vec![Value::Int(-1), Value::elem(2)]),
+            ("removeAt", vec![Value::Int(1)]),
+            ("set", vec![Value::Int(1), Value::elem(2)]),
+        ] {
+            assert!(!apply_to_state(&mut state, op, &args), "{op} {args:?}");
+            assert_eq!(state, one, "{op} {args:?} changed the state");
+        }
+        assert!(apply_to_state(&mut state, "removeAt", &[Value::Int(0)]));
     }
 }

@@ -13,12 +13,13 @@
 //! harness hits only rarely, under heavy interleaving.)
 //!
 //! The fix: admission re-anchors every state-reading condition at the live
-//! state under the structure lock (see `Shared::admit_against` and the
+//! state under the structure lock (see `Shared::admit_against_slot` and the
 //! gatekeeper's `check_*_at` methods). The first test pins the exact trace:
 //! two removals are admitted, the third must conflict with the logged
-//! observer. The second pins the other anchor: the captured pre-state is
-//! still checked, even where the live state alone would admit. The third,
-//! ignored, replays a trace the two anchors still get wrong.
+//! observer. The second pins the captured pre-state anchor, which is still
+//! checked even where the live state alone would admit. The third pins the
+//! undo anchor: the live state with the logged transaction rolled back,
+//! where committed operations separate the pair.
 
 use semcommute_logic::{ElemId, Value};
 use semcommute_runtime::{
@@ -124,15 +125,15 @@ fn single_phase_keeps_the_pre_state_anchor() {
     }
 }
 
-/// The gap the two anchors leave open, as a deterministic trace (found by
-/// the differential soak). A logs `addAt(0, 2)` over `[1]`; two transactions
-/// each add a `2` at index 0 and commit; B's `removeAt(2)` over `[2, 2, 2, 1]`
-/// passes both of A's anchors. A aborts, then B aborts, and their inverses
-/// leave `[2, 1, 2]` instead of the committed `[2, 2, 1]`: the pair is
-/// adjacent at `[2, 2, 1]`, which is neither anchor. Ignored until admission
-/// closes the gap; `--ignored` runs it.
+/// The third anchor. A logs `addAt(0, 2)` over `[1]`; two transactions each
+/// add a `2` at index 0 and commit. B's `removeAt(2)` over `[2, 2, 2, 1]`
+/// passes A's captured anchor `[1]` and the live anchor, but if B commits
+/// before A, or both abort, the pair is adjacent at `[2, 2, 1]`: the live
+/// state with A's operation rolled back. There `removeAt(2)` reads the `1`
+/// instead of a `2`, so B must conflict. Had B been admitted, A's abort and
+/// then B's would leave `[2, 1, 2]` where serial replay of the committed
+/// transactions gives `[2, 2, 1]`.
 #[test]
-#[ignore = "known admission gap: see `A known gap` in docs/ARCHITECTURE.md"]
 fn aborts_across_committed_separators_restore_the_serial_state() {
     for backend in BACKENDS {
         let rt = runtime("ArrayList", backend);
@@ -152,13 +153,65 @@ fn aborts_across_committed_separators_restore_the_serial_state() {
             separator.commit();
         }
         let mut b = rt.begin();
-        b.execute("removeAt", &[Value::Int(2)]).unwrap();
+        match b.execute("removeAt", &[Value::Int(2)]) {
+            Err(TxnError::Conflict(conflict)) => {
+                assert_eq!(conflict.logged_op, "addAt", "{backend:?}");
+                assert_eq!(conflict.incoming_op, "removeAt", "{backend:?}");
+            }
+            other => panic!("undo anchor was skipped ({backend:?}): {other:?}"),
+        }
         a.abort();
         b.abort();
 
         assert_eq!(
             rt.snapshot(),
             AbstractState::List([2, 2, 1].iter().map(|&i| ElemId(i)).collect()),
+            "{backend:?}"
+        );
+    }
+}
+
+/// A third live transaction's effect sits in every anchor, and its abort
+/// removes it from all of them. Over `[1, 1]`: T2 logs `removeAt(0)`, T4 logs
+/// `addAt(0, 1)`, and T2 logs `get(0) = 1`. T5's `removeAt(0)` commutes with
+/// that `get` at every anchor, all of which still hold T4's `1`; but once T4
+/// aborts, the pair is adjacent at `[1]`, where `get(0)` after `removeAt(0)`
+/// is out of range — and with T5 committing first, T2's read no longer
+/// replays. So over a sequence a state-reading pair is refused while a live
+/// transaction other than the two has changed the state.
+#[test]
+fn third_party_changes_block_state_reading_certificates() {
+    for backend in BACKENDS {
+        let rt = runtime("ArrayList", backend);
+        let mut seed = rt.begin();
+        for _ in 0..2 {
+            seed.execute("addAt", &[Value::Int(0), Value::elem(1)])
+                .unwrap();
+        }
+        seed.commit();
+
+        let mut t2 = rt.begin();
+        let removed = t2.execute("removeAt", &[Value::Int(0)]).unwrap();
+        assert_eq!(removed, Some(Value::elem(1)), "{backend:?}");
+        let mut t4 = rt.begin();
+        t4.execute("addAt", &[Value::Int(0), Value::elem(1)])
+            .unwrap();
+        let read = t2.execute("get", &[Value::Int(0)]).unwrap();
+        assert_eq!(read, Some(Value::elem(1)), "{backend:?}");
+
+        let mut t5 = rt.begin();
+        match t5.execute("removeAt", &[Value::Int(0)]) {
+            Err(TxnError::Conflict(conflict)) => {
+                assert_eq!(conflict.incoming_op, "removeAt", "{backend:?}");
+            }
+            other => panic!("third-party change was ignored ({backend:?}): {other:?}"),
+        }
+        t5.abort();
+        t4.abort();
+        t2.commit();
+        assert_eq!(
+            rt.snapshot(),
+            AbstractState::List(vec![ElemId(1)]),
             "{backend:?}"
         );
     }
