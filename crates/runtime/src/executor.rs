@@ -36,7 +36,9 @@
 //! contains an effect whose log entry has already disappeared. A
 //! transaction that executed nothing commits and aborts without the lock.
 //!
-//! Lock order: mode gate before structure mutex, never the reverse.
+//! Lock order: mode gate before structure mutex, never the reverse. A
+//! contended acquisition of the structure mutex spins briefly before it
+//! blocks (see `Shared::lock`).
 //!
 //! # Contention management
 //!
@@ -62,9 +64,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use semcommute_logic::Value;
 use semcommute_spec::AbstractState;
 
@@ -232,6 +234,16 @@ impl Default for RuntimeOptions {
     }
 }
 
+/// How long a contended acquisition of the structure mutex spins before it
+/// blocks (see `Shared::lock`).
+const LOCK_SPIN: Duration = Duration::from_micros(50);
+
+/// The host's available parallelism, read once per process.
+fn cores() -> u64 {
+    static CORES: OnceLock<u64> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get() as u64))
+}
+
 /// One operation in a live transaction's slot of the in-flight log.
 struct LoggedOp {
     /// The operation's dense index in the gatekeeper's operation universe,
@@ -290,6 +302,52 @@ struct Shared {
 }
 
 impl Shared {
+    /// Acquires the structure mutex, spinning for up to [`LOCK_SPIN`]
+    /// before blocking.
+    ///
+    /// Admission, apply and logging all run under this mutex, so busy
+    /// workers hand it to each other every operation, a few hundred
+    /// nanoseconds apart. A waiter that blocks is woken by the kernel,
+    /// which on a virtual machine takes around 10 µs, many critical
+    /// sections, and the delay varies with the host's load; spinning covers
+    /// a handoff instead. A waiter still spinning after the bound has
+    /// probably lost the holder to the scheduler, and blocks. Much shorter
+    /// spins measure worse than none (see `docs/PERF.md`). While more
+    /// transactions are live than the host has cores, waiters block at
+    /// once: the holder may then be waiting for a CPU that a spinner holds.
+    fn lock(&self) -> MutexGuard<'_, Guarded> {
+        if let Some(guarded) = self.guarded.try_lock() {
+            return guarded;
+        }
+        if self.live_transactions() <= cores() {
+            if let Some(guarded) = self.spin() {
+                return guarded;
+            }
+        }
+        self.guarded.lock()
+    }
+
+    /// Transactions begun and not yet finished. The three counters are
+    /// read apart, so the figure is approximate.
+    fn live_transactions(&self) -> u64 {
+        let finished = self.commits.load(Ordering::Relaxed) + self.aborts.load(Ordering::Relaxed);
+        self.begun.load(Ordering::Relaxed).saturating_sub(finished)
+    }
+
+    /// Polls `guarded` for up to [`LOCK_SPIN`].
+    fn spin(&self) -> Option<MutexGuard<'_, Guarded>> {
+        let started = Instant::now();
+        while started.elapsed() < LOCK_SPIN {
+            for _ in 0..16 {
+                std::hint::spin_loop();
+                if let Some(guarded) = self.guarded.try_lock() {
+                    return Some(guarded);
+                }
+            }
+        }
+        None
+    }
+
     /// Admits the incoming operation against the slot of one other live
     /// transaction, newest entry first. Runs under the structure mutex;
     /// `tracked`'s mirror is the live abstract state.
@@ -778,7 +836,10 @@ impl Transaction {
         // One string resolution for the incoming operation; every per-entry
         // check goes through dense indices.
         let op_idx = shared.gatekeeper.op_index(op);
-        let mut guarded = shared.guarded.lock();
+        // The log entry's owned copies are made before the critical section,
+        // which is what concurrent transactions queue for.
+        let (op_name, op_args) = (op.to_string(), args.to_vec());
+        let mut guarded = shared.lock();
         let Guarded { tracked, inflight } = &mut *guarded;
         let pre_state = if self.mode == TxnMode::Speculative {
             // Only sequences need the no-third-party rule (see
@@ -810,8 +871,8 @@ impl Transaction {
             changed: tracked.version() != version,
             entry: LogEntry {
                 txn: self.id,
-                op: op.to_string(),
-                args: args.to_vec(),
+                op: op_name,
+                args: op_args,
                 result: result.clone(),
                 pre_state,
             },
@@ -846,7 +907,7 @@ impl Transaction {
         let ticket = shared.commit_seq.fetch_add(1, Ordering::Relaxed) + 1;
         if self.logged > 0 {
             // The guard is a temporary: the slot is freed after the unlock.
-            let _slot = shared.guarded.lock().inflight.remove(&self.id);
+            let _slot = shared.lock().inflight.remove(&self.id);
             self.logged = 0;
         }
         if self.mode == TxnMode::Degraded {
@@ -880,7 +941,7 @@ impl Transaction {
         // lock acquisition: otherwise a concurrent admission could evaluate
         // against a state that still contains an effect whose log entry has
         // already vanished.
-        let mut guarded = shared.guarded.lock();
+        let mut guarded = shared.lock();
         let Guarded { tracked, inflight } = &mut *guarded;
         let slot = inflight.remove(&self.id).unwrap_or_default();
         let injected = shared
@@ -1162,6 +1223,20 @@ mod tests {
         assert_eq!(rt.stats().commits, 1);
         hold.store(false, Ordering::Relaxed);
         blocker.join().unwrap();
+    }
+
+    #[test]
+    fn live_transactions_count_begun_and_unfinished() {
+        // The count decides whether a contended lock acquisition spins.
+        let rt = set_runtime();
+        let t1 = rt.begin();
+        let mut t2 = rt.begin();
+        t2.execute("add", &[Value::elem(1)]).unwrap();
+        assert_eq!(rt.shared.live_transactions(), 2);
+        t1.abort();
+        assert_eq!(rt.shared.live_transactions(), 1);
+        t2.commit();
+        assert_eq!(rt.shared.live_transactions(), 0);
     }
 
     #[test]
