@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use semcommute_logic::Value;
 use semcommute_runtime::{
     AnyStructure, CoarseLockRuntime, CommutativityGatekeeper, InverseRollback, LogEntry,
-    OperationLog, SnapshotRollback, SpeculativeRuntime,
+    SnapshotRollback, SpeculativeRuntime,
 };
 use semcommute_spec::InterfaceId;
 
@@ -160,13 +160,14 @@ fn bench_rollback(c: &mut Criterion) {
 
 fn bench_gatekeeper_check(c: &mut Criterion) {
     let gatekeeper = CommutativityGatekeeper::new(InterfaceId::Set);
-    let mut log = OperationLog::new();
+    let add = gatekeeper.op_index("add").unwrap();
+    let mut log: Vec<LogEntry> = Vec::new();
     let mut structure = AnyStructure::by_name("HashSet").unwrap();
     for i in 1..=32u32 {
         let result = structure.apply("add", &[Value::elem(i)]).unwrap();
         // `add`-first between conditions test `r1`, never `s1`, so no
         // pre-state projection is required for these entries.
-        log.record(LogEntry {
+        log.push(LogEntry {
             txn: u64::from(i % 4),
             op: "add".into(),
             args: vec![Value::elem(i)],
@@ -174,8 +175,14 @@ fn bench_gatekeeper_check(c: &mut Criterion) {
             pre_state: None,
         });
     }
+    // The executor's per-entry work: one indexed check per logged entry of
+    // another transaction, stopping at the first refusal.
+    let incoming = [Value::elem(1000)];
     c.bench_function("gatekeeper_admit_against_32_entries", |b| {
-        b.iter(|| gatekeeper.admit(&log, 99, "add", &[Value::elem(1000)]))
+        b.iter(|| {
+            log.iter()
+                .try_for_each(|entry| gatekeeper.check_indexed(add, entry, add, "add", &incoming))
+        })
     });
 }
 

@@ -248,8 +248,10 @@ fn cores() -> u64 {
 struct LoggedOp {
     /// The operation's dense index in the gatekeeper's operation universe,
     /// resolved once when it executed, so admission against it never hashes
-    /// the operation name (see [`CommutativityGatekeeper::op_index`]).
-    op_idx: Option<u16>,
+    /// the operation name (see [`CommutativityGatekeeper::op_index`]). Only
+    /// applied operations are logged, and every operation the structure
+    /// applies has an index.
+    op_idx: u16,
     /// The structure's [`version`](TrackedStructure::version) just before
     /// the operation ran, and whether the operation changed the state.
     version: u64,
@@ -396,7 +398,7 @@ impl Shared {
         &self,
         slot: &[LoggedOp],
         op: &str,
-        op_idx: Option<u16>,
+        op_idx: u16,
         args: &[Value],
         tracked: &TrackedStructure,
         bystanders: bool,
@@ -412,13 +414,7 @@ impl Shared {
         for (i, logged) in slot.iter().enumerate().rev() {
             own_changes += u64::from(logged.changed);
             let entry = &logged.entry;
-            let (Some(first), Some(second)) = (logged.op_idx, op_idx) else {
-                self.verdict(
-                    gk.check_entry(entry, op, args)
-                        .and_then(|()| gk.check_entry_at(entry, op, args, live)),
-                )?;
-                continue;
-            };
+            let (first, second) = (logged.op_idx, op_idx);
             self.verdict(
                 gk.check_indexed(first, entry, second, op, args)
                     .and_then(|()| gk.check_indexed_at(first, entry, second, op, args, live)),
@@ -841,6 +837,21 @@ impl Transaction {
         let (op_name, op_args) = (op.to_string(), args.to_vec());
         let mut guarded = shared.lock();
         let Guarded { tracked, inflight } = &mut *guarded;
+        let Some(op_idx) = op_idx else {
+            // Not an operation of the interface: no condition covers it
+            // against another live transaction's entry, and the structure
+            // cannot apply it.
+            let logged = inflight
+                .iter()
+                .filter(|(&owner, _)| owner != self.id)
+                .find_map(|(_, slot)| slot.last());
+            return Err(match logged {
+                Some(logged) => {
+                    TxnError::Condition(format!("no condition for pair {}/{op}", logged.entry.op))
+                }
+                None => DispatchError::UnknownOperation(op.to_string()).into(),
+            });
+        };
         let pre_state = if self.mode == TxnMode::Speculative {
             // Only sequences need the no-third-party rule (see
             // `Shared::admit_against_slot`).
@@ -856,8 +867,9 @@ impl Transaction {
                 let bystanders = sequence && changers > usize::from(changed(slot));
                 shared.admit_against_slot(slot, op, op_idx, args, tracked, bystanders)?;
             }
-            op_idx
-                .is_some_and(|idx| shared.gatekeeper.requires_pre_state_indexed(idx))
+            shared
+                .gatekeeper
+                .requires_pre_state_indexed(op_idx)
                 .then(|| tracked.state_value().clone())
         } else {
             debug_assert!(inflight.keys().all(|&owner| owner == self.id));
@@ -1120,35 +1132,57 @@ mod tests {
 
     #[test]
     fn unknown_operation_pairs_fail_fast_without_retries() {
-        let rt = set_runtime();
-        let mut t1 = rt.begin();
-        t1.execute("add", &[Value::elem(1)]).unwrap();
-        // With t1's `add` outstanding, an operation the catalog has no
-        // condition for must surface as a non-retryable `Condition` error —
-        // not spin the full retry budget and report `RetriesExhausted`.
-        let mut attempts = 0u32;
-        let err = rt
-            .run(1_000, |txn| {
-                attempts += 1;
-                txn.execute("frobnicate", &[Value::elem(1)]).map(|_| ())
-            })
-            .unwrap_err();
-        match err {
-            TxnError::Condition(msg) => {
-                assert!(
-                    msg.contains("no condition for pair add/frobnicate"),
-                    "{msg}"
-                );
+        for backend in [AdmitBackend::Bytecode, AdmitBackend::Interp] {
+            let rt = SpeculativeRuntime::with_backend(
+                AnyStructure::by_name("HashSet").unwrap(),
+                backend,
+            );
+            let mut t1 = rt.begin();
+            t1.execute("add", &[Value::elem(1)]).unwrap();
+            // With t1's `add` outstanding, an operation the catalog has no
+            // condition for must surface as a non-retryable `Condition`
+            // error — not spin the full retry budget and report
+            // `RetriesExhausted`.
+            let mut attempts = 0u32;
+            let err = rt
+                .run(1_000, |txn| {
+                    attempts += 1;
+                    txn.execute("frobnicate", &[Value::elem(1)]).map(|_| ())
+                })
+                .unwrap_err();
+            match err {
+                TxnError::Condition(msg) => {
+                    assert!(
+                        msg.contains("no condition for pair add/frobnicate"),
+                        "{backend:?}: {msg}"
+                    );
+                }
+                other => panic!("{backend:?}: expected a condition error, got {other:?}"),
             }
-            other => panic!("expected a condition error, got {other:?}"),
+            assert_eq!(attempts, 1, "condition errors must not be retried");
+            t1.commit();
+            // The structure is untouched by the failed attempt.
+            assert_eq!(
+                rt.snapshot(),
+                AbstractState::Set([ElemId(1)].into_iter().collect())
+            );
+
+            // With no other live transaction there is no pair to check: the
+            // structure rejects the operation, which logs nothing.
+            let mut t = rt.begin();
+            match t.execute("frobnicate", &[Value::elem(2)]) {
+                Err(TxnError::Dispatch(msg)) => {
+                    assert!(msg.contains("unknown operation"), "{backend:?}: {msg}");
+                }
+                other => panic!("{backend:?}: expected a dispatch error, got {other:?}"),
+            }
+            assert_eq!(rt.pending_operations(), 0, "{backend:?}");
+            t.commit();
+            assert_eq!(
+                rt.snapshot(),
+                AbstractState::Set([ElemId(1)].into_iter().collect())
+            );
         }
-        assert_eq!(attempts, 1, "condition errors must not be retried");
-        t1.commit();
-        // The structure is untouched by the failed attempt.
-        assert_eq!(
-            rt.snapshot(),
-            AbstractState::Set([ElemId(1)].into_iter().collect())
-        );
     }
 
     #[test]

@@ -28,28 +28,38 @@
 //! The `SEMCOMMUTE_ADMIT` environment variable (`bytecode` | `interp`)
 //! selects the process-wide default backend.
 //!
-//! # Two anchors per state-reading condition
+//! # Three anchors per state-reading condition
 //!
-//! A between condition whose formula reads the abstract state `s1` is
-//! evaluated at **two** anchors:
+//! The executor's `Shared::admit_against_slot` admits an incoming operation
+//! against each logged operation of another live transaction. A between
+//! condition whose formula reads the abstract state `s1` is evaluated there
+//! at up to **three** anchors:
 //!
-//! * against the logged entry's **captured pre-state**
-//!   ([`check_entry`](CommutativityGatekeeper::check_entry) /
-//!   [`check_indexed`](CommutativityGatekeeper::check_indexed)) — the exact
+//! * the logged entry's **captured pre-state**
+//!   ([`check_indexed`](CommutativityGatekeeper::check_indexed)) — the exact
 //!   certificate for swapping the pair adjacent at the state the logged
-//!   operation executed in; and
-//! * against the **live state** under the structure lock
-//!   ([`check_entry_at`](CommutativityGatekeeper::check_entry_at) /
-//!   [`check_indexed_at`](CommutativityGatekeeper::check_indexed_at)) — the
+//!   operation executed in;
+//! * the **live state** under the structure lock
+//!   ([`check_indexed_at`](CommutativityGatekeeper::check_indexed_at)) — the
 //!   re-anchor that makes per-pair certificates compose once other admitted
-//!   operations separate the pair (see the method docs for the failure this
-//!   closes).
+//!   operations separate the pair; and
+//! * the **undo anchor**, the live state with the logged operation and
+//!   its transaction's newer operations undone by their inverses
+//!   (`check_indexed_at` again), which certifies the serialization that
+//!   puts the logged transaction last.
 //!
+//! Over sequences the executor also refuses a state-reading pair while a
+//! third live transaction has changed the state (the no-third-party rule).
 //! State-free conditions (the majority — they test `r1` and arguments) have
 //! a single anchor; their re-anchored evaluation is skipped as a no-op.
+//!
+//! # One pair table
+//!
+//! Operations are keyed by their dense index in the interface's operation
+//! list ([`op_index`](CommutativityGatekeeper::op_index)); every pair lookup,
+//! by name or by index, reads one flattened (first × second) table.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -59,7 +69,7 @@ use semcommute_logic::{eval_bool, free_vars, Model, Value};
 use semcommute_prover::Program;
 use semcommute_spec::InterfaceId;
 
-use crate::log::{LogEntry, OperationLog};
+use crate::log::LogEntry;
 
 /// A detected conflict: the incoming operation does not semantically commute
 /// with an operation another in-flight transaction has already executed.
@@ -224,7 +234,7 @@ impl AdmissionProgram {
     /// arguments, through the thread-local register buffers. When `state` is
     /// provided it overrides the logged entry's captured pre-state as the
     /// `s1` binding (the re-anchored evaluation — see
-    /// [`CommutativityGatekeeper::check_entry_at`]). Errors are raw (the
+    /// [`CommutativityGatekeeper::check_indexed_at`]). Errors are raw (the
     /// caller prefixes the condition id, as the interpreter path does).
     fn eval(
         &self,
@@ -313,25 +323,21 @@ impl Prepared {
 pub struct CommutativityGatekeeper {
     interface: InterfaceId,
     backend: AdmitBackend,
-    /// Prepared between conditions for recorded variants, keyed by first
-    /// operation, then second operation (two `&str` lookups, no allocation
-    /// on the admission path).
-    conditions: HashMap<String, HashMap<String, Prepared>>,
     /// Per operation of `ops`, the memoized pre-state projection: does any
     /// condition with this operation first read `s1` under the active
     /// backend? Shared across clones, filled on the first
     /// [`requires_pre_state_indexed`](CommutativityGatekeeper::requires_pre_state_indexed)
     /// query for the operation.
     pre_state: Arc<[OnceLock<bool>]>,
-    /// The dense operation universe for index-based admission: the
-    /// interface's operation names in specification order.
-    /// [`op_index`](CommutativityGatekeeper::op_index) resolves a name once,
-    /// when the operation executes, and the log entry keeps the index; after
-    /// that the hot path never hashes a string.
+    /// The dense operation universe: the interface's operation names in
+    /// specification order. [`op_index`](CommutativityGatekeeper::op_index)
+    /// resolves a name once, when the operation executes, and the log entry
+    /// keeps the index; after that the hot path never hashes a string.
     ops: Vec<String>,
-    /// The flattened (first × second) pair table, indexed
-    /// `first * ops.len() + second`. Entries share the same lazily-compiled
-    /// [`AdmissionProgram`]s as `conditions` (same `Arc`).
+    /// The prepared between conditions for recorded variants, as the
+    /// flattened (first × second) pair table indexed
+    /// `first * ops.len() + second`; `None` where the catalog holds no
+    /// condition for the pair.
     table: Vec<Option<Prepared>>,
 }
 
@@ -345,7 +351,16 @@ impl CommutativityGatekeeper {
     /// Builds the gatekeeper with an explicit admission backend.
     pub fn with_backend(interface: InterfaceId, backend: AdmitBackend) -> CommutativityGatekeeper {
         let iface = semcommute_spec::interface_by_id(interface);
-        let mut conditions: HashMap<String, HashMap<String, Prepared>> = HashMap::new();
+        let ops: Vec<String> = iface.ops.iter().map(|op| op.name.clone()).collect();
+        let index = |op: &str| ops.iter().position(|name| name == op);
+        let params = |op: usize, which: usize| -> Vec<String> {
+            iface.ops[op]
+                .params
+                .iter()
+                .map(|(formal, _)| names::arg(formal, which))
+                .collect()
+        };
+        let mut table: Vec<Option<Prepared>> = vec![None; ops.len() * ops.len()];
         for condition in interface_catalog(interface) {
             if condition.kind != ConditionKind::Between
                 || !condition.first.recorded
@@ -353,43 +368,22 @@ impl CommutativityGatekeeper {
             {
                 continue;
             }
-            let params = |op: &str, which: usize| -> Vec<String> {
-                iface.op(op).map_or_else(Vec::new, |spec| {
-                    spec.params
-                        .iter()
-                        .map(|(formal, _)| names::arg(formal, which))
-                        .collect()
-                })
+            let (Some(first), Some(second)) =
+                (index(&condition.first.op), index(&condition.second.op))
+            else {
+                continue;
             };
-            let needs_initial = free_vars(&condition.formula).contains_key(names::INITIAL);
-            let prepared = Prepared {
-                first_params: params(&condition.first.op, 1),
-                second_params: params(&condition.second.op, 2),
-                needs_initial,
+            table[first * ops.len() + second] = Some(Prepared {
+                first_params: params(first, 1),
+                second_params: params(second, 2),
+                needs_initial: free_vars(&condition.formula).contains_key(names::INITIAL),
                 program: Arc::new(OnceLock::new()),
                 condition,
-            };
-            conditions
-                .entry(prepared.condition.first.op.clone())
-                .or_default()
-                .insert(prepared.condition.second.op.clone(), prepared);
+            });
         }
-        let ops: Vec<String> = iface.ops.iter().map(|op| op.name.clone()).collect();
-        let table: Vec<Option<Prepared>> = ops
-            .iter()
-            .flat_map(|first| {
-                ops.iter().map(|second| {
-                    conditions
-                        .get(first)
-                        .and_then(|seconds| seconds.get(second))
-                        .cloned()
-                })
-            })
-            .collect();
         CommutativityGatekeeper {
             interface,
             backend,
-            conditions,
             pre_state: ops.iter().map(|_| OnceLock::new()).collect(),
             ops,
             table,
@@ -406,25 +400,33 @@ impl CommutativityGatekeeper {
         self.backend
     }
 
+    /// The table cell of an ordered pair of operation indices.
+    fn cell(&self, first: u16, second: u16) -> Option<&Prepared> {
+        self.table[first as usize * self.ops.len() + second as usize].as_ref()
+    }
+
+    /// The prepared condition of an ordered pair of operation names.
+    fn prepared(&self, first_op: &str, second_op: &str) -> Option<&Prepared> {
+        self.cell(self.op_index(first_op)?, self.op_index(second_op)?)
+    }
+
     /// The between condition for an ordered operation pair.
     pub fn condition(&self, first_op: &str, second_op: &str) -> Option<&CommutativityCondition> {
-        self.conditions
-            .get(first_op)
-            .and_then(|seconds| seconds.get(second_op))
-            .map(|p| &p.condition)
+        self.prepared(first_op, second_op).map(|p| &p.condition)
     }
 
     /// Every ordered (first, second) operation pair this gatekeeper holds a
-    /// between condition for, in unspecified order. Differential harnesses
-    /// iterate this to cover the whole catalog.
+    /// between condition for, sorted by name. Differential harnesses iterate
+    /// this to cover the whole catalog.
     pub fn pairs(&self) -> Vec<(String, String)> {
         let mut pairs: Vec<(String, String)> = self
-            .conditions
+            .table
             .iter()
-            .flat_map(|(first, seconds)| {
-                seconds
-                    .keys()
-                    .map(move |second| (first.clone(), second.clone()))
+            .enumerate()
+            .filter(|(_, cell)| cell.is_some())
+            .map(|(i, _)| {
+                let n = self.ops.len();
+                (self.ops[i / n].clone(), self.ops[i % n].clone())
             })
             .collect();
         pairs.sort();
@@ -441,9 +443,7 @@ impl CommutativityGatekeeper {
         first_op: &str,
         second_op: &str,
     ) -> Option<(bool, bool)> {
-        self.conditions
-            .get(first_op)
-            .and_then(|seconds| seconds.get(second_op))
+        self.prepared(first_op, second_op)
             .map(|p| (p.needs_initial, p.program().reads_initial))
     }
 
@@ -471,26 +471,6 @@ impl CommutativityGatekeeper {
             let row = &self.table[first * self.ops.len()..(first + 1) * self.ops.len()];
             row.iter().flatten().any(|p| self.reads_state(p))
         })
-    }
-
-    /// Does the incoming operation commute with one logged operation?
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the pair is unknown or the condition cannot be
-    /// evaluated from the logged information.
-    pub fn commutes_with(
-        &self,
-        logged: &LogEntry,
-        incoming_op: &str,
-        incoming_args: &[Value],
-    ) -> Result<bool, String> {
-        let prepared = self
-            .conditions
-            .get(logged.op.as_str())
-            .and_then(|seconds| seconds.get(incoming_op))
-            .ok_or_else(|| format!("no condition for pair {}/{incoming_op}", logged.op))?;
-        self.eval_prepared(prepared, logged, incoming_args, None)
     }
 
     /// Evaluates one prepared condition under this gatekeeper's backend.
@@ -549,15 +529,20 @@ impl CommutativityGatekeeper {
             .map(|i| i as u16)
     }
 
-    /// [`check_entry`](CommutativityGatekeeper::check_entry) with both
-    /// operations pre-resolved via
-    /// [`op_index`](CommutativityGatekeeper::op_index) — the no-string-lookup
-    /// hot path. Behaves identically to `check_entry` for known operations
-    /// (indices must come from this gatekeeper's `op_index`).
+    /// Checks an incoming operation against one logged entry of another
+    /// transaction, anchored at the entry's captured pre-state, and
+    /// classifies the outcome as admissible, [`Conflict`], or an evaluation
+    /// failure. Both operations are pre-resolved via
+    /// [`op_index`](CommutativityGatekeeper::op_index) (`first` is the
+    /// logged operation, `second` the incoming one).
     ///
     /// # Errors
     ///
-    /// See [`admit`](CommutativityGatekeeper::admit).
+    /// Returns the [`Conflict`] if the condition is false, or
+    /// [`AdmissionError::Evaluation`] if the pair has no condition or the
+    /// condition could not be evaluated from the logged information — the
+    /// latter is **not** a conflict and must not be retried (see
+    /// [`AdmissionError`]).
     pub fn check_indexed(
         &self,
         first: u16,
@@ -566,13 +551,10 @@ impl CommutativityGatekeeper {
         incoming_op: &str,
         incoming_args: &[Value],
     ) -> Result<(), AdmissionError> {
-        match &self.table[first as usize * self.ops.len() + second as usize] {
-            Some(prepared) => self.classify(prepared, logged, incoming_op, incoming_args, None),
-            None => Err(AdmissionError::Evaluation(format!(
-                "no condition for pair {}/{incoming_op}",
-                logged.op
-            ))),
-        }
+        let prepared = self
+            .cell(first, second)
+            .ok_or_else(|| no_condition(logged, incoming_op))?;
+        self.classify(prepared, logged, incoming_op, incoming_args, None)
     }
 
     /// The **re-anchored** form of
@@ -597,7 +579,7 @@ impl CommutativityGatekeeper {
     ///
     /// # Errors
     ///
-    /// See [`admit`](CommutativityGatekeeper::admit).
+    /// See [`check_indexed`](CommutativityGatekeeper::check_indexed).
     pub fn check_indexed_at(
         &self,
         first: u16,
@@ -607,18 +589,13 @@ impl CommutativityGatekeeper {
         incoming_args: &[Value],
         state: &Value,
     ) -> Result<(), AdmissionError> {
-        match &self.table[first as usize * self.ops.len() + second as usize] {
-            Some(prepared) => {
-                if !self.reads_state(prepared) {
-                    return Ok(());
-                }
-                self.classify(prepared, logged, incoming_op, incoming_args, Some(state))
-            }
-            None => Err(AdmissionError::Evaluation(format!(
-                "no condition for pair {}/{incoming_op}",
-                logged.op
-            ))),
+        let prepared = self
+            .cell(first, second)
+            .ok_or_else(|| no_condition(logged, incoming_op))?;
+        if !self.reads_state(prepared) {
+            return Ok(());
         }
+        self.classify(prepared, logged, incoming_op, incoming_args, Some(state))
     }
 
     /// Does the condition of the pair (`first` logged, `second` incoming)
@@ -626,8 +603,7 @@ impl CommutativityGatekeeper {
     /// unknown pair. Indices come from
     /// [`op_index`](CommutativityGatekeeper::op_index).
     pub fn pair_reads_state_indexed(&self, first: u16, second: u16) -> bool {
-        self.table[first as usize * self.ops.len() + second as usize]
-            .as_ref()
+        self.cell(first, second)
             .is_some_and(|prepared| self.reads_state(prepared))
     }
 
@@ -661,86 +637,11 @@ impl CommutativityGatekeeper {
             Err(e) => Err(AdmissionError::Evaluation(e)),
         }
     }
+}
 
-    /// Checks an incoming operation of transaction `txn` against every logged
-    /// operation of *other* transactions.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`Conflict`] found, or
-    /// [`AdmissionError::Evaluation`] if a condition could not be evaluated —
-    /// the latter is **not** a conflict and must not be retried (see
-    /// [`AdmissionError`]).
-    pub fn admit(
-        &self,
-        log: &OperationLog,
-        txn: u64,
-        incoming_op: &str,
-        incoming_args: &[Value],
-    ) -> Result<(), AdmissionError> {
-        for logged in log.entries_of_others(txn) {
-            self.check_entry(logged, incoming_op, incoming_args)?;
-        }
-        Ok(())
-    }
-
-    /// Checks an incoming operation against one logged entry of another
-    /// transaction, classifying the outcome as admissible, [`Conflict`], or
-    /// an evaluation failure.
-    ///
-    /// # Errors
-    ///
-    /// See [`admit`](CommutativityGatekeeper::admit).
-    pub fn check_entry(
-        &self,
-        logged: &LogEntry,
-        incoming_op: &str,
-        incoming_args: &[Value],
-    ) -> Result<(), AdmissionError> {
-        match self.lookup(logged, incoming_op) {
-            Ok(prepared) => self.classify(prepared, logged, incoming_op, incoming_args, None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The re-anchored form of
-    /// [`check_entry`](CommutativityGatekeeper::check_entry) — see
-    /// [`check_indexed_at`](CommutativityGatekeeper::check_indexed_at).
-    ///
-    /// # Errors
-    ///
-    /// See [`admit`](CommutativityGatekeeper::admit).
-    pub fn check_entry_at(
-        &self,
-        logged: &LogEntry,
-        incoming_op: &str,
-        incoming_args: &[Value],
-        state: &Value,
-    ) -> Result<(), AdmissionError> {
-        match self.lookup(logged, incoming_op) {
-            Ok(prepared) => {
-                if !self.reads_state(prepared) {
-                    return Ok(());
-                }
-                self.classify(prepared, logged, incoming_op, incoming_args, Some(state))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Resolves the prepared condition for a (logged, incoming) pair by
-    /// operation name.
-    fn lookup(&self, logged: &LogEntry, incoming_op: &str) -> Result<&Prepared, AdmissionError> {
-        self.conditions
-            .get(logged.op.as_str())
-            .and_then(|seconds| seconds.get(incoming_op))
-            .ok_or_else(|| {
-                AdmissionError::Evaluation(format!(
-                    "no condition for pair {}/{incoming_op}",
-                    logged.op
-                ))
-            })
-    }
+/// The catalog holds no condition for the (logged, incoming) pair.
+fn no_condition(logged: &LogEntry, incoming_op: &str) -> AdmissionError {
+    AdmissionError::Evaluation(format!("no condition for pair {}/{incoming_op}", logged.op))
 }
 
 /// The entry carries no pre-state but the condition reads `s1` — the same
@@ -773,6 +674,45 @@ mod tests {
                     .to_value(),
             ),
         }
+    }
+
+    /// [`CommutativityGatekeeper::check_indexed`] by operation name.
+    fn check(
+        g: &CommutativityGatekeeper,
+        logged: &LogEntry,
+        op: &str,
+        args: &[Value],
+    ) -> Result<(), AdmissionError> {
+        let first = g.op_index(&logged.op).expect("interface operation");
+        let second = g.op_index(op).expect("interface operation");
+        g.check_indexed(first, logged, second, op, args)
+    }
+
+    /// Admits `op` of transaction `txn` against every entry of another
+    /// transaction in `log`, in order — the executor's pre-state anchor.
+    fn admit(
+        g: &CommutativityGatekeeper,
+        log: &[LogEntry],
+        txn: u64,
+        op: &str,
+        args: &[Value],
+    ) -> Result<(), AdmissionError> {
+        log.iter()
+            .filter(|e| e.txn != txn)
+            .try_for_each(|logged| check(g, logged, op, args))
+    }
+
+    /// [`CommutativityGatekeeper::check_indexed_at`] by operation name.
+    fn check_at(
+        g: &CommutativityGatekeeper,
+        logged: &LogEntry,
+        op: &str,
+        args: &[Value],
+        state: &Value,
+    ) -> Result<(), AdmissionError> {
+        let first = g.op_index(&logged.op).expect("interface operation");
+        let second = g.op_index(op).expect("interface operation");
+        g.check_indexed_at(first, logged, second, op, args, state)
     }
 
     #[test]
@@ -816,15 +756,14 @@ mod tests {
     fn distinct_elements_commute_same_element_conflicts() {
         for backend in BACKENDS {
             let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-            let mut log = OperationLog::new();
             // Transaction 1 added element 5, which was new (result = true).
-            log.record(set_entry(1, "add", 5, true, &[]));
+            let log = [set_entry(1, "add", 5, true, &[])];
 
             // Transaction 2 adding a different element commutes.
-            assert!(g.admit(&log, 2, "add", &[Value::elem(7)]).is_ok());
+            assert!(admit(&g, &log, 2, "add", &[Value::elem(7)]).is_ok());
             // Transaction 2 removing the element transaction 1 just added
             // does not commute.
-            let conflict = match g.admit(&log, 2, "remove", &[Value::elem(5)]) {
+            let conflict = match admit(&g, &log, 2, "remove", &[Value::elem(5)]) {
                 Err(AdmissionError::Conflict(c)) => c,
                 other => panic!("expected a conflict, got {other:?}"),
             };
@@ -832,7 +771,7 @@ mod tests {
             assert_eq!(conflict.logged_op, "add");
             assert!(conflict.to_string().contains("does not commute"));
             // The same transaction is never in conflict with itself.
-            assert!(g.admit(&log, 1, "remove", &[Value::elem(5)]).is_ok());
+            assert!(admit(&g, &log, 1, "remove", &[Value::elem(5)]).is_ok());
         }
     }
 
@@ -840,14 +779,13 @@ mod tests {
     fn contains_conflicts_only_when_observation_would_change() {
         for backend in BACKENDS {
             let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-            let mut log = OperationLog::new();
             // Transaction 1 observed that 3 was present (result = true, and 3
             // was in the pre-state).
-            log.record(set_entry(1, "contains", 3, true, &[3]));
+            let log = [set_entry(1, "contains", 3, true, &[3])];
             // Adding 3 again commutes (it was already present).
-            assert!(g.admit(&log, 2, "add", &[Value::elem(3)]).is_ok());
+            assert!(admit(&g, &log, 2, "add", &[Value::elem(3)]).is_ok());
             // Removing 3 would invalidate the observation.
-            assert!(g.admit(&log, 2, "remove", &[Value::elem(3)]).is_err());
+            assert!(admit(&g, &log, 2, "remove", &[Value::elem(3)]).is_err());
         }
     }
 
@@ -855,48 +793,90 @@ mod tests {
     fn map_gatekeeper_uses_key_based_conditions() {
         for backend in BACKENDS {
             let g = CommutativityGatekeeper::with_backend(InterfaceId::Map, backend);
-            let mut log = OperationLog::new();
-            log.record(LogEntry {
+            let log = [LogEntry {
                 txn: 1,
                 op: "put".into(),
                 args: vec![Value::elem(1), Value::elem(10)],
                 result: Some(Value::null()),
                 pre_state: Some(AbstractState::Map(Default::default()).to_value()),
-            });
+            }];
             // A put to a different key commutes.
-            assert!(g
-                .admit(&log, 2, "put", &[Value::elem(2), Value::elem(20)])
-                .is_ok());
+            assert!(admit(&g, &log, 2, "put", &[Value::elem(2), Value::elem(20)]).is_ok());
             // A get of the same key does not.
             assert!(matches!(
-                g.admit(&log, 2, "get", &[Value::elem(1)]),
+                admit(&g, &log, 2, "get", &[Value::elem(1)]),
                 Err(AdmissionError::Conflict(_))
             ));
         }
     }
 
+    /// The one pair table drops no condition: per interface, exactly one
+    /// pair per recorded between condition of the catalog, each holding
+    /// that condition, and every specification operation has an index (the
+    /// executor logs only applied operations and keeps their index without
+    /// an `Option`).
     #[test]
-    fn unknown_pairs_are_evaluation_errors_not_conflicts() {
+    fn the_pair_table_holds_every_recorded_between_condition() {
+        for interface in InterfaceId::ALL {
+            let g = CommutativityGatekeeper::new(interface);
+            let iface = semcommute_spec::interface_by_id(interface);
+            for (i, op) in iface.ops.iter().enumerate() {
+                assert_eq!(
+                    g.op_index(&op.name),
+                    Some(i as u16),
+                    "{interface}/{}",
+                    op.name
+                );
+            }
+            let mut recorded: Vec<(String, String)> = interface_catalog(interface)
+                .into_iter()
+                .filter(|c| {
+                    c.kind == ConditionKind::Between && c.first.recorded && c.second.recorded
+                })
+                .map(|c| {
+                    let held = g.condition(&c.first.op, &c.second.op);
+                    assert_eq!(held, Some(&c), "{interface}: {}", c.id());
+                    (c.first.op, c.second.op)
+                })
+                .collect();
+            recorded.sort();
+            assert!(!recorded.is_empty(), "{interface}");
+            assert_eq!(g.pairs(), recorded, "{interface}");
+        }
+    }
+
+    /// An operation the interface does not know has no index, so no
+    /// admission can reach the pair table with it (the executor reports it;
+    /// see `executor::tests::unknown_operation_pairs_fail_fast_without_retries`).
+    /// A known pair without a catalog condition is an evaluation error, not
+    /// a conflict.
+    #[test]
+    fn unknown_operations_have_no_index_and_missing_pairs_are_evaluation_errors() {
         for backend in BACKENDS {
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-            let mut log = OperationLog::new();
-            log.record(set_entry(1, "add", 5, true, &[]));
-            // An operation the catalog knows nothing about must fail loudly,
-            // not read as "does not commute".
-            let err = g
-                .admit(&log, 2, "frobnicate", &[Value::elem(5)])
-                .unwrap_err();
-            match err {
-                AdmissionError::Evaluation(msg) => {
-                    assert!(
-                        msg.contains("no condition for pair add/frobnicate"),
-                        "{msg}"
-                    );
-                }
-                AdmissionError::Conflict(_) => {
-                    panic!("evaluation failure misreported as conflict")
+            let mut g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
+            assert_eq!(g.op_index("frobnicate"), None);
+            assert!(!g.requires_pre_state("frobnicate"));
+            assert!(g.condition("add", "frobnicate").is_none());
+            assert!(g.pair_pre_state_projection("frobnicate", "add").is_none());
+            // Drop one pair from the table: the indexed check must fail
+            // loudly, not read as "does not commute".
+            let (first, second) = (g.op_index("add").unwrap(), g.op_index("remove").unwrap());
+            g.table[first as usize * g.ops.len() + second as usize] = None;
+            let logged = set_entry(1, "add", 5, true, &[]);
+            let args = [Value::elem(5)];
+            let state = AbstractState::Set(Default::default()).to_value();
+            for err in [
+                g.check_indexed(first, &logged, second, "remove", &args),
+                g.check_indexed_at(first, &logged, second, "remove", &args, &state),
+            ] {
+                match err {
+                    Err(AdmissionError::Evaluation(msg)) => {
+                        assert!(msg.contains("no condition for pair add/remove"), "{msg}");
+                    }
+                    other => panic!("expected an evaluation error, got {other:?}"),
                 }
             }
+            assert!(!g.pair_reads_state_indexed(first, second));
         }
     }
 
@@ -922,30 +902,17 @@ mod tests {
             };
             let incoming = [Value::Int(0)];
             // Against the capture: s1[3] = s1[4], one shift is harmless.
-            assert!(g.check_entry(&logged, "removeAt", &incoming).is_ok());
+            assert!(check(&g, &logged, "removeAt", &incoming).is_ok());
             // Re-anchored at a live state that still has the duplicate run:
             // also fine.
-            assert!(g
-                .check_entry_at(
-                    &logged,
-                    "removeAt",
-                    &incoming,
-                    &list_state(&[1, 1, 1, 1, 1, 10])
-                )
-                .is_ok());
+            let shifted_once = list_state(&[1, 1, 1, 1, 1, 10]);
+            assert!(check_at(&g, &logged, "removeAt", &incoming, &shifted_once).is_ok());
             // Re-anchored at a live state where one more shift moves the 10
             // into the observed slot: conflict — even though the pre-state
             // check (above) still passes.
             let live = list_state(&[1, 1, 1, 1, 10]);
             assert!(matches!(
-                g.check_entry_at(&logged, "removeAt", &incoming, &live),
-                Err(AdmissionError::Conflict(_))
-            ),);
-            // The indexed hot path agrees.
-            let first = g.op_index("get").unwrap();
-            let second = g.op_index("removeAt").unwrap();
-            assert!(matches!(
-                g.check_indexed_at(first, &logged, second, "removeAt", &incoming, &live),
+                check_at(&g, &logged, "removeAt", &incoming, &live),
                 Err(AdmissionError::Conflict(_))
             ));
         }
@@ -962,19 +929,12 @@ mod tests {
             // the element a live transaction just inserted conflicts…
             let logged = set_entry(1, "add", 5, true, &[]);
             assert!(matches!(
-                g.check_entry(&logged, "remove", &[Value::elem(5)]),
+                check(&g, &logged, "remove", &[Value::elem(5)]),
                 Err(AdmissionError::Conflict(_))
             ));
             // …but the *re-anchor* admits vacuously, whatever the state.
             let state = AbstractState::Set(Default::default()).to_value();
-            assert!(g
-                .check_entry_at(&logged, "remove", &[Value::elem(5)], &state)
-                .is_ok());
-            let first = g.op_index("add").unwrap();
-            let second = g.op_index("remove").unwrap();
-            assert!(g
-                .check_indexed_at(first, &logged, second, "remove", &[Value::elem(5)], &state)
-                .is_ok());
+            assert!(check_at(&g, &logged, "remove", &[Value::elem(5)], &state).is_ok());
         }
     }
 
@@ -1018,8 +978,7 @@ mod tests {
                     if !needs_s1 {
                         continue;
                     }
-                    let mut log = OperationLog::new();
-                    log.record(LogEntry {
+                    let logged = LogEntry {
                         txn: 1,
                         op: first.clone(),
                         args: args_of(&first),
@@ -1028,8 +987,8 @@ mod tests {
                             .and_then(|s| s.result_sort)
                             .map(default_value),
                         pre_state: None, // the condition reads s1 — unusable.
-                    });
-                    match g.admit(&log, 2, &second, &args_of(&second)) {
+                    };
+                    match check(&g, &logged, &second, &args_of(&second)) {
                         Err(AdmissionError::Evaluation(msg)) => {
                             assert!(
                                 msg.contains("carries no pre-state"),

@@ -58,6 +58,6 @@ pub use executor::{
 };
 pub use fault::{FaultKind, FaultPlan, FiredFault};
 pub use gatekeeper::{AdmissionError, AdmitBackend, CommutativityGatekeeper, Conflict};
-pub use log::{LogEntry, OperationLog};
+pub use log::LogEntry;
 pub use rollback::{InverseRollback, SnapshotRollback};
 pub use structure::{AnyStructure, TrackedStructure};

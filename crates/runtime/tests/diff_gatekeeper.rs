@@ -6,17 +6,19 @@
 //! [`AdmissionError::Conflict`] vs [`AdmissionError::Evaluation`]
 //! classification, which the executor's retry policy depends on. For every
 //! catalog (interface, op-pair) this harness feeds both backends randomized
-//! log entries and incoming arguments — well-formed ones, entries with the
-//! pre-state or the recorded result missing, entries with truncated argument
-//! lists, ill-sorted arguments, and unknown operations — and asserts the
-//! outcomes classify identically (conflicts additionally compare equal
+//! log entries, incoming arguments and live states — well-formed ones,
+//! entries with the pre-state or the recorded result missing, entries with
+//! truncated argument lists, and ill-sorted arguments — through the indexed
+//! checks the executor runs (`check_indexed` at the captured pre-state,
+//! `check_indexed_at` at a re-anchored state), and asserts the outcomes
+//! classify identically (conflicts additionally compare equal
 //! field-by-field; error *messages* may differ, the interpreter names
-//! variables where the compiled executor names slots).
+//! variables where the compiled executor names slots). Operations the
+//! interface does not know never reach the gatekeeper: the executor reports
+//! them (see its `unknown_operation_pairs_fail_fast_without_retries`).
 
 use semcommute_logic::{ElemId, Sort, Value};
-use semcommute_runtime::{
-    AdmissionError, AdmitBackend, CommutativityGatekeeper, LogEntry, OperationLog,
-};
+use semcommute_runtime::{AdmissionError, AdmitBackend, CommutativityGatekeeper, LogEntry};
 use semcommute_spec::InterfaceId;
 
 /// Deterministic xorshift64* generator — no external crates, reproducible
@@ -149,8 +151,15 @@ fn outcome(result: Result<(), AdmissionError>) -> Outcome {
     }
 }
 
+/// The dense index of `op`; both backends index the same operation list.
+fn index(g: &CommutativityGatekeeper, op: &str) -> u16 {
+    g.op_index(op)
+        .expect("catalog operations belong to the interface")
+}
+
 /// For every catalog pair of every interface: randomized single entries,
-/// checked through both backends, must classify identically.
+/// checked through both backends at the captured pre-state and re-anchored
+/// at a random state, must classify identically.
 #[test]
 fn compiled_and_interpreted_admission_agree_on_every_catalog_pair() {
     for interface in InterfaceId::ALL {
@@ -158,18 +167,34 @@ fn compiled_and_interpreted_admission_agree_on_every_catalog_pair() {
         let bytecode = CommutativityGatekeeper::with_backend(interface, AdmitBackend::Bytecode);
         let interp = CommutativityGatekeeper::with_backend(interface, AdmitBackend::Interp);
         assert_eq!(bytecode.pairs(), interp.pairs(), "{interface}");
-        for (first, second) in bytecode.pairs() {
-            let mut rng =
-                XorShift::new(0xfeed_face ^ (interface as u64) << 48 ^ seed_of(&first, &second));
+        for (first_op, second_op) in bytecode.pairs() {
+            let (first, second) = (index(&bytecode, &first_op), index(&bytecode, &second_op));
+            let mut rng = XorShift::new(
+                0xfeed_face ^ (interface as u64) << 48 ^ seed_of(&first_op, &second_op),
+            );
             for case in 0..200 {
-                let logged = random_entry(&mut rng, iface, 1, &first);
-                let incoming = random_args(&mut rng, iface, &second);
-                let fast = outcome(bytecode.check_entry(&logged, &second, &incoming));
-                let slow = outcome(interp.check_entry(&logged, &second, &incoming));
+                let logged = random_entry(&mut rng, iface, 1, &first_op);
+                let incoming = random_args(&mut rng, iface, &second_op);
+                let check = |g: &CommutativityGatekeeper| {
+                    outcome(g.check_indexed(first, &logged, second, &second_op, &incoming))
+                };
                 assert_eq!(
-                    fast, slow,
-                    "{interface}: {first}/{second} case {case} diverged on entry {logged:?} \
-                     with incoming args {incoming:?}"
+                    check(&bytecode),
+                    check(&interp),
+                    "{interface}: {first_op}/{second_op} case {case} diverged on entry \
+                     {logged:?} with incoming args {incoming:?}"
+                );
+                let state = random_value(&mut rng, iface.state_sort);
+                let check_at = |g: &CommutativityGatekeeper| {
+                    outcome(
+                        g.check_indexed_at(first, &logged, second, &second_op, &incoming, &state),
+                    )
+                };
+                assert_eq!(
+                    check_at(&bytecode),
+                    check_at(&interp),
+                    "{interface}: {first_op}/{second_op} case {case} diverged re-anchored at \
+                     {state:?} on entry {logged:?} with incoming args {incoming:?}"
                 );
             }
         }
@@ -185,9 +210,27 @@ fn seed_of(first: &str, second: &str) -> u64 {
     h
 }
 
-/// Multi-entry logs: `admit` scans entries in order and stops at the first
-/// non-admission, so identical per-entry classification must make the whole
-/// `admit` call agree too — checked directly here with mixed-op logs.
+/// Checks `incoming_op` of transaction `txn` against every entry of another
+/// transaction, in log order, stopping at the first non-admission — the
+/// executor's pre-state pass over the in-flight log.
+fn admit(
+    g: &CommutativityGatekeeper,
+    log: &[LogEntry],
+    txn: u64,
+    incoming_op: &str,
+    incoming: &[Value],
+) -> Result<(), AdmissionError> {
+    let second = index(g, incoming_op);
+    log.iter()
+        .filter(|entry| entry.txn != txn)
+        .try_for_each(|entry| {
+            g.check_indexed(index(g, &entry.op), entry, second, incoming_op, incoming)
+        })
+}
+
+/// Multi-entry logs: admission scans entries in order and stops at the
+/// first non-admission, so identical per-entry classification must make the
+/// whole scan agree too — checked directly here with mixed-op logs.
 #[test]
 fn admit_over_randomized_multi_entry_logs_agrees() {
     for interface in InterfaceId::ALL {
@@ -207,61 +250,23 @@ fn admit_over_randomized_multi_entry_logs_agrees() {
         };
         let mut rng = XorShift::new(0xdead_beef ^ (interface as u64) << 32);
         for case in 0..300 {
-            let mut log = OperationLog::new();
+            let mut log = Vec::new();
             for _ in 0..rng.below(6) {
                 let txn = rng.below(3) + 1;
                 let op = &firsts[rng.below(firsts.len() as u64) as usize];
-                log.record(random_entry(&mut rng, iface, txn, op));
+                log.push(random_entry(&mut rng, iface, txn, op));
             }
             let incoming_op = &seconds[rng.below(seconds.len() as u64) as usize];
             let incoming = random_args(&mut rng, iface, incoming_op);
             let txn = rng.below(4) + 1;
-            let fast = outcome(bytecode.admit(&log, txn, incoming_op, &incoming));
-            let slow = outcome(interp.admit(&log, txn, incoming_op, &incoming));
+            let fast = outcome(admit(&bytecode, &log, txn, incoming_op, &incoming));
+            let slow = outcome(admit(&interp, &log, txn, incoming_op, &incoming));
             assert_eq!(
-                fast,
-                slow,
-                "{interface} case {case}: admit of `{incoming_op}` by txn {txn} diverged \
-                 over log {:?}",
-                log.entries()
+                fast, slow,
+                "{interface} case {case}: admission of `{incoming_op}` by txn {txn} diverged \
+                 over log {log:?}"
             );
         }
-    }
-}
-
-/// The error paths must classify identically as well: operations the catalog
-/// does not know (either side of the pair) are evaluation errors, never
-/// conflicts, under both backends.
-#[test]
-fn unknown_pairs_classify_as_evaluation_errors_under_both_backends() {
-    for backend in [AdmitBackend::Bytecode, AdmitBackend::Interp] {
-        let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-        let mut log = OperationLog::new();
-        log.record(LogEntry {
-            txn: 1,
-            op: "add".into(),
-            args: vec![Value::elem(5)],
-            result: Some(Value::Bool(true)),
-            pre_state: None,
-        });
-        // Unknown incoming operation.
-        assert!(matches!(
-            g.admit(&log, 2, "frobnicate", &[Value::elem(5)]),
-            Err(AdmissionError::Evaluation(_))
-        ));
-        // Unknown logged operation.
-        let mut log = OperationLog::new();
-        log.record(LogEntry {
-            txn: 1,
-            op: "frobnicate".into(),
-            args: vec![],
-            result: None,
-            pre_state: None,
-        });
-        assert!(matches!(
-            g.admit(&log, 2, "add", &[Value::elem(5)]),
-            Err(AdmissionError::Evaluation(_))
-        ));
     }
 }
 
@@ -279,9 +284,12 @@ fn missing_pre_state_message_is_identical_across_backends() {
         result: Some(Value::Int(0)),
         pre_state: None, // size/add reads s1 — this entry is unusable.
     };
-    let msg = |g: &CommutativityGatekeeper| match g.check_entry(&entry, "add", &[Value::elem(1)]) {
-        Err(AdmissionError::Evaluation(m)) => m,
-        other => panic!("expected an evaluation error, got {other:?}"),
+    let msg = |g: &CommutativityGatekeeper| {
+        let (size, add) = (index(g, "size"), index(g, "add"));
+        match g.check_indexed(size, &entry, add, "add", &[Value::elem(1)]) {
+            Err(AdmissionError::Evaluation(m)) => m,
+            other => panic!("expected an evaluation error, got {other:?}"),
+        }
     };
     assert_eq!(msg(&bytecode), msg(&interp));
 }
