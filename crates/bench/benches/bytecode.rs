@@ -3,10 +3,10 @@
 //! block executor — on a Set-shaped and an ArrayList-shaped obligation drawn
 //! from the real catalog.
 //!
-//! The full-catalog wall numbers come from the `perf_json` binary; these
-//! benches isolate the per-candidate evaluation cost from scheduling,
-//! verdict caching, and obligation generation, so a regression in lowering
-//! or in the block executor is visible on its own.
+//! The full-catalog wall numbers come from `perfbench --workload
+//! verify_catalog`; these benches isolate the per-candidate evaluation cost
+//! from scheduling, verdict caching, and obligation generation, so a
+//! regression in lowering or in the block executor is visible on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

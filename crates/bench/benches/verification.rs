@@ -1,5 +1,6 @@
 //! Prover benchmarks: how long verifying commutativity conditions takes, per
-//! interface and per back-end (the prover-portfolio ablation from DESIGN.md).
+//! interface and per back-end (the portfolio with and without its structural
+//! prover).
 //!
 //! These complement the `table_5_8` binary: the binary reproduces the
 //! paper's table over the whole catalog; the benches measure representative

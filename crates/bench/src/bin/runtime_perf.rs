@@ -1,101 +1,61 @@
-//! Runtime workload benchmark: speculative vs coarse-lock vs the seed engine.
+//! Runtime acceptance bars: compiled vs interpreted admission, and the
+//! contention fallback.
 //!
 //! Drives mixed set transactions (adds, membership tests, removes) through
-//! three engines — the production [`SpeculativeRuntime`], the
-//! [`CoarseLockRuntime`] baseline, and the seed-faithful reference engine
-//! ([`semcommute_bench::seed_runtime`]) — at several thread counts and two
-//! key distributions:
+//! the production [`SpeculativeRuntime`] and the [`CoarseLockRuntime`]
+//! baseline under deterministic workloads, and panics unless every bar
+//! below holds. Two leg families:
 //!
-//! * `uniform`: keys drawn from a large domain, so almost all transactions
-//!   commute (the paper's motivating case: commutativity exposes
-//!   parallelism);
-//! * `skewed`: half the operations hit a handful of hot keys, forcing real
-//!   conflicts, aborts, and inverse-driven rollback.
+//! * **Admission backend.** Compiled register programs
+//!   ([`AdmitBackend::Bytecode`]) versus the `Model`-building interpreter
+//!   ([`AdmitBackend::Interp`]), each on a `uniform` workload (keys drawn
+//!   from a large domain, so almost everything commutes) and a `skewed` one
+//!   (half the operations on a handful of hot keys, forcing real
+//!   conflicts). At a single thread the log would normally be empty when
+//!   each transaction runs, so the admission legs pin a few background
+//!   transactions open for the whole measured run — their logged entries
+//!   are what every workload operation must be admitted against, which puts
+//!   admission itself — one check per live entry, under the structure
+//!   mutex — on the critical path. The pinned scripts include `contains`
+//!   probes on hot prefilled keys so the skewed workload also produces
+//!   genuine conflict verdicts, and a small prefill keeps copy-on-write
+//!   detach cost from swamping the admission cost being compared. Both
+//!   backends run the identical deterministic workload; their
+//!   commit/abort/conflict counts must be identical (the diff harnesses
+//!   prove the verdicts agree) so the wall-time ratio *is* the per-op
+//!   ratio. A `gate` microbenchmark runs the gatekeeper's check path alone
+//!   over the same log shape.
+//! * **Contention management.** The abort-rate-driven coarse-lock fallback
+//!   ([`semcommute_runtime::contention`]), measured from both sides:
+//!   * `hot` legs drive a deterministic high-contention workload — every
+//!     admission attempt is forced into conflict on a fixed ordinal period
+//!     by an attached [`FaultPlan`], so the measured contention is
+//!     identical on every host — through three engines: the adaptive
+//!     runtime (`fallback=on`, which degrades to the coarse section and
+//!     stays there), the non-adaptive runtime (`fallback=off`, which pays
+//!     the full speculate-abort-retry cost for every transaction), and the
+//!     coarse-lock baseline (the cost floor the degraded path borrows).
+//!   * fallback **parity** legs run the uniform/skewed workloads with the
+//!     fallback explicitly on and explicitly off: their abort rates sit far
+//!     below the degrade threshold, so the mode machinery must never fire
+//!     (`mode_switches == 0`) and its bookkeeping overhead must stay in the
+//!     noise (per-op parity within 10% at threads=1).
 //!
-//! The structure is pre-populated so the seed engine's per-operation
-//! abstract-state clone has a realistic structure size to pay for. The seed
-//! engine runs a reduced operation count (it is quadratic in practice) and
-//! is compared on *per-committed-operation* time.
-//!
-//! A fourth axis isolates the **admission backend** (`--admit`): compiled
-//! register programs ([`AdmitBackend::Bytecode`]) versus the `Model`-building
-//! interpreter ([`AdmitBackend::Interp`]). At a single thread the log would
-//! normally be empty when each transaction runs, so the admission legs pin a
-//! few background transactions open for the whole measured run — their logged
-//! entries are what every workload operation must be admitted against, which
-//! puts admission itself — one check per live entry, under the structure
-//! mutex — on the critical path. The pinned
-//! scripts include `contains` probes on hot prefilled keys so the skewed
-//! workload also produces genuine conflict verdicts, and a small prefill
-//! keeps copy-on-write detach cost from swamping the admission cost being
-//! compared. Both backends run the identical deterministic workload; their
-//! commit/abort/conflict counts must be identical (the diff harnesses prove
-//! the verdicts agree) so the wall-time ratio *is* the per-op ratio.
-//!
-//! A fifth axis is the **snapshot-heavy leg** (PR 9): transactions whose
-//! operations require a pre-state projection retain a clone of the tracked
-//! mirror in every logged entry, so the next mirror mutation pays the
-//! representation's detach cost. Under the old flat (eager) collections that
-//! detach re-cloned the whole collection — `O(n)` per mutation while any
-//! snapshot is live; under the tree-shaped persistent values it path-copies
-//! `O(log n)` nodes. Two leg families measure this:
-//!
-//! * `mirror_flat` / `mirror_tree`: a paired microharness driving the
-//!   identical deterministic hot-key-skew "retain a snapshot, then mutate"
-//!   loop against a bench-local reconstruction of the flat representation
-//!   (`Arc<BTreeSet>` + `make_mut`, the PR 3 mirror) and against the tree
-//!   [`PSet`]. The flat loop omits the `Value` enum wrapper and op dispatch
-//!   the real runtime pays, so its per-op time is a *lower bound* on the
-//!   flat representation's true cost — the measured ratio understates the
-//!   tree's advantage.
-//! * `snapshot_runtime`: the real end-to-end path — a [`SpeculativeRuntime`]
-//!   on a large prefilled set driving transactions whose `size` probes
-//!   require pre-state projections interleaved with hot-key mutations.
-//!
-//! A sixth axis is the **contention-management leg family** (PR 10), which
-//! measures the abort-rate-driven coarse-lock fallback
-//! ([`semcommute_runtime::contention`]) from both sides:
-//!
-//! * `hot` legs drive a deterministic high-contention workload — every
-//!   admission attempt is forced into conflict on a fixed ordinal period by
-//!   an attached [`FaultPlan`], so the measured contention is identical on
-//!   every host — through three engines: the adaptive runtime
-//!   (`fallback=on`, which degrades to the coarse section and stays there),
-//!   the non-adaptive runtime (`fallback=off`, which pays the full
-//!   speculate-abort-retry cost for every transaction), and the coarse-lock
-//!   baseline (the cost floor the degraded path borrows).
-//! * fallback **parity** legs rerun the classic uniform/skewed workloads
-//!   with the fallback explicitly on and explicitly off: their abort rates
-//!   sit far below the degrade threshold, so the mode machinery must never
-//!   fire (`mode_switches == 0`) and its bookkeeping overhead must stay in
-//!   the noise (per-op parity within 10% at threads=1).
-//!
-//! Usage: `runtime_perf [--ops N] [--prefill N] [--seed-ops N]
-//! [--admit bytecode|interp|both|off] [--snap-ops N] [--snap-prefill N]
-//! [--json PATH]`.
-//! With the defaults the speculative and coarse legs together drive several
-//! million mixed operations across the configurations. Emits the
-//! measurements as JSON
-//! (`BENCH_pr10.json` in CI) with an `acceptance` section recording the
-//! criterion, which depends on no host's core count: speculative per-op
-//! overhead at threads=1 must be ≥ 5× lower than the seed engine's — when
-//! both admission backends
-//! run, compiled admission must be at most 0.5× the interpreter's per-op
-//! time with identical counts — the tree representation must beat the
-//! flat mirror's per-op snapshot-loop cost by ≥ 2× with identical final
-//! contents — and under forced contention the adaptive runtime must land
-//! near the coarse baseline's per-op cost while the non-adaptive runtime
-//! loses to it by a wide margin. Speculative-over-coarse throughput at
-//! threads=4 is recorded in the same section but not asserted: it measures
-//! the host's cores, not the code.
+//! Usage: `runtime_perf [--ops N] [--prefill N] [--json PATH]`.
+//! Emits the measurements as JSON with an `acceptance` section recording
+//! the criterion, which depends on no host's core count: compiled admission
+//! must be at most 0.5× the interpreter's per-check time and faster
+//! end-to-end, with identical counts — and under forced contention the
+//! adaptive runtime must land near the coarse baseline's per-op cost while
+//! the non-adaptive runtime loses to it by a wide margin. Throughput and
+//! latency against the coarse baseline are measured by the `perfbench`
+//! package, not here.
 
-use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use semcommute_bench::seed_runtime::SeedRuntime;
-use semcommute_logic::{ElemId, PSet, Value};
+use semcommute_logic::Value;
 use semcommute_runtime::{
     AdmissionError, AdmitBackend, AnyStructure, CoarseLockRuntime, CommutativityGatekeeper,
     FallbackOptions, FaultPlan, LogEntry, RuntimeOptions, SpeculativeRuntime, TxnError,
@@ -175,14 +135,12 @@ impl Workload {
 struct Measurement {
     engine: &'static str,
     workload: &'static str,
-    /// Which admission backend the leg ran under: `"default"` for the classic
-    /// grid (whatever `SEMCOMMUTE_ADMIT` selects), the backend name for the
-    /// dedicated admission legs.
+    /// Which admission backend the leg ran under: `"default"` for the
+    /// contention legs (whatever `SEMCOMMUTE_ADMIT` selects), the backend
+    /// name for the dedicated admission legs.
     admit: &'static str,
-    /// Which fallback configuration the leg ran under: `"default"` for the
-    /// classic grid (whatever `SEMCOMMUTE_FALLBACK` selects), `"on"` / `"off"`
-    /// for the dedicated contention legs, `"n/a"` for non-speculative
-    /// engines.
+    /// Which fallback configuration the leg ran under: `"on"` / `"off"` for
+    /// the speculative legs, `"n/a"` for non-speculative engines.
     fallback: &'static str,
     threads: u64,
     target_ops: u64,
@@ -197,7 +155,7 @@ struct Measurement {
     /// (speculative legs only).
     mode_switches: u64,
     /// Operations held open by pinned background transactions for the whole
-    /// measured run (0 for the classic legs).
+    /// measured run (0 for the contention legs).
     pinned_ops: u64,
     wall_s: f64,
 }
@@ -269,18 +227,6 @@ fn prefilled(prefill: u64) -> AnyStructure {
         s.apply("add", &[Value::elem(k as u32 + 1)]).unwrap();
     }
     s
-}
-
-fn run_speculative(workload: Workload, threads: u64, ops: u64, prefill: u64) -> Measurement {
-    run_speculative_leg(
-        workload,
-        threads,
-        ops,
-        prefill,
-        "default",
-        RuntimeOptions::default(),
-        None,
-    )
 }
 
 /// The speculative leg with explicit [`RuntimeOptions`] — the contention
@@ -390,49 +336,6 @@ fn run_coarse(workload: Workload, threads: u64, ops: u64, prefill: u64) -> Measu
         commits,
         aborts: 0,
         conflicts: 0,
-        degraded_commits: 0,
-        mode_switches: 0,
-        pinned_ops: 0,
-        wall_s,
-    }
-}
-
-fn run_seed(workload: Workload, threads: u64, ops: u64, prefill: u64) -> Measurement {
-    let rt = SeedRuntime::new(prefilled(prefill));
-    let per_thread = ops / threads / 2;
-    let next_txn = AtomicU64::new(1);
-    let committed_ops = AtomicU64::new(0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for thread in 0..threads {
-            let rt = rt.clone();
-            let next_txn = &next_txn;
-            let committed_ops = &committed_ops;
-            scope.spawn(move || {
-                let mut rng = XorShift::new(0xfeed_beef ^ (thread << 40) ^ ops);
-                for _ in 0..per_thread {
-                    let script = workload.transaction(&mut rng, prefill);
-                    let txn = next_txn.fetch_add(1, Ordering::Relaxed);
-                    if rt.run_transaction(txn, &script, 1_000) {
-                        committed_ops.fetch_add(script.len() as u64, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    let wall_s = start.elapsed().as_secs_f64();
-    let stats = rt.stats();
-    Measurement {
-        engine: "seed",
-        workload: workload.name(),
-        admit: "default",
-        fallback: "n/a",
-        threads,
-        target_ops: per_thread * threads * 2,
-        committed_ops: committed_ops.load(Ordering::Relaxed),
-        commits: stats.commits,
-        aborts: stats.aborts,
-        conflicts: stats.aborts,
         degraded_commits: 0,
         mode_switches: 0,
         pinned_ops: 0,
@@ -634,11 +537,6 @@ fn run_gatekeeper(
     }
 }
 
-/// Number of live snapshots the mirror microharness keeps retained — shaped
-/// like a handful of open transactions whose logged entries each hold a
-/// pre-state projection.
-const MIRROR_RETAIN: usize = 64;
-
 /// How far above the coarse baseline's per-op cost the adaptive runtime may
 /// land on the forced-contention `hot` leg. The degraded section is the
 /// coarse discipline plus the costs that keep speculation resumable and
@@ -657,260 +555,31 @@ const HOT_ADAPTIVE_OVER_COARSE_MAX: f64 = 8.0;
 /// degrading, and adaptation must win by a wide margin.
 const HOT_OFF_OVER_ADAPTIVE_MIN: f64 = 3.0;
 
-/// The key distribution of the snapshot loops: hot-key skew over a domain
-/// twice the structure size (so inserts and removes both happen).
-fn snapshot_key(rng: &mut XorShift, n: u64) -> ElemId {
-    let k = if rng.below(2) == 0 {
-        rng.below(16)
-    } else {
-        rng.below(n * 2)
-    };
-    ElemId(k as u32 + 1)
-}
-
-/// Folds a set's contents into a checksum so the flat and tree mirror legs
-/// can prove they computed the same thing.
-fn set_checksum(elems: impl Iterator<Item = ElemId>) -> u64 {
-    elems.fold(0u64, |a, e| {
-        a.wrapping_mul(0x100_0000_01b3).wrapping_add(u64::from(e.0))
-    })
-}
-
-/// The flat half of the mirror microharness: the PR 3 representation — an
-/// eager collection behind `Arc` with `make_mut` copy-on-write. Retaining a
-/// snapshot is an `O(1)` handle clone, but the next mutation re-clones the
-/// *entire* collection. This loop pays no `Value` wrapper or dispatch cost,
-/// so it is a lower bound on what the real runtime paid under the flat
-/// representation.
-fn run_snapshot_mirror_flat(ops: u64, n: u64) -> (Measurement, u64) {
-    let mut primary: Arc<BTreeSet<ElemId>> = Arc::new((1..=n as u32).map(ElemId).collect());
-    let mut retained: VecDeque<Arc<BTreeSet<ElemId>>> = VecDeque::with_capacity(MIRROR_RETAIN);
-    let mut rng = XorShift::new(0x5a_a9_5a_a9 ^ ops);
-    let start = Instant::now();
-    for _ in 0..ops {
-        if retained.len() == MIRROR_RETAIN {
-            retained.pop_front();
-        }
-        // The pre-state projection the executor attaches to a logged entry.
-        retained.push_back(Arc::clone(&primary));
-        // The next mirror mutation: `make_mut` detaches from every retained
-        // snapshot by cloning the whole collection.
-        let k = snapshot_key(&mut rng, n);
-        let set = Arc::make_mut(&mut primary);
-        if !set.insert(k) {
-            set.remove(&k);
-        }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    let checksum = set_checksum(primary.iter().copied());
-    (
-        Measurement {
-            engine: "mirror_flat",
-            workload: "skewed",
-            admit: "default",
-            fallback: "n/a",
-            threads: 1,
-            target_ops: ops,
-            committed_ops: ops,
-            commits: 0,
-            aborts: 0,
-            conflicts: 0,
-            degraded_commits: 0,
-            mode_switches: 0,
-            pinned_ops: MIRROR_RETAIN as u64,
-            wall_s,
-        },
-        checksum,
-    )
-}
-
-/// The tree half of the mirror microharness: the identical deterministic
-/// loop against the tree-shaped [`PSet`], whose mutations detach from the
-/// retained snapshots by path-copying `O(log n)` nodes.
-fn run_snapshot_mirror_tree(ops: u64, n: u64) -> (Measurement, u64) {
-    let mut primary: PSet = (1..=n as u32).map(ElemId).collect();
-    let mut retained: VecDeque<PSet> = VecDeque::with_capacity(MIRROR_RETAIN);
-    let mut rng = XorShift::new(0x5a_a9_5a_a9 ^ ops);
-    let start = Instant::now();
-    for _ in 0..ops {
-        if retained.len() == MIRROR_RETAIN {
-            retained.pop_front();
-        }
-        retained.push_back(primary.clone());
-        let k = snapshot_key(&mut rng, n);
-        if !primary.insert(k) {
-            primary.remove(&k);
-        }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    let checksum = set_checksum(primary.iter().copied());
-    (
-        Measurement {
-            engine: "mirror_tree",
-            workload: "skewed",
-            admit: "default",
-            fallback: "n/a",
-            threads: 1,
-            target_ops: ops,
-            committed_ops: ops,
-            commits: 0,
-            aborts: 0,
-            conflicts: 0,
-            degraded_commits: 0,
-            mode_switches: 0,
-            pinned_ops: MIRROR_RETAIN as u64,
-            wall_s,
-        },
-        checksum,
-    )
-}
-
-/// The end-to-end snapshot-heavy leg: the production runtime on a large
-/// prefilled set, driving transactions that interleave `size` probes (whose
-/// between conditions read `s1`, so the executor attaches a pre-state
-/// projection to each) with hot-key-skew mutations. Every projection retains
-/// the tracked mirror's state value, so each following mutation pays the
-/// representation's detach cost — the cost the tentpole moved from `O(n)`
-/// to `O(log n)`.
-fn run_snapshot_runtime(ops: u64, prefill: u64) -> Measurement {
-    let rt = SpeculativeRuntime::new(prefilled(prefill));
-    let ops_per_txn = 8u64; // four (size, mutate) pairs
-    let txns = ops / ops_per_txn;
-    let mut committed_ops = 0u64;
-    let mut rng = XorShift::new(0x5a_a9_5a_a9 ^ ops);
-    let start = Instant::now();
-    for _ in 0..txns {
-        let script: Vec<(&str, Vec<Value>)> = (0..4)
-            .flat_map(|_| {
-                let k = snapshot_key(&mut rng, prefill);
-                let mutate = if rng.below(2) == 0 { "add" } else { "remove" };
-                [("size", vec![]), (mutate, vec![Value::Elem(k)])]
-            })
-            .collect();
-        let done = rt.run(1_000, |txn| {
-            for (op, args) in &script {
-                txn.execute(op, args)?;
-            }
-            Ok(())
-        });
-        match done {
-            Ok(()) => committed_ops += script.len() as u64,
-            Err(TxnError::RetriesExhausted(_)) => {}
-            Err(e) => panic!("snapshot workload failed: {e}"),
-        }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    rt.check_invariants()
-        .expect("invariants hold after the run");
-    let stats = rt.stats();
-    assert_eq!(stats.begun, stats.commits + stats.aborts);
-    Measurement {
-        engine: "snapshot_runtime",
-        workload: "skewed",
-        admit: "default",
-        fallback: "default",
-        threads: 1,
-        target_ops: txns * ops_per_txn,
-        committed_ops,
-        commits: stats.commits,
-        aborts: stats.aborts,
-        conflicts: stats.conflicts,
-        degraded_commits: stats.degraded_commits,
-        mode_switches: stats.mode_switches,
-        pinned_ops: 0,
-        wall_s,
-    }
-}
-
 fn main() {
     let mut ops: u64 = 250_000;
-    let mut seed_ops: u64 = 20_000;
     let mut prefill: u64 = 10_000;
-    let mut admit: Vec<AdmitBackend> = vec![AdmitBackend::Bytecode, AdmitBackend::Interp];
-    let mut snap_ops: Option<u64> = None;
-    let mut snap_prefill: u64 = 4_096;
     let mut json_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--ops" => ops = args.next().and_then(|v| v.parse().ok()).expect("--ops N"),
-            "--snap-ops" => {
-                snap_ops = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--snap-ops N"),
-                )
-            }
-            "--snap-prefill" => {
-                snap_prefill = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--snap-prefill N")
-            }
-            "--seed-ops" => {
-                seed_ops = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed-ops N")
-            }
             "--prefill" => {
                 prefill = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--prefill N")
             }
-            "--admit" => {
-                admit = match args.next().as_deref() {
-                    Some("bytecode") => vec![AdmitBackend::Bytecode],
-                    Some("interp") => vec![AdmitBackend::Interp],
-                    Some("both") => vec![AdmitBackend::Bytecode, AdmitBackend::Interp],
-                    Some("off") => vec![],
-                    other => panic!("--admit bytecode|interp|both|off, got {other:?}"),
-                }
-            }
             "--json" => json_path = Some(args.next().expect("--json PATH")),
             other => panic!("unknown option {other}"),
         }
     }
 
-    semcommute_bench::banner("runtime workload: speculative vs coarse-lock vs seed");
+    semcommute_bench::banner("runtime acceptance bars: admission backends and contention fallback");
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
-    println!(
-        "host parallelism: {host_threads}, ops: {ops}, prefill: {prefill}, seed ops: {seed_ops}"
-    );
+    println!("host parallelism: {host_threads}, ops: {ops}, prefill: {prefill}");
 
+    let backends = [AdmitBackend::Bytecode, AdmitBackend::Interp];
     let mut runs: Vec<Measurement> = Vec::new();
-    for workload in [Workload::Uniform, Workload::Skewed] {
-        for threads in [1, 2, 4, 8] {
-            runs.push(run_speculative(workload, threads, ops, prefill));
-            runs.push(run_coarse(workload, threads, ops, prefill));
-            let last = runs.len() - 2;
-            println!(
-                "{:8} {:12} t={:2}  spec {:>12.0} ops/s ({:>7.0} ns/op, {} aborts)   coarse {:>12.0} ops/s ({:>7.0} ns/op)",
-                workload.name(),
-                "",
-                threads,
-                runs[last].committed_ops_per_s(),
-                runs[last].per_op_ns(),
-                runs[last].aborts,
-                runs[last + 1].committed_ops_per_s(),
-                runs[last + 1].per_op_ns(),
-            );
-        }
-        // The seed engine is measured at threads=1 on a reduced op count —
-        // its per-operation state clone makes full-size runs impractical,
-        // which is the point of measuring it.
-        runs.push(run_seed(workload, 1, seed_ops, prefill));
-        let last = runs.len() - 1;
-        println!(
-            "{:8} {:12} t= 1  seed {:>13.0} ops/s ({:>7.0} ns/op) [reduced {} ops]",
-            workload.name(),
-            "",
-            runs[last].committed_ops_per_s(),
-            runs[last].per_op_ns(),
-            seed_ops,
-        );
-    }
 
     // The admission legs: same reduced op count for both backends, a small
     // prefill, pinned background transactions supplying the entries to admit
@@ -918,7 +587,7 @@ fn main() {
     let admit_ops = (ops / 5).max(1_000);
     let admit_prefill = 64;
     for workload in [Workload::Uniform, Workload::Skewed] {
-        for &backend in &admit {
+        for backend in backends {
             runs.push(run_admission(workload, backend, admit_ops, admit_prefill));
             let m = runs.last().unwrap();
             println!(
@@ -939,7 +608,7 @@ fn main() {
     // distributions, gatekeeper checks alone (see `run_gatekeeper`).
     let gate_checks = (ops * 4).max(100_000);
     for workload in [Workload::Uniform, Workload::Skewed] {
-        for &backend in &admit {
+        for backend in backends {
             runs.push(run_gatekeeper(
                 workload,
                 backend,
@@ -959,45 +628,6 @@ fn main() {
             );
         }
     }
-
-    // The snapshot-heavy legs: the flat-vs-tree mirror microharness (the
-    // identical deterministic loop under both representations), then the
-    // end-to-end runtime leg (see `run_snapshot_runtime`). The flat leg runs
-    // a reduced op count — each of its mutations re-clones the whole
-    // structure, which is the point of measuring it.
-    let snap_ops = snap_ops.unwrap_or_else(|| (ops / 5).max(10_000));
-    let flat_ops = (snap_ops / 10).max(1_000);
-    let (flat, flat_checksum) = run_snapshot_mirror_flat(flat_ops, snap_prefill);
-    let (tree, _tree_checksum) = run_snapshot_mirror_tree(snap_ops, snap_prefill);
-    let mirror_flat_per_op = flat.per_op_ns();
-    let mirror_tree_per_op = tree.per_op_ns();
-    // The two loops are deterministic and identical apart from length; rerun
-    // the tree leg at the flat leg's length for the contents check.
-    let (_, tree_at_flat_len) = run_snapshot_mirror_tree(flat_ops, snap_prefill);
-    let mirror_contents_identical = flat_checksum == tree_at_flat_len;
-    for m in [flat, tree] {
-        println!(
-            "{:8} {:12} t= 1  {:>14.0} ops/s ({:>7.0} ns/op) [n={}, {} retained]",
-            m.workload,
-            m.engine,
-            m.committed_ops_per_s(),
-            m.per_op_ns(),
-            snap_prefill,
-            m.pinned_ops,
-        );
-        runs.push(m);
-    }
-    runs.push(run_snapshot_runtime(snap_ops, snap_prefill));
-    let m = runs.last().unwrap();
-    println!(
-        "{:8} {:12} t= 1  {:>14.0} ops/s ({:>7.0} ns/op, {} commits, {} aborts)",
-        m.workload,
-        m.engine,
-        m.committed_ops_per_s(),
-        m.per_op_ns(),
-        m.commits,
-        m.aborts,
-    );
 
     // The contention legs: forced conflicts on every `hot_period`-th
     // operation ordinal make roughly two thirds of speculative admission
@@ -1060,7 +690,7 @@ fn main() {
         );
     }
 
-    // The fallback parity legs: the classic workloads with the fallback
+    // The fallback parity legs: the uniform and skewed workloads with the fallback
     // explicitly on and explicitly off. Their abort rates sit far below the
     // degrade threshold, so these legs pin the cost of *having* the
     // contention manager armed when it never fires.
@@ -1103,38 +733,7 @@ fn main() {
         }
     }
 
-    // Acceptance: the production engine at threads=1 must show ≥ 5× lower
-    // per-committed-op overhead than the seed engine, on any host.
-    // Speculative-over-coarse throughput at threads=4 is recorded only: it
-    // depends on the host's core count.
-    let per_op = |engine: &str, workload: &str, threads: u64| {
-        runs.iter()
-            .find(|m| {
-                m.engine == engine
-                    && m.workload == workload
-                    && m.threads == threads
-                    // The classic grid only — not the dedicated fallback legs.
-                    && (m.fallback == "default" || m.fallback == "n/a")
-            })
-            .map(|m| m.per_op_ns())
-            .unwrap_or(f64::INFINITY)
-    };
-    let overhead_ratio_uniform = per_op("seed", "uniform", 1) / per_op("speculative", "uniform", 1);
-    let overhead_ratio_skewed = per_op("seed", "skewed", 1) / per_op("speculative", "skewed", 1);
-    let spec_vs_coarse_t4 = {
-        let spec = runs
-            .iter()
-            .find(|m| m.engine == "speculative" && m.workload == "uniform" && m.threads == 4)
-            .map(|m| m.committed_ops_per_s())
-            .unwrap_or(0.0);
-        let coarse = runs
-            .iter()
-            .find(|m| m.engine == "coarse_lock" && m.workload == "uniform" && m.threads == 4)
-            .map(|m| m.committed_ops_per_s())
-            .unwrap_or(f64::INFINITY);
-        spec / coarse
-    };
-    // When both admission backends ran, two comparisons gate acceptance:
+    // Two comparisons gate the admission backends:
     //
     // * **End-to-end**: the runtime admission legs must have *identical*
     //   commit/abort/conflict counts (same deterministic workload; verdict
@@ -1144,11 +743,9 @@ fn main() {
     //   bookkeeping, identically under both backends, so this ratio
     //   understates the admission speedup.
     // * **Admission-only**: the gatekeeper microbenchmark isolates the
-    //   per-check cost the tentpole changed; compiled admission must be at
-    //   most 0.5× the interpreter per check, with identical verdicts. With
-    //   identical counts the wall-time ratio *is* the per-op ratio.
-    let admit_both =
-        admit.contains(&AdmitBackend::Bytecode) && admit.contains(&AdmitBackend::Interp);
+    //   per-check cost; compiled admission must be at most 0.5× the
+    //   interpreter per check, with identical verdicts. With identical
+    //   counts the wall-time ratio *is* the per-op ratio.
     let mut admit_counts_identical = true;
     let mut admit_ratio = |engine: &str, wl: &str| -> f64 {
         let leg = |backend: &str| {
@@ -1164,30 +761,15 @@ fn main() {
             && fast.committed_ops == slow.committed_ops;
         slow.wall_s / fast.wall_s
     };
-    let (admit_uniform, admit_skewed, gate_uniform, gate_skewed) = if admit_both {
-        (
-            admit_ratio("speculative", "uniform"),
-            admit_ratio("speculative", "skewed"),
-            admit_ratio("gatekeeper", "uniform"),
-            admit_ratio("gatekeeper", "skewed"),
-        )
-    } else {
-        (0.0, 0.0, 0.0, 0.0)
-    };
-    let admit_passed = !admit_both
-        || (admit_counts_identical
-            && gate_uniform >= 2.0
-            && gate_skewed >= 2.0
-            && admit_uniform > 1.0
-            && admit_skewed > 1.0);
-
-    // The snapshot criterion: under the identical retain-then-mutate loop
-    // the tree representation's per-op cost must be materially (≥ 2×) lower
-    // than the flat mirror's — which, being a lower bound on the real flat
-    // cost, makes the comparison conservative — and both loops must compute
-    // the same final contents.
-    let mirror_flat_over_tree = mirror_flat_per_op / mirror_tree_per_op;
-    let snapshot_passed = mirror_flat_over_tree >= 2.0 && mirror_contents_identical;
+    let admit_uniform = admit_ratio("speculative", "uniform");
+    let admit_skewed = admit_ratio("speculative", "skewed");
+    let gate_uniform = admit_ratio("gatekeeper", "uniform");
+    let gate_skewed = admit_ratio("gatekeeper", "skewed");
+    let admit_passed = admit_counts_identical
+        && gate_uniform >= 2.0
+        && gate_skewed >= 2.0
+        && admit_uniform > 1.0
+        && admit_skewed > 1.0;
 
     // The contention criterion, measured at threads=1 where the forced
     // contention is exactly deterministic. Under forced conflicts the
@@ -1215,7 +797,11 @@ fn main() {
     };
     let hot_adaptive = fallback_leg("hot", "on", 1);
     let hot_off = fallback_leg("hot", "off", 1);
-    let hot_coarse_per_op = per_op("coarse_lock", "hot", 1);
+    let hot_coarse_per_op = runs
+        .iter()
+        .find(|m| m.engine == "coarse_lock" && m.workload == "hot" && m.threads == 1)
+        .expect("coarse hot leg ran")
+        .per_op_ns();
     let hot_adaptive_over_coarse = hot_adaptive.per_op_ns() / hot_coarse_per_op;
     let hot_off_over_adaptive = hot_off.per_op_ns() / hot_adaptive.per_op_ns();
     let hot_degraded_share =
@@ -1246,32 +832,15 @@ fn main() {
         && parity_within(parity_skewed)
         && parity_never_fired;
 
-    let single_core = host_threads == 1;
-    let classic_passed = overhead_ratio_uniform >= 5.0 && overhead_ratio_skewed >= 5.0;
-    let passed = classic_passed && admit_passed && snapshot_passed && fallback_passed;
+    let passed = admit_passed && fallback_passed;
     println!();
     println!(
-        "seed/speculative per-op overhead ratio: uniform {overhead_ratio_uniform:.1}x, \
-         skewed {overhead_ratio_skewed:.1}x"
+        "interp/bytecode end-to-end per-op ratio: uniform {admit_uniform:.2}x, \
+         skewed {admit_skewed:.2}x (counts identical: {admit_counts_identical})"
     );
     println!(
-        "speculative/coarse throughput at t=4 (uniform, recorded, not gated): \
-         {spec_vs_coarse_t4:.2}x"
-    );
-    if admit_both {
-        println!(
-            "interp/bytecode end-to-end per-op ratio: uniform {admit_uniform:.2}x, \
-             skewed {admit_skewed:.2}x (counts identical: {admit_counts_identical})"
-        );
-        println!(
-            "interp/bytecode admission-only per-check ratio: uniform {gate_uniform:.2}x, \
-             skewed {gate_skewed:.2}x"
-        );
-    }
-    println!(
-        "flat/tree snapshot-loop per-op ratio: {mirror_flat_over_tree:.1}x \
-         (flat {mirror_flat_per_op:.0} ns/op, tree {mirror_tree_per_op:.0} ns/op, \
-         contents identical: {mirror_contents_identical})"
+        "interp/bytecode admission-only per-check ratio: uniform {gate_uniform:.2}x, \
+         skewed {gate_skewed:.2}x"
     );
     println!(
         "hot leg (forced conflict every {hot_period} ops, t=1): adaptive/coarse per-op \
@@ -1285,31 +854,19 @@ fn main() {
          skewed {parity_skewed:.3}x (never fired: {parity_never_fired})"
     );
     println!(
-        "acceptance (>=5x lower per-op overhead than seed at t=1{}; tree >=2x lower \
-         snapshot-loop per-op than flat; adaptive <={HOT_ADAPTIVE_OVER_COARSE_MAX}x \
-         coarse and >={HOT_OFF_OVER_ADAPTIVE_MIN}x better than fallback-off under \
-         forced contention, parity within 10%): {}",
-        if admit_both {
-            "; compiled admission <=0.5x interp per-check, faster end-to-end, identical counts"
-        } else {
-            ""
-        },
+        "acceptance (compiled admission <=0.5x interp per-check, faster end-to-end, \
+         identical counts; adaptive <={HOT_ADAPTIVE_OVER_COARSE_MAX}x coarse and \
+         >={HOT_OFF_OVER_ADAPTIVE_MIN}x better than fallback-off under forced contention, \
+         parity within 10%): {}",
         if passed { "PASS" } else { "FAIL" }
     );
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"options\": {{\"ops\": {ops}, \"seed_ops\": {seed_ops}, \"prefill\": {prefill}, \
-         \"admit\": [{}], \"admit_ops\": {admit_ops}, \"admit_prefill\": {admit_prefill}, \"gate_checks\": {gate_checks}, \
-         \"snap_ops\": {snap_ops}, \"snap_flat_ops\": {flat_ops}, \"snap_prefill\": {snap_prefill}, \
-         \"snap_retained\": {MIRROR_RETAIN}, \
+        "  \"options\": {{\"ops\": {ops}, \"prefill\": {prefill}, \
+         \"admit_ops\": {admit_ops}, \"admit_prefill\": {admit_prefill}, \"gate_checks\": {gate_checks}, \
          \"hot_ops\": {hot_ops}, \"hot_conflict_period\": {hot_period}, \
          \"host_parallelism\": {host_threads}}},\n",
-        admit
-            .iter()
-            .map(|&b| format!("\"{}\"", admit_label(b)))
-            .collect::<Vec<_>>()
-            .join(", "),
     ));
     json.push_str("  \"runs\": [\n");
     for (i, m) in runs.iter().enumerate() {
@@ -1318,20 +875,12 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"acceptance\": {{\"single_core_host\": {single_core}, \
-         \"seed_over_speculative_per_op_uniform\": {overhead_ratio_uniform:.2}, \
-         \"seed_over_speculative_per_op_skewed\": {overhead_ratio_skewed:.2}, \
-         \"speculative_over_coarse_t4_uniform\": {spec_vs_coarse_t4:.3}, \
-         \"admit_compared\": {admit_both}, \
+        "  \"acceptance\": {{\
          \"admit_interp_over_bytecode_uniform\": {admit_uniform:.2}, \
          \"admit_interp_over_bytecode_skewed\": {admit_skewed:.2}, \
          \"gate_interp_over_bytecode_uniform\": {gate_uniform:.2}, \
          \"gate_interp_over_bytecode_skewed\": {gate_skewed:.2}, \
          \"admit_counts_identical\": {admit_counts_identical}, \
-         \"mirror_flat_over_tree_per_op\": {mirror_flat_over_tree:.2}, \
-         \"mirror_flat_per_op_ns\": {mirror_flat_per_op:.1}, \
-         \"mirror_tree_per_op_ns\": {mirror_tree_per_op:.1}, \
-         \"mirror_contents_identical\": {mirror_contents_identical}, \
          \"hot_adaptive_over_coarse_per_op\": {hot_adaptive_over_coarse:.2}, \
          \"hot_adaptive_over_coarse_max\": {HOT_ADAPTIVE_OVER_COARSE_MAX}, \
          \"hot_off_over_adaptive_per_op\": {hot_off_over_adaptive:.2}, \

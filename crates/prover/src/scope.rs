@@ -31,9 +31,9 @@ pub(crate) fn mix128(h: u128, x: u128) -> u128 {
 
 /// Bounds for the finite-model search.
 ///
-/// The relevant-universe argument (see the crate documentation and DESIGN.md)
-/// says that for the counter / set / map fragment a counter-model, if one
-/// exists, exists within a universe consisting of the obligation's named
+/// The relevant-universe argument (see the crate documentation) says that
+/// for the counter / set / map fragment a counter-model, if one exists,
+/// exists within a universe consisting of the obligation's named
 /// element variables plus a small number of anonymous "padding" elements, with
 /// collections containing at most a few entries beyond the named ones. The
 /// scope records those paddings, plus the explicit sequence-length and integer

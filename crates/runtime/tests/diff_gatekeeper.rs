@@ -18,7 +18,10 @@
 //! them (see its `unknown_operation_pairs_fail_fast_without_retries`).
 
 use semcommute_logic::{ElemId, Sort, Value};
-use semcommute_runtime::{AdmissionError, AdmitBackend, CommutativityGatekeeper, LogEntry};
+use semcommute_runtime::{
+    AdmissionError, AdmitBackend, AnyStructure, BackoffOptions, CommutativityGatekeeper,
+    FallbackOptions, LogEntry, RuntimeOptions, SpeculativeRuntime, TxnError,
+};
 use semcommute_spec::InterfaceId;
 
 /// Deterministic xorshift64* generator — no external crates, reproducible
@@ -307,4 +310,118 @@ fn default_backend_follows_the_process_wide_knob() {
         semcommute_runtime::AnyStructure::by_name("HashSet").unwrap(),
     );
     assert_eq!(rt.admit_backend(), expected);
+}
+
+/// The end-to-end counts of one deterministic single-threaded run: commits,
+/// aborts, conflicts and committed operations.
+type RunCounts = (u64, u64, u64, u64);
+
+/// A single-threaded runtime run shaped like `runtime_perf`'s admission
+/// legs: a small prefilled `HashSet`, a few background transactions pinned
+/// open for the whole run (reserved keys outside the workload's domain plus
+/// one `contains` probe on a hot prefilled key each), and two-operation
+/// transactions over a uniform or a hot-key-skewed key distribution, each
+/// retried once before it aborts. Nothing but the backend varies between
+/// two calls with the same `skewed`.
+fn pinned_admission_run(backend: AdmitBackend, skewed: bool) -> RunCounts {
+    const PREFILL: u32 = 64;
+    let mut set = AnyStructure::by_name("HashSet").unwrap();
+    for k in 1..=PREFILL {
+        set.apply("add", &[Value::elem(k)]).unwrap();
+    }
+    let rt = SpeculativeRuntime::with_options(
+        set,
+        RuntimeOptions {
+            backend,
+            // Pinned transactions hold the mode gate for the whole run, so
+            // the fallback must stay off (see `runtime_perf`).
+            fallback: FallbackOptions::off(),
+            backoff: BackoffOptions::off(),
+            ..RuntimeOptions::default()
+        },
+    );
+    let base = PREFILL * 100;
+    let pinned: Vec<_> = (0..4u32)
+        .map(|t| {
+            let mut txn = rt.begin();
+            let reserved = |i: u32| Value::elem(base + t * 10 + i);
+            for (op, arg) in [
+                ("add", reserved(0)),
+                ("remove", reserved(1)),
+                ("contains", reserved(2)),
+                ("contains", Value::elem(t % 3 + 1)),
+                ("add", reserved(3)),
+                ("remove", reserved(4)),
+            ] {
+                txn.execute(op, &[arg])
+                    .expect("pinned setup operations admit against each other");
+            }
+            txn
+        })
+        .collect();
+
+    let mut rng = XorShift::new(0xad31_7bad);
+    let mut committed_ops = 0u64;
+    for _ in 0..400 {
+        let script: Vec<(&str, Value)> = (0..2)
+            .map(|_| {
+                let op = match rng.below(10) {
+                    0..=4 => "add",
+                    5 | 6 => "contains",
+                    _ => "remove",
+                };
+                let key = if skewed && rng.below(2) == 0 {
+                    rng.below(16)
+                } else {
+                    rng.below(u64::from(PREFILL) * 4)
+                };
+                (op, Value::elem(key as u32 + 1))
+            })
+            .collect();
+        let done = rt.run(2, |txn| {
+            for (op, arg) in &script {
+                txn.execute(op, std::slice::from_ref(arg))?;
+            }
+            Ok(())
+        });
+        match done {
+            Ok(()) => committed_ops += script.len() as u64,
+            Err(TxnError::RetriesExhausted(_)) => {}
+            Err(e) => panic!("admission workload failed: {e}"),
+        }
+    }
+    for txn in pinned {
+        txn.abort();
+    }
+    rt.check_invariants()
+        .expect("invariants hold after the run");
+    let stats = rt.stats();
+    (stats.commits, stats.aborts, stats.conflicts, committed_ops)
+}
+
+/// The backend's only effect is how fast admission runs: the same
+/// deterministic workload must commit, abort and conflict identically under
+/// both. `runtime_perf` measures the speed on top of this identity; here it
+/// is checked without any wall-clock bar in the way.
+#[test]
+fn pinned_log_runs_count_identically_under_both_backends() {
+    for skewed in [false, true] {
+        let compiled = pinned_admission_run(AdmitBackend::Bytecode, skewed);
+        let interpreted = pinned_admission_run(AdmitBackend::Interp, skewed);
+        assert_eq!(
+            compiled, interpreted,
+            "skewed={skewed}: (commits, aborts, conflicts, committed ops) differ by backend"
+        );
+        let (commits, _, conflicts, committed_ops) = compiled;
+        assert!(
+            commits > 0 && committed_ops > 0,
+            "skewed={skewed}: {compiled:?}"
+        );
+        if skewed {
+            assert!(
+                conflicts > 0,
+                "hot keys meet the pinned probes: {compiled:?}"
+            );
+        }
+    }
 }

@@ -26,8 +26,7 @@
 //! established by full functional verification in Jahob. Here the
 //! correspondence is established by exhaustive property-based conformance
 //! testing against the executable abstract semantics of `semcommute-spec`
-//! (see `tests/` in this crate and the workspace integration tests); this
-//! substitution is documented in `DESIGN.md`.
+//! (see `tests/` in this crate and the workspace integration tests).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

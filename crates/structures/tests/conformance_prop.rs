@@ -1,10 +1,10 @@
 //! Property-based conformance of every concrete data structure against the
 //! executable abstract specification — the substitution this reproduction
 //! makes for Jahob's full functional verification of the implementations
-//! (see DESIGN.md). Random operation traces are run in lockstep on the
-//! concrete structure and on the abstract semantics; return values, the
-//! abstraction function, and the representation invariant are checked after
-//! every step.
+//! (see the crate documentation). Random operation traces are run in
+//! lockstep on the concrete structure and on the abstract semantics; return
+//! values, the abstraction function, and the representation invariant are
+//! checked after every step.
 
 use proptest::prelude::*;
 
