@@ -28,6 +28,10 @@
 //!   roll back operations.
 //! * **Proof hints** ([`hints`]) — the `note` / `assuming` / `pickWitness`
 //!   commands attached to the hard ArrayList methods (Table 5.9).
+//! * **Runtime forms** ([`runtime_form`]) — the set and map between
+//!   conditions with each first-operation state query replaced by the
+//!   recorded result `r1`, every rewrite paired with a verified equivalence
+//!   obligation; the form the speculative runtime's gatekeeper evaluates.
 //! * **Dynamic checking** ([`concrete`], [`report`]) — evaluation of the
 //!   conditions at run time against concrete data structure states, and the
 //!   concrete-syntax rendering used in the right-hand columns of Tables
@@ -45,6 +49,7 @@ pub mod kind;
 pub mod method;
 pub mod render;
 pub mod report;
+pub mod runtime_form;
 pub mod template;
 pub mod variant;
 pub mod vcgen;

@@ -20,15 +20,17 @@
 //! operations it has executed and not yet committed or undone.
 //! [`Transaction::execute`] is single-phase. Under the mutex it checks the
 //! incoming operation against every logged operation of every *other* live
-//! transaction — each state-reading condition at the entry's captured
-//! pre-state, at the live state, and at the live state with the entry's
-//! transaction rolled back, and only while no third live transaction has
-//! changed the state (see `Shared::admit_against_slot`) — then applies the
-//! operation, records its pre-state projection where a
-//! condition needs one, and appends the entry to its own slot. Admission,
-//! apply and logging are one critical section, so every admission sees one
-//! consistent instant, and no operation takes effect without being visible
-//! to every later admission.
+//! transaction — a set or map condition that reads the state at the live
+//! state projected onto its keys, while the state is unchanged since the
+//! logged operation ran; a sequence condition that reads it at the entry's
+//! captured pre-state, at the live state, and at the live state with the
+//! entry's transaction rolled back; either only while no third live
+//! transaction has changed the state (see `Shared::admit_against_slot`) —
+//! then applies the operation, records its pre-state projection where a
+//! sequence condition needs one, and appends the entry to its own slot.
+//! Admission, apply and logging are one critical section, so every
+//! admission sees one consistent instant, and no operation takes effect
+//! without being visible to every later admission.
 //!
 //! Commit draws its ticket, then removes its slot under the mutex. Abort
 //! takes its slot and applies the verified inverses newest-first in one
@@ -72,7 +74,9 @@ use semcommute_spec::AbstractState;
 
 use crate::contention::{BackoffOptions, ContentionState, FallbackOptions, Mode, ModeGate};
 use crate::fault::FaultPlan;
-use crate::gatekeeper::{AdmissionError, AdmitBackend, CommutativityGatekeeper, Conflict};
+use crate::gatekeeper::{
+    no_condition, AdmissionError, AdmitBackend, CommutativityGatekeeper, Conflict,
+};
 use crate::log::LogEntry;
 use crate::rollback::InverseRollback;
 use crate::structure::{apply_to_state, AnyStructure, DispatchError, TrackedStructure};
@@ -352,9 +356,22 @@ impl Shared {
 
     /// Admits the incoming operation against the slot of one other live
     /// transaction, newest entry first. Runs under the structure mutex;
-    /// `tracked`'s mirror is the live abstract state.
+    /// `tracked` holds the live abstract state. Each entry's pair condition
+    /// is looked up once, and the live state is touched only when that
+    /// condition reads it.
     ///
-    /// A state-reading condition is checked at up to three anchors. The
+    /// A state-free condition — every set and map pair but the `size`-first
+    /// ones, in their runtime forms — is checked once: its verdict cannot
+    /// depend on an anchor. A set or map condition that reads the state
+    /// reads it only at keys (`v2 ∈ s1`), and is checked at the live state
+    /// projected onto those keys, answered by the concrete structure. It is
+    /// certified only while the structure's version is the one the logged
+    /// operation ran at and that operation changed nothing, so the captured
+    /// pre-state, the live state and the undo anchor below are one state;
+    /// otherwise the incoming operation conflicts.
+    ///
+    /// A sequence condition that reads the state is checked at up to three
+    /// anchors, over `tracked`'s mirror. The
     /// logged entry's **captured pre-state** certifies swapping the pair at
     /// the state the logged operation ran in. The **live state** keeps the
     /// certificates of long-lived observers composing: a logged `get(3)` over
@@ -376,24 +393,19 @@ impl Shared {
     /// transaction, and its abort removes them from all three: over
     /// `[1, 1]`, a `get(0)` logged after another transaction's `addAt(0, 1)`
     /// commutes with an incoming `removeAt(0)` at every anchor, but not at
-    /// `[1]`, where the pair is adjacent once that `addAt` is undone. Over a
-    /// sequence, where conditions read positions that any insertion or
-    /// removal shifts, a state-reading pair is therefore certified only
-    /// while no live transaction other than the logged one and the incoming
-    /// one has changed the state (`bystanders`); otherwise the incoming
-    /// operation conflicts. Set and map conditions read the membership of
-    /// the pair's own keys, and a random exploration of schedules found no
-    /// such divergence there, so they keep admitting (see "No third party
-    /// over sequences" in `docs/ARCHITECTURE.md`). With two workers there
-    /// is never a third live transaction.
+    /// `[1]`, where the pair is adjacent once that `addAt` is undone. So a
+    /// state-reading pair, over any structure, is certified only while no
+    /// live transaction other than the logged one and the incoming one has
+    /// changed the state (`bystanders`); otherwise the incoming operation
+    /// conflicts (see "No third party" in `docs/ARCHITECTURE.md`). With two
+    /// workers there is never a third live transaction.
     ///
     /// The undo anchor is built lazily, on a persistent copy of the live
     /// state, and checked only where it can differ from the anchors already
     /// checked: it equals the live state until an entry at or after
     /// the checked one changed the state, and it equals the captured
     /// pre-state while every state change since that pre-state was the
-    /// slot's own (the structure's version counts changes). State-free
-    /// conditions are checked once: their verdict cannot depend on an anchor.
+    /// slot's own (the structure's version counts changes).
     fn admit_against_slot(
         &self,
         slot: &[LoggedOp],
@@ -403,8 +415,6 @@ impl Shared {
         tracked: &TrackedStructure,
         bystanders: bool,
     ) -> Result<(), TxnError> {
-        let gk = &self.gatekeeper;
-        let live = tracked.state_value();
         // `live` with `slot[rolled_back..]` undone, newest first; `None`
         // while nothing undone so far changed the state.
         let mut anchor: Option<Value> = None;
@@ -414,17 +424,35 @@ impl Shared {
         for (i, logged) in slot.iter().enumerate().rev() {
             own_changes += u64::from(logged.changed);
             let entry = &logged.entry;
-            let (first, second) = (logged.op_idx, op_idx);
+            let pair = self
+                .gatekeeper
+                .pair_indexed(logged.op_idx, op_idx)
+                .ok_or_else(|| no_condition(entry, op));
+            let pair = self.verdict(pair)?;
+            if !pair.reads_state() {
+                self.verdict(pair.check(entry, op, args, None))?;
+                continue;
+            }
+            if let Some(keys) = pair.state_keys(entry, args) {
+                let projected = tracked
+                    .inner()
+                    .project(keys)
+                    .expect("keyed conditions belong to sets and maps");
+                self.verdict(pair.check(entry, op, args, Some(&projected)))?;
+                if bystanders || logged.changed || tracked.version() != logged.version {
+                    return Err(self.conflict(entry, op));
+                }
+                continue;
+            }
+            let live = tracked.state_value();
             self.verdict(
-                gk.check_indexed(first, entry, second, op, args)
-                    .and_then(|()| gk.check_indexed_at(first, entry, second, op, args, live)),
+                pair.check(entry, op, args, None)
+                    .and_then(|()| pair.check(entry, op, args, Some(live))),
             )?;
-            let reads_state = gk.pair_reads_state_indexed(first, second);
-            if reads_state && bystanders {
+            if bystanders {
                 return Err(self.conflict(entry, op));
             }
-            if !reads_state || own_changes == 0 || tracked.version() - logged.version == own_changes
-            {
+            if own_changes == 0 || tracked.version() - logged.version == own_changes {
                 continue;
             }
             for newer in slot[i..rolled_back].iter().rev() {
@@ -441,7 +469,7 @@ impl Shared {
             }
             rolled_back = i;
             if let Some(state) = &anchor {
-                self.verdict(gk.check_indexed_at(first, entry, second, op, args, state))?;
+                self.verdict(pair.check(entry, op, args, Some(state)))?;
             }
         }
         Ok(())
@@ -459,7 +487,7 @@ impl Shared {
 
     /// Translates an admission verdict to a transaction error, counting
     /// conflicts.
-    fn verdict(&self, verdict: Result<(), AdmissionError>) -> Result<(), TxnError> {
+    fn verdict<T>(&self, verdict: Result<T, AdmissionError>) -> Result<T, TxnError> {
         verdict.map_err(|e| match e {
             AdmissionError::Conflict(c) => {
                 self.conflicts.fetch_add(1, Ordering::Relaxed);
@@ -822,8 +850,8 @@ impl Transaction {
     ///
     /// A speculative transaction is admitted against every logged operation
     /// of every other live transaction (see `Shared::admit_against_slot`) and
-    /// records a pre-state projection where a condition needs one. A
-    /// degraded transaction holds the gate exclusively, so no other
+    /// records a pre-state projection where a sequence condition needs one.
+    /// A degraded transaction holds the gate exclusively, so no other
     /// transaction is live: there is nothing to admit against and no
     /// pre-state to project. Both log into their slot, which is what abort
     /// undoes.
@@ -853,18 +881,12 @@ impl Transaction {
             });
         };
         let pre_state = if self.mode == TxnMode::Speculative {
-            // Only sequences need the no-third-party rule (see
-            // `Shared::admit_against_slot`).
-            let sequence = matches!(tracked.state_value(), Value::Seq(_));
+            // The no-third-party rule (see `Shared::admit_against_slot`).
             let changed = |slot: &[LoggedOp]| slot.iter().any(|logged| logged.changed);
             let others = || inflight.iter().filter(|(&owner, _)| owner != self.id);
-            let changers = if sequence {
-                others().filter(|(_, slot)| changed(slot)).count()
-            } else {
-                0
-            };
+            let changers = others().filter(|(_, slot)| changed(slot)).count();
             for (_, slot) in others() {
-                let bystanders = sequence && changers > usize::from(changed(slot));
+                let bystanders = changers > usize::from(changed(slot));
                 shared.admit_against_slot(slot, op, op_idx, args, tracked, bystanders)?;
             }
             shared
@@ -1388,30 +1410,77 @@ mod tests {
         assert_eq!(rt.stats().rollback_failures, 0);
     }
 
+    /// The entries of a transaction's slot, as `(op, pre_state)`.
+    fn logged_pre_states(
+        rt: &SpeculativeRuntime,
+        txn: &Transaction,
+    ) -> Vec<(String, Option<Value>)> {
+        rt.shared.guarded.lock().inflight[&txn.id()]
+            .iter()
+            .map(|logged| (logged.entry.op.clone(), logged.entry.pre_state.clone()))
+            .collect()
+    }
+
     #[test]
     fn pre_state_is_projected_not_cloned_per_op() {
-        // `add`/`contains` need no pre-state; `remove` and `size` do. Check
-        // the logged entries carry exactly that.
-        let rt = set_runtime();
+        // No set or map entry carries a pre-state: the runtime forms test
+        // `r1`, and `size`-first pairs read the live state at their keys.
+        for (name, ops) in [
+            (
+                "HashSet",
+                vec![
+                    ("add", vec![Value::elem(2)]),
+                    ("remove", vec![Value::elem(1)]),
+                    ("contains", vec![Value::elem(1)]),
+                    ("size", vec![]),
+                ],
+            ),
+            (
+                "HashTable",
+                vec![
+                    ("put", vec![Value::elem(2), Value::elem(20)]),
+                    ("remove", vec![Value::elem(1)]),
+                    ("get", vec![Value::elem(2)]),
+                    ("containsKey", vec![Value::elem(1)]),
+                    ("size", vec![]),
+                ],
+            ),
+        ] {
+            let rt = SpeculativeRuntime::new(AnyStructure::by_name(name).unwrap());
+            let mut t = rt.begin();
+            for (op, args) in &ops {
+                t.execute(op, args).unwrap();
+            }
+            let logged = logged_pre_states(&rt, &t);
+            assert_eq!(logged.len(), ops.len(), "{name}");
+            for (op, pre_state) in logged {
+                assert!(pre_state.is_none(), "{name}.{op} captured a pre-state");
+            }
+            t.commit();
+        }
+        // An ArrayList entry carries one exactly where a condition with the
+        // operation first reads positions of `s1`: `addAt` and `get` do,
+        // `size` does not.
+        let rt = SpeculativeRuntime::new(AnyStructure::by_name("ArrayList").unwrap());
         let mut setup = rt.begin();
-        setup.execute("add", &[Value::elem(1)]).unwrap();
+        setup
+            .execute("addAt", &[Value::Int(0), Value::elem(1)])
+            .unwrap();
         setup.commit();
         let mut t = rt.begin();
-        t.execute("add", &[Value::elem(2)]).unwrap();
-        t.execute("remove", &[Value::elem(1)]).unwrap();
+        t.execute("addAt", &[Value::Int(0), Value::elem(2)])
+            .unwrap();
+        t.execute("get", &[Value::Int(1)]).unwrap();
         t.execute("size", &[]).unwrap();
-        let pre_states: Vec<Option<Value>> = rt.shared.guarded.lock().inflight[&t.id()]
-            .iter()
-            .map(|logged| logged.entry.pre_state.clone())
-            .collect();
-        let captured: Vec<bool> = pre_states.iter().map(Option::is_some).collect();
-        assert_eq!(captured, vec![false, true, true]);
+        let logged = logged_pre_states(&rt, &t);
+        let captured: Vec<bool> = logged.iter().map(|(_, pre)| pre.is_some()).collect();
+        assert_eq!(captured, vec![true, true, false]);
         assert_eq!(t.operations(), 3);
-        // The `remove` pre-state is the abstract state just before it ran.
-        let pre = pre_states[1].clone().unwrap();
+        // The `get` pre-state is the abstract state just before it ran.
+        let pre = logged[1].1.clone().unwrap();
         assert_eq!(
             AbstractState::from_value(&pre).unwrap(),
-            AbstractState::Set([ElemId(1), ElemId(2)].into_iter().collect())
+            AbstractState::List(vec![ElemId(2), ElemId(1)])
         );
         t.commit();
     }

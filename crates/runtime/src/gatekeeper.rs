@@ -28,12 +28,28 @@
 //! The `SEMCOMMUTE_ADMIT` environment variable (`bytecode` | `interp`)
 //! selects the process-wide default backend.
 //!
-//! # Three anchors per state-reading condition
+//! # Runtime forms
+//!
+//! The pair table holds the **runtime form** of each recorded between
+//! condition ([`semcommute_core::runtime_form`]): over sets and maps, every
+//! query of the first operation on the initial state `s1` that its recorded
+//! result `r1` decides is replaced by that `r1` term, each rewrite proved
+//! equivalent to the catalog's form. What still reads `s1` there is a
+//! `size`-first pair, and it reads `s1` only at the pair's own keys
+//! (`v2 ∈ s1`, `k2 ∈ dom s1`). Sequence conditions keep the catalog's form.
+//!
+//! # Anchors per state-reading condition
 //!
 //! The executor's `Shared::admit_against_slot` admits an incoming operation
-//! against each logged operation of another live transaction. A between
-//! condition whose formula reads the abstract state `s1` is evaluated there
-//! at up to **three** anchors:
+//! against each logged operation of another live transaction, looking the
+//! pair's condition up once ([`pair_indexed`](CommutativityGatekeeper::pair_indexed)).
+//! A state-free condition (the majority — they test `r1` and arguments) is
+//! evaluated once. A set or map condition that reads `s1` is evaluated at
+//! the live state projected onto its keys
+//! ([`PairCheck::state_keys`]), and only while the structure's version is
+//! the one the logged operation ran at, so the captured, live and undo
+//! anchors below coincide. A sequence condition that reads `s1` is
+//! evaluated at up to **three** anchors:
 //!
 //! * the logged entry's **captured pre-state**
 //!   ([`check_indexed`](CommutativityGatekeeper::check_indexed)) — the exact
@@ -48,10 +64,8 @@
 //!   (`check_indexed_at` again), which certifies the serialization that
 //!   puts the logged transaction last.
 //!
-//! Over sequences the executor also refuses a state-reading pair while a
+//! For every state-reading pair the executor also refuses admission while a
 //! third live transaction has changed the state (the no-third-party rule).
-//! State-free conditions (the majority — they test `r1` and arguments) have
-//! a single anchor; their re-anchored evaluation is skipped as a no-op.
 //!
 //! # One pair table
 //!
@@ -64,8 +78,9 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use semcommute_core::condition::names;
+use semcommute_core::runtime_form::{rewrite_with, state_query_rewrites};
 use semcommute_core::{interface_catalog, CommutativityCondition, ConditionKind};
-use semcommute_logic::{eval_bool, free_vars, Model, Value};
+use semcommute_logic::{eval_bool, free_vars, Model, Sort, Term, Value};
 use semcommute_prover::Program;
 use semcommute_spec::InterfaceId;
 
@@ -286,9 +301,57 @@ struct Prepared {
     /// Whether the formula mentions the initial state `s1` (syntactic
     /// free-variable scan — the interpreter backend's projection).
     needs_initial: bool,
+    /// The argument slots at which the formula queries `s1`, if it reads
+    /// `s1` only through membership and lookup at arguments (see
+    /// [`keyed_state_reads`]); `None` if it reads `s1` any other way.
+    state_keys: Option<Vec<SlotSrc>>,
     /// The compiled admission program, built lazily on first use and shared
     /// across clones of the gatekeeper (`Arc`): the once-per-runtime cache.
     program: Arc<OnceLock<AdmissionProgram>>,
+}
+
+/// The argument slots at which `formula` queries the initial state, if it
+/// reads `s1` only as `x ∈ s1`, `x ∈ dom s1` or `s1.get(x)` with `x` an
+/// argument of either operation: the queries a set or map answers at the
+/// live state without a walk. `None` if `s1` occurs any other way (every
+/// sequence condition that reads it). Empty if `s1` does not occur.
+fn keyed_state_reads(
+    formula: &Term,
+    first_params: &[String],
+    second_params: &[String],
+) -> Option<Vec<SlotSrc>> {
+    fn walk(term: &Term, keys: &mut Vec<String>) -> bool {
+        let initial = |t: &Term| matches!(t, Term::Var(v) if v.name == names::INITIAL);
+        match term {
+            Term::Member(key, state) | Term::MapHasKey(state, key) | Term::MapGet(state, key)
+                if initial(state) =>
+            {
+                match &**key {
+                    Term::Var(v) => {
+                        keys.push(v.name.clone());
+                        true
+                    }
+                    _ => false,
+                }
+            }
+            Term::Var(v) => v.name != names::INITIAL,
+            _ => term.children().into_iter().all(|child| walk(child, keys)),
+        }
+    }
+    let mut keys = Vec::new();
+    if !walk(formula, &mut keys) {
+        return None;
+    }
+    keys.sort();
+    keys.dedup();
+    keys.iter()
+        .map(|name| {
+            let position = |params: &[String]| params.iter().position(|p| p == name);
+            position(first_params)
+                .map(SlotSrc::FirstArg)
+                .or_else(|| position(second_params).map(SlotSrc::SecondArg))
+        })
+        .collect()
 }
 
 impl Prepared {
@@ -303,29 +366,31 @@ impl Prepared {
 ///
 /// The gatekeeper holds the *between* conditions of the interface (for the
 /// recorded variants — the runtime always records return values so that
-/// inverse operations can be applied later) and evaluates them against the
-/// run-time information captured in the operation log. This is the
-/// "forward gatekeeper" usage scenario of the paper's related-work
-/// discussion: before executing an operation, check that it commutes with
-/// every operation executed by other uncommitted transactions.
+/// inverse operations can be applied later), in their runtime forms (see
+/// the module docs), and evaluates them against the run-time information
+/// captured in the operation log. This is the "forward gatekeeper" usage
+/// scenario of the paper's related-work discussion: before executing an
+/// operation, check that it commutes with every operation executed by other
+/// uncommitted transactions.
 ///
-/// The gatekeeper also answers, per first operation, whether *any* of its
-/// between conditions reads the initial state `s1`; the executor consults
+/// The gatekeeper also answers, per first operation, whether a log entry
+/// for it must carry the abstract pre-state; the executor consults
 /// [`requires_pre_state_indexed`](CommutativityGatekeeper::requires_pre_state_indexed)
-/// to decide whether a pre-state projection must be captured when logging
-/// the operation. Most recorded-variant conditions test `r1` instead, so most
-/// operations log no state at all. Under the bytecode backend this
-/// projection is derived from the compiled programs' actual slot reads; the
-/// interpreter backend uses the syntactic free-variable scan. Either way it
-/// is memoized per operation. The two projections agree across the whole
-/// catalog — `tests/diff_runtime.rs` asserts it pair by pair.
+/// when logging the operation. Only a sequence operation with a condition
+/// that reads `s1` needs one: set and map conditions read `s1` at keys the
+/// live structure answers, and the rest test `r1` and arguments. Whether a
+/// condition reads `s1` is derived from the compiled programs' actual slot
+/// reads under the bytecode backend and from the syntactic free-variable
+/// scan under the interpreter, memoized per operation. The two projections
+/// agree across the whole catalog — `tests/diff_runtime.rs` asserts it pair
+/// by pair.
 #[derive(Debug, Clone)]
 pub struct CommutativityGatekeeper {
     interface: InterfaceId,
     backend: AdmitBackend,
     /// Per operation of `ops`, the memoized pre-state projection: does any
-    /// condition with this operation first read `s1` under the active
-    /// backend? Shared across clones, filled on the first
+    /// condition with this operation first read `s1` other than at keys,
+    /// under the active backend? Shared across clones, filled on the first
     /// [`requires_pre_state_indexed`](CommutativityGatekeeper::requires_pre_state_indexed)
     /// query for the operation.
     pre_state: Arc<[OnceLock<bool>]>,
@@ -334,16 +399,16 @@ pub struct CommutativityGatekeeper {
     /// resolves a name once, when the operation executes, and the log entry
     /// keeps the index; after that the hot path never hashes a string.
     ops: Vec<String>,
-    /// The prepared between conditions for recorded variants, as the
-    /// flattened (first × second) pair table indexed
+    /// The prepared between conditions for recorded variants, in their
+    /// runtime forms, as the flattened (first × second) pair table indexed
     /// `first * ops.len() + second`; `None` where the catalog holds no
     /// condition for the pair.
     table: Vec<Option<Prepared>>,
 }
 
 impl CommutativityGatekeeper {
-    /// Builds the gatekeeper for an interface from the verified catalog,
-    /// using the process-wide default admission backend.
+    /// Builds the gatekeeper for an interface from the runtime forms of the
+    /// verified catalog, using the process-wide default admission backend.
     pub fn new(interface: InterfaceId) -> CommutativityGatekeeper {
         CommutativityGatekeeper::with_backend(interface, AdmitBackend::default_backend())
     }
@@ -361,6 +426,7 @@ impl CommutativityGatekeeper {
                 .collect()
         };
         let mut table: Vec<Option<Prepared>> = vec![None; ops.len() * ops.len()];
+        let rules = state_query_rewrites(interface);
         for condition in interface_catalog(interface) {
             if condition.kind != ConditionKind::Between
                 || !condition.first.recorded
@@ -373,10 +439,21 @@ impl CommutativityGatekeeper {
             else {
                 continue;
             };
+            let condition = rewrite_with(condition, &rules);
+            let (first_params, second_params) = (params(first, 1), params(second, 2));
+            let state_keys = keyed_state_reads(&condition.formula, &first_params, &second_params);
+            // Sets and maps keep no mirror to capture or roll back: the
+            // executor can only answer their state at keys.
+            assert!(
+                state_keys.is_some() || iface.state_sort == Sort::Seq,
+                "{} reads `s1` other than at keys",
+                condition.id()
+            );
             table[first * ops.len() + second] = Some(Prepared {
-                first_params: params(first, 1),
-                second_params: params(second, 2),
                 needs_initial: free_vars(&condition.formula).contains_key(names::INITIAL),
+                state_keys,
+                first_params,
+                second_params,
                 program: Arc::new(OnceLock::new()),
                 condition,
             });
@@ -410,7 +487,8 @@ impl CommutativityGatekeeper {
         self.cell(self.op_index(first_op)?, self.op_index(second_op)?)
     }
 
-    /// The between condition for an ordered operation pair.
+    /// The between condition for an ordered operation pair, in its runtime
+    /// form.
     pub fn condition(&self, first_op: &str, second_op: &str) -> Option<&CommutativityCondition> {
         self.prepared(first_op, second_op).map(|p| &p.condition)
     }
@@ -451,11 +529,12 @@ impl CommutativityGatekeeper {
     /// between check) carry the abstract pre-state?
     ///
     /// Returns `true` iff some between condition with `op` first reads the
-    /// initial state `s1` — under the bytecode backend, *reads* means the
-    /// compiled program consumes the `s1` input slot; under the interpreter
-    /// backend, that the formula mentions `s1`. The executor captures the
-    /// (O(1), persistent) state projection only for these operations.
-    /// Unknown operations need none.
+    /// initial state `s1` other than at keys — under the bytecode backend,
+    /// *reads* means the compiled program consumes the `s1` input slot;
+    /// under the interpreter backend, that the formula mentions `s1`. That
+    /// leaves sequence operations only: no set or map operation needs a
+    /// pre-state. The executor captures the (O(1), persistent) state
+    /// projection only for these operations. Unknown operations need none.
     pub fn requires_pre_state(&self, op: &str) -> bool {
         self.op_index(op)
             .is_some_and(|idx| self.requires_pre_state_indexed(idx))
@@ -469,7 +548,9 @@ impl CommutativityGatekeeper {
         let first = op_idx as usize;
         *self.pre_state[first].get_or_init(|| {
             let row = &self.table[first * self.ops.len()..(first + 1) * self.ops.len()];
-            row.iter().flatten().any(|p| self.reads_state(p))
+            row.iter()
+                .flatten()
+                .any(|p| p.state_keys.is_none() && self.reads_state(p))
         })
     }
 
@@ -529,6 +610,17 @@ impl CommutativityGatekeeper {
             .map(|i| i as u16)
     }
 
+    /// The condition of the pair (`first` logged, `second` incoming), looked
+    /// up once for every anchor it is checked at; `None` if the catalog
+    /// holds no condition for the pair. Indices come from
+    /// [`op_index`](CommutativityGatekeeper::op_index).
+    pub fn pair_indexed(&self, first: u16, second: u16) -> Option<PairCheck<'_>> {
+        self.cell(first, second).map(|prepared| PairCheck {
+            gatekeeper: self,
+            prepared,
+        })
+    }
+
     /// Checks an incoming operation against one logged entry of another
     /// transaction, anchored at the entry's captured pre-state, and
     /// classifies the outcome as admissible, [`Conflict`], or an evaluation
@@ -551,10 +643,9 @@ impl CommutativityGatekeeper {
         incoming_op: &str,
         incoming_args: &[Value],
     ) -> Result<(), AdmissionError> {
-        let prepared = self
-            .cell(first, second)
-            .ok_or_else(|| no_condition(logged, incoming_op))?;
-        self.classify(prepared, logged, incoming_op, incoming_args, None)
+        self.pair_indexed(first, second)
+            .ok_or_else(|| no_condition(logged, incoming_op))?
+            .check(logged, incoming_op, incoming_args, None)
     }
 
     /// The **re-anchored** form of
@@ -589,22 +680,13 @@ impl CommutativityGatekeeper {
         incoming_args: &[Value],
         state: &Value,
     ) -> Result<(), AdmissionError> {
-        let prepared = self
-            .cell(first, second)
+        let pair = self
+            .pair_indexed(first, second)
             .ok_or_else(|| no_condition(logged, incoming_op))?;
-        if !self.reads_state(prepared) {
+        if !pair.reads_state() {
             return Ok(());
         }
-        self.classify(prepared, logged, incoming_op, incoming_args, Some(state))
-    }
-
-    /// Does the condition of the pair (`first` logged, `second` incoming)
-    /// read the abstract state `s1` under the active backend? `false` for an
-    /// unknown pair. Indices come from
-    /// [`op_index`](CommutativityGatekeeper::op_index).
-    pub fn pair_reads_state_indexed(&self, first: u16, second: u16) -> bool {
-        self.cell(first, second)
-            .is_some_and(|prepared| self.reads_state(prepared))
+        pair.check(logged, incoming_op, incoming_args, Some(state))
     }
 
     /// Does this pair's condition read the abstract state `s1` under the
@@ -639,8 +721,66 @@ impl CommutativityGatekeeper {
     }
 }
 
+/// One (logged, incoming) pair's condition, looked up once by
+/// [`pair_indexed`](CommutativityGatekeeper::pair_indexed) and then checked
+/// at as many anchors as it needs.
+#[derive(Debug, Clone, Copy)]
+pub struct PairCheck<'g> {
+    gatekeeper: &'g CommutativityGatekeeper,
+    prepared: &'g Prepared,
+}
+
+impl<'g> PairCheck<'g> {
+    /// Does the condition read the abstract state `s1` under the active
+    /// backend? (Compiled slot read for bytecode, syntactic free-variable
+    /// scan for the interpreter.)
+    pub fn reads_state(self) -> bool {
+        self.gatekeeper.reads_state(self.prepared)
+    }
+
+    /// If the condition reads `s1` only through membership and lookup at
+    /// argument values — every set and map condition — those values, drawn
+    /// from the logged entry and the incoming arguments: a state that agrees
+    /// with the live one at these keys gives the same verdict. `None` for a
+    /// condition that reads `s1` any other way (sequences).
+    pub fn state_keys<'a>(
+        self,
+        logged: &'a LogEntry,
+        incoming_args: &'a [Value],
+    ) -> Option<impl Iterator<Item = &'a Value> + 'a>
+    where
+        'g: 'a,
+    {
+        let keys = self.prepared.state_keys.as_ref()?;
+        Some(keys.iter().filter_map(move |src| match src {
+            SlotSrc::FirstArg(i) => logged.args.get(*i),
+            SlotSrc::SecondArg(i) => incoming_args.get(*i),
+            SlotSrc::Initial | SlotSrc::Result1 => None,
+        }))
+    }
+
+    /// Evaluates the condition on `logged` and the incoming operation, with
+    /// `s1` bound to `state`, or to the entry's captured pre-state when
+    /// `state` is `None`, and classifies the outcome as admissible,
+    /// [`Conflict`], or an evaluation failure.
+    ///
+    /// # Errors
+    ///
+    /// See [`check_indexed`](CommutativityGatekeeper::check_indexed).
+    pub fn check(
+        self,
+        logged: &LogEntry,
+        incoming_op: &str,
+        incoming_args: &[Value],
+        state: Option<&Value>,
+    ) -> Result<(), AdmissionError> {
+        self.gatekeeper
+            .classify(self.prepared, logged, incoming_op, incoming_args, state)
+    }
+}
+
 /// The catalog holds no condition for the (logged, incoming) pair.
-fn no_condition(logged: &LogEntry, incoming_op: &str) -> AdmissionError {
+pub(crate) fn no_condition(logged: &LogEntry, incoming_op: &str) -> AdmissionError {
     AdmissionError::Evaluation(format!("no condition for pair {}/{incoming_op}", logged.op))
 }
 
@@ -658,7 +798,7 @@ fn missing_pre_state(prepared: &Prepared, logged: &LogEntry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semcommute_logic::Sort;
+    use semcommute_core::runtime_form::runtime_rewrites;
     use semcommute_spec::AbstractState;
 
     const BACKENDS: [AdmitBackend; 2] = [AdmitBackend::Bytecode, AdmitBackend::Interp];
@@ -740,15 +880,40 @@ mod tests {
     }
 
     #[test]
-    fn pre_state_is_required_only_where_a_condition_reads_s1() {
+    fn pre_state_is_required_only_for_sequence_reads_of_s1() {
         for backend in BACKENDS {
+            // The runtime forms test `r1` where the catalog reads `s1`, and
+            // the `size`-first pairs read `s1` at keys the live structure
+            // answers: no set or map operation captures a pre-state.
+            for interface in [InterfaceId::Set, InterfaceId::Map] {
+                let g = CommutativityGatekeeper::with_backend(interface, backend);
+                for op in semcommute_spec::interface_by_id(interface).ops {
+                    assert!(
+                        !g.requires_pre_state(&op.name),
+                        "{interface}/{} ({backend:?})",
+                        op.name
+                    );
+                }
+            }
+            // `size`/`add` still reads `s1`, at the incoming element only.
             let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-            // add/* and contains/* between conditions test `r1`, not `s1`.
-            assert!(!g.requires_pre_state("add"), "{backend:?}");
-            assert!(!g.requires_pre_state("contains"), "{backend:?}");
-            // remove/contains and size/add read `s1` membership.
-            assert!(g.requires_pre_state("remove"), "{backend:?}");
-            assert!(g.requires_pre_state("size"), "{backend:?}");
+            let pair = g
+                .pair_indexed(g.op_index("size").unwrap(), g.op_index("add").unwrap())
+                .unwrap();
+            assert!(pair.reads_state(), "{backend:?}");
+            let logged = set_entry(1, "size", 0, false, &[]);
+            let incoming = [Value::elem(5)];
+            let keys: Vec<&Value> = pair.state_keys(&logged, &incoming).unwrap().collect();
+            assert_eq!(keys, vec![&Value::elem(5)], "{backend:?}");
+            // A sequence observer whose condition reads positions of `s1`
+            // still captures one, and has no keys.
+            let g = CommutativityGatekeeper::with_backend(InterfaceId::List, backend);
+            assert!(g.requires_pre_state("get"), "{backend:?}");
+            let pair = g
+                .pair_indexed(g.op_index("get").unwrap(), g.op_index("removeAt").unwrap())
+                .unwrap();
+            assert!(pair.reads_state(), "{backend:?}");
+            assert!(pair.state_keys(&logged, &incoming).is_none(), "{backend:?}");
         }
     }
 
@@ -812,11 +977,13 @@ mod tests {
 
     /// The one pair table drops no condition: per interface, exactly one
     /// pair per recorded between condition of the catalog, each holding
-    /// that condition, and every specification operation has an index (the
-    /// executor logs only applied operations and keeps their index without
-    /// an `Option`).
+    /// that condition's runtime form, and every specification operation has
+    /// an index (the executor logs only applied operations and keeps their
+    /// index without an `Option`). The runtime form differs from the
+    /// catalog's exactly at the rewritten pairs.
     #[test]
     fn the_pair_table_holds_every_recorded_between_condition() {
+        let mut rewritten = Vec::new();
         for interface in InterfaceId::ALL {
             let g = CommutativityGatekeeper::new(interface);
             let iface = semcommute_spec::interface_by_id(interface);
@@ -828,14 +995,22 @@ mod tests {
                     op.name
                 );
             }
+            let rewrites = runtime_rewrites(interface);
             let mut recorded: Vec<(String, String)> = interface_catalog(interface)
                 .into_iter()
                 .filter(|c| {
                     c.kind == ConditionKind::Between && c.first.recorded && c.second.recorded
                 })
                 .map(|c| {
-                    let held = g.condition(&c.first.op, &c.second.op);
-                    assert_eq!(held, Some(&c), "{interface}: {}", c.id());
+                    let held = g.condition(&c.first.op, &c.second.op).unwrap();
+                    let expected = rewrites
+                        .iter()
+                        .find(|r| r.paper == c)
+                        .map_or(&c, |r| &r.runtime);
+                    assert_eq!(held, expected, "{interface}: {}", c.id());
+                    if *held != c {
+                        rewritten.push(format!("{interface}/{}/{}", c.first.op, c.second.op));
+                    }
                     (c.first.op, c.second.op)
                 })
                 .collect();
@@ -843,6 +1018,19 @@ mod tests {
             assert!(!recorded.is_empty(), "{interface}");
             assert_eq!(g.pairs(), recorded, "{interface}");
         }
+        rewritten.sort();
+        assert_eq!(
+            rewritten,
+            [
+                "Map/put/containsKey",
+                "Map/put/get",
+                "Map/put/put",
+                "Map/put/size",
+                "Map/remove/containsKey",
+                "Map/remove/get",
+                "Set/remove/contains",
+            ]
+        );
     }
 
     /// An operation the interface does not know has no index, so no
@@ -876,7 +1064,7 @@ mod tests {
                     other => panic!("expected an evaluation error, got {other:?}"),
                 }
             }
-            assert!(!g.pair_reads_state_indexed(first, second));
+            assert!(g.pair_indexed(first, second).is_none());
         }
     }
 

@@ -17,14 +17,16 @@
 //!
 //! * [`AnyStructure`] — a uniform handle over the six concrete data
 //!   structures (dispatching operation names to the trait implementations and
-//!   exposing the abstraction function), wrapped by [`TrackedStructure`] to
-//!   maintain an O(1)-snapshottable persistent mirror of the abstract state,
+//!   exposing the abstraction function and the projection of the abstract
+//!   state onto given keys), wrapped by [`TrackedStructure`] to count state
+//!   changes and, for sequences, maintain an O(1)-snapshottable persistent
+//!   mirror of the abstract state,
 //! * [`LogEntry`] — executed operations (arguments, recorded return
-//!   values, pre-state projections), kept per live transaction in an
+//!   values, sequence pre-state projections), kept per live transaction in an
 //!   in-flight log that shares the structure's mutex, so admission, apply
 //!   and logging happen at one instant,
 //! * [`gatekeeper`] — the dynamic commutativity check driven by the verified
-//!   between conditions,
+//!   between conditions, in their verified runtime forms,
 //! * [`SpeculativeRuntime`] / [`Transaction`] — optimistic transactions with
 //!   commutativity-based conflict detection and inverse-based rollback,
 //! * [`CoarseLockRuntime`] — the baseline that serializes whole transactions
@@ -57,7 +59,7 @@ pub use executor::{
     RetryReport, RuntimeOptions, RuntimeStats, SpeculativeRuntime, Transaction, TxnError,
 };
 pub use fault::{FaultKind, FaultPlan, FiredFault};
-pub use gatekeeper::{AdmissionError, AdmitBackend, CommutativityGatekeeper, Conflict};
+pub use gatekeeper::{AdmissionError, AdmitBackend, CommutativityGatekeeper, Conflict, PairCheck};
 pub use log::LogEntry;
 pub use rollback::{InverseRollback, SnapshotRollback};
 pub use structure::{AnyStructure, TrackedStructure};

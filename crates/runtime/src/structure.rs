@@ -1,5 +1,9 @@
-//! A uniform handle over the six concrete data structures.
+//! A uniform handle over the six concrete data structures, and the tracked
+//! wrapper the speculative runtime applies operations through: a version
+//! counter for every structure, and a persistent mirror of the abstract
+//! state for sequences only (see [`TrackedStructure`]).
 
+use std::cell::OnceCell;
 use std::fmt;
 
 use semcommute_logic::{ElemId, Value, NULL_ELEM};
@@ -188,14 +192,31 @@ impl AnyStructure {
     /// Returns [`DispatchError`] for unknown operations or ill-formed
     /// arguments.
     pub fn apply(&mut self, op: &str, args: &[Value]) -> Result<Option<Value>, DispatchError> {
+        self.dispatch(op, args).map(|(result, _)| result)
+    }
+
+    /// [`apply`](AnyStructure::apply), also reporting whether the operation
+    /// changed the abstract state, read off its result: `add` and `remove`
+    /// on a set return whether they changed it; a map `put` changed it
+    /// unless the previous value is the new one, a map `remove` if the key
+    /// was mapped; `increase` unless the amount is zero; every sequence
+    /// update counts (a `set` that rewrites the same element too).
+    ///
+    /// Forced inline into both callers: left to the compiler, it stayed an
+    /// out-of-line call from [`TrackedStructure::apply`], which then cost
+    /// about 10 ns per operation more than the plain apply on
+    /// `set_read_mostly`'s script (`docs/PERF.md`).
+    #[inline(always)]
+    fn dispatch(&mut self, op: &str, args: &[Value]) -> Dispatched {
         let unknown = || DispatchError::UnknownOperation(op.to_string());
         match self {
             AnyStructure::Accumulator(s) => match op {
                 "increase" => {
-                    s.increase(int_arg(op, args, 0)?);
-                    Ok(None)
+                    let amount = int_arg(op, args, 0)?;
+                    s.increase(amount);
+                    Ok((None, amount != 0))
                 }
-                "read" => Ok(Some(Value::Int(s.read()))),
+                "read" => Ok((Some(Value::Int(s.read())), false)),
                 _ => Err(unknown()),
             },
             AnyStructure::ListSet(s) => apply_set(s, op, args),
@@ -207,106 +228,157 @@ impl AnyStructure {
     }
 }
 
-fn apply_set<S: SetInterface>(
-    s: &mut S,
-    op: &str,
-    args: &[Value],
-) -> Result<Option<Value>, DispatchError> {
+/// A dispatched operation's result, and whether it changed the abstract
+/// state.
+type Dispatched = Result<(Option<Value>, bool), DispatchError>;
+
+fn apply_set<S: SetInterface>(s: &mut S, op: &str, args: &[Value]) -> Dispatched {
     match op {
-        "add" => Ok(Some(Value::Bool(s.add(elem_arg(op, args, 0)?)))),
-        "contains" => Ok(Some(Value::Bool(s.contains(elem_arg(op, args, 0)?)))),
-        "remove" => Ok(Some(Value::Bool(s.remove(elem_arg(op, args, 0)?)))),
-        "size" => Ok(Some(Value::Int(s.size() as i64))),
+        "add" => {
+            let added = s.add(elem_arg(op, args, 0)?);
+            Ok((Some(Value::Bool(added)), added))
+        }
+        "contains" => Ok((Some(Value::Bool(s.contains(elem_arg(op, args, 0)?))), false)),
+        "remove" => {
+            let removed = s.remove(elem_arg(op, args, 0)?);
+            Ok((Some(Value::Bool(removed)), removed))
+        }
+        "size" => Ok((Some(Value::Int(s.size() as i64)), false)),
         _ => Err(DispatchError::UnknownOperation(op.to_string())),
     }
 }
 
-fn apply_map<M: MapInterface>(
-    m: &mut M,
-    op: &str,
-    args: &[Value],
-) -> Result<Option<Value>, DispatchError> {
+fn apply_map<M: MapInterface>(m: &mut M, op: &str, args: &[Value]) -> Dispatched {
     match op {
-        "containsKey" => Ok(Some(Value::Bool(m.contains_key(elem_arg(op, args, 0)?)))),
-        "get" => Ok(opt_elem(m.get(elem_arg(op, args, 0)?))),
-        "put" => Ok(opt_elem(
-            m.put(elem_arg(op, args, 0)?, elem_arg(op, args, 1)?),
+        "containsKey" => Ok((
+            Some(Value::Bool(m.contains_key(elem_arg(op, args, 0)?))),
+            false,
         )),
-        "remove" => Ok(opt_elem(m.remove(elem_arg(op, args, 0)?))),
-        "size" => Ok(Some(Value::Int(m.size() as i64))),
+        "get" => Ok((opt_elem(m.get(elem_arg(op, args, 0)?)), false)),
+        "put" => {
+            let value = elem_arg(op, args, 1)?;
+            let previous = m.put(elem_arg(op, args, 0)?, value);
+            Ok((opt_elem(previous), previous != Some(value)))
+        }
+        "remove" => {
+            let previous = m.remove(elem_arg(op, args, 0)?);
+            Ok((opt_elem(previous), previous.is_some()))
+        }
+        "size" => Ok((Some(Value::Int(m.size() as i64)), false)),
         _ => Err(DispatchError::UnknownOperation(op.to_string())),
     }
 }
 
-fn apply_list<L: ListInterface>(
-    l: &mut L,
-    op: &str,
-    args: &[Value],
-) -> Result<Option<Value>, DispatchError> {
+fn apply_list<L: ListInterface>(l: &mut L, op: &str, args: &[Value]) -> Dispatched {
     let len = l.size();
     match op {
         "addAt" => {
             let i = index_arg(op, args, 0, len, true)?;
             l.add_at(i, elem_arg(op, args, 1)?);
-            Ok(None)
+            Ok((None, true))
         }
         "get" => {
             let i = index_arg(op, args, 0, len, false)?;
-            Ok(Some(Value::Elem(l.get(i))))
+            Ok((Some(Value::Elem(l.get(i))), false))
         }
-        "indexOf" => Ok(Some(Value::Int(
-            l.index_of(elem_arg(op, args, 0)?).map_or(-1, |i| i as i64),
-        ))),
-        "lastIndexOf" => Ok(Some(Value::Int(
-            l.last_index_of(elem_arg(op, args, 0)?)
-                .map_or(-1, |i| i as i64),
-        ))),
+        "indexOf" => Ok((
+            Some(Value::Int(
+                l.index_of(elem_arg(op, args, 0)?).map_or(-1, |i| i as i64),
+            )),
+            false,
+        )),
+        "lastIndexOf" => Ok((
+            Some(Value::Int(
+                l.last_index_of(elem_arg(op, args, 0)?)
+                    .map_or(-1, |i| i as i64),
+            )),
+            false,
+        )),
         "removeAt" => {
             let i = index_arg(op, args, 0, len, false)?;
-            Ok(Some(Value::Elem(l.remove_at(i))))
+            Ok((Some(Value::Elem(l.remove_at(i))), true))
         }
         "set" => {
             let i = index_arg(op, args, 0, len, false)?;
-            Ok(Some(Value::Elem(l.set(i, elem_arg(op, args, 1)?))))
+            Ok((Some(Value::Elem(l.set(i, elem_arg(op, args, 1)?))), true))
         }
-        "size" => Ok(Some(Value::Int(l.size() as i64))),
+        "size" => Ok((Some(Value::Int(l.size() as i64)), false)),
         _ => Err(DispatchError::UnknownOperation(op.to_string())),
     }
 }
 
-/// A concrete structure paired with an incrementally-maintained mirror of
-/// its abstract state.
+impl AnyStructure {
+    /// The abstract state restricted to `keys`, answered by the concrete
+    /// `contains` / `get` — never a walk of the structure. For a set, the
+    /// keys it contains; for a map, the keys it maps, with their values.
+    /// Keys that are not elements, or are `null`, are never members and are
+    /// skipped. `None` for a sequence or an accumulator, whose state is not
+    /// keyed.
+    pub fn project<'a>(&self, keys: impl IntoIterator<Item = &'a Value>) -> Option<Value> {
+        let keys = keys.into_iter().filter_map(|key| match key {
+            Value::Elem(e) if !e.is_null() => Some(*e),
+            _ => None,
+        });
+        Some(match self {
+            AnyStructure::ListSet(s) => Value::set_of(keys.filter(|&k| s.contains(k))),
+            AnyStructure::HashSet(s) => Value::set_of(keys.filter(|&k| s.contains(k))),
+            AnyStructure::AssociationList(m) => {
+                Value::map_of(keys.filter_map(|k| Some((k, m.get(k)?))))
+            }
+            AnyStructure::HashTable(m) => Value::map_of(keys.filter_map(|k| Some((k, m.get(k)?)))),
+            AnyStructure::Accumulator(_) | AnyStructure::ArrayList(_) => return None,
+        })
+    }
+}
+
+/// A concrete structure with a version counter, and for sequences an
+/// incrementally-maintained mirror of its abstract state.
 ///
 /// The speculative runtime's gatekeeper evaluates between conditions against
-/// the abstract state a logged operation saw. Recomputing that state through
-/// the abstraction function ([`AnyStructure::abstract_state`]) walks the
-/// whole structure — O(size) per logged operation, the dominant cost of the
-/// seed runtime. `TrackedStructure` instead keeps the abstract state as a
-/// persistent logical [`Value`] (`PSet`/`PMap`/`PSeq` payloads) and updates
-/// it in step with every dispatched operation: the update is O(log size),
-/// and taking a snapshot for a log entry is an O(1) handle clone
-/// ([`state_value`](TrackedStructure::state_value)).
+/// the abstract state a logged operation saw. Over sequences, conditions
+/// read positions, so the state must be at hand as a logical value:
+/// recomputing it through the abstraction function
+/// ([`AnyStructure::abstract_state`]) walks the whole structure — O(size)
+/// per logged operation. For an `ArrayList`, `TrackedStructure` instead keeps
+/// the abstract state as a persistent logical [`Value`] (a `PSeq` payload)
+/// and updates it in step with every dispatched operation: the update is
+/// O(log size), and taking a snapshot for a log entry is an O(1) handle
+/// clone ([`state_value`](TrackedStructure::state_value)). Set and map
+/// conditions read the state only at keys, which the concrete structure
+/// answers ([`AnyStructure::project`]), so sets, maps and the accumulator
+/// keep no mirror: [`apply`](TrackedStructure::apply) is the concrete apply
+/// plus a version bump read off the result.
 ///
-/// The mirror is definitionally equal to `inner().abstract_state().to_value()`
-/// after every successful [`apply`](TrackedStructure::apply) (failed
-/// dispatches change neither the structure nor the mirror); the runtime's
-/// differential tests pin this.
+/// [`state_value`](TrackedStructure::state_value) equals
+/// `inner().abstract_state().to_value()` after every successful
+/// [`apply`](TrackedStructure::apply) for every structure (failed dispatches
+/// change neither the structure nor the version); the runtime's tests pin
+/// this.
 #[derive(Debug, Clone)]
 pub struct TrackedStructure {
     inner: AnyStructure,
-    mirror: Value,
-    /// Successful operations that changed the mirror so far.
+    /// The abstract state as a logical value. For a sequence, the mirror:
+    /// always present, updated by every apply. Otherwise materialised
+    /// through the abstraction function by the first
+    /// [`state_value`](TrackedStructure::state_value) after a change, and
+    /// dropped by the next change.
+    state: OnceCell<Value>,
+    /// Successful operations that changed the abstract state so far.
     version: u64,
 }
 
 impl TrackedStructure {
-    /// Wraps a structure, computing the initial mirror through the
-    /// abstraction function (the only full walk this type ever performs).
+    /// Wraps a structure. Only a sequence computes its mirror through the
+    /// abstraction function (the only full walk this type makes for it);
+    /// every other structure is wrapped as is.
     pub fn new(inner: AnyStructure) -> TrackedStructure {
-        let mirror = inner.abstract_state().to_value();
+        let state = OnceCell::new();
+        if let AnyStructure::ArrayList(_) = inner {
+            let _ = state.set(inner.abstract_state().to_value());
+        }
         TrackedStructure {
             inner,
-            mirror,
+            state,
             version: 0,
         }
     }
@@ -323,10 +395,14 @@ impl TrackedStructure {
         self.inner.name()
     }
 
-    /// The mirrored abstract state as a logical value. Cloning the returned
-    /// reference is O(1) — the collection payloads are persistent handles.
+    /// The abstract state as a logical value. For a sequence this borrows
+    /// the mirror, and cloning the returned reference is O(1) — the payload
+    /// is a persistent handle. For any other structure the first call after
+    /// a change walks the structure through the abstraction function; the
+    /// runtime never calls it on its admission path.
     pub fn state_value(&self) -> &Value {
-        &self.mirror
+        self.state
+            .get_or_init(|| self.inner.abstract_state().to_value())
     }
 
     /// How many applied operations have changed the abstract state so far.
@@ -336,34 +412,34 @@ impl TrackedStructure {
         self.version
     }
 
-    /// Invokes an interface operation by name, keeping the mirror in step.
+    /// Invokes an interface operation by name, keeping the mirror (for a
+    /// sequence) and the version in step.
     ///
     /// # Errors
     ///
     /// Returns [`DispatchError`] for unknown operations or ill-formed
-    /// arguments; the structure and the mirror are unchanged in that case.
+    /// arguments; the structure and the version are unchanged in that case.
     pub fn apply(&mut self, op: &str, args: &[Value]) -> Result<Option<Value>, DispatchError> {
-        let result = self.inner.apply(op, args)?;
-        self.track(op, args);
-        Ok(result)
-    }
-
-    /// Mirrors the effect of a *successfully dispatched* operation. The
-    /// arguments were validated by the dispatch, so the extractions in
-    /// [`apply_to_mirror`] cannot fail.
-    fn track(&mut self, op: &str, args: &[Value]) {
-        if apply_to_mirror(&mut self.mirror, op, args) {
+        let (result, changed) = self.inner.dispatch(op, args)?;
+        if changed {
             self.version += 1;
+            if let AnyStructure::ArrayList(_) = self.inner {
+                let mirror = self.state.get_mut().expect("a sequence keeps its mirror");
+                apply_to_mirror(mirror, op, args);
+            } else if self.state.get().is_some() {
+                self.state = OnceCell::new();
+            }
         }
+        Ok(result)
     }
 }
 
-/// Applies an operation's effect to an abstract-state value alone, the way
-/// [`TrackedStructure::apply`] updates its mirror, with no concrete structure
-/// behind it. Admission uses it to roll a copy of the live state back past a
-/// transaction's logged operations. Returns `false`, leaving `state`
-/// unchanged, if a list index is out of range; the argument shapes are those
-/// of a dispatched operation or of its verified inverse.
+/// Applies a sequence operation's effect to a sequence state value alone,
+/// the way [`TrackedStructure::apply`] updates its mirror, with no concrete
+/// structure behind it. Admission uses it to roll a copy of the live state
+/// back past a transaction's logged operations. Returns `false`, leaving
+/// `state` unchanged, if a list index is out of range; the argument shapes
+/// are those of a dispatched operation or of its verified inverse.
 pub(crate) fn apply_to_state(state: &mut Value, op: &str, args: &[Value]) -> bool {
     if let (Value::Seq(seq), Some(Value::Int(index))) = (&*state, args.first()) {
         let len = seq.len() as i64;
@@ -380,55 +456,34 @@ pub(crate) fn apply_to_state(state: &mut Value, op: &str, args: &[Value]) -> boo
     true
 }
 
-/// Applies an operation's effect to a mirror value whose argument shapes
-/// (and list indices) are known to be valid, returning whether the state
-/// changed. A `set` that rewrites the
-/// same element counts as a change; nothing relies on it not counting.
-fn apply_to_mirror(mirror: &mut Value, op: &str, args: &[Value]) -> bool {
+/// Applies a sequence update's effect to a mirror value whose argument
+/// shapes (and list indices) are known to be valid; observers leave it as
+/// it is.
+fn apply_to_mirror(mirror: &mut Value, op: &str, args: &[Value]) {
     fn elem(args: &[Value], index: usize) -> ElemId {
         match &args[index] {
             Value::Elem(e) => *e,
             other => unreachable!("dispatch validated argument {index}, got {other:?}"),
         }
     }
-    fn int(args: &[Value], index: usize) -> i64 {
+    fn int(args: &[Value], index: usize) -> usize {
         match &args[index] {
-            Value::Int(i) => *i,
+            Value::Int(i) => *i as usize,
             other => unreachable!("dispatch validated argument {index}, got {other:?}"),
         }
     }
-    match mirror {
-        Value::Int(counter) => {
-            let delta = if op == "increase" { int(args, 0) } else { 0 };
-            *counter += delta;
-            delta != 0
+    let Value::Seq(seq) = mirror else {
+        unreachable!("only sequences keep a mirror, got {mirror:?}")
+    };
+    match op {
+        "addAt" => seq.insert(int(args, 0), elem(args, 1)),
+        "removeAt" => {
+            seq.remove(int(args, 0));
         }
-        Value::Set(set) => match op {
-            "add" => set.insert(elem(args, 0)),
-            "remove" => set.remove(&elem(args, 0)),
-            _ => false,
-        },
-        Value::Map(map) => match op {
-            "put" => map.insert(elem(args, 0), elem(args, 1)) != Some(elem(args, 1)),
-            "remove" => map.remove(&elem(args, 0)).is_some(),
-            _ => false,
-        },
-        Value::Seq(seq) => match op {
-            "addAt" => {
-                seq.insert(int(args, 0) as usize, elem(args, 1));
-                true
-            }
-            "removeAt" => {
-                seq.remove(int(args, 0) as usize);
-                true
-            }
-            "set" => {
-                seq.set(int(args, 0) as usize, elem(args, 1));
-                true
-            }
-            _ => false,
-        },
-        other => unreachable!("no structure mirrors to {other:?}"),
+        "set" => {
+            seq.set(int(args, 0), elem(args, 1));
+        }
+        _ => {}
     }
 }
 
@@ -581,10 +636,12 @@ mod tests {
     }
 
     #[test]
-    fn tracked_mirror_stays_equal_to_the_abstraction_function() {
+    fn tracked_state_stays_equal_to_the_abstraction_function() {
         // Drive every structure through a mixed trace (including no-op
-        // updates and failing dispatches) and check the mirror against the
-        // ground-truth abstraction after every step.
+        // updates and failing dispatches) and check `state_value` — the
+        // mirror for the sequence, the materialised abstraction for the
+        // rest — and the version against the ground-truth abstraction after
+        // every step.
         type Trace<'a> = (&'a str, &'a [(&'a str, &'a [Value])]);
         let traces: &[Trace] = &[
             (
@@ -605,6 +662,8 @@ mod tests {
                     ("put", &[Value::elem(1), Value::elem(11)]),
                     ("remove", &[Value::elem(2)]),
                     ("remove", &[Value::elem(1)]),
+                    ("put", &[Value::elem(3), Value::elem(30)]),
+                    ("put", &[Value::elem(3), Value::elem(30)]), // same value: no change
                     ("size", &[]),
                 ],
             ),
@@ -623,6 +682,7 @@ mod tests {
                 "Accumulator",
                 &[
                     ("increase", &[Value::Int(5)]),
+                    ("increase", &[Value::Int(0)]), // no change
                     ("increase", &[Value::Int(-9)]),
                     ("read", &[]),
                 ],
@@ -637,7 +697,7 @@ mod tests {
                 assert_eq!(
                     *tracked.state_value(),
                     tracked.inner().abstract_state().to_value(),
-                    "{name}.{op} mirror drifted"
+                    "{name}.{op} state drifted"
                 );
                 // The version counts exactly the operations that changed the
                 // state (no trace step rewrites an element with itself).
@@ -646,14 +706,59 @@ mod tests {
                     *tracked.state_value() != before,
                     "{name}.{op} version"
                 );
-                // The state-only form lands on the same value.
-                if applied {
+                // The sequence's state-only form lands on the same value.
+                if applied && *name == "ArrayList" {
                     let mut copy = before.clone();
                     assert!(apply_to_state(&mut copy, op, args), "{name}.{op}");
                     assert_eq!(copy, *tracked.state_value(), "{name}.{op} state-only apply");
                 }
             }
         }
+    }
+
+    /// Only the sequence keeps a mirror; the other structures are wrapped
+    /// without a walk and materialise their state only when asked.
+    #[test]
+    fn only_sequences_keep_a_mirror() {
+        for name in [
+            "Accumulator",
+            "ListSet",
+            "HashSet",
+            "AssociationList",
+            "HashTable",
+        ] {
+            let tracked = TrackedStructure::new(AnyStructure::by_name(name).unwrap());
+            assert!(tracked.state.get().is_none(), "{name}");
+        }
+        let list = TrackedStructure::new(AnyStructure::by_name("ArrayList").unwrap());
+        assert!(matches!(list.state.get(), Some(Value::Seq(_))));
+    }
+
+    #[test]
+    fn projections_answer_membership_and_lookup_at_the_keys() {
+        let mut set = AnyStructure::by_name("HashSet").unwrap();
+        let mut map = AnyStructure::by_name("HashTable").unwrap();
+        for k in [1, 2, 3] {
+            set.apply("add", &[Value::elem(k)]).unwrap();
+            map.apply("put", &[Value::elem(k), Value::elem(10 * k)])
+                .unwrap();
+        }
+        let keys = [Value::elem(2), Value::elem(7), Value::null(), Value::Int(1)];
+        assert_eq!(
+            set.project(&keys),
+            Some(Value::set_of([semcommute_logic::ElemId(2)]))
+        );
+        assert_eq!(
+            map.project(&keys),
+            Some(Value::map_of([(
+                semcommute_logic::ElemId(2),
+                semcommute_logic::ElemId(20)
+            )]))
+        );
+        assert_eq!(
+            AnyStructure::by_name("ArrayList").unwrap().project(&keys),
+            None
+        );
     }
 
     #[test]

@@ -20,10 +20,18 @@
 //! checked even where the live state alone would admit. The third pins the
 //! undo anchor: the live state with the logged transaction rolled back,
 //! where committed operations separate the pair.
+//!
+//! Over sets and maps the only conditions that read the state are the
+//! `size`-first ones, evaluated at the live state projected onto the
+//! incoming key, and certified only while the structure's version is the
+//! one `size` ran at and no third live transaction has changed the state.
+//! The last three tests pin that rule on `HashSet` and `HashTable`, each
+//! ending with a ticket-order replay through `CoarseLockRuntime`.
 
 use semcommute_logic::{ElemId, Value};
 use semcommute_runtime::{
-    AdmitBackend, AnyStructure, RuntimeOptions, SpeculativeRuntime, TxnError,
+    AdmitBackend, AnyStructure, CoarseLockRuntime, RuntimeOptions, SpeculativeRuntime, Transaction,
+    TxnError,
 };
 use semcommute_spec::AbstractState;
 
@@ -214,5 +222,212 @@ fn third_party_changes_block_state_reading_certificates() {
             AbstractState::List(vec![ElemId(1)]),
             "{backend:?}"
         );
+    }
+}
+
+/// One executed operation: name, arguments, recorded result.
+type Executed = (String, Vec<Value>, Option<Value>);
+
+/// A transaction that records what it executed, for the replay.
+struct Recorded {
+    txn: Transaction,
+    ops: Vec<Executed>,
+}
+
+impl Recorded {
+    fn execute(&mut self, op: &str, args: &[Value]) -> Result<Option<Value>, TxnError> {
+        let result = self.txn.execute(op, args)?;
+        self.ops
+            .push((op.to_string(), args.to_vec(), result.clone()));
+        Ok(result)
+    }
+}
+
+/// A runtime with the committed transactions it has seen, by ticket.
+struct History {
+    rt: SpeculativeRuntime,
+    structure: &'static str,
+    committed: Vec<(u64, Vec<Executed>)>,
+}
+
+impl History {
+    /// A runtime over `structure` whose first committed transaction runs
+    /// `seed`.
+    fn new(structure: &'static str, backend: AdmitBackend, seed: &[(&str, Vec<Value>)]) -> History {
+        let mut history = History {
+            rt: runtime(structure, backend),
+            structure,
+            committed: Vec::new(),
+        };
+        let mut txn = history.begin();
+        for (op, args) in seed {
+            txn.execute(op, args).unwrap();
+        }
+        history.commit(txn);
+        history
+    }
+
+    fn begin(&self) -> Recorded {
+        Recorded {
+            txn: self.rt.begin(),
+            ops: Vec::new(),
+        }
+    }
+
+    fn commit(&mut self, txn: Recorded) {
+        let ticket = txn.txn.commit();
+        self.committed.push((ticket, txn.ops));
+    }
+
+    /// Replays the committed transactions serially in ticket order through
+    /// the coarse-lock oracle: every recorded result and the final state
+    /// must come out the same.
+    fn replay(mut self, backend: AdmitBackend) {
+        assert_eq!(self.rt.pending_operations(), 0, "{backend:?}");
+        self.committed.sort_by_key(|(ticket, _)| *ticket);
+        let oracle = CoarseLockRuntime::new(AnyStructure::by_name(self.structure).unwrap());
+        for (ticket, ops) in &self.committed {
+            oracle.run_transaction(|serial| {
+                for (op, args, recorded) in ops {
+                    let replayed = serial.execute(op, args).unwrap();
+                    assert_eq!(
+                        &replayed, recorded,
+                        "{} ticket {ticket}: {op}{args:?} ({backend:?})",
+                        self.structure
+                    );
+                }
+            });
+        }
+        assert_eq!(oracle.snapshot(), self.rt.snapshot(), "{backend:?}");
+    }
+}
+
+fn expect_conflict(result: Result<Option<Value>, TxnError>, logged: &str, backend: AdmitBackend) {
+    match result {
+        Err(TxnError::Conflict(conflict)) => {
+            assert_eq!(conflict.logged_op, logged, "{backend:?}");
+        }
+        other => panic!("expected a conflict with `{logged}` ({backend:?}): {other:?}"),
+    }
+}
+
+fn e(id: u32) -> Value {
+    Value::elem(id)
+}
+
+/// While nothing changed since `size` ran, an incoming operation that
+/// leaves the state as it is commutes with it and is admitted.
+#[test]
+fn size_admits_state_preserving_operations_while_the_version_holds() {
+    for backend in BACKENDS {
+        // HashSet over {1}: `add(1)` and `remove(2)` change nothing.
+        let mut h = History::new("HashSet", backend, &[("add", vec![e(1)])]);
+        let mut t1 = h.begin();
+        assert_eq!(t1.execute("size", &[]).unwrap(), Some(Value::Int(1)));
+        let mut t2 = h.begin();
+        assert_eq!(
+            t2.execute("add", &[e(1)]).unwrap(),
+            Some(Value::Bool(false))
+        );
+        assert_eq!(
+            t2.execute("remove", &[e(2)]).unwrap(),
+            Some(Value::Bool(false))
+        );
+        h.commit(t2);
+        h.commit(t1);
+        h.replay(backend);
+
+        // HashTable over {1 -> 10}: `put(1, 10)` and `remove(2)` change
+        // nothing.
+        let mut h = History::new("HashTable", backend, &[("put", vec![e(1), e(10)])]);
+        let mut t1 = h.begin();
+        assert_eq!(t1.execute("size", &[]).unwrap(), Some(Value::Int(1)));
+        let mut t2 = h.begin();
+        assert_eq!(t2.execute("put", &[e(1), e(10)]).unwrap(), Some(e(10)));
+        assert_eq!(t2.execute("remove", &[e(2)]).unwrap(), Some(Value::null()));
+        h.commit(t1);
+        h.commit(t2);
+        h.replay(backend);
+    }
+}
+
+/// Once the state has changed since `size` ran — by the `size`
+/// transaction itself, or by a transaction that has since committed — a
+/// state-reading pair against it is no longer certified, even for an
+/// operation that changes nothing.
+#[test]
+fn size_conflicts_after_any_state_change_since_it_ran() {
+    for backend in BACKENDS {
+        // HashSet: the `size` transaction adds 5 after its `size`.
+        let mut h = History::new("HashSet", backend, &[("add", vec![e(1)])]);
+        let mut t1 = h.begin();
+        t1.execute("size", &[]).unwrap();
+        t1.execute("add", &[e(5)]).unwrap();
+        let mut t2 = h.begin();
+        expect_conflict(t2.execute("add", &[e(1)]), "size", backend);
+        t2.txn.abort();
+        h.commit(t1);
+        let mut t2 = h.begin();
+        assert_eq!(
+            t2.execute("add", &[e(1)]).unwrap(),
+            Some(Value::Bool(false))
+        );
+        h.commit(t2);
+        h.replay(backend);
+
+        // HashTable: a `put` that replaces 1's value keeps the size, so it
+        // is admitted against the `size` and commits; after it, even a
+        // no-op `put` is refused.
+        let mut h = History::new("HashTable", backend, &[("put", vec![e(1), e(10)])]);
+        let mut t1 = h.begin();
+        t1.execute("size", &[]).unwrap();
+        let mut t3 = h.begin();
+        assert_eq!(t3.execute("put", &[e(1), e(11)]).unwrap(), Some(e(10)));
+        h.commit(t3);
+        let mut t2 = h.begin();
+        expect_conflict(t2.execute("put", &[e(1), e(11)]), "size", backend);
+        t2.txn.abort();
+        h.commit(t1);
+        h.replay(backend);
+    }
+}
+
+/// A third live transaction that has changed the state blocks every
+/// state-reading pair (the no-third-party rule). On a map, a value-replacing
+/// `put` keeps the size, so a `size` is admitted after it; a `remove` of an
+/// absent key then commutes with the `size` at the live state, yet conflicts
+/// until the third transaction finishes. On a set every change moves the
+/// size, so a `size` is never admitted beside a live change at all.
+#[test]
+fn size_conflicts_while_a_third_live_transaction_has_changed_the_state() {
+    for backend in BACKENDS {
+        let mut h = History::new("HashTable", backend, &[("put", vec![e(1), e(10)])]);
+        let mut t3 = h.begin();
+        t3.execute("put", &[e(1), e(11)]).unwrap();
+        let mut t1 = h.begin();
+        assert_eq!(t1.execute("size", &[]).unwrap(), Some(Value::Int(1)));
+        let mut t2 = h.begin();
+        expect_conflict(t2.execute("remove", &[e(2)]), "size", backend);
+        t2.txn.abort();
+        h.commit(t3);
+        // The version is still the one `size` ran at, and nobody else is
+        // live: admitted.
+        let mut t2 = h.begin();
+        assert_eq!(t2.execute("remove", &[e(2)]).unwrap(), Some(Value::null()));
+        h.commit(t2);
+        h.commit(t1);
+        h.replay(backend);
+
+        let mut h = History::new("HashSet", backend, &[("add", vec![e(1)])]);
+        let mut t3 = h.begin();
+        t3.execute("add", &[e(7)]).unwrap();
+        let mut t1 = h.begin();
+        expect_conflict(t1.execute("size", &[]), "add", backend);
+        t1.txn.abort();
+        h.commit(t3);
+        let mut t1 = h.begin();
+        assert_eq!(t1.execute("size", &[]).unwrap(), Some(Value::Int(2)));
+        h.commit(t1);
+        h.replay(backend);
     }
 }
