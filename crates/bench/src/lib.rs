@@ -4,7 +4,7 @@
 //! tables (run them with `cargo run -p semcommute-bench --release --bin
 //! table_5_8`); the Criterion benches in `benches/` measure prover, runtime,
 //! and data structure performance. The `runtime_perf` binary holds the
-//! runtime's admission and contention acceptance bars; end-to-end
+//! runtime's contention acceptance bar; end-to-end
 //! measurement of both halves is the separate `perfbench` package.
 
 #![forbid(unsafe_code)]

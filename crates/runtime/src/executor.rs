@@ -74,9 +74,7 @@ use semcommute_spec::AbstractState;
 
 use crate::contention::{BackoffOptions, ContentionState, FallbackOptions, Mode, ModeGate};
 use crate::fault::FaultPlan;
-use crate::gatekeeper::{
-    no_condition, AdmissionError, AdmitBackend, CommutativityGatekeeper, Conflict,
-};
+use crate::gatekeeper::{no_condition, AdmissionError, CommutativityGatekeeper, Conflict};
 use crate::log::LogEntry;
 use crate::rollback::InverseRollback;
 use crate::structure::{apply_to_state, AnyStructure, DispatchError, TrackedStructure};
@@ -211,13 +209,11 @@ pub struct RuntimeStats {
 /// Construction-time knobs of a [`SpeculativeRuntime`]
 /// (see [`SpeculativeRuntime::with_options`]).
 ///
-/// [`Default`] resolves the admission backend and the fallback from their
-/// environment variables (`SEMCOMMUTE_ADMIT`, `SEMCOMMUTE_FALLBACK`), read
-/// once per process, turns backoff on, and attaches no fault plan.
+/// [`Default`] resolves the fallback from its environment variable
+/// (`SEMCOMMUTE_FALLBACK`), read once per process, turns backoff on, and
+/// attaches no fault plan.
 #[derive(Debug, Clone)]
 pub struct RuntimeOptions {
-    /// How admission evaluates between conditions (see [`AdmitBackend`]).
-    pub backend: AdmitBackend,
     /// The abort-rate-driven coarse-lock fallback (see [`FallbackOptions`]).
     pub fallback: FallbackOptions,
     /// Backoff between conflicted retry attempts (see [`BackoffOptions`]).
@@ -230,7 +226,6 @@ pub struct RuntimeOptions {
 impl Default for RuntimeOptions {
     fn default() -> RuntimeOptions {
         RuntimeOptions {
-            backend: AdmitBackend::default_backend(),
             fallback: FallbackOptions::default_options(),
             backoff: BackoffOptions::on(),
             faults: None,
@@ -511,22 +506,6 @@ impl SpeculativeRuntime {
         SpeculativeRuntime::with_options(structure, RuntimeOptions::default())
     }
 
-    /// Wraps a concrete data structure for speculative access with an
-    /// explicit admission backend (see [`AdmitBackend`]). Under
-    /// [`AdmitBackend::Bytecode`] the between-condition catalog is compiled
-    /// to flat register programs, lazily, once per runtime — every clone of
-    /// this runtime shares the compiled cache. The remaining knobs keep
-    /// their process-wide defaults.
-    pub fn with_backend(structure: AnyStructure, backend: AdmitBackend) -> SpeculativeRuntime {
-        SpeculativeRuntime::with_options(
-            structure,
-            RuntimeOptions {
-                backend,
-                ..RuntimeOptions::default()
-            },
-        )
-    }
-
     /// Wraps a concrete data structure for speculative access with explicit
     /// [`RuntimeOptions`].
     pub fn with_options(structure: AnyStructure, options: RuntimeOptions) -> SpeculativeRuntime {
@@ -542,7 +521,7 @@ impl SpeculativeRuntime {
                 contention: ContentionState::new(options.fallback),
                 gate: ModeGate::new(),
                 op_ordinal: AtomicU64::new(0),
-                gatekeeper: CommutativityGatekeeper::with_backend(interface, options.backend),
+                gatekeeper: CommutativityGatekeeper::new(interface),
                 rollback: InverseRollback::new(interface),
                 options,
                 next_txn: AtomicU64::new(1),
@@ -688,12 +667,6 @@ impl SpeculativeRuntime {
     pub fn pending_operations(&self) -> usize {
         let guarded = self.shared.guarded.lock();
         guarded.inflight.values().map(Vec::len).sum()
-    }
-
-    /// The admission backend this runtime's gatekeeper evaluates
-    /// commutativity conditions with.
-    pub fn admit_backend(&self) -> AdmitBackend {
-        self.shared.gatekeeper.backend()
     }
 }
 
@@ -1154,57 +1127,52 @@ mod tests {
 
     #[test]
     fn unknown_operation_pairs_fail_fast_without_retries() {
-        for backend in [AdmitBackend::Bytecode, AdmitBackend::Interp] {
-            let rt = SpeculativeRuntime::with_backend(
-                AnyStructure::by_name("HashSet").unwrap(),
-                backend,
-            );
-            let mut t1 = rt.begin();
-            t1.execute("add", &[Value::elem(1)]).unwrap();
-            // With t1's `add` outstanding, an operation the catalog has no
-            // condition for must surface as a non-retryable `Condition`
-            // error — not spin the full retry budget and report
-            // `RetriesExhausted`.
-            let mut attempts = 0u32;
-            let err = rt
-                .run(1_000, |txn| {
-                    attempts += 1;
-                    txn.execute("frobnicate", &[Value::elem(1)]).map(|_| ())
-                })
-                .unwrap_err();
-            match err {
-                TxnError::Condition(msg) => {
-                    assert!(
-                        msg.contains("no condition for pair add/frobnicate"),
-                        "{backend:?}: {msg}"
-                    );
-                }
-                other => panic!("{backend:?}: expected a condition error, got {other:?}"),
+        let rt = SpeculativeRuntime::new(AnyStructure::by_name("HashSet").unwrap());
+        let mut t1 = rt.begin();
+        t1.execute("add", &[Value::elem(1)]).unwrap();
+        // With t1's `add` outstanding, an operation the catalog has no
+        // condition for must surface as a non-retryable `Condition`
+        // error — not spin the full retry budget and report
+        // `RetriesExhausted`.
+        let mut attempts = 0u32;
+        let err = rt
+            .run(1_000, |txn| {
+                attempts += 1;
+                txn.execute("frobnicate", &[Value::elem(1)]).map(|_| ())
+            })
+            .unwrap_err();
+        match err {
+            TxnError::Condition(msg) => {
+                assert!(
+                    msg.contains("no condition for pair add/frobnicate"),
+                    "{msg}"
+                );
             }
-            assert_eq!(attempts, 1, "condition errors must not be retried");
-            t1.commit();
-            // The structure is untouched by the failed attempt.
-            assert_eq!(
-                rt.snapshot(),
-                AbstractState::Set([ElemId(1)].into_iter().collect())
-            );
-
-            // With no other live transaction there is no pair to check: the
-            // structure rejects the operation, which logs nothing.
-            let mut t = rt.begin();
-            match t.execute("frobnicate", &[Value::elem(2)]) {
-                Err(TxnError::Dispatch(msg)) => {
-                    assert!(msg.contains("unknown operation"), "{backend:?}: {msg}");
-                }
-                other => panic!("{backend:?}: expected a dispatch error, got {other:?}"),
-            }
-            assert_eq!(rt.pending_operations(), 0, "{backend:?}");
-            t.commit();
-            assert_eq!(
-                rt.snapshot(),
-                AbstractState::Set([ElemId(1)].into_iter().collect())
-            );
+            other => panic!("expected a condition error, got {other:?}"),
         }
+        assert_eq!(attempts, 1, "condition errors must not be retried");
+        t1.commit();
+        // The structure is untouched by the failed attempt.
+        assert_eq!(
+            rt.snapshot(),
+            AbstractState::Set([ElemId(1)].into_iter().collect())
+        );
+
+        // With no other live transaction there is no pair to check: the
+        // structure rejects the operation, which logs nothing.
+        let mut t = rt.begin();
+        match t.execute("frobnicate", &[Value::elem(2)]) {
+            Err(TxnError::Dispatch(msg)) => {
+                assert!(msg.contains("unknown operation"), "{msg}");
+            }
+            other => panic!("expected a dispatch error, got {other:?}"),
+        }
+        assert_eq!(rt.pending_operations(), 0);
+        t.commit();
+        assert_eq!(
+            rt.snapshot(),
+            AbstractState::Set([ElemId(1)].into_iter().collect())
+        );
     }
 
     #[test]

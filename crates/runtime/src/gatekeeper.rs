@@ -1,32 +1,22 @@
 //! The commutativity gatekeeper: dynamic conflict detection using the
 //! verified between conditions.
 //!
-//! # Admission backends
+//! # Compiled admission
 //!
-//! The gatekeeper can evaluate a between condition two ways:
-//!
-//! * [`AdmitBackend::Bytecode`] (the default) compiles the condition formula
-//!   **once per runtime** into a flat register [`Program`] via
-//!   [`Program::lower_formula`] with a fixed slot layout — `s1`, `r1`, the
-//!   first operation's canonical argument names, then the second's — and
-//!   evaluates admissions through the program with reusable thread-local
-//!   register buffers. No `Model`, no `HashMap`, no term-tree walk on the
-//!   hot path.
-//! * [`AdmitBackend::Interp`] builds a fresh [`Model`] per check and walks
-//!   the term tree with [`eval_bool`] — the reference semantics, kept as the
-//!   differential oracle (`tests/diff_gatekeeper.rs` pins the two backends
-//!   against each other across the whole catalog).
-//!
-//! Programs are compiled lazily on first use of each (logged-op,
+//! The gatekeeper compiles each between condition formula **once per
+//! runtime** into a flat register [`Program`] via
+//! [`Program::lower_formula`] with a fixed slot layout — `s1`, `r1`, the
+//! first operation's canonical argument names, then the second's — and
+//! evaluates admissions through the program with reusable thread-local
+//! register buffers. No `Model`, no `HashMap`, no term-tree walk on the hot
+//! path. Programs are compiled lazily on first use of each (logged-op,
 //! incoming-op) pair and shared across clones of the gatekeeper, so a
 //! runtime pays for exactly the pairs its workload exercises, once.
-//! Verdicts and the [`Conflict`] vs [`Evaluation`](AdmissionError::Evaluation)
-//! classification are identical under both backends; only the wording of
-//! low-level evaluation errors may differ (the compiled executor reports
-//! registers, the interpreter reports variable names).
 //!
-//! The `SEMCOMMUTE_ADMIT` environment variable (`bytecode` | `interp`)
-//! selects the process-wide default backend.
+//! The reference semantics is `logic::eval_bool` over a `Model` built from
+//! the log entry: `tests/diff_gatekeeper.rs` checks every catalog pair's
+//! compiled verdicts, and the [`Conflict`] vs
+//! [`Evaluation`](AdmissionError::Evaluation) classification, against it.
 //!
 //! # Runtime forms
 //!
@@ -71,16 +61,19 @@
 //!
 //! Operations are keyed by their dense index in the interface's operation
 //! list ([`op_index`](CommutativityGatekeeper::op_index)); every pair lookup,
-//! by name or by index, reads one flattened (first × second) table.
+//! by name or by index, reads one flattened (first × second) table. Whether
+//! a pair reads `s1`, and whether an operation's log entries must carry a
+//! pre-state, are decided once, when the table is built.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+use semcommute_core::catalog::condition_formula;
 use semcommute_core::condition::names;
 use semcommute_core::runtime_form::{rewrite_with, state_query_rewrites};
-use semcommute_core::{interface_catalog, CommutativityCondition, ConditionKind};
-use semcommute_logic::{eval_bool, free_vars, Model, Sort, Term, Value};
+use semcommute_core::{CommutativityCondition, ConditionKind, OpVariant};
+use semcommute_logic::{Sort, Term, Value};
 use semcommute_prover::Program;
 use semcommute_spec::InterfaceId;
 
@@ -145,35 +138,6 @@ impl fmt::Display for AdmissionError {
     }
 }
 
-/// How the gatekeeper evaluates between conditions (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmitBackend {
-    /// Flat register programs compiled once per runtime (the default).
-    Bytecode,
-    /// The reference `Model`-building term-tree interpreter.
-    Interp,
-}
-
-impl AdmitBackend {
-    /// Parses a `SEMCOMMUTE_ADMIT` setting. `interp` (or `model` / `tree`)
-    /// selects the interpreter; anything else — including unset — selects the
-    /// compiled backend.
-    pub fn parse(setting: Option<&str>) -> AdmitBackend {
-        match setting {
-            Some("interp" | "model" | "tree") => AdmitBackend::Interp,
-            _ => AdmitBackend::Bytecode,
-        }
-    }
-
-    /// The process-wide default backend: the `SEMCOMMUTE_ADMIT` environment
-    /// variable, read once.
-    pub fn default_backend() -> AdmitBackend {
-        static DEFAULT: OnceLock<AdmitBackend> = OnceLock::new();
-        *DEFAULT
-            .get_or_init(|| AdmitBackend::parse(std::env::var("SEMCOMMUTE_ADMIT").ok().as_deref()))
-    }
-}
-
 /// Where each input slot of a compiled admission program gets its value from
 /// at evaluation time.
 #[derive(Debug, Clone, Copy)]
@@ -196,15 +160,13 @@ enum SlotSrc {
 struct AdmissionProgram {
     program: Program,
     /// Per input slot: where its value comes from, and its canonical variable
-    /// name (for `unbound variable` error messages matching the interpreter).
+    /// name (for `unbound variable` error messages).
     slots: Vec<(SlotSrc, String)>,
     /// Per input slot: whether the compiled program actually reads it.
     /// Unread slots take a placeholder; read-but-unavailable slots are
-    /// evaluation errors — exactly when the interpreter's `Model` lookup
-    /// would have failed.
+    /// evaluation errors — exactly when a `Model` lookup of the reference
+    /// evaluator would fail.
     reads: Vec<bool>,
-    /// `reads[0]`: does the program read the pre-state slot `s1`?
-    reads_initial: bool,
 }
 
 thread_local! {
@@ -236,12 +198,10 @@ impl AdmissionProgram {
         let order: Vec<String> = slots.iter().map(|(_, name)| name.clone()).collect();
         let program = Program::lower_formula(&condition.formula, &order);
         let reads = program.input_reads();
-        let reads_initial = reads[0];
         AdmissionProgram {
             program,
             slots,
             reads,
-            reads_initial,
         }
     }
 
@@ -250,7 +210,7 @@ impl AdmissionProgram {
     /// provided it overrides the logged entry's captured pre-state as the
     /// `s1` binding (the re-anchored evaluation — see
     /// [`CommutativityGatekeeper::check_indexed_at`]). Errors are raw (the
-    /// caller prefixes the condition id, as the interpreter path does).
+    /// caller prefixes the condition id).
     fn eval(
         &self,
         logged: &LogEntry,
@@ -274,9 +234,8 @@ impl AdmissionProgram {
                 };
                 match found {
                     Some(v) => regs[slot] = v.clone(),
-                    // The interpreter would not have inserted this name
-                    // into the model, so its formula walk would fail the
-                    // lookup; reproduce that error here.
+                    // A `Model` built from the entry would lack this name,
+                    // so the reference evaluator's lookup would fail too.
                     None => return Err(format!("unbound variable `{name}`")),
                 }
             }
@@ -288,9 +247,8 @@ impl AdmissionProgram {
 /// A between condition prepared for repeated run-time evaluation: the
 /// canonical argument-variable names are resolved against the interface
 /// specification once, and the formula's state requirements are precomputed,
-/// so the per-admission work is a handful of O(1) model insertions plus the
-/// formula walk (interpreter backend) or a slot fill plus a flat register
-/// program run (bytecode backend).
+/// so the per-admission work is a slot fill plus a flat register program
+/// run.
 #[derive(Debug, Clone)]
 struct Prepared {
     condition: CommutativityCondition,
@@ -298,9 +256,11 @@ struct Prepared {
     first_params: Vec<String>,
     /// Canonical names (`v2`, `k2`, …) for the second operation's arguments.
     second_params: Vec<String>,
-    /// Whether the formula mentions the initial state `s1` (syntactic
-    /// free-variable scan — the interpreter backend's projection).
-    needs_initial: bool,
+    /// Whether the formula reads the initial state `s1` at all, decided at
+    /// construction by the walk that finds `state_keys`. The compiled
+    /// program reads its `s1` slot exactly then (a unit test pins the two
+    /// across the catalog).
+    reads_state: bool,
     /// The argument slots at which the formula queries `s1`, if it reads
     /// `s1` only through membership and lookup at arguments (see
     /// [`keyed_state_reads`]); `None` if it reads `s1` any other way.
@@ -355,10 +315,70 @@ fn keyed_state_reads(
 }
 
 impl Prepared {
+    fn new(
+        condition: CommutativityCondition,
+        first_params: Vec<String>,
+        second_params: Vec<String>,
+    ) -> Prepared {
+        let state_keys = keyed_state_reads(&condition.formula, &first_params, &second_params);
+        // The walk fails only where `s1` occurs, and finds keys only where
+        // it does: `Some(empty)` is the one state-free outcome.
+        let reads_state = state_keys.as_ref().is_none_or(|keys| !keys.is_empty());
+        Prepared {
+            condition,
+            first_params,
+            second_params,
+            reads_state,
+            state_keys,
+            program: Arc::new(OnceLock::new()),
+        }
+    }
+
     fn program(&self) -> &AdmissionProgram {
         self.program.get_or_init(|| {
             AdmissionProgram::compile(&self.condition, &self.first_params, &self.second_params)
         })
+    }
+
+    /// Evaluates the condition on `logged` and the incoming arguments, with
+    /// `s1` bound to `state`, or to the entry's captured pre-state when
+    /// `state` is `None`.
+    fn eval(
+        &self,
+        logged: &LogEntry,
+        incoming_args: &[Value],
+        state: Option<&Value>,
+    ) -> Result<bool, String> {
+        if self.reads_state && state.is_none() && logged.pre_state.is_none() {
+            return Err(format!(
+                "{}: entry for `{}` carries no pre-state but the condition reads `{}`",
+                self.condition.id(),
+                logged.op,
+                names::INITIAL,
+            ));
+        }
+        self.program()
+            .eval(logged, incoming_args, state)
+            .map_err(|e| format!("{}: {e}", self.condition.id()))
+    }
+
+    /// Translates one condition evaluation into an admission verdict.
+    fn classify(
+        &self,
+        logged: &LogEntry,
+        incoming_op: &str,
+        incoming_args: &[Value],
+        state: Option<&Value>,
+    ) -> Result<(), AdmissionError> {
+        match self.eval(logged, incoming_args, state) {
+            Ok(true) => Ok(()),
+            Ok(false) => Err(AdmissionError::Conflict(Conflict {
+                with_txn: logged.txn,
+                logged_op: logged.op.clone(),
+                incoming_op: incoming_op.to_string(),
+            })),
+            Err(e) => Err(AdmissionError::Evaluation(e)),
+        }
     }
 }
 
@@ -378,22 +398,14 @@ impl Prepared {
 /// [`requires_pre_state_indexed`](CommutativityGatekeeper::requires_pre_state_indexed)
 /// when logging the operation. Only a sequence operation with a condition
 /// that reads `s1` needs one: set and map conditions read `s1` at keys the
-/// live structure answers, and the rest test `r1` and arguments. Whether a
-/// condition reads `s1` is derived from the compiled programs' actual slot
-/// reads under the bytecode backend and from the syntactic free-variable
-/// scan under the interpreter, memoized per operation. The two projections
-/// agree across the whole catalog — `tests/diff_runtime.rs` asserts it pair
-/// by pair.
+/// live structure answers, and the rest test `r1` and arguments. The answer
+/// is computed once per operation, at construction, from the formulas.
 #[derive(Debug, Clone)]
 pub struct CommutativityGatekeeper {
     interface: InterfaceId,
-    backend: AdmitBackend,
-    /// Per operation of `ops`, the memoized pre-state projection: does any
-    /// condition with this operation first read `s1` other than at keys,
-    /// under the active backend? Shared across clones, filled on the first
-    /// [`requires_pre_state_indexed`](CommutativityGatekeeper::requires_pre_state_indexed)
-    /// query for the operation.
-    pre_state: Arc<[OnceLock<bool>]>,
+    /// Per operation of `ops`: does a condition with this operation first
+    /// read `s1` other than at keys?
+    pre_state: Vec<bool>,
     /// The dense operation universe: the interface's operation names in
     /// specification order. [`op_index`](CommutativityGatekeeper::op_index)
     /// resolves a name once, when the operation executes, and the log entry
@@ -401,23 +413,18 @@ pub struct CommutativityGatekeeper {
     ops: Vec<String>,
     /// The prepared between conditions for recorded variants, in their
     /// runtime forms, as the flattened (first × second) pair table indexed
-    /// `first * ops.len() + second`; `None` where the catalog holds no
-    /// condition for the pair.
+    /// `first * ops.len() + second`; `None` where no condition is held for
+    /// the pair.
     table: Vec<Option<Prepared>>,
 }
 
 impl CommutativityGatekeeper {
     /// Builds the gatekeeper for an interface from the runtime forms of the
-    /// verified catalog, using the process-wide default admission backend.
+    /// verified catalog's recorded between conditions. Only those conditions
+    /// are built: one per ordered pair of operations.
     pub fn new(interface: InterfaceId) -> CommutativityGatekeeper {
-        CommutativityGatekeeper::with_backend(interface, AdmitBackend::default_backend())
-    }
-
-    /// Builds the gatekeeper with an explicit admission backend.
-    pub fn with_backend(interface: InterfaceId, backend: AdmitBackend) -> CommutativityGatekeeper {
         let iface = semcommute_spec::interface_by_id(interface);
         let ops: Vec<String> = iface.ops.iter().map(|op| op.name.clone()).collect();
-        let index = |op: &str| ops.iter().position(|name| name == op);
         let params = |op: usize, which: usize| -> Vec<String> {
             iface.ops[op]
                 .params
@@ -425,43 +432,48 @@ impl CommutativityGatekeeper {
                 .map(|(formal, _)| names::arg(formal, which))
                 .collect()
         };
-        let mut table: Vec<Option<Prepared>> = vec![None; ops.len() * ops.len()];
         let rules = state_query_rewrites(interface);
-        for condition in interface_catalog(interface) {
-            if condition.kind != ConditionKind::Between
-                || !condition.first.recorded
-                || !condition.second.recorded
-            {
-                continue;
+        let mut table: Vec<Option<Prepared>> = Vec::with_capacity(ops.len() * ops.len());
+        for (first, first_op) in ops.iter().enumerate() {
+            for (second, second_op) in ops.iter().enumerate() {
+                let (first_variant, second_variant) = (
+                    OpVariant::recorded(first_op),
+                    OpVariant::recorded(second_op),
+                );
+                let kind = ConditionKind::Between;
+                let formula = condition_formula(interface, &first_variant, &second_variant, kind);
+                let condition = rewrite_with(
+                    CommutativityCondition::new(
+                        interface,
+                        first_variant,
+                        second_variant,
+                        kind,
+                        formula,
+                    ),
+                    &rules,
+                );
+                let prepared = Prepared::new(condition, params(first, 1), params(second, 2));
+                // Sets and maps keep no mirror to capture or roll back: the
+                // executor can only answer their state at keys.
+                assert!(
+                    prepared.state_keys.is_some() || iface.state_sort == Sort::Seq,
+                    "{} reads `s1` other than at keys",
+                    prepared.condition.id()
+                );
+                table.push(Some(prepared));
             }
-            let (Some(first), Some(second)) =
-                (index(&condition.first.op), index(&condition.second.op))
-            else {
-                continue;
-            };
-            let condition = rewrite_with(condition, &rules);
-            let (first_params, second_params) = (params(first, 1), params(second, 2));
-            let state_keys = keyed_state_reads(&condition.formula, &first_params, &second_params);
-            // Sets and maps keep no mirror to capture or roll back: the
-            // executor can only answer their state at keys.
-            assert!(
-                state_keys.is_some() || iface.state_sort == Sort::Seq,
-                "{} reads `s1` other than at keys",
-                condition.id()
-            );
-            table[first * ops.len() + second] = Some(Prepared {
-                needs_initial: free_vars(&condition.formula).contains_key(names::INITIAL),
-                state_keys,
-                first_params,
-                second_params,
-                program: Arc::new(OnceLock::new()),
-                condition,
-            });
         }
+        let pre_state = table
+            .chunks(ops.len())
+            .map(|row| {
+                row.iter()
+                    .flatten()
+                    .any(|p| p.reads_state && p.state_keys.is_none())
+            })
+            .collect();
         CommutativityGatekeeper {
             interface,
-            backend,
-            pre_state: ops.iter().map(|_| OnceLock::new()).collect(),
+            pre_state,
             ops,
             table,
         }
@@ -470,11 +482,6 @@ impl CommutativityGatekeeper {
     /// The interface this gatekeeper serves.
     pub fn interface(&self) -> InterfaceId {
         self.interface
-    }
-
-    /// The admission backend this gatekeeper evaluates conditions with.
-    pub fn backend(&self) -> AdmitBackend {
-        self.backend
     }
 
     /// The table cell of an ordered pair of operation indices.
@@ -511,30 +518,14 @@ impl CommutativityGatekeeper {
         pairs
     }
 
-    /// For one pair's condition, the two pre-state projections: does the
-    /// formula mention `s1` syntactically (interpreter backend), and does
-    /// the compiled program actually read the `s1` slot (bytecode backend)?
-    /// `None` if the pair is unknown. The differential harness asserts the
-    /// two always agree.
-    pub fn pair_pre_state_projection(
-        &self,
-        first_op: &str,
-        second_op: &str,
-    ) -> Option<(bool, bool)> {
-        self.prepared(first_op, second_op)
-            .map(|p| (p.needs_initial, p.program().reads_initial))
-    }
-
     /// Must a log entry for `op` (as the *first* operation of a later
     /// between check) carry the abstract pre-state?
     ///
     /// Returns `true` iff some between condition with `op` first reads the
-    /// initial state `s1` other than at keys — under the bytecode backend,
-    /// *reads* means the compiled program consumes the `s1` input slot;
-    /// under the interpreter backend, that the formula mentions `s1`. That
-    /// leaves sequence operations only: no set or map operation needs a
-    /// pre-state. The executor captures the (O(1), persistent) state
-    /// projection only for these operations. Unknown operations need none.
+    /// initial state `s1` other than at keys. That leaves sequence
+    /// operations only: no set or map operation needs a pre-state. The
+    /// executor captures the (O(1), persistent) state projection only for
+    /// these operations. Unknown operations need none.
     pub fn requires_pre_state(&self, op: &str) -> bool {
         self.op_index(op)
             .is_some_and(|idx| self.requires_pre_state_indexed(idx))
@@ -542,59 +533,9 @@ impl CommutativityGatekeeper {
 
     /// [`requires_pre_state`](CommutativityGatekeeper::requires_pre_state)
     /// for an operation pre-resolved via
-    /// [`op_index`](CommutativityGatekeeper::op_index): after the first
-    /// query per operation, one atomic load.
+    /// [`op_index`](CommutativityGatekeeper::op_index): one lookup.
     pub fn requires_pre_state_indexed(&self, op_idx: u16) -> bool {
-        let first = op_idx as usize;
-        *self.pre_state[first].get_or_init(|| {
-            let row = &self.table[first * self.ops.len()..(first + 1) * self.ops.len()];
-            row.iter()
-                .flatten()
-                .any(|p| p.state_keys.is_none() && self.reads_state(p))
-        })
-    }
-
-    /// Evaluates one prepared condition under this gatekeeper's backend.
-    /// `state`, when provided, overrides the logged entry's captured
-    /// pre-state as the `s1` binding.
-    fn eval_prepared(
-        &self,
-        prepared: &Prepared,
-        logged: &LogEntry,
-        incoming_args: &[Value],
-        state: Option<&Value>,
-    ) -> Result<bool, String> {
-        match self.backend {
-            AdmitBackend::Bytecode => {
-                let program = prepared.program();
-                if program.reads_initial && state.is_none() && logged.pre_state.is_none() {
-                    return Err(missing_pre_state(prepared, logged));
-                }
-                program
-                    .eval(logged, incoming_args, state)
-                    .map_err(|e| format!("{}: {e}", prepared.condition.id()))
-            }
-            AdmitBackend::Interp => {
-                let mut model = Model::new();
-                if prepared.needs_initial {
-                    match state.or(logged.pre_state.as_ref()) {
-                        Some(state) => model.insert(names::INITIAL, state.clone()),
-                        None => return Err(missing_pre_state(prepared, logged)),
-                    };
-                }
-                if let Some(result) = &logged.result {
-                    model.insert(names::RESULT1, result.clone());
-                }
-                for (name, value) in prepared.first_params.iter().zip(&logged.args) {
-                    model.insert(name.clone(), value.clone());
-                }
-                for (name, value) in prepared.second_params.iter().zip(incoming_args) {
-                    model.insert(name.clone(), value.clone());
-                }
-                eval_bool(&prepared.condition.formula, &model)
-                    .map_err(|e| format!("{}: {e}", prepared.condition.id()))
-            }
-        }
+        self.pre_state[op_idx as usize]
     }
 
     /// Resolves an operation name to its dense index in this gatekeeper's
@@ -611,14 +552,12 @@ impl CommutativityGatekeeper {
     }
 
     /// The condition of the pair (`first` logged, `second` incoming), looked
-    /// up once for every anchor it is checked at; `None` if the catalog
-    /// holds no condition for the pair. Indices come from
+    /// up once for every anchor it is checked at; `None` if the table holds
+    /// no condition for the pair. Indices come from
     /// [`op_index`](CommutativityGatekeeper::op_index).
     pub fn pair_indexed(&self, first: u16, second: u16) -> Option<PairCheck<'_>> {
-        self.cell(first, second).map(|prepared| PairCheck {
-            gatekeeper: self,
-            prepared,
-        })
+        self.cell(first, second)
+            .map(|prepared| PairCheck { prepared })
     }
 
     /// Checks an incoming operation against one logged entry of another
@@ -688,37 +627,6 @@ impl CommutativityGatekeeper {
         }
         pair.check(logged, incoming_op, incoming_args, Some(state))
     }
-
-    /// Does this pair's condition read the abstract state `s1` under the
-    /// active backend? (Compiled slot read for bytecode, syntactic
-    /// free-variable scan for the interpreter — the differential harness
-    /// pins the two projections against each other.)
-    fn reads_state(&self, prepared: &Prepared) -> bool {
-        match self.backend {
-            AdmitBackend::Interp => prepared.needs_initial,
-            AdmitBackend::Bytecode => prepared.program().reads_initial,
-        }
-    }
-
-    /// Translates one condition evaluation into an admission verdict.
-    fn classify(
-        &self,
-        prepared: &Prepared,
-        logged: &LogEntry,
-        incoming_op: &str,
-        incoming_args: &[Value],
-        state: Option<&Value>,
-    ) -> Result<(), AdmissionError> {
-        match self.eval_prepared(prepared, logged, incoming_args, state) {
-            Ok(true) => Ok(()),
-            Ok(false) => Err(AdmissionError::Conflict(Conflict {
-                with_txn: logged.txn,
-                logged_op: logged.op.clone(),
-                incoming_op: incoming_op.to_string(),
-            })),
-            Err(e) => Err(AdmissionError::Evaluation(e)),
-        }
-    }
 }
 
 /// One (logged, incoming) pair's condition, looked up once by
@@ -726,16 +634,13 @@ impl CommutativityGatekeeper {
 /// at as many anchors as it needs.
 #[derive(Debug, Clone, Copy)]
 pub struct PairCheck<'g> {
-    gatekeeper: &'g CommutativityGatekeeper,
     prepared: &'g Prepared,
 }
 
 impl<'g> PairCheck<'g> {
-    /// Does the condition read the abstract state `s1` under the active
-    /// backend? (Compiled slot read for bytecode, syntactic free-variable
-    /// scan for the interpreter.)
+    /// Does the condition read the abstract state `s1`?
     pub fn reads_state(self) -> bool {
-        self.gatekeeper.reads_state(self.prepared)
+        self.prepared.reads_state
     }
 
     /// If the condition reads `s1` only through membership and lookup at
@@ -774,8 +679,8 @@ impl<'g> PairCheck<'g> {
         incoming_args: &[Value],
         state: Option<&Value>,
     ) -> Result<(), AdmissionError> {
-        self.gatekeeper
-            .classify(self.prepared, logged, incoming_op, incoming_args, state)
+        self.prepared
+            .classify(logged, incoming_op, incoming_args, state)
     }
 }
 
@@ -784,24 +689,12 @@ pub(crate) fn no_condition(logged: &LogEntry, incoming_op: &str) -> AdmissionErr
     AdmissionError::Evaluation(format!("no condition for pair {}/{incoming_op}", logged.op))
 }
 
-/// The entry carries no pre-state but the condition reads `s1` — the same
-/// message under both backends (it is raised before evaluation starts).
-fn missing_pre_state(prepared: &Prepared, logged: &LogEntry) -> String {
-    format!(
-        "{}: entry for `{}` carries no pre-state but the condition reads `{}`",
-        prepared.condition.id(),
-        logged.op,
-        names::INITIAL,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use semcommute_core::interface_catalog;
     use semcommute_core::runtime_form::runtime_rewrites;
     use semcommute_spec::AbstractState;
-
-    const BACKENDS: [AdmitBackend; 2] = [AdmitBackend::Bytecode, AdmitBackend::Interp];
 
     fn set_entry(txn: u64, op: &str, arg: u32, result: bool, state: &[u32]) -> LogEntry {
         LogEntry {
@@ -864,115 +757,90 @@ mod tests {
             }
         }
         assert_eq!(g.interface(), InterfaceId::Set);
-        assert_eq!(g.backend(), AdmitBackend::default_backend());
-    }
-
-    #[test]
-    fn admit_backend_parsing() {
-        assert_eq!(AdmitBackend::parse(None), AdmitBackend::Bytecode);
-        assert_eq!(
-            AdmitBackend::parse(Some("bytecode")),
-            AdmitBackend::Bytecode
-        );
-        assert_eq!(AdmitBackend::parse(Some("interp")), AdmitBackend::Interp);
-        assert_eq!(AdmitBackend::parse(Some("model")), AdmitBackend::Interp);
-        assert_eq!(AdmitBackend::parse(Some("tree")), AdmitBackend::Interp);
     }
 
     #[test]
     fn pre_state_is_required_only_for_sequence_reads_of_s1() {
-        for backend in BACKENDS {
-            // The runtime forms test `r1` where the catalog reads `s1`, and
-            // the `size`-first pairs read `s1` at keys the live structure
-            // answers: no set or map operation captures a pre-state.
-            for interface in [InterfaceId::Set, InterfaceId::Map] {
-                let g = CommutativityGatekeeper::with_backend(interface, backend);
-                for op in semcommute_spec::interface_by_id(interface).ops {
-                    assert!(
-                        !g.requires_pre_state(&op.name),
-                        "{interface}/{} ({backend:?})",
-                        op.name
-                    );
-                }
+        // The runtime forms test `r1` where the catalog reads `s1`, and
+        // the `size`-first pairs read `s1` at keys the live structure
+        // answers: no set or map operation captures a pre-state.
+        for interface in [InterfaceId::Set, InterfaceId::Map] {
+            let g = CommutativityGatekeeper::new(interface);
+            for op in semcommute_spec::interface_by_id(interface).ops {
+                assert!(!g.requires_pre_state(&op.name), "{interface}/{}", op.name);
             }
-            // `size`/`add` still reads `s1`, at the incoming element only.
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-            let pair = g
-                .pair_indexed(g.op_index("size").unwrap(), g.op_index("add").unwrap())
-                .unwrap();
-            assert!(pair.reads_state(), "{backend:?}");
-            let logged = set_entry(1, "size", 0, false, &[]);
-            let incoming = [Value::elem(5)];
-            let keys: Vec<&Value> = pair.state_keys(&logged, &incoming).unwrap().collect();
-            assert_eq!(keys, vec![&Value::elem(5)], "{backend:?}");
-            // A sequence observer whose condition reads positions of `s1`
-            // still captures one, and has no keys.
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::List, backend);
-            assert!(g.requires_pre_state("get"), "{backend:?}");
-            let pair = g
-                .pair_indexed(g.op_index("get").unwrap(), g.op_index("removeAt").unwrap())
-                .unwrap();
-            assert!(pair.reads_state(), "{backend:?}");
-            assert!(pair.state_keys(&logged, &incoming).is_none(), "{backend:?}");
         }
+        // `size`/`add` still reads `s1`, at the incoming element only.
+        let g = CommutativityGatekeeper::new(InterfaceId::Set);
+        let pair = g
+            .pair_indexed(g.op_index("size").unwrap(), g.op_index("add").unwrap())
+            .unwrap();
+        assert!(pair.reads_state());
+        let logged = set_entry(1, "size", 0, false, &[]);
+        let incoming = [Value::elem(5)];
+        let keys: Vec<&Value> = pair.state_keys(&logged, &incoming).unwrap().collect();
+        assert_eq!(keys, vec![&Value::elem(5)]);
+        // A sequence observer whose condition reads positions of `s1`
+        // still captures one, and has no keys.
+        let g = CommutativityGatekeeper::new(InterfaceId::List);
+        assert!(g.requires_pre_state("get"));
+        let pair = g
+            .pair_indexed(g.op_index("get").unwrap(), g.op_index("removeAt").unwrap())
+            .unwrap();
+        assert!(pair.reads_state());
+        assert!(pair.state_keys(&logged, &incoming).is_none());
     }
 
     #[test]
     fn distinct_elements_commute_same_element_conflicts() {
-        for backend in BACKENDS {
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-            // Transaction 1 added element 5, which was new (result = true).
-            let log = [set_entry(1, "add", 5, true, &[])];
+        let g = CommutativityGatekeeper::new(InterfaceId::Set);
+        // Transaction 1 added element 5, which was new (result = true).
+        let log = [set_entry(1, "add", 5, true, &[])];
 
-            // Transaction 2 adding a different element commutes.
-            assert!(admit(&g, &log, 2, "add", &[Value::elem(7)]).is_ok());
-            // Transaction 2 removing the element transaction 1 just added
-            // does not commute.
-            let conflict = match admit(&g, &log, 2, "remove", &[Value::elem(5)]) {
-                Err(AdmissionError::Conflict(c)) => c,
-                other => panic!("expected a conflict, got {other:?}"),
-            };
-            assert_eq!(conflict.with_txn, 1);
-            assert_eq!(conflict.logged_op, "add");
-            assert!(conflict.to_string().contains("does not commute"));
-            // The same transaction is never in conflict with itself.
-            assert!(admit(&g, &log, 1, "remove", &[Value::elem(5)]).is_ok());
-        }
+        // Transaction 2 adding a different element commutes.
+        assert!(admit(&g, &log, 2, "add", &[Value::elem(7)]).is_ok());
+        // Transaction 2 removing the element transaction 1 just added
+        // does not commute.
+        let conflict = match admit(&g, &log, 2, "remove", &[Value::elem(5)]) {
+            Err(AdmissionError::Conflict(c)) => c,
+            other => panic!("expected a conflict, got {other:?}"),
+        };
+        assert_eq!(conflict.with_txn, 1);
+        assert_eq!(conflict.logged_op, "add");
+        assert!(conflict.to_string().contains("does not commute"));
+        // The same transaction is never in conflict with itself.
+        assert!(admit(&g, &log, 1, "remove", &[Value::elem(5)]).is_ok());
     }
 
     #[test]
     fn contains_conflicts_only_when_observation_would_change() {
-        for backend in BACKENDS {
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-            // Transaction 1 observed that 3 was present (result = true, and 3
-            // was in the pre-state).
-            let log = [set_entry(1, "contains", 3, true, &[3])];
-            // Adding 3 again commutes (it was already present).
-            assert!(admit(&g, &log, 2, "add", &[Value::elem(3)]).is_ok());
-            // Removing 3 would invalidate the observation.
-            assert!(admit(&g, &log, 2, "remove", &[Value::elem(3)]).is_err());
-        }
+        let g = CommutativityGatekeeper::new(InterfaceId::Set);
+        // Transaction 1 observed that 3 was present (result = true, and 3
+        // was in the pre-state).
+        let log = [set_entry(1, "contains", 3, true, &[3])];
+        // Adding 3 again commutes (it was already present).
+        assert!(admit(&g, &log, 2, "add", &[Value::elem(3)]).is_ok());
+        // Removing 3 would invalidate the observation.
+        assert!(admit(&g, &log, 2, "remove", &[Value::elem(3)]).is_err());
     }
 
     #[test]
     fn map_gatekeeper_uses_key_based_conditions() {
-        for backend in BACKENDS {
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::Map, backend);
-            let log = [LogEntry {
-                txn: 1,
-                op: "put".into(),
-                args: vec![Value::elem(1), Value::elem(10)],
-                result: Some(Value::null()),
-                pre_state: Some(AbstractState::Map(Default::default()).to_value()),
-            }];
-            // A put to a different key commutes.
-            assert!(admit(&g, &log, 2, "put", &[Value::elem(2), Value::elem(20)]).is_ok());
-            // A get of the same key does not.
-            assert!(matches!(
-                admit(&g, &log, 2, "get", &[Value::elem(1)]),
-                Err(AdmissionError::Conflict(_))
-            ));
-        }
+        let g = CommutativityGatekeeper::new(InterfaceId::Map);
+        let log = [LogEntry {
+            txn: 1,
+            op: "put".into(),
+            args: vec![Value::elem(1), Value::elem(10)],
+            result: Some(Value::null()),
+            pre_state: Some(AbstractState::Map(Default::default()).to_value()),
+        }];
+        // A put to a different key commutes.
+        assert!(admit(&g, &log, 2, "put", &[Value::elem(2), Value::elem(20)]).is_ok());
+        // A get of the same key does not.
+        assert!(matches!(
+            admit(&g, &log, 2, "get", &[Value::elem(1)]),
+            Err(AdmissionError::Conflict(_))
+        ));
     }
 
     /// The one pair table drops no condition: per interface, exactly one
@@ -1033,6 +901,45 @@ mod tests {
         );
     }
 
+    /// One answer to "does this pair read `s1`": the bit decided at
+    /// construction from the formula equals the compiled program's read of
+    /// its `s1` slot, for every pair of every interface. The per-operation
+    /// pre-state projection, by name and by index, is the disjunction of its
+    /// pairs' bits over sequences and `false` for every other interface,
+    /// whose conditions read `s1` only at keys the live structure answers.
+    #[test]
+    fn the_state_read_bit_is_the_compiled_programs_s1_read() {
+        for interface in InterfaceId::ALL {
+            let g = CommutativityGatekeeper::new(interface);
+            let pairs = g.pairs();
+            for (first, second) in &pairs {
+                let prepared = g.prepared(first, second).unwrap();
+                assert_eq!(
+                    prepared.reads_state,
+                    prepared.program().reads[0],
+                    "{interface}: {first}/{second}: construction-time s1 bit and compiled \
+                     slot read disagree"
+                );
+            }
+            let iface = semcommute_spec::interface_by_id(interface);
+            let sequence = iface.state_sort == Sort::Seq;
+            for op in iface.ops.iter().map(|op| op.name.as_str()) {
+                let expected = sequence
+                    && pairs
+                        .iter()
+                        .filter(|(first, _)| first == op)
+                        .any(|(first, second)| g.prepared(first, second).unwrap().reads_state);
+                let idx = g.op_index(op).unwrap();
+                assert_eq!(g.requires_pre_state(op), expected, "{interface}: `{op}`");
+                assert_eq!(
+                    g.requires_pre_state_indexed(idx),
+                    expected,
+                    "{interface}: `{op}` by index"
+                );
+            }
+        }
+    }
+
     /// An operation the interface does not know has no index, so no
     /// admission can reach the pair table with it (the executor reports it;
     /// see `executor::tests::unknown_operation_pairs_fail_fast_without_retries`).
@@ -1040,32 +947,30 @@ mod tests {
     /// a conflict.
     #[test]
     fn unknown_operations_have_no_index_and_missing_pairs_are_evaluation_errors() {
-        for backend in BACKENDS {
-            let mut g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-            assert_eq!(g.op_index("frobnicate"), None);
-            assert!(!g.requires_pre_state("frobnicate"));
-            assert!(g.condition("add", "frobnicate").is_none());
-            assert!(g.pair_pre_state_projection("frobnicate", "add").is_none());
-            // Drop one pair from the table: the indexed check must fail
-            // loudly, not read as "does not commute".
-            let (first, second) = (g.op_index("add").unwrap(), g.op_index("remove").unwrap());
-            g.table[first as usize * g.ops.len() + second as usize] = None;
-            let logged = set_entry(1, "add", 5, true, &[]);
-            let args = [Value::elem(5)];
-            let state = AbstractState::Set(Default::default()).to_value();
-            for err in [
-                g.check_indexed(first, &logged, second, "remove", &args),
-                g.check_indexed_at(first, &logged, second, "remove", &args, &state),
-            ] {
-                match err {
-                    Err(AdmissionError::Evaluation(msg)) => {
-                        assert!(msg.contains("no condition for pair add/remove"), "{msg}");
-                    }
-                    other => panic!("expected an evaluation error, got {other:?}"),
+        let mut g = CommutativityGatekeeper::new(InterfaceId::Set);
+        assert_eq!(g.op_index("frobnicate"), None);
+        assert!(!g.requires_pre_state("frobnicate"));
+        assert!(g.condition("add", "frobnicate").is_none());
+        assert!(g.prepared("frobnicate", "add").is_none());
+        // Drop one pair from the table: the indexed check must fail
+        // loudly, not read as "does not commute".
+        let (first, second) = (g.op_index("add").unwrap(), g.op_index("remove").unwrap());
+        g.table[first as usize * g.ops.len() + second as usize] = None;
+        let logged = set_entry(1, "add", 5, true, &[]);
+        let args = [Value::elem(5)];
+        let state = AbstractState::Set(Default::default()).to_value();
+        for err in [
+            g.check_indexed(first, &logged, second, "remove", &args),
+            g.check_indexed_at(first, &logged, second, "remove", &args, &state),
+        ] {
+            match err {
+                Err(AdmissionError::Evaluation(msg)) => {
+                    assert!(msg.contains("no condition for pair add/remove"), "{msg}");
                 }
+                other => panic!("expected an evaluation error, got {other:?}"),
             }
-            assert!(g.pair_indexed(first, second).is_none());
         }
+        assert!(g.pair_indexed(first, second).is_none());
     }
 
     fn list_state(items: &[u32]) -> Value {
@@ -1079,31 +984,29 @@ mod tests {
     /// consumed the duplicate run, the same certificate must be refused.
     #[test]
     fn re_anchor_rejects_certificates_the_captured_pre_state_still_honors() {
-        for backend in BACKENDS {
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::List, backend);
-            let logged = LogEntry {
-                txn: 1,
-                op: "get".into(),
-                args: vec![Value::Int(3)],
-                result: Some(Value::elem(1)),
-                pre_state: Some(list_state(&[1, 1, 1, 1, 1, 1, 10])),
-            };
-            let incoming = [Value::Int(0)];
-            // Against the capture: s1[3] = s1[4], one shift is harmless.
-            assert!(check(&g, &logged, "removeAt", &incoming).is_ok());
-            // Re-anchored at a live state that still has the duplicate run:
-            // also fine.
-            let shifted_once = list_state(&[1, 1, 1, 1, 1, 10]);
-            assert!(check_at(&g, &logged, "removeAt", &incoming, &shifted_once).is_ok());
-            // Re-anchored at a live state where one more shift moves the 10
-            // into the observed slot: conflict — even though the pre-state
-            // check (above) still passes.
-            let live = list_state(&[1, 1, 1, 1, 10]);
-            assert!(matches!(
-                check_at(&g, &logged, "removeAt", &incoming, &live),
-                Err(AdmissionError::Conflict(_))
-            ));
-        }
+        let g = CommutativityGatekeeper::new(InterfaceId::List);
+        let logged = LogEntry {
+            txn: 1,
+            op: "get".into(),
+            args: vec![Value::Int(3)],
+            result: Some(Value::elem(1)),
+            pre_state: Some(list_state(&[1, 1, 1, 1, 1, 1, 10])),
+        };
+        let incoming = [Value::Int(0)];
+        // Against the capture: s1[3] = s1[4], one shift is harmless.
+        assert!(check(&g, &logged, "removeAt", &incoming).is_ok());
+        // Re-anchored at a live state that still has the duplicate run:
+        // also fine.
+        let shifted_once = list_state(&[1, 1, 1, 1, 1, 10]);
+        assert!(check_at(&g, &logged, "removeAt", &incoming, &shifted_once).is_ok());
+        // Re-anchored at a live state where one more shift moves the 10
+        // into the observed slot: conflict — even though the pre-state
+        // check (above) still passes.
+        let live = list_state(&[1, 1, 1, 1, 10]);
+        assert!(matches!(
+            check_at(&g, &logged, "removeAt", &incoming, &live),
+            Err(AdmissionError::Conflict(_))
+        ));
     }
 
     /// Pairs whose condition never reads `s1` have a single anchor: the
@@ -1111,19 +1014,17 @@ mod tests {
     /// must not re-deliver (or contradict) the pre-state verdict.
     #[test]
     fn re_anchor_is_a_no_op_for_state_free_pairs() {
-        for backend in BACKENDS {
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-            // add/remove between conditions test `r1`, not `s1`: removing
-            // the element a live transaction just inserted conflicts…
-            let logged = set_entry(1, "add", 5, true, &[]);
-            assert!(matches!(
-                check(&g, &logged, "remove", &[Value::elem(5)]),
-                Err(AdmissionError::Conflict(_))
-            ));
-            // …but the *re-anchor* admits vacuously, whatever the state.
-            let state = AbstractState::Set(Default::default()).to_value();
-            assert!(check_at(&g, &logged, "remove", &[Value::elem(5)], &state).is_ok());
-        }
+        let g = CommutativityGatekeeper::new(InterfaceId::Set);
+        // add/remove between conditions test `r1`, not `s1`: removing
+        // the element a live transaction just inserted conflicts…
+        let logged = set_entry(1, "add", 5, true, &[]);
+        assert!(matches!(
+            check(&g, &logged, "remove", &[Value::elem(5)]),
+            Err(AdmissionError::Conflict(_))
+        ));
+        // …but the *re-anchor* admits vacuously, whatever the state.
+        let state = AbstractState::Set(Default::default()).to_value();
+        assert!(check_at(&g, &logged, "remove", &[Value::elem(5)], &state).is_ok());
     }
 
     /// A placeholder value of the given sort, for building well-formed log
@@ -1141,7 +1042,7 @@ mod tests {
         }
     }
 
-    /// Table-driven over **all** interfaces and both backends: for every
+    /// Table-driven over **all** interfaces: for every
     /// catalog pair whose condition reads `s1`, a log entry without a
     /// pre-state must classify as a (non-retryable) evaluation error, never
     /// as a conflict. Driving this from the catalog itself means an interface
@@ -1159,37 +1060,34 @@ mod tests {
                         .collect()
                 })
             };
-            for backend in BACKENDS {
-                let g = CommutativityGatekeeper::with_backend(interface, backend);
-                for (first, second) in g.pairs() {
-                    let (needs_s1, _) = g.pair_pre_state_projection(&first, &second).unwrap();
-                    if !needs_s1 {
-                        continue;
-                    }
-                    let logged = LogEntry {
-                        txn: 1,
-                        op: first.clone(),
-                        args: args_of(&first),
-                        result: iface
-                            .op(&first)
-                            .and_then(|s| s.result_sort)
-                            .map(default_value),
-                        pre_state: None, // the condition reads s1 — unusable.
-                    };
-                    match check(&g, &logged, &second, &args_of(&second)) {
-                        Err(AdmissionError::Evaluation(msg)) => {
-                            assert!(
-                                msg.contains("carries no pre-state"),
-                                "{interface}/{first}/{second} ({backend:?}): {msg}"
-                            );
-                        }
-                        other => panic!(
-                            "{interface}/{first}/{second} ({backend:?}): expected an \
-                             evaluation error, got {other:?}"
-                        ),
-                    }
-                    exercised += 1;
+            let g = CommutativityGatekeeper::new(interface);
+            for (first, second) in g.pairs() {
+                if !g.prepared(&first, &second).unwrap().reads_state {
+                    continue;
                 }
+                let logged = LogEntry {
+                    txn: 1,
+                    op: first.clone(),
+                    args: args_of(&first),
+                    result: iface
+                        .op(&first)
+                        .and_then(|s| s.result_sort)
+                        .map(default_value),
+                    pre_state: None, // the condition reads s1 — unusable.
+                };
+                match check(&g, &logged, &second, &args_of(&second)) {
+                    Err(AdmissionError::Evaluation(msg)) => {
+                        assert!(
+                            msg.contains("carries no pre-state"),
+                            "{interface}/{first}/{second}: {msg}"
+                        );
+                    }
+                    other => panic!(
+                        "{interface}/{first}/{second}: expected an evaluation error, \
+                         got {other:?}"
+                    ),
+                }
+                exercised += 1;
             }
         }
         assert!(

@@ -26,7 +26,8 @@
 //!   in-flight log that shares the structure's mutex, so admission, apply
 //!   and logging happen at one instant,
 //! * [`gatekeeper`] — the dynamic commutativity check driven by the verified
-//!   between conditions, in their verified runtime forms,
+//!   between conditions, in their verified runtime forms, each compiled once
+//!   per runtime to a flat register program (the one admission evaluator),
 //! * [`SpeculativeRuntime`] / [`Transaction`] — optimistic transactions with
 //!   commutativity-based conflict detection and inverse-based rollback,
 //! * [`CoarseLockRuntime`] — the baseline that serializes whole transactions
@@ -59,7 +60,7 @@ pub use executor::{
     RetryReport, RuntimeOptions, RuntimeStats, SpeculativeRuntime, Transaction, TxnError,
 };
 pub use fault::{FaultKind, FaultPlan, FiredFault};
-pub use gatekeeper::{AdmissionError, AdmitBackend, CommutativityGatekeeper, Conflict, PairCheck};
+pub use gatekeeper::{AdmissionError, CommutativityGatekeeper, Conflict, PairCheck};
 pub use log::LogEntry;
 pub use rollback::{InverseRollback, SnapshotRollback};
 pub use structure::{AnyStructure, TrackedStructure};

@@ -15,11 +15,9 @@ use semcommute_logic::Value;
 /// `pre_state` is a **projection**: it is populated only when some between
 /// condition whose *first* operation is `op` reads the initial state `s1`
 /// other than at keys (see
-/// [`CommutativityGatekeeper::requires_pre_state`](crate::CommutativityGatekeeper::requires_pre_state)
-/// — under the compiled admission backend "reads" is derived from the
-/// compiled program's actual `s1` slot reads, under the interpreter from a
-/// syntactic free-variable scan; the two agree across the catalog). That
-/// happens over sequences only. The gatekeeper's set and map conditions are
+/// [`CommutativityGatekeeper::requires_pre_state`](crate::CommutativityGatekeeper::requires_pre_state),
+/// decided once per operation when the gatekeeper is built). That happens
+/// over sequences only. The gatekeeper's set and map conditions are
 /// runtime forms that test the recorded return value `r1` where the catalog
 /// reads `s1` — that is the point of recording it — and the `size`-first
 /// pairs that still read `s1` read it at the live structure, at the

@@ -1,25 +1,28 @@
-//! Backend-differential harness for the admission gatekeeper.
+//! Differential harness for compiled admission against the reference
+//! evaluator.
 //!
-//! The compiled admission backend ([`AdmitBackend::Bytecode`]) must be
-//! observationally equivalent to the `Model`-building interpreter
-//! ([`AdmitBackend::Interp`]) — same admit/deny verdicts *and* the same
+//! The gatekeeper evaluates every between condition through a compiled
+//! register program. The reference is `logic::eval_bool` over a `Model`
+//! built from the log entry and the incoming arguments (see [`reference`]).
+//! The two must agree on the admit/deny verdict *and* on the
 //! [`AdmissionError::Conflict`] vs [`AdmissionError::Evaluation`]
 //! classification, which the executor's retry policy depends on. For every
-//! catalog (interface, op-pair) this harness feeds both backends randomized
-//! log entries, incoming arguments and live states — well-formed ones,
-//! entries with the pre-state or the recorded result missing, entries with
+//! catalog (interface, op-pair) this harness feeds both randomized log
+//! entries, incoming arguments and live states — well-formed ones, entries
+//! with the pre-state or the recorded result missing, entries with
 //! truncated argument lists, and ill-sorted arguments — through the indexed
 //! checks the executor runs (`check_indexed` at the captured pre-state,
 //! `check_indexed_at` at a re-anchored state), and asserts the outcomes
 //! classify identically (conflicts additionally compare equal
-//! field-by-field; error *messages* may differ, the interpreter names
+//! field-by-field; error *messages* may differ, the reference names
 //! variables where the compiled executor names slots). Operations the
 //! interface does not know never reach the gatekeeper: the executor reports
 //! them (see its `unknown_operation_pairs_fail_fast_without_retries`).
 
-use semcommute_logic::{ElemId, Sort, Value};
+use semcommute_core::condition::names;
+use semcommute_logic::{eval_bool, free_vars, ElemId, Model, Sort, Value};
 use semcommute_runtime::{
-    AdmissionError, AdmitBackend, AnyStructure, BackoffOptions, CommutativityGatekeeper,
+    AdmissionError, AnyStructure, BackoffOptions, CommutativityGatekeeper, Conflict,
     FallbackOptions, LogEntry, RuntimeOptions, SpeculativeRuntime, TxnError,
 };
 use semcommute_spec::InterfaceId;
@@ -89,8 +92,8 @@ fn random_any_value(rng: &mut XorShift) -> Value {
 }
 
 /// Random arguments for `op`: usually well-sorted and complete, sometimes
-/// truncated, sometimes with an ill-sorted entry — the compiled and
-/// interpreted evaluators must classify the malformed cases identically too.
+/// truncated, sometimes with an ill-sorted entry — the compiled evaluator
+/// and the reference must classify the malformed cases identically too.
 fn random_args(rng: &mut XorShift, iface: &semcommute_spec::InterfaceSpec, op: &str) -> Vec<Value> {
     let Some(spec) = iface.op(op) else {
         return Vec::new();
@@ -138,11 +141,11 @@ fn random_entry(
 
 /// Collapses an admission outcome for comparison: verdicts and conflicts
 /// must match exactly; evaluation errors must match as a *class* (their
-/// messages legitimately differ between backends).
+/// messages legitimately differ between the two evaluators).
 #[derive(Debug, PartialEq)]
 enum Outcome {
     Admitted,
-    Conflict(semcommute_runtime::Conflict),
+    Conflict(Conflict),
     Evaluation,
 }
 
@@ -154,48 +157,93 @@ fn outcome(result: Result<(), AdmissionError>) -> Outcome {
     }
 }
 
-/// The dense index of `op`; both backends index the same operation list.
+/// The reference admission outcome: the pair's condition, as the gatekeeper
+/// holds it, evaluated by `eval_bool` over a `Model` built from the log
+/// entry. `s1` is bound only if the formula mentions it (a free-variable
+/// scan), to `state` or else to the entry's captured pre-state; a formula
+/// that mentions `s1` with neither at hand is an evaluation error. `r1` is
+/// bound if the entry recorded a result, and each argument under its
+/// canonical name as far as the argument list reaches. With a `state` (the
+/// re-anchor), a formula that does not mention `s1` is admitted unevaluated.
+fn reference(
+    g: &CommutativityGatekeeper,
+    logged: &LogEntry,
+    incoming_op: &str,
+    incoming: &[Value],
+    state: Option<&Value>,
+) -> Outcome {
+    let formula = &g
+        .condition(&logged.op, incoming_op)
+        .expect("catalog pair")
+        .formula;
+    let reads_s1 = free_vars(formula).contains_key(names::INITIAL);
+    if state.is_some() && !reads_s1 {
+        return Outcome::Admitted;
+    }
+    let mut model = Model::new();
+    if reads_s1 {
+        match state.or(logged.pre_state.as_ref()) {
+            Some(s1) => model.insert(names::INITIAL, s1.clone()),
+            None => return Outcome::Evaluation,
+        };
+    }
+    if let Some(result) = &logged.result {
+        model.insert(names::RESULT1, result.clone());
+    }
+    let iface = semcommute_spec::interface_by_id(g.interface());
+    let mut bind = |op: &str, which: usize, args: &[Value]| {
+        let params = &iface.op(op).expect("catalog operation").params;
+        for ((formal, _), value) in params.iter().zip(args) {
+            model.insert(names::arg(formal, which), value.clone());
+        }
+    };
+    bind(&logged.op, 1, &logged.args);
+    bind(incoming_op, 2, incoming);
+    match eval_bool(formula, &model) {
+        Ok(true) => Outcome::Admitted,
+        Ok(false) => Outcome::Conflict(Conflict {
+            with_txn: logged.txn,
+            logged_op: logged.op.clone(),
+            incoming_op: incoming_op.to_string(),
+        }),
+        Err(_) => Outcome::Evaluation,
+    }
+}
+
+/// The dense index of `op` in the gatekeeper's operation list.
 fn index(g: &CommutativityGatekeeper, op: &str) -> u16 {
     g.op_index(op)
         .expect("catalog operations belong to the interface")
 }
 
 /// For every catalog pair of every interface: randomized single entries,
-/// checked through both backends at the captured pre-state and re-anchored
-/// at a random state, must classify identically.
+/// checked at the captured pre-state and re-anchored at a random state,
+/// must classify as the reference does.
 #[test]
-fn compiled_and_interpreted_admission_agree_on_every_catalog_pair() {
+fn compiled_admission_agrees_with_the_reference_on_every_catalog_pair() {
     for interface in InterfaceId::ALL {
         let iface = &semcommute_spec::interface_by_id(interface);
-        let bytecode = CommutativityGatekeeper::with_backend(interface, AdmitBackend::Bytecode);
-        let interp = CommutativityGatekeeper::with_backend(interface, AdmitBackend::Interp);
-        assert_eq!(bytecode.pairs(), interp.pairs(), "{interface}");
-        for (first_op, second_op) in bytecode.pairs() {
-            let (first, second) = (index(&bytecode, &first_op), index(&bytecode, &second_op));
+        let g = CommutativityGatekeeper::new(interface);
+        for (first_op, second_op) in g.pairs() {
+            let (first, second) = (index(&g, &first_op), index(&g, &second_op));
             let mut rng = XorShift::new(
                 0xfeed_face ^ (interface as u64) << 48 ^ seed_of(&first_op, &second_op),
             );
             for case in 0..200 {
                 let logged = random_entry(&mut rng, iface, 1, &first_op);
                 let incoming = random_args(&mut rng, iface, &second_op);
-                let check = |g: &CommutativityGatekeeper| {
-                    outcome(g.check_indexed(first, &logged, second, &second_op, &incoming))
-                };
                 assert_eq!(
-                    check(&bytecode),
-                    check(&interp),
+                    outcome(g.check_indexed(first, &logged, second, &second_op, &incoming)),
+                    reference(&g, &logged, &second_op, &incoming, None),
                     "{interface}: {first_op}/{second_op} case {case} diverged on entry \
                      {logged:?} with incoming args {incoming:?}"
                 );
                 let state = random_value(&mut rng, iface.state_sort);
-                let check_at = |g: &CommutativityGatekeeper| {
-                    outcome(
-                        g.check_indexed_at(first, &logged, second, &second_op, &incoming, &state),
-                    )
-                };
                 assert_eq!(
-                    check_at(&bytecode),
-                    check_at(&interp),
+                    outcome(
+                        g.check_indexed_at(first, &logged, second, &second_op, &incoming, &state)
+                    ),
+                    reference(&g, &logged, &second_op, &incoming, Some(&state)),
                     "{interface}: {first_op}/{second_op} case {case} diverged re-anchored at \
                      {state:?} on entry {logged:?} with incoming args {incoming:?}"
                 );
@@ -213,40 +261,22 @@ fn seed_of(first: &str, second: &str) -> u64 {
     h
 }
 
-/// Checks `incoming_op` of transaction `txn` against every entry of another
-/// transaction, in log order, stopping at the first non-admission — the
-/// executor's pre-state pass over the in-flight log.
-fn admit(
-    g: &CommutativityGatekeeper,
-    log: &[LogEntry],
-    txn: u64,
-    incoming_op: &str,
-    incoming: &[Value],
-) -> Result<(), AdmissionError> {
-    let second = index(g, incoming_op);
-    log.iter()
-        .filter(|entry| entry.txn != txn)
-        .try_for_each(|entry| {
-            g.check_indexed(index(g, &entry.op), entry, second, incoming_op, incoming)
-        })
-}
-
-/// Multi-entry logs: admission scans entries in order and stops at the
-/// first non-admission, so identical per-entry classification must make the
-/// whole scan agree too — checked directly here with mixed-op logs.
+/// Multi-entry logs: admission scans the entries of other transactions in
+/// log order and stops at the first non-admission — the executor's
+/// pre-state pass over the in-flight log. The compiled scan must end where
+/// the reference scan ends, with the same outcome.
 #[test]
-fn admit_over_randomized_multi_entry_logs_agrees() {
+fn admission_over_randomized_multi_entry_logs_agrees_with_the_reference() {
     for interface in InterfaceId::ALL {
         let iface = &semcommute_spec::interface_by_id(interface);
-        let bytecode = CommutativityGatekeeper::with_backend(interface, AdmitBackend::Bytecode);
-        let interp = CommutativityGatekeeper::with_backend(interface, AdmitBackend::Interp);
+        let g = CommutativityGatekeeper::new(interface);
         let firsts: Vec<String> = {
-            let mut ops: Vec<String> = bytecode.pairs().into_iter().map(|(f, _)| f).collect();
+            let mut ops: Vec<String> = g.pairs().into_iter().map(|(f, _)| f).collect();
             ops.dedup();
             ops
         };
         let seconds: Vec<String> = {
-            let mut ops: Vec<String> = bytecode.pairs().into_iter().map(|(_, s)| s).collect();
+            let mut ops: Vec<String> = g.pairs().into_iter().map(|(_, s)| s).collect();
             ops.sort();
             ops.dedup();
             ops
@@ -262,10 +292,17 @@ fn admit_over_randomized_multi_entry_logs_agrees() {
             let incoming_op = &seconds[rng.below(seconds.len() as u64) as usize];
             let incoming = random_args(&mut rng, iface, incoming_op);
             let txn = rng.below(4) + 1;
-            let fast = outcome(admit(&bytecode, &log, txn, incoming_op, &incoming));
-            let slow = outcome(admit(&interp, &log, txn, incoming_op, &incoming));
+            let others = || log.iter().filter(|entry| entry.txn != txn);
+            let second = index(&g, incoming_op);
+            let compiled = outcome(others().try_for_each(|entry| {
+                g.check_indexed(index(&g, &entry.op), entry, second, incoming_op, &incoming)
+            }));
+            let expected = others()
+                .map(|entry| reference(&g, entry, incoming_op, &incoming, None))
+                .find(|o| *o != Outcome::Admitted)
+                .unwrap_or(Outcome::Admitted);
             assert_eq!(
-                fast, slow,
+                compiled, expected,
                 "{interface} case {case}: admission of `{incoming_op}` by txn {txn} diverged \
                  over log {log:?}"
             );
@@ -273,57 +310,16 @@ fn admit_over_randomized_multi_entry_logs_agrees() {
     }
 }
 
-/// The missing-pre-state path raises the identical message under both
-/// backends — it is detected before evaluation starts, from each backend's
-/// own pre-state projection.
-#[test]
-fn missing_pre_state_message_is_identical_across_backends() {
-    let bytecode = CommutativityGatekeeper::with_backend(InterfaceId::Set, AdmitBackend::Bytecode);
-    let interp = CommutativityGatekeeper::with_backend(InterfaceId::Set, AdmitBackend::Interp);
-    let entry = LogEntry {
-        txn: 1,
-        op: "size".into(),
-        args: vec![],
-        result: Some(Value::Int(0)),
-        pre_state: None, // size/add reads s1 — this entry is unusable.
-    };
-    let msg = |g: &CommutativityGatekeeper| {
-        let (size, add) = (index(g, "size"), index(g, "add"));
-        match g.check_indexed(size, &entry, add, "add", &[Value::elem(1)]) {
-            Err(AdmissionError::Evaluation(m)) => m,
-            other => panic!("expected an evaluation error, got {other:?}"),
-        }
-    };
-    assert_eq!(msg(&bytecode), msg(&interp));
-}
-
-/// `SEMCOMMUTE_ADMIT` selects the process-wide default backend. The parse is
-/// pure (tested exhaustively in the gatekeeper's unit tests); here we pin
-/// that default-constructed gatekeepers and runtimes actually use it.
-#[test]
-fn default_backend_follows_the_process_wide_knob() {
-    let expected = AdmitBackend::parse(std::env::var("SEMCOMMUTE_ADMIT").ok().as_deref());
-    assert_eq!(AdmitBackend::default_backend(), expected);
-    let g = CommutativityGatekeeper::new(InterfaceId::Map);
-    assert_eq!(g.backend(), expected);
-    let rt = semcommute_runtime::SpeculativeRuntime::new(
-        semcommute_runtime::AnyStructure::by_name("HashSet").unwrap(),
-    );
-    assert_eq!(rt.admit_backend(), expected);
-}
-
 /// The end-to-end counts of one deterministic single-threaded run: commits,
 /// aborts, conflicts and committed operations.
 type RunCounts = (u64, u64, u64, u64);
 
-/// A single-threaded runtime run shaped like `runtime_perf`'s admission
-/// legs: a small prefilled `HashSet`, a few background transactions pinned
+/// A deterministic single-threaded runtime run: a small prefilled `HashSet`, a few background transactions pinned
 /// open for the whole run (reserved keys outside the workload's domain plus
 /// one `contains` probe on a hot prefilled key each), and two-operation
 /// transactions over a uniform or a hot-key-skewed key distribution, each
-/// retried once before it aborts. Nothing but the backend varies between
-/// two calls with the same `skewed`.
-fn pinned_admission_run(backend: AdmitBackend, skewed: bool) -> RunCounts {
+/// retried once before it aborts.
+fn pinned_admission_run(skewed: bool) -> RunCounts {
     const PREFILL: u32 = 64;
     let mut set = AnyStructure::by_name("HashSet").unwrap();
     for k in 1..=PREFILL {
@@ -332,9 +328,8 @@ fn pinned_admission_run(backend: AdmitBackend, skewed: bool) -> RunCounts {
     let rt = SpeculativeRuntime::with_options(
         set,
         RuntimeOptions {
-            backend,
             // Pinned transactions hold the mode gate for the whole run, so
-            // the fallback must stay off (see `runtime_perf`).
+            // the fallback must stay off (see the contention module docs).
             fallback: FallbackOptions::off(),
             backoff: BackoffOptions::off(),
             ..RuntimeOptions::default()
@@ -399,29 +394,13 @@ fn pinned_admission_run(backend: AdmitBackend, skewed: bool) -> RunCounts {
     (stats.commits, stats.aborts, stats.conflicts, committed_ops)
 }
 
-/// The backend's only effect is how fast admission runs: the same
-/// deterministic workload must commit, abort and conflict identically under
-/// both. `runtime_perf` measures the speed on top of this identity; here it
-/// is checked without any wall-clock bar in the way.
+/// A regression pin on the whole admission path: the same deterministic
+/// workload commits, aborts and conflicts exactly as often as it always
+/// has. A changed count means some verdict changed; the differential tests
+/// above say which.
 #[test]
-fn pinned_log_runs_count_identically_under_both_backends() {
-    for skewed in [false, true] {
-        let compiled = pinned_admission_run(AdmitBackend::Bytecode, skewed);
-        let interpreted = pinned_admission_run(AdmitBackend::Interp, skewed);
-        assert_eq!(
-            compiled, interpreted,
-            "skewed={skewed}: (commits, aborts, conflicts, committed ops) differ by backend"
-        );
-        let (commits, _, conflicts, committed_ops) = compiled;
-        assert!(
-            commits > 0 && committed_ops > 0,
-            "skewed={skewed}: {compiled:?}"
-        );
-        if skewed {
-            assert!(
-                conflicts > 0,
-                "hot keys meet the pinned probes: {compiled:?}"
-            );
-        }
-    }
+fn pinned_admission_runs_keep_their_counts() {
+    // (commits, aborts, conflicts, committed ops)
+    assert_eq!(pinned_admission_run(false), (399, 7, 3, 798), "uniform");
+    assert_eq!(pinned_admission_run(true), (380, 64, 60, 760), "skewed");
 }

@@ -33,8 +33,8 @@ use std::sync::{Arc, Mutex};
 
 use semcommute_logic::Value;
 use semcommute_runtime::{
-    AdmitBackend, AnyStructure, BackoffOptions, CoarseLockRuntime, CommutativityGatekeeper,
-    FallbackOptions, FaultPlan, RuntimeOptions, SpeculativeRuntime, TxnError,
+    AnyStructure, BackoffOptions, CoarseLockRuntime, FallbackOptions, FaultPlan, RuntimeOptions,
+    SpeculativeRuntime, TxnError,
 };
 use semcommute_spec::InterfaceId;
 
@@ -117,21 +117,8 @@ struct Committed {
     ops: Vec<(&'static str, Vec<Value>, Option<Value>)>,
 }
 
-/// Runs the random workload at the given thread count and checks every
-/// differential property, under the given admission backend.
-fn differential(structure_name: &str, threads: u64, backend: AdmitBackend) {
-    differential_with(
-        structure_name,
-        threads,
-        RuntimeOptions {
-            backend,
-            ..RuntimeOptions::default()
-        },
-    );
-}
-
-/// [`differential`] with fully explicit [`RuntimeOptions`] — the fallback
-/// and fault-injection legs construct their runtimes here. Returns the
+/// Runs the random workload at the given thread count under the given
+/// [`RuntimeOptions`] and checks every differential property. Returns the
 /// runtime so callers can assert leg-specific properties (mode transitions,
 /// degraded commits) on top of the differential ones.
 fn differential_with(
@@ -239,10 +226,8 @@ fn differential_with(
 }
 
 fn differential_all_thread_counts(structure_name: &str) {
-    for backend in [AdmitBackend::Bytecode, AdmitBackend::Interp] {
-        for threads in [1, 4, 8] {
-            differential(structure_name, threads, backend);
-        }
+    for threads in [1, 4, 8] {
+        differential_with(structure_name, threads, RuntimeOptions::default());
     }
 }
 
@@ -295,7 +280,6 @@ fn differential_across_mode_transitions(structure_name: &str, threads: u64) {
             fallback: FallbackOptions::aggressive(),
             backoff: BackoffOptions::off(),
             faults: Some(Arc::clone(&plan)),
-            ..RuntimeOptions::default()
         },
     );
     let stats = rt.stats();
@@ -314,63 +298,6 @@ fn differential_across_mode_transitions(structure_name: &str, threads: u64) {
     // `fault_injection.rs`).
     let fired = plan.fired().len();
     assert!((1..=24).contains(&fired), "fired {fired} forced conflicts");
-}
-
-/// The two backends must want pre-states for exactly the same operations:
-/// the interpreter's syntactic free-variable projection and the compiled
-/// programs' actual `s1` slot reads have to agree pair by pair across the
-/// full catalog, or one backend would log pre-states the other expects —
-/// snapshotting would regress silently. The per-operation projection — in
-/// the by-name form and the by-index form the executor calls — must be the
-/// disjunction of its pairs' projections over sequences, and `false` for
-/// every other interface, whose conditions read `s1` only at keys the live
-/// structure answers, for every operation under both backends.
-#[test]
-fn requires_pre_state_projections_agree_across_the_catalog() {
-    for interface in InterfaceId::ALL {
-        let bytecode = CommutativityGatekeeper::with_backend(interface, AdmitBackend::Bytecode);
-        let interp = CommutativityGatekeeper::with_backend(interface, AdmitBackend::Interp);
-        assert_eq!(bytecode.pairs(), interp.pairs(), "{interface}");
-        for (first, second) in bytecode.pairs() {
-            let (syntactic, compiled) =
-                bytecode.pair_pre_state_projection(&first, &second).unwrap();
-            assert_eq!(
-                syntactic, compiled,
-                "{interface}: {first}/{second}: syntactic s1 projection and compiled \
-                 slot-read projection disagree"
-            );
-        }
-        let iface = semcommute_spec::interface_by_id(interface);
-        let sequence = iface.state_sort == semcommute_logic::Sort::Seq;
-        for op in iface.ops.iter().map(|op| op.name.as_str()) {
-            let expected = sequence
-                && bytecode
-                    .pairs()
-                    .iter()
-                    .filter(|(first, _)| first == op)
-                    .any(|(first, second)| {
-                        bytecode
-                            .pair_pre_state_projection(first, second)
-                            .is_some_and(|(syntactic, _)| syntactic)
-                    });
-            for gatekeeper in [&bytecode, &interp] {
-                let backend = gatekeeper.backend();
-                let idx = gatekeeper
-                    .op_index(op)
-                    .unwrap_or_else(|| panic!("{interface}: `{op}` has no dense index"));
-                assert_eq!(
-                    gatekeeper.requires_pre_state(op),
-                    expected,
-                    "{interface}: requires_pre_state(`{op}`) under {backend:?}"
-                );
-                assert_eq!(
-                    gatekeeper.requires_pre_state_indexed(idx),
-                    expected,
-                    "{interface}: requires_pre_state_indexed(`{op}`) under {backend:?}"
-                );
-            }
-        }
-    }
 }
 
 #[test]

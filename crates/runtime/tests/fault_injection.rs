@@ -25,7 +25,6 @@ fn runtime_with(plan: &Arc<FaultPlan>, fallback: FallbackOptions) -> Speculative
             fallback,
             backoff: BackoffOptions::off(),
             faults: Some(Arc::clone(plan)),
-            ..RuntimeOptions::default()
         },
     )
 }

@@ -251,8 +251,8 @@ fn random_valuation(rng: &mut XorShift, vocab: &[(String, Sort)]) -> Vec<Value> 
         .collect()
 }
 
-/// Evaluates through the reference interpreter, with the model built the way
-/// the gatekeeper builds it (slot order, later inserts win).
+/// Evaluates through the reference interpreter, with the model built in
+/// slot order (later inserts win).
 fn reference(formula: &Term, vocab: &[(String, Sort)], values: &[Value]) -> Result<bool, String> {
     let mut model = Model::new();
     for ((name, _), value) in vocab.iter().zip(values) {

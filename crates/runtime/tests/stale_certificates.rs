@@ -30,76 +30,64 @@
 
 use semcommute_logic::{ElemId, Value};
 use semcommute_runtime::{
-    AdmitBackend, AnyStructure, CoarseLockRuntime, RuntimeOptions, SpeculativeRuntime, Transaction,
-    TxnError,
+    AnyStructure, CoarseLockRuntime, SpeculativeRuntime, Transaction, TxnError,
 };
 use semcommute_spec::AbstractState;
 
-const BACKENDS: [AdmitBackend; 2] = [AdmitBackend::Bytecode, AdmitBackend::Interp];
-
-fn runtime(structure: &str, backend: AdmitBackend) -> SpeculativeRuntime {
-    SpeculativeRuntime::with_options(
-        AnyStructure::by_name(structure).unwrap(),
-        RuntimeOptions {
-            backend,
-            ..RuntimeOptions::default()
-        },
-    )
+fn runtime(structure: &str) -> SpeculativeRuntime {
+    SpeculativeRuntime::new(AnyStructure::by_name(structure).unwrap())
 }
 
 #[test]
 fn stale_observer_certificates_do_not_compose() {
-    for backend in BACKENDS {
-        let rt = runtime("ArrayList", backend);
+    let rt = runtime("ArrayList");
 
-        // Seed [1, 1, 1, 1, 1, 1, 10].
-        let mut seed = rt.begin();
-        seed.execute("addAt", &[Value::Int(0), Value::elem(10)])
+    // Seed [1, 1, 1, 1, 1, 1, 10].
+    let mut seed = rt.begin();
+    seed.execute("addAt", &[Value::Int(0), Value::elem(10)])
+        .unwrap();
+    for _ in 0..6 {
+        seed.execute("addAt", &[Value::Int(0), Value::elem(1)])
             .unwrap();
-        for _ in 0..6 {
-            seed.execute("addAt", &[Value::Int(0), Value::elem(1)])
-                .unwrap();
-        }
-        seed.commit();
-
-        // A long-lived observer logs `get(3) = 1` and stays uncommitted.
-        let mut observer = rt.begin();
-        let read = observer.execute("get", &[Value::Int(3)]).unwrap();
-        assert_eq!(read, Some(Value::elem(1)), "{backend:?}");
-
-        // Two removals below the observed index are admissible — each is a
-        // single left shift, and after each the observed slot still reads a
-        // 1 (the re-anchored condition holds at the live state too).
-        for index in [3, 1] {
-            let mut txn = rt.begin();
-            txn.execute("removeAt", &[Value::Int(index)]).unwrap();
-            txn.commit();
-        }
-
-        // The third removal still carries a valid certificate against the
-        // observer's captured pre-state (the duplicate run), but at the live
-        // state [1, 1, 1, 1, 10] one more shift would move the 10 into the
-        // observed slot. Admitting it would make the observer's recorded
-        // read unserializable; it must conflict.
-        let mut third = rt.begin();
-        match third.execute("removeAt", &[Value::Int(0)]) {
-            Err(TxnError::Conflict(conflict)) => {
-                assert_eq!(conflict.logged_op, "get", "{backend:?}");
-                assert_eq!(conflict.incoming_op, "removeAt", "{backend:?}");
-            }
-            other => panic!("stale certificate was admitted ({backend:?}): {other:?}"),
-        }
-        third.abort();
-
-        // The observer commits last and its read replays identically in
-        // ticket order: seed, removeAt(3), removeAt(1), get(3) = 1.
-        observer.commit();
-        assert_eq!(
-            rt.snapshot(),
-            AbstractState::List([1, 1, 1, 1, 10].iter().map(|&i| ElemId(i)).collect()),
-            "{backend:?}"
-        );
     }
+    seed.commit();
+
+    // A long-lived observer logs `get(3) = 1` and stays uncommitted.
+    let mut observer = rt.begin();
+    let read = observer.execute("get", &[Value::Int(3)]).unwrap();
+    assert_eq!(read, Some(Value::elem(1)));
+
+    // Two removals below the observed index are admissible — each is a
+    // single left shift, and after each the observed slot still reads a
+    // 1 (the re-anchored condition holds at the live state too).
+    for index in [3, 1] {
+        let mut txn = rt.begin();
+        txn.execute("removeAt", &[Value::Int(index)]).unwrap();
+        txn.commit();
+    }
+
+    // The third removal still carries a valid certificate against the
+    // observer's captured pre-state (the duplicate run), but at the live
+    // state [1, 1, 1, 1, 10] one more shift would move the 10 into the
+    // observed slot. Admitting it would make the observer's recorded
+    // read unserializable; it must conflict.
+    let mut third = rt.begin();
+    match third.execute("removeAt", &[Value::Int(0)]) {
+        Err(TxnError::Conflict(conflict)) => {
+            assert_eq!(conflict.logged_op, "get");
+            assert_eq!(conflict.incoming_op, "removeAt");
+        }
+        other => panic!("stale certificate was admitted: {other:?}"),
+    }
+    third.abort();
+
+    // The observer commits last and its read replays identically in
+    // ticket order: seed, removeAt(3), removeAt(1), get(3) = 1.
+    observer.commit();
+    assert_eq!(
+        rt.snapshot(),
+        AbstractState::List([1, 1, 1, 1, 10].iter().map(|&i| ElemId(i)).collect()),
+    );
 }
 
 /// T1 logs `remove(1)` over `{1}`. T2's `contains(1)` would read `false` at
@@ -109,28 +97,26 @@ fn stale_observer_certificates_do_not_compose() {
 /// checked: T2 conflicts.
 #[test]
 fn single_phase_keeps_the_pre_state_anchor() {
-    for backend in BACKENDS {
-        let rt = runtime("HashSet", backend);
-        let mut seed = rt.begin();
-        seed.execute("add", &[Value::elem(1)]).unwrap();
-        seed.commit();
+    let rt = runtime("HashSet");
+    let mut seed = rt.begin();
+    seed.execute("add", &[Value::elem(1)]).unwrap();
+    seed.commit();
 
-        let mut t1 = rt.begin();
-        let removed = t1.execute("remove", &[Value::elem(1)]).unwrap();
-        assert_eq!(removed, Some(Value::Bool(true)), "{backend:?}");
+    let mut t1 = rt.begin();
+    let removed = t1.execute("remove", &[Value::elem(1)]).unwrap();
+    assert_eq!(removed, Some(Value::Bool(true)));
 
-        let mut t2 = rt.begin();
-        match t2.execute("contains", &[Value::elem(1)]) {
-            Err(TxnError::Conflict(conflict)) => {
-                assert_eq!(conflict.logged_op, "remove", "{backend:?}");
-                assert_eq!(conflict.incoming_op, "contains", "{backend:?}");
-            }
-            other => panic!("pre-state anchor was skipped ({backend:?}): {other:?}"),
+    let mut t2 = rt.begin();
+    match t2.execute("contains", &[Value::elem(1)]) {
+        Err(TxnError::Conflict(conflict)) => {
+            assert_eq!(conflict.logged_op, "remove");
+            assert_eq!(conflict.incoming_op, "contains");
         }
-        t2.abort();
-        t1.commit();
-        assert_eq!(rt.snapshot(), AbstractState::Set(Default::default()));
+        other => panic!("pre-state anchor was skipped: {other:?}"),
     }
+    t2.abort();
+    t1.commit();
+    assert_eq!(rt.snapshot(), AbstractState::Set(Default::default()));
 }
 
 /// The third anchor. A logs `addAt(0, 2)` over `[1]`; two transactions each
@@ -143,40 +129,37 @@ fn single_phase_keeps_the_pre_state_anchor() {
 /// transactions gives `[2, 2, 1]`.
 #[test]
 fn aborts_across_committed_separators_restore_the_serial_state() {
-    for backend in BACKENDS {
-        let rt = runtime("ArrayList", backend);
-        let add_at_0 = |txn: &mut semcommute_runtime::Transaction, element: u32| {
-            txn.execute("addAt", &[Value::Int(0), Value::elem(element)])
-                .unwrap();
-        };
-        let mut seed = rt.begin();
-        add_at_0(&mut seed, 1);
-        seed.commit();
+    let rt = runtime("ArrayList");
+    let add_at_0 = |txn: &mut semcommute_runtime::Transaction, element: u32| {
+        txn.execute("addAt", &[Value::Int(0), Value::elem(element)])
+            .unwrap();
+    };
+    let mut seed = rt.begin();
+    add_at_0(&mut seed, 1);
+    seed.commit();
 
-        let mut a = rt.begin();
-        add_at_0(&mut a, 2);
-        for _ in 0..2 {
-            let mut separator = rt.begin();
-            add_at_0(&mut separator, 2);
-            separator.commit();
-        }
-        let mut b = rt.begin();
-        match b.execute("removeAt", &[Value::Int(2)]) {
-            Err(TxnError::Conflict(conflict)) => {
-                assert_eq!(conflict.logged_op, "addAt", "{backend:?}");
-                assert_eq!(conflict.incoming_op, "removeAt", "{backend:?}");
-            }
-            other => panic!("undo anchor was skipped ({backend:?}): {other:?}"),
-        }
-        a.abort();
-        b.abort();
-
-        assert_eq!(
-            rt.snapshot(),
-            AbstractState::List([2, 2, 1].iter().map(|&i| ElemId(i)).collect()),
-            "{backend:?}"
-        );
+    let mut a = rt.begin();
+    add_at_0(&mut a, 2);
+    for _ in 0..2 {
+        let mut separator = rt.begin();
+        add_at_0(&mut separator, 2);
+        separator.commit();
     }
+    let mut b = rt.begin();
+    match b.execute("removeAt", &[Value::Int(2)]) {
+        Err(TxnError::Conflict(conflict)) => {
+            assert_eq!(conflict.logged_op, "addAt");
+            assert_eq!(conflict.incoming_op, "removeAt");
+        }
+        other => panic!("undo anchor was skipped: {other:?}"),
+    }
+    a.abort();
+    b.abort();
+
+    assert_eq!(
+        rt.snapshot(),
+        AbstractState::List([2, 2, 1].iter().map(|&i| ElemId(i)).collect()),
+    );
 }
 
 /// A third live transaction's effect sits in every anchor, and its abort
@@ -189,40 +172,34 @@ fn aborts_across_committed_separators_restore_the_serial_state() {
 /// transaction other than the two has changed the state.
 #[test]
 fn third_party_changes_block_state_reading_certificates() {
-    for backend in BACKENDS {
-        let rt = runtime("ArrayList", backend);
-        let mut seed = rt.begin();
-        for _ in 0..2 {
-            seed.execute("addAt", &[Value::Int(0), Value::elem(1)])
-                .unwrap();
-        }
-        seed.commit();
-
-        let mut t2 = rt.begin();
-        let removed = t2.execute("removeAt", &[Value::Int(0)]).unwrap();
-        assert_eq!(removed, Some(Value::elem(1)), "{backend:?}");
-        let mut t4 = rt.begin();
-        t4.execute("addAt", &[Value::Int(0), Value::elem(1)])
+    let rt = runtime("ArrayList");
+    let mut seed = rt.begin();
+    for _ in 0..2 {
+        seed.execute("addAt", &[Value::Int(0), Value::elem(1)])
             .unwrap();
-        let read = t2.execute("get", &[Value::Int(0)]).unwrap();
-        assert_eq!(read, Some(Value::elem(1)), "{backend:?}");
-
-        let mut t5 = rt.begin();
-        match t5.execute("removeAt", &[Value::Int(0)]) {
-            Err(TxnError::Conflict(conflict)) => {
-                assert_eq!(conflict.incoming_op, "removeAt", "{backend:?}");
-            }
-            other => panic!("third-party change was ignored ({backend:?}): {other:?}"),
-        }
-        t5.abort();
-        t4.abort();
-        t2.commit();
-        assert_eq!(
-            rt.snapshot(),
-            AbstractState::List(vec![ElemId(1)]),
-            "{backend:?}"
-        );
     }
+    seed.commit();
+
+    let mut t2 = rt.begin();
+    let removed = t2.execute("removeAt", &[Value::Int(0)]).unwrap();
+    assert_eq!(removed, Some(Value::elem(1)));
+    let mut t4 = rt.begin();
+    t4.execute("addAt", &[Value::Int(0), Value::elem(1)])
+        .unwrap();
+    let read = t2.execute("get", &[Value::Int(0)]).unwrap();
+    assert_eq!(read, Some(Value::elem(1)));
+
+    let mut t5 = rt.begin();
+    match t5.execute("removeAt", &[Value::Int(0)]) {
+        Err(TxnError::Conflict(conflict)) => {
+            assert_eq!(conflict.incoming_op, "removeAt");
+        }
+        other => panic!("third-party change was ignored: {other:?}"),
+    }
+    t5.abort();
+    t4.abort();
+    t2.commit();
+    assert_eq!(rt.snapshot(), AbstractState::List(vec![ElemId(1)]),);
 }
 
 /// One executed operation: name, arguments, recorded result.
@@ -253,9 +230,9 @@ struct History {
 impl History {
     /// A runtime over `structure` whose first committed transaction runs
     /// `seed`.
-    fn new(structure: &'static str, backend: AdmitBackend, seed: &[(&str, Vec<Value>)]) -> History {
+    fn new(structure: &'static str, seed: &[(&str, Vec<Value>)]) -> History {
         let mut history = History {
-            rt: runtime(structure, backend),
+            rt: runtime(structure),
             structure,
             committed: Vec::new(),
         };
@@ -282,8 +259,8 @@ impl History {
     /// Replays the committed transactions serially in ticket order through
     /// the coarse-lock oracle: every recorded result and the final state
     /// must come out the same.
-    fn replay(mut self, backend: AdmitBackend) {
-        assert_eq!(self.rt.pending_operations(), 0, "{backend:?}");
+    fn replay(mut self) {
+        assert_eq!(self.rt.pending_operations(), 0);
         self.committed.sort_by_key(|(ticket, _)| *ticket);
         let oracle = CoarseLockRuntime::new(AnyStructure::by_name(self.structure).unwrap());
         for (ticket, ops) in &self.committed {
@@ -292,22 +269,22 @@ impl History {
                     let replayed = serial.execute(op, args).unwrap();
                     assert_eq!(
                         &replayed, recorded,
-                        "{} ticket {ticket}: {op}{args:?} ({backend:?})",
+                        "{} ticket {ticket}: {op}{args:?}",
                         self.structure
                     );
                 }
             });
         }
-        assert_eq!(oracle.snapshot(), self.rt.snapshot(), "{backend:?}");
+        assert_eq!(oracle.snapshot(), self.rt.snapshot());
     }
 }
 
-fn expect_conflict(result: Result<Option<Value>, TxnError>, logged: &str, backend: AdmitBackend) {
+fn expect_conflict(result: Result<Option<Value>, TxnError>, logged: &str) {
     match result {
         Err(TxnError::Conflict(conflict)) => {
-            assert_eq!(conflict.logged_op, logged, "{backend:?}");
+            assert_eq!(conflict.logged_op, logged);
         }
-        other => panic!("expected a conflict with `{logged}` ({backend:?}): {other:?}"),
+        other => panic!("expected a conflict with `{logged}`: {other:?}"),
     }
 }
 
@@ -319,36 +296,34 @@ fn e(id: u32) -> Value {
 /// leaves the state as it is commutes with it and is admitted.
 #[test]
 fn size_admits_state_preserving_operations_while_the_version_holds() {
-    for backend in BACKENDS {
-        // HashSet over {1}: `add(1)` and `remove(2)` change nothing.
-        let mut h = History::new("HashSet", backend, &[("add", vec![e(1)])]);
-        let mut t1 = h.begin();
-        assert_eq!(t1.execute("size", &[]).unwrap(), Some(Value::Int(1)));
-        let mut t2 = h.begin();
-        assert_eq!(
-            t2.execute("add", &[e(1)]).unwrap(),
-            Some(Value::Bool(false))
-        );
-        assert_eq!(
-            t2.execute("remove", &[e(2)]).unwrap(),
-            Some(Value::Bool(false))
-        );
-        h.commit(t2);
-        h.commit(t1);
-        h.replay(backend);
+    // HashSet over {1}: `add(1)` and `remove(2)` change nothing.
+    let mut h = History::new("HashSet", &[("add", vec![e(1)])]);
+    let mut t1 = h.begin();
+    assert_eq!(t1.execute("size", &[]).unwrap(), Some(Value::Int(1)));
+    let mut t2 = h.begin();
+    assert_eq!(
+        t2.execute("add", &[e(1)]).unwrap(),
+        Some(Value::Bool(false))
+    );
+    assert_eq!(
+        t2.execute("remove", &[e(2)]).unwrap(),
+        Some(Value::Bool(false))
+    );
+    h.commit(t2);
+    h.commit(t1);
+    h.replay();
 
-        // HashTable over {1 -> 10}: `put(1, 10)` and `remove(2)` change
-        // nothing.
-        let mut h = History::new("HashTable", backend, &[("put", vec![e(1), e(10)])]);
-        let mut t1 = h.begin();
-        assert_eq!(t1.execute("size", &[]).unwrap(), Some(Value::Int(1)));
-        let mut t2 = h.begin();
-        assert_eq!(t2.execute("put", &[e(1), e(10)]).unwrap(), Some(e(10)));
-        assert_eq!(t2.execute("remove", &[e(2)]).unwrap(), Some(Value::null()));
-        h.commit(t1);
-        h.commit(t2);
-        h.replay(backend);
-    }
+    // HashTable over {1 -> 10}: `put(1, 10)` and `remove(2)` change
+    // nothing.
+    let mut h = History::new("HashTable", &[("put", vec![e(1), e(10)])]);
+    let mut t1 = h.begin();
+    assert_eq!(t1.execute("size", &[]).unwrap(), Some(Value::Int(1)));
+    let mut t2 = h.begin();
+    assert_eq!(t2.execute("put", &[e(1), e(10)]).unwrap(), Some(e(10)));
+    assert_eq!(t2.execute("remove", &[e(2)]).unwrap(), Some(Value::null()));
+    h.commit(t1);
+    h.commit(t2);
+    h.replay();
 }
 
 /// Once the state has changed since `size` ran — by the `size`
@@ -357,39 +332,37 @@ fn size_admits_state_preserving_operations_while_the_version_holds() {
 /// operation that changes nothing.
 #[test]
 fn size_conflicts_after_any_state_change_since_it_ran() {
-    for backend in BACKENDS {
-        // HashSet: the `size` transaction adds 5 after its `size`.
-        let mut h = History::new("HashSet", backend, &[("add", vec![e(1)])]);
-        let mut t1 = h.begin();
-        t1.execute("size", &[]).unwrap();
-        t1.execute("add", &[e(5)]).unwrap();
-        let mut t2 = h.begin();
-        expect_conflict(t2.execute("add", &[e(1)]), "size", backend);
-        t2.txn.abort();
-        h.commit(t1);
-        let mut t2 = h.begin();
-        assert_eq!(
-            t2.execute("add", &[e(1)]).unwrap(),
-            Some(Value::Bool(false))
-        );
-        h.commit(t2);
-        h.replay(backend);
+    // HashSet: the `size` transaction adds 5 after its `size`.
+    let mut h = History::new("HashSet", &[("add", vec![e(1)])]);
+    let mut t1 = h.begin();
+    t1.execute("size", &[]).unwrap();
+    t1.execute("add", &[e(5)]).unwrap();
+    let mut t2 = h.begin();
+    expect_conflict(t2.execute("add", &[e(1)]), "size");
+    t2.txn.abort();
+    h.commit(t1);
+    let mut t2 = h.begin();
+    assert_eq!(
+        t2.execute("add", &[e(1)]).unwrap(),
+        Some(Value::Bool(false))
+    );
+    h.commit(t2);
+    h.replay();
 
-        // HashTable: a `put` that replaces 1's value keeps the size, so it
-        // is admitted against the `size` and commits; after it, even a
-        // no-op `put` is refused.
-        let mut h = History::new("HashTable", backend, &[("put", vec![e(1), e(10)])]);
-        let mut t1 = h.begin();
-        t1.execute("size", &[]).unwrap();
-        let mut t3 = h.begin();
-        assert_eq!(t3.execute("put", &[e(1), e(11)]).unwrap(), Some(e(10)));
-        h.commit(t3);
-        let mut t2 = h.begin();
-        expect_conflict(t2.execute("put", &[e(1), e(11)]), "size", backend);
-        t2.txn.abort();
-        h.commit(t1);
-        h.replay(backend);
-    }
+    // HashTable: a `put` that replaces 1's value keeps the size, so it
+    // is admitted against the `size` and commits; after it, even a
+    // no-op `put` is refused.
+    let mut h = History::new("HashTable", &[("put", vec![e(1), e(10)])]);
+    let mut t1 = h.begin();
+    t1.execute("size", &[]).unwrap();
+    let mut t3 = h.begin();
+    assert_eq!(t3.execute("put", &[e(1), e(11)]).unwrap(), Some(e(10)));
+    h.commit(t3);
+    let mut t2 = h.begin();
+    expect_conflict(t2.execute("put", &[e(1), e(11)]), "size");
+    t2.txn.abort();
+    h.commit(t1);
+    h.replay();
 }
 
 /// A third live transaction that has changed the state blocks every
@@ -400,34 +373,32 @@ fn size_conflicts_after_any_state_change_since_it_ran() {
 /// size, so a `size` is never admitted beside a live change at all.
 #[test]
 fn size_conflicts_while_a_third_live_transaction_has_changed_the_state() {
-    for backend in BACKENDS {
-        let mut h = History::new("HashTable", backend, &[("put", vec![e(1), e(10)])]);
-        let mut t3 = h.begin();
-        t3.execute("put", &[e(1), e(11)]).unwrap();
-        let mut t1 = h.begin();
-        assert_eq!(t1.execute("size", &[]).unwrap(), Some(Value::Int(1)));
-        let mut t2 = h.begin();
-        expect_conflict(t2.execute("remove", &[e(2)]), "size", backend);
-        t2.txn.abort();
-        h.commit(t3);
-        // The version is still the one `size` ran at, and nobody else is
-        // live: admitted.
-        let mut t2 = h.begin();
-        assert_eq!(t2.execute("remove", &[e(2)]).unwrap(), Some(Value::null()));
-        h.commit(t2);
-        h.commit(t1);
-        h.replay(backend);
+    let mut h = History::new("HashTable", &[("put", vec![e(1), e(10)])]);
+    let mut t3 = h.begin();
+    t3.execute("put", &[e(1), e(11)]).unwrap();
+    let mut t1 = h.begin();
+    assert_eq!(t1.execute("size", &[]).unwrap(), Some(Value::Int(1)));
+    let mut t2 = h.begin();
+    expect_conflict(t2.execute("remove", &[e(2)]), "size");
+    t2.txn.abort();
+    h.commit(t3);
+    // The version is still the one `size` ran at, and nobody else is
+    // live: admitted.
+    let mut t2 = h.begin();
+    assert_eq!(t2.execute("remove", &[e(2)]).unwrap(), Some(Value::null()));
+    h.commit(t2);
+    h.commit(t1);
+    h.replay();
 
-        let mut h = History::new("HashSet", backend, &[("add", vec![e(1)])]);
-        let mut t3 = h.begin();
-        t3.execute("add", &[e(7)]).unwrap();
-        let mut t1 = h.begin();
-        expect_conflict(t1.execute("size", &[]), "add", backend);
-        t1.txn.abort();
-        h.commit(t3);
-        let mut t1 = h.begin();
-        assert_eq!(t1.execute("size", &[]).unwrap(), Some(Value::Int(2)));
-        h.commit(t1);
-        h.replay(backend);
-    }
+    let mut h = History::new("HashSet", &[("add", vec![e(1)])]);
+    let mut t3 = h.begin();
+    t3.execute("add", &[e(7)]).unwrap();
+    let mut t1 = h.begin();
+    expect_conflict(t1.execute("size", &[]), "add");
+    t1.txn.abort();
+    h.commit(t3);
+    let mut t1 = h.begin();
+    assert_eq!(t1.execute("size", &[]).unwrap(), Some(Value::Int(2)));
+    h.commit(t1);
+    h.replay();
 }
