@@ -22,15 +22,28 @@
 //! Sequences are left alone: their conditions read positions of `s1` that
 //! no result of the first operation determines, so the runtime keeps their
 //! pre-state anchor either way.
+//!
+//! # The stripe license
+//!
+//! Every set and map operation but `size` takes its key at argument
+//! [`STRIPE_KEY`], and its runtime form with any other such operation holds
+//! whenever the two keys differ. The runtime splits a set or map into key
+//! stripes and admits a keyed operation against its own stripe's log only,
+//! which is sound exactly because of that. [`stripe_license`] states it as
+//! one obligation per ordered pair of keyed operations ([`StripeLicense`]):
+//! `pre(first) ∧ r1 = result(first, s1, args1) ⇒ (key1 ≠ key2 ⇒ runtime
+//! form)`. A pair with `size` has no such license — `size` observes every
+//! key — and the same statement over it is refused.
 
-use semcommute_logic::build::{neq, not, null};
+use semcommute_logic::build::{implies, neq, not, null};
 use semcommute_logic::{Sort, Term};
 use semcommute_prover::Obligation;
 use semcommute_spec::{interface_by_id, InterfaceId, OpSpec};
 
-use crate::catalog::interface_catalog;
+use crate::catalog::{condition_formula, interface_catalog};
 use crate::condition::{names, CommutativityCondition};
 use crate::kind::ConditionKind;
+use crate::variant::OpVariant;
 
 /// One rewrite rule: in a condition whose first operation is `op`, the state
 /// query `query` (a term over `s1` and the first operation's arguments)
@@ -157,6 +170,115 @@ impl RuntimeRewrite {
     }
 }
 
+/// The runtime form of the recorded between condition of an ordered
+/// operation pair, by the interface's `rules` ([`state_query_rewrites`]).
+pub fn runtime_condition(
+    interface: InterfaceId,
+    first_op: &str,
+    second_op: &str,
+    rules: &[StateQueryRewrite],
+) -> CommutativityCondition {
+    let (first, second) = (
+        OpVariant::recorded(first_op),
+        OpVariant::recorded(second_op),
+    );
+    let kind = ConditionKind::Between;
+    let formula = condition_formula(interface, &first, &second, kind);
+    rewrite_with(
+        CommutativityCondition::new(interface, first, second, kind, formula),
+        rules,
+    )
+}
+
+/// The argument position of the key of every keyed set and map operation
+/// (`v` of `add`, `k` of `put`, …): the runtime's stripe of an operation is
+/// the stripe of this argument, as the [`stripe_license`] obligations
+/// state.
+pub const STRIPE_KEY: usize = 0;
+
+/// The interface's keyed operations, in specification order: for a set or
+/// a map, every operation whose argument [`STRIPE_KEY`] is an element (all
+/// but `size`); none for the Accumulator and ArrayList.
+pub fn keyed_operations(interface: InterfaceId) -> Vec<String> {
+    let iface = interface_by_id(interface);
+    if !matches!(iface.state_sort, Sort::Set | Sort::Map) {
+        return Vec::new();
+    }
+    iface
+        .ops
+        .iter()
+        .filter(|op| matches!(op.params.get(STRIPE_KEY), Some((_, Sort::Elem))))
+        .map(|op| op.name.clone())
+        .collect()
+}
+
+/// The stripe license of one ordered operation pair: their runtime form
+/// holds whenever their keys differ.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StripeLicense {
+    /// The runtime form of the pair's recorded between condition.
+    pub runtime: CommutativityCondition,
+}
+
+impl StripeLicense {
+    /// The license of `first` then `second` over `interface`'s runtime forms.
+    pub fn new(interface: InterfaceId, first: &str, second: &str) -> StripeLicense {
+        let rules = state_query_rewrites(interface);
+        StripeLicense {
+            runtime: runtime_condition(interface, first, second, &rules),
+        }
+    }
+
+    /// The obligation: under the first operation's precondition, with `r1`
+    /// defined as its result at `s1`, the runtime form holds whenever the
+    /// two keys differ (`v1 ≠ v2`, `k1 ≠ k2`). An operation without a key
+    /// (`size`) contributes no inequality, so over it the goal is the
+    /// runtime form itself.
+    pub fn obligation(&self) -> Obligation {
+        let iface = interface_by_id(self.runtime.interface);
+        let op = |name: &str| {
+            iface
+                .op(name)
+                .unwrap_or_else(|| panic!("unknown operation `{name}`"))
+        };
+        let (first, second) = (op(&self.runtime.first.op), op(&self.runtime.second.op));
+        let s1 = Term::var(names::INITIAL, iface.state_sort);
+        let args = first_args(first);
+        let key = |spec: &OpSpec, which: usize| {
+            let (formal, sort) = spec.params.get(STRIPE_KEY)?;
+            (*sort == Sort::Elem).then(|| Term::var(names::arg(formal, which), *sort))
+        };
+        let goal = match (key(first, 1), key(second, 2)) {
+            (Some(k1), Some(k2)) => implies(neq(k1, k2), self.runtime.formula.clone()),
+            _ => self.runtime.formula.clone(),
+        };
+        let mut obligation = Obligation::new(format!("{}::stripe_license", self.runtime.id()));
+        if let Some(result) = first.instantiate_result(&s1, &args) {
+            obligation = obligation.define(names::RESULT1, result);
+        }
+        obligation
+            .assume(first.instantiate_pre(&s1, &args))
+            .goal(goal)
+    }
+}
+
+/// The stripe license of an interface: one [`StripeLicense`] per ordered
+/// pair of its [`keyed_operations`] (9 Set pairs, 16 Map pairs, none
+/// elsewhere).
+pub fn stripe_license(interface: InterfaceId) -> Vec<StripeLicense> {
+    let rules = state_query_rewrites(interface);
+    let keyed = keyed_operations(interface);
+    let mut license = Vec::new();
+    for first in &keyed {
+        for second in &keyed {
+            license.push(StripeLicense {
+                runtime: runtime_condition(interface, first, second, &rules),
+            });
+        }
+    }
+    license
+}
+
 /// Every condition of the interface's catalog whose runtime form differs
 /// from its paper form, in catalog order.
 pub fn runtime_rewrites(interface: InterfaceId) -> Vec<RuntimeRewrite> {
@@ -279,6 +401,47 @@ mod tests {
                 let verdict = prover.prove(&rewrite.obligation());
                 assert!(verdict.is_valid(), "{}: {verdict}", rewrite.paper.id());
             }
+        }
+    }
+
+    /// Every ordered pair of keyed set and map operations — 9 Set pairs, 16
+    /// Map pairs — commutes whenever the keys differ.
+    #[test]
+    fn every_stripe_license_obligation_is_valid() {
+        for (interface, keyed, pairs) in [
+            (InterfaceId::Set, vec!["add", "contains", "remove"], 9),
+            (
+                InterfaceId::Map,
+                vec!["containsKey", "get", "put", "remove"],
+                16,
+            ),
+        ] {
+            assert_eq!(keyed_operations(interface), keyed);
+            let license = stripe_license(interface);
+            assert_eq!(license.len(), pairs, "{interface}");
+            let prover = Portfolio::new(scope_for(interface, 3));
+            for pair in license {
+                let verdict = prover.prove(&pair.obligation());
+                assert!(verdict.is_valid(), "{}: {verdict}", pair.runtime.id());
+            }
+        }
+        assert!(stripe_license(InterfaceId::List).is_empty());
+        assert!(stripe_license(InterfaceId::Accumulator).is_empty());
+    }
+
+    /// `size` reads every key, so a pair with it, stated the same way, is
+    /// refused with a counter-model in either order.
+    #[test]
+    fn a_size_pair_has_no_stripe_license() {
+        for (interface, first, second) in [
+            (InterfaceId::Set, "size", "add"),
+            (InterfaceId::Set, "remove", "size"),
+            (InterfaceId::Map, "put", "size"),
+        ] {
+            let obligation = StripeLicense::new(interface, first, second).obligation();
+            let verdict = Portfolio::new(scope_for(interface, 3)).prove(&obligation);
+            assert!(verdict.is_counterexample(), "{first}/{second}: {verdict}");
+            assert!(verdict.counter_model().is_some(), "{first}/{second}");
         }
     }
 

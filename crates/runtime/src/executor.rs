@@ -13,34 +13,48 @@
 //! the committed transactions — the correctness argument the paper's client
 //! systems rely on.
 //!
-//! # Concurrency protocol
+//! # Key stripes
 //!
-//! The structure and the in-flight log are one value behind one mutex: the
-//! tracked structure, plus one slot per live transaction holding the
-//! operations it has executed and not yet committed or undone.
-//! [`Transaction::execute`] is single-phase. Under the mutex it checks the
-//! incoming operation against every logged operation of every *other* live
-//! transaction — a set or map condition that reads the state at the live
-//! state projected onto its keys, while the state is unchanged since the
-//! logged operation ran; a sequence condition that reads it at the entry's
-//! captured pre-state, at the live state, and at the live state with the
-//! entry's transaction rolled back; either only while no third live
-//! transaction has changed the state (see `Shared::admit_against_slot`) —
-//! then applies the operation, records its pre-state projection where a
-//! sequence condition needs one, and appends the entry to its own slot.
-//! Admission, apply and logging are one critical section, so every
-//! admission sees one consistent instant, and no operation takes effect
-//! without being visible to every later admission.
+//! A set or map runtime splits its structure into [`STRIPES`] stripes by key
+//! hash (see `AnyStructure::split`); a sequence or an accumulator is one
+//! stripe. Each stripe is a mutex on its own cache lines around its part of
+//! the structure and its part of the in-flight log: the logged operations of
+//! live transactions on its keys, each transaction's oldest first. The
+//! license is verified: every set and map pair of keyed operations commutes
+//! whenever the keys differ (`core::runtime_form::stripe_license`), so a
+//! keyed operation locks its key's stripe and is admitted against that
+//! stripe's entries only. Every other operation — `size`, and every
+//! operation of a one-stripe structure — locks every stripe in ascending
+//! order, is admitted against every entry, and is logged in every stripe, so
+//! every later admission sees it.
 //!
-//! Commit draws its ticket, then removes its slot under the mutex. Abort
-//! takes its slot and applies the verified inverses newest-first in one
-//! critical section, so no admission can run against a state that still
-//! contains an effect whose log entry has already disappeared. A
-//! transaction that executed nothing commits and aborts without the lock.
+//! [`Transaction::execute`] is single-phase. Under its stripe locks it
+//! checks the incoming operation against every logged operation of every
+//! *other* live transaction there — a set or map condition that reads the
+//! state at the live state projected onto its keys, while the state is
+//! unchanged since the logged operation ran; a sequence condition that reads
+//! it at the entry's captured pre-state, at the live state, and at the live
+//! state with the entry's transaction rolled back; either only while no
+//! third live transaction has changed the state (see
+//! `Shared::admit_against_slot`) — then applies the operation, records its
+//! pre-state projection where a sequence condition needs one, and logs the
+//! entry. Admission, apply and logging are one critical section, so every
+//! admission sees one consistent instant of the stripes it reads, and no
+//! operation takes effect without being visible to every later admission.
+//! Whether the state changed is one global version, and which live
+//! transactions changed it one global count, each updated under the lock of
+//! the stripe that made the change.
 //!
-//! Lock order: mode gate before structure mutex, never the reverse. A
-//! contended acquisition of the structure mutex spins briefly before it
-//! blocks (see `Shared::lock`).
+//! Commit draws its ticket, then removes its entries stripe by stripe.
+//! Abort undoes its entries with the verified inverses newest-first within
+//! each stripe, in the critical section that removes them, so no admission
+//! can run against a state that still contains an effect whose log entry has
+//! already disappeared. A transaction that executed nothing commits and
+//! aborts without a lock.
+//!
+//! Lock order: mode gate before stripe mutexes, stripes in ascending order,
+//! never the reverse. A contended acquisition of a stripe mutex spins
+//! briefly before it blocks (see `Shared::lock`).
 //!
 //! # Contention management
 //!
@@ -62,19 +76,20 @@
 //! deterministic per-transaction jitter instead of spinning, and a
 //! [`FaultPlan`] can drive every recovery path deterministically.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
+use semcommute_core::runtime_form::{keyed_operations, STRIPE_KEY};
 use semcommute_logic::Value;
 use semcommute_spec::AbstractState;
+use semcommute_structures::stripe_of;
 
 use crate::contention::{BackoffOptions, ContentionState, FallbackOptions, Mode, ModeGate};
 use crate::fault::FaultPlan;
-use crate::gatekeeper::{no_condition, AdmissionError, CommutativityGatekeeper, Conflict};
+use crate::gatekeeper::{AdmissionError, CommutativityGatekeeper, Conflict};
 use crate::log::LogEntry;
 use crate::rollback::InverseRollback;
 use crate::structure::{apply_to_state, AnyStructure, DispatchError, TrackedStructure};
@@ -233,7 +248,7 @@ impl Default for RuntimeOptions {
     }
 }
 
-/// How long a contended acquisition of the structure mutex spins before it
+/// How long a contended acquisition of a stripe mutex spins before it
 /// blocks (see `Shared::lock`).
 const LOCK_SPIN: Duration = Duration::from_micros(50);
 
@@ -243,7 +258,18 @@ fn cores() -> u64 {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get() as u64))
 }
 
-/// One operation in a live transaction's slot of the in-flight log.
+/// The hash bits a set or map runtime stripes its keys by.
+const STRIPE_BITS: u32 = 6;
+
+/// Stripes of a set or map runtime (a power of two; a sequence or an
+/// accumulator is one stripe). A transaction records the stripes it logged
+/// in as a `u64` bitmask, so there are at most 64.
+pub const STRIPES: usize = 1 << STRIPE_BITS;
+
+const _: () = assert!(STRIPES <= u64::BITS as usize);
+
+/// One operation in a stripe's part of the in-flight log.
+#[derive(Clone)]
 struct LoggedOp {
     /// The operation's dense index in the gatekeeper's operation universe,
     /// resolved once when it executed, so admission against it never hashes
@@ -251,122 +277,289 @@ struct LoggedOp {
     /// applied operations are logged, and every operation the structure
     /// applies has an index.
     op_idx: u16,
-    /// The structure's [`version`](TrackedStructure::version) just before
-    /// the operation ran, and whether the operation changed the state.
+    /// The runtime's global version just before the operation ran. Read
+    /// only for an operation that locks every stripe — the only first
+    /// operations of a state-reading pair — and zero for a keyed one.
     version: u64,
+    /// Whether the operation changed the state.
     changed: bool,
+    /// Whether its transaction had changed the state once it ran.
+    txn_changed: bool,
     entry: LogEntry,
 }
 
-/// Everything the structure mutex guards. The structure and the in-flight
-/// log change together, so one lock acquisition sees them consistent.
-struct Guarded {
+/// Everything one stripe mutex guards: the stripe's part of the structure
+/// and of the in-flight log change together, so one lock acquisition sees
+/// them consistent.
+struct Stripe {
     tracked: TrackedStructure,
-    /// Per live transaction that has executed an operation: its log, oldest
-    /// first. Commit removes the slot; abort removes it and undoes it.
-    inflight: HashMap<u64, Vec<LoggedOp>>,
+    /// The logged operations of live transactions in this stripe: each
+    /// transaction's entries contiguous, oldest first. Commit removes a
+    /// transaction's run; abort removes it and undoes it.
+    entries: Vec<LoggedOp>,
 }
 
+impl Stripe {
+    /// Applies an operation, bumping `version` if it changed the state.
+    /// Returns its result and whether it did.
+    fn apply(
+        &mut self,
+        op: &str,
+        args: &[Value],
+        version: &AtomicU64,
+    ) -> Result<(Option<Value>, bool), DispatchError> {
+        let before = self.tracked.version();
+        let result = self.tracked.apply(op, args)?;
+        let changed = self.tracked.version() != before;
+        if changed {
+            version.fetch_add(1, Ordering::SeqCst);
+        }
+        Ok((result, changed))
+    }
+
+    /// Where `txn`'s entries sit in [`entries`](Stripe::entries), if it has
+    /// any.
+    fn run_of(&self, txn: u64) -> Option<std::ops::Range<usize>> {
+        let start = self.entries.iter().position(|op| op.entry.txn == txn)?;
+        let len = self.entries[start..]
+            .iter()
+            .take_while(|op| op.entry.txn == txn)
+            .count();
+        Some(start..start + len)
+    }
+
+    /// Logs `op` at the end of its transaction's run; `first` says the
+    /// transaction has no entry here yet.
+    fn log(&mut self, op: LoggedOp, first: bool) {
+        let at = if first {
+            self.entries.len()
+        } else {
+            let txn = op.entry.txn;
+            self.entries
+                .iter()
+                .rposition(|logged| logged.entry.txn == txn)
+                .map_or(self.entries.len(), |last| last + 1)
+        };
+        self.entries.insert(at, op);
+    }
+
+    /// The runs of live transactions other than `txn`.
+    fn others(&self, txn: u64) -> impl Iterator<Item = &[LoggedOp]> {
+        self.entries
+            .chunk_by(|a, b| a.entry.txn == b.entry.txn)
+            .filter(move |run| run[0].entry.txn != txn)
+    }
+}
+
+/// A stripe mutex on cache lines of its own: two, because adjacent-line
+/// prefetch moves lines in pairs.
+#[repr(align(128))]
+struct StripeLock(Mutex<Stripe>);
+
 struct Shared {
-    guarded: Mutex<Guarded>,
+    stripes: Box<[StripeLock]>,
+    /// One bit per operation index: does the operation lock its key's stripe
+    /// only? Set for the keyed operations of a striped set or map
+    /// ([`keyed_operations`]); every other operation locks every stripe.
+    keyed: u64,
     /// The concrete structure's name, captured before the structure moves
-    /// behind its mutex — retry reports shouldn't need a lock acquisition.
+    /// behind its mutexes — retry reports shouldn't need a lock acquisition.
     structure_name: &'static str,
     options: RuntimeOptions,
-    /// The per-structure abort account and mode state machine.
-    contention: ContentionState,
-    /// The speculative/degraded drain barrier (see [`ModeGate`]).
-    gate: ModeGate,
-    /// Global operation ordinal, drawn per `execute` only while a fault plan
-    /// is attached — the coordinate system faults are scheduled in.
-    op_ordinal: AtomicU64,
     gatekeeper: CommutativityGatekeeper,
     rollback: InverseRollback,
-    next_txn: AtomicU64,
-    /// Monotone commit tickets, the serialization order certified by the
-    /// between conditions (see [`Transaction::commit`]).
-    commit_seq: AtomicU64,
-    begun: AtomicU64,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    conflicts: AtomicU64,
-    operations: AtomicU64,
-    rollback_failures: AtomicU64,
-    degraded_commits: AtomicU64,
     /// Set (once) when a rollback fails to apply a verified inverse: the
     /// structure may hold effects of an aborted transaction, so every
     /// subsequent `execute` is refused with [`TxnError::Poisoned`]. Sticky
-    /// by design, mirroring the PR 7 coarse-lock poisoning — but surfaced
+    /// by design, mirroring the coarse-lock runtime's poisoning — but surfaced
     /// as an error, never a panic, because the failure is detected while
-    /// holding the structure lock.
+    /// holding a stripe lock.
     poison: OnceLock<String>,
+    hot: Hot,
+}
+
+/// The shared state every transaction writes, on cache lines of its own:
+/// apart from the fields every operation reads, so another worker's writes
+/// do not evict those, and together, so a transaction pulls few lines from
+/// another core.
+#[repr(C, align(128))]
+struct Hot {
+    /// The next transaction identifier; identifiers start at 1, so this is
+    /// also one more than the transactions begun.
+    next_txn: AtomicU64,
+    /// The speculative/degraded drain barrier (see [`ModeGate`]).
+    gate: ModeGate,
+    /// The per-structure abort account and mode state machine.
+    contention: ContentionState,
+    /// Monotone commit tickets, the serialization order certified by the
+    /// between conditions (see [`Transaction::commit`]); every commit draws
+    /// one, so this is also the commit count.
+    commit_seq: AtomicU64,
+    aborts: AtomicU64,
+    /// Operations of finished transactions, added once per finish.
+    operations: AtomicU64,
+    /// State changes so far, over every stripe, undos included; bumped under
+    /// the lock of the stripe that changed.
+    version: AtomicU64,
+    /// Live transactions that have changed the state: incremented under the
+    /// lock of a transaction's first changing stripe, decremented under the
+    /// lock of the last stripe it leaves.
+    changers: AtomicU64,
+    conflicts: AtomicU64,
+    rollback_failures: AtomicU64,
+    degraded_commits: AtomicU64,
+    /// Global operation ordinal, drawn per `execute` only while a fault plan
+    /// is attached — the coordinate system faults are scheduled in.
+    op_ordinal: AtomicU64,
+}
+
+/// The stripe locks one operation holds: `first` is the index of
+/// `guards[0]`, and the guards are consecutive stripes.
+struct Held<'a> {
+    first: usize,
+    guards: HeldGuards<'a>,
+}
+
+enum HeldGuards<'a> {
+    One([MutexGuard<'a, Stripe>; 1]),
+    All(Vec<MutexGuard<'a, Stripe>>),
+}
+
+impl<'a> Held<'a> {
+    fn guards(&self) -> &[MutexGuard<'a, Stripe>] {
+        match &self.guards {
+            HeldGuards::One(one) => one,
+            HeldGuards::All(all) => all,
+        }
+    }
+
+    fn guards_mut(&mut self) -> &mut [MutexGuard<'a, Stripe>] {
+        match &mut self.guards {
+            HeldGuards::One(one) => one,
+            HeldGuards::All(all) => all,
+        }
+    }
+
+    /// Applies an operation in every held stripe — one for a keyed
+    /// operation or a one-stripe structure; a set or map `size` adds the
+    /// stripes' sizes up. Returns the result and whether the state changed.
+    fn apply(
+        &mut self,
+        op: &str,
+        args: &[Value],
+        version: &AtomicU64,
+    ) -> Result<(Option<Value>, bool), DispatchError> {
+        let mut result = None;
+        let mut changed = false;
+        for stripe in self.guards_mut() {
+            let (part, part_changed) = stripe.apply(op, args, version)?;
+            changed |= part_changed;
+            result = match (result, part) {
+                (Some(Value::Int(total)), Some(Value::Int(n))) => Some(Value::Int(total + n)),
+                (_, part) => part,
+            };
+        }
+        Ok((result, changed))
+    }
 }
 
 impl Shared {
-    /// Acquires the structure mutex, spinning for up to [`LOCK_SPIN`]
-    /// before blocking.
+    /// The stripe a keyed operation locks, or `None` for one that locks
+    /// every stripe. A keyed operation's stripe is the stripe of its key,
+    /// argument [`STRIPE_KEY`]: the stripe-license obligations
+    /// (`core::runtime_form::stripe_license`, all 25 verified) state that
+    /// two keyed set or map operations commute whenever those arguments
+    /// differ, which is what lets admission read the key's stripe alone. A
+    /// key that is not an element fails dispatch; it is admitted like any
+    /// unkeyed operation first, against every stripe.
+    fn stripe_of(&self, op_idx: u16, args: &[Value]) -> Option<usize> {
+        if !self.keyed(op_idx) {
+            return None;
+        }
+        match args.get(STRIPE_KEY) {
+            Some(Value::Elem(key)) if !key.is_null() => Some(stripe_of(*key, STRIPE_BITS)),
+            _ => None,
+        }
+    }
+
+    /// Does operation `op_idx` lock its key's stripe only?
+    fn keyed(&self, op_idx: u16) -> bool {
+        self.keyed >> op_idx & 1 == 1
+    }
+
+    /// Locks one stripe, or every stripe in ascending order.
+    fn hold(&self, stripe: Option<usize>) -> Held<'_> {
+        match stripe {
+            Some(stripe) => Held {
+                first: stripe,
+                guards: HeldGuards::One([self.lock(stripe)]),
+            },
+            None if self.stripes.len() == 1 => Held {
+                first: 0,
+                guards: HeldGuards::One([self.lock(0)]),
+            },
+            None => Held {
+                first: 0,
+                guards: HeldGuards::All((0..self.stripes.len()).map(|i| self.lock(i)).collect()),
+            },
+        }
+    }
+
+    /// Acquires a stripe mutex, spinning for up to [`LOCK_SPIN`] before
+    /// blocking.
     ///
-    /// Admission, apply and logging all run under this mutex, so busy
-    /// workers hand it to each other every operation, a few hundred
-    /// nanoseconds apart. A waiter that blocks is woken by the kernel,
-    /// which on a virtual machine takes around 10 µs, many critical
-    /// sections, and the delay varies with the host's load; spinning covers
-    /// a handoff instead. A waiter still spinning after the bound has
-    /// probably lost the holder to the scheduler, and blocks. Much shorter
-    /// spins measure worse than none (see `docs/PERF.md`). While more
-    /// transactions are live than the host has cores, waiters block at
-    /// once: the holder may then be waiting for a CPU that a spinner holds.
-    fn lock(&self) -> MutexGuard<'_, Guarded> {
-        if let Some(guarded) = self.guarded.try_lock() {
-            return guarded;
+    /// Admission, apply and logging all run under the stripe mutexes, so
+    /// busy workers on one stripe hand its mutex to each other every
+    /// operation, a few hundred nanoseconds apart. A waiter that blocks is
+    /// woken by the kernel, which on a virtual machine takes around 10 µs,
+    /// many critical sections, and the delay varies with the host's load;
+    /// spinning covers a handoff instead. A waiter still spinning after the
+    /// bound has probably lost the holder to the scheduler, and blocks.
+    /// Much shorter spins measure worse than none (see `docs/PERF.md`).
+    /// While more transactions are live than the host has cores, waiters
+    /// block at once: the holder may then be waiting for a CPU that a
+    /// spinner holds.
+    fn lock(&self, stripe: usize) -> MutexGuard<'_, Stripe> {
+        let mutex = &self.stripes[stripe].0;
+        if let Some(guard) = mutex.try_lock() {
+            return guard;
         }
         if self.live_transactions() <= cores() {
-            if let Some(guarded) = self.spin() {
-                return guarded;
+            if let Some(guard) = spin(mutex) {
+                return guard;
             }
         }
-        self.guarded.lock()
+        mutex.lock()
     }
 
     /// Transactions begun and not yet finished. The three counters are
     /// read apart, so the figure is approximate.
     fn live_transactions(&self) -> u64 {
-        let finished = self.commits.load(Ordering::Relaxed) + self.aborts.load(Ordering::Relaxed);
-        self.begun.load(Ordering::Relaxed).saturating_sub(finished)
+        let hot = &self.hot;
+        let finished = hot.commit_seq.load(Ordering::Relaxed) + hot.aborts.load(Ordering::Relaxed);
+        (hot.next_txn.load(Ordering::Relaxed) - 1).saturating_sub(finished)
     }
 
-    /// Polls `guarded` for up to [`LOCK_SPIN`].
-    fn spin(&self) -> Option<MutexGuard<'_, Guarded>> {
-        let started = Instant::now();
-        while started.elapsed() < LOCK_SPIN {
-            for _ in 0..16 {
-                std::hint::spin_loop();
-                if let Some(guarded) = self.guarded.try_lock() {
-                    return Some(guarded);
-                }
-            }
-        }
-        None
-    }
-
-    /// Admits the incoming operation against the slot of one other live
-    /// transaction, newest entry first. Runs under the structure mutex;
-    /// `tracked` holds the live abstract state. Each entry's pair condition
-    /// is looked up once, and the live state is touched only when that
-    /// condition reads it.
+    /// Admits the incoming operation against the run of one other live
+    /// transaction in one stripe, newest entry first. Runs under the
+    /// stripe's mutex; `tracked` holds the stripe's live abstract state, and
+    /// `changed` says whether the incoming transaction has changed the
+    /// state. Each entry's pair condition is looked up once, and the live
+    /// state is touched only when that condition reads it.
     ///
     /// A state-free condition — every set and map pair but the `size`-first
     /// ones, in their runtime forms — is checked once: its verdict cannot
     /// depend on an anchor. A set or map condition that reads the state
-    /// reads it only at keys (`v2 ∈ s1`), and is checked at the live state
-    /// projected onto those keys, answered by the concrete structure. It is
-    /// certified only while the structure's version is the one the logged
-    /// operation ran at and that operation changed nothing, so the captured
-    /// pre-state, the live state and the undo anchor below are one state;
-    /// otherwise the incoming operation conflicts.
+    /// reads it only at the incoming operation's key (`v2 ∈ s1`), and is
+    /// checked at the live state projected onto that key, answered by the
+    /// key's stripe. It is certified only while the runtime's global
+    /// version is the one the logged operation ran at and that operation
+    /// changed nothing, so the captured pre-state, the live state and the
+    /// undo anchor below are one state; otherwise the incoming operation
+    /// conflicts.
     ///
     /// A sequence condition that reads the state is checked at up to three
-    /// anchors, over `tracked`'s mirror. The
+    /// anchors, over `tracked`'s mirror (a sequence is one stripe). The
     /// logged entry's **captured pre-state** certifies swapping the pair at
     /// the state the logged operation ran in. The **live state** keeps the
     /// certificates of long-lived observers composing: a logged `get(3)` over
@@ -376,7 +569,7 @@ impl Shared {
     /// three and move the `10` into the observed slot. The **undo anchor**
     /// is the state the pair is adjacent at when the logged transaction is
     /// serialized last, which is what its abort and every later commit order
-    /// assume: the live state with the slot's operations, from the newest
+    /// assume: the live state with the run's operations, from the newest
     /// down to the entry itself, rolled back by their verified inverses.
     /// Operations of transactions that finished in between stay applied.
     /// A logged `addAt(0, 2)` over `[1]`, separated by two committed
@@ -391,16 +584,17 @@ impl Shared {
     /// `[1]`, where the pair is adjacent once that `addAt` is undone. So a
     /// state-reading pair, over any structure, is certified only while no
     /// live transaction other than the logged one and the incoming one has
-    /// changed the state (`bystanders`); otherwise the incoming operation
-    /// conflicts (see "No third party" in `docs/ARCHITECTURE.md`). With two
-    /// workers there is never a third live transaction.
+    /// changed the state (the global count of changers says); otherwise the
+    /// incoming operation conflicts (see "No third party" in
+    /// `docs/ARCHITECTURE.md`). With two workers there is never a third
+    /// live transaction.
     ///
     /// The undo anchor is built lazily, on a persistent copy of the live
     /// state, and checked only where it can differ from the anchors already
     /// checked: it equals the live state until an entry at or after
     /// the checked one changed the state, and it equals the captured
     /// pre-state while every state change since that pre-state was the
-    /// slot's own (the structure's version counts changes).
+    /// run's own (the global version counts changes).
     fn admit_against_slot(
         &self,
         slot: &[LoggedOp],
@@ -408,8 +602,16 @@ impl Shared {
         op_idx: u16,
         args: &[Value],
         tracked: &TrackedStructure,
-        bystanders: bool,
+        changed: bool,
     ) -> Result<(), TxnError> {
+        // Does a live transaction other than the logged one and the incoming
+        // one change the state? The logged one's newest entry here says
+        // whether it did; a change it made after that entry moved the
+        // version, which refuses the pair on its own.
+        let bystanders = || {
+            let others = self.hot.changers.load(Ordering::SeqCst) - u64::from(changed);
+            others > u64::from(slot[slot.len() - 1].txn_changed)
+        };
         // `live` with `slot[rolled_back..]` undone, newest first; `None`
         // while nothing undone so far changed the state.
         let mut anchor: Option<Value> = None;
@@ -419,22 +621,19 @@ impl Shared {
         for (i, logged) in slot.iter().enumerate().rev() {
             own_changes += u64::from(logged.changed);
             let entry = &logged.entry;
-            let pair = self
-                .gatekeeper
-                .pair_indexed(logged.op_idx, op_idx)
-                .ok_or_else(|| no_condition(entry, op));
-            let pair = self.verdict(pair)?;
+            let pair = self.gatekeeper.pair_indexed(logged.op_idx, op_idx);
             if !pair.reads_state() {
                 self.verdict(pair.check(entry, op, args, None))?;
                 continue;
             }
+            let version = self.hot.version.load(Ordering::SeqCst);
             if let Some(keys) = pair.state_keys(entry, args) {
                 let projected = tracked
                     .inner()
                     .project(keys)
                     .expect("keyed conditions belong to sets and maps");
                 self.verdict(pair.check(entry, op, args, Some(&projected)))?;
-                if bystanders || logged.changed || tracked.version() != logged.version {
+                if logged.changed || version != logged.version || bystanders() {
                     return Err(self.conflict(entry, op));
                 }
                 continue;
@@ -444,10 +643,10 @@ impl Shared {
                 pair.check(entry, op, args, None)
                     .and_then(|()| pair.check(entry, op, args, Some(live))),
             )?;
-            if bystanders {
+            if bystanders() {
                 return Err(self.conflict(entry, op));
             }
-            if own_changes == 0 || tracked.version() - logged.version == own_changes {
+            if own_changes == 0 || version - logged.version == own_changes {
                 continue;
             }
             for newer in slot[i..rolled_back].iter().rev() {
@@ -470,9 +669,40 @@ impl Shared {
         Ok(())
     }
 
+    /// Removes transaction `txn`'s entries from the `stripes` it logged in
+    /// (a bitmask), in ascending order, after `each` has seen them under
+    /// that stripe's lock; if the transaction `changed` the state, the last
+    /// stripe's critical section also takes it out of the changers. Once
+    /// `each` fails, the remaining stripes are only cleared.
+    fn release(
+        &self,
+        txn: u64,
+        mut stripes: u64,
+        changed: bool,
+        mut each: impl FnMut(&mut Stripe, std::ops::Range<usize>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let mut outcome = Ok(());
+        while stripes != 0 {
+            let i = stripes.trailing_zeros() as usize;
+            stripes &= stripes - 1;
+            let mut stripe = self.lock(i);
+            let run = stripe.run_of(txn).expect("a stripe logged in holds a run");
+            if outcome.is_ok() {
+                outcome = each(&mut stripe, run.clone());
+            }
+            // The entries are dropped under the lock: freeing them is cheap
+            // next to a second pass over the stripes.
+            stripe.entries.drain(run);
+            if stripes == 0 && changed {
+                self.hot.changers.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        outcome
+    }
+
     /// A conflict with `entry` that no condition evaluation reported.
     fn conflict(&self, entry: &LogEntry, op: &str) -> TxnError {
-        self.conflicts.fetch_add(1, Ordering::Relaxed);
+        self.hot.conflicts.fetch_add(1, Ordering::Relaxed);
         TxnError::Conflict(Conflict {
             with_txn: entry.txn,
             logged_op: entry.op.clone(),
@@ -485,12 +715,40 @@ impl Shared {
     fn verdict<T>(&self, verdict: Result<T, AdmissionError>) -> Result<T, TxnError> {
         verdict.map_err(|e| match e {
             AdmissionError::Conflict(c) => {
-                self.conflicts.fetch_add(1, Ordering::Relaxed);
+                self.hot.conflicts.fetch_add(1, Ordering::Relaxed);
                 TxnError::Conflict(c)
             }
             AdmissionError::Evaluation(e) => TxnError::Condition(e),
         })
     }
+}
+
+/// Polls `mutex` for up to [`LOCK_SPIN`].
+fn spin(mutex: &Mutex<Stripe>) -> Option<MutexGuard<'_, Stripe>> {
+    let started = Instant::now();
+    while started.elapsed() < LOCK_SPIN {
+        for _ in 0..16 {
+            std::hint::spin_loop();
+            if let Some(guard) = mutex.try_lock() {
+                return Some(guard);
+            }
+        }
+    }
+    None
+}
+
+/// The union of the stripes' abstract states (which are disjoint); the one
+/// stripe's state as is.
+fn union(mut states: impl Iterator<Item = AbstractState>) -> AbstractState {
+    let mut all = states.next().expect("a runtime has a stripe");
+    for state in states {
+        match (&mut all, state) {
+            (AbstractState::Set(all), AbstractState::Set(part)) => all.extend(part),
+            (AbstractState::Map(all), AbstractState::Map(part)) => all.extend(part),
+            (all, part) => unreachable!("stripes of one structure, got {all:?} and {part:?}"),
+        }
+    }
+    all
 }
 
 /// A shared data structure with optimistic, commutativity-aware transactions.
@@ -507,44 +765,65 @@ impl SpeculativeRuntime {
     }
 
     /// Wraps a concrete data structure for speculative access with explicit
-    /// [`RuntimeOptions`].
+    /// [`RuntimeOptions`]. A set or map is split into [`STRIPES`] key
+    /// stripes by moving whole bucket chains (a list-based one relinks its
+    /// nodes); a hash table's stripes count their elements on first need.
     pub fn with_options(structure: AnyStructure, options: RuntimeOptions) -> SpeculativeRuntime {
         let interface = structure.interface();
         let structure_name = structure.name();
+        let stripes: Box<[StripeLock]> = structure
+            .split(STRIPE_BITS)
+            .into_iter()
+            .map(|part| {
+                StripeLock(Mutex::new(Stripe {
+                    tracked: TrackedStructure::new(part),
+                    entries: Vec::new(),
+                }))
+            })
+            .collect();
+        let gatekeeper = CommutativityGatekeeper::new(interface);
+        let keyed = match stripes.len() {
+            1 => 0,
+            _ => keyed_operations(interface)
+                .iter()
+                .filter_map(|op| gatekeeper.op_index(op))
+                .fold(0, |keyed, op_idx| keyed | 1 << op_idx),
+        };
         SpeculativeRuntime {
             shared: Arc::new(Shared {
-                guarded: Mutex::new(Guarded {
-                    tracked: TrackedStructure::new(structure),
-                    inflight: HashMap::new(),
-                }),
+                stripes,
+                keyed,
                 structure_name,
-                contention: ContentionState::new(options.fallback),
-                gate: ModeGate::new(),
-                op_ordinal: AtomicU64::new(0),
-                gatekeeper: CommutativityGatekeeper::new(interface),
+                gatekeeper,
                 rollback: InverseRollback::new(interface),
-                options,
-                next_txn: AtomicU64::new(1),
-                commit_seq: AtomicU64::new(0),
-                begun: AtomicU64::new(0),
-                commits: AtomicU64::new(0),
-                aborts: AtomicU64::new(0),
-                conflicts: AtomicU64::new(0),
-                operations: AtomicU64::new(0),
-                rollback_failures: AtomicU64::new(0),
-                degraded_commits: AtomicU64::new(0),
                 poison: OnceLock::new(),
+                hot: Hot {
+                    next_txn: AtomicU64::new(1),
+                    gate: ModeGate::new(),
+                    contention: ContentionState::new(options.fallback),
+                    commit_seq: AtomicU64::new(0),
+                    aborts: AtomicU64::new(0),
+                    operations: AtomicU64::new(0),
+                    version: AtomicU64::new(0),
+                    changers: AtomicU64::new(0),
+                    conflicts: AtomicU64::new(0),
+                    rollback_failures: AtomicU64::new(0),
+                    degraded_commits: AtomicU64::new(0),
+                    op_ordinal: AtomicU64::new(0),
+                },
+                options,
             }),
         }
     }
 
     /// Begins a new transaction.
     pub fn begin(&self) -> Transaction {
-        self.shared.begun.fetch_add(1, Ordering::Relaxed);
         Transaction {
             runtime: self.clone(),
-            id: self.shared.next_txn.fetch_add(1, Ordering::Relaxed),
+            id: self.shared.hot.next_txn.fetch_add(1, Ordering::Relaxed),
             logged: 0,
+            stripes: 0,
+            changed: false,
             mode: TxnMode::Pending,
             finished: false,
         }
@@ -600,37 +879,57 @@ impl SpeculativeRuntime {
         }))
     }
 
-    /// The current abstract state of the shared structure.
+    /// The current abstract state of the shared structure: the union of its
+    /// stripes' states, read under every stripe lock.
     pub fn snapshot(&self) -> AbstractState {
-        self.shared.guarded.lock().tracked.inner().abstract_state()
+        let held = self.shared.hold(None);
+        union(
+            held.guards()
+                .iter()
+                .map(|stripe| stripe.tracked.inner().abstract_state()),
+        )
     }
 
-    /// Checks the representation invariant of the shared structure.
+    /// Checks the representation invariant of the shared structure: every
+    /// stripe's, and that every key of a set or map sits in its own stripe.
     ///
     /// # Errors
     ///
     /// Returns the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.shared
-            .guarded
-            .lock()
-            .tracked
-            .inner()
-            .check_invariants()
+        let held = self.shared.hold(None);
+        let striped = held.guards().len() > 1;
+        for (i, stripe) in held.guards().iter().enumerate() {
+            let inner = stripe.tracked.inner();
+            inner
+                .check_invariants()
+                .map_err(|e| format!("stripe {i}: {e}"))?;
+            if let Some(key) = inner
+                .keys()
+                .into_iter()
+                .find(|&key| striped && stripe_of(key, STRIPE_BITS) != i)
+            {
+                return Err(format!(
+                    "key {key} sits in stripe {i}, not its own stripe {}",
+                    stripe_of(key, STRIPE_BITS)
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Execution statistics so far.
     pub fn stats(&self) -> RuntimeStats {
-        let shared = &self.shared;
+        let hot = &self.shared.hot;
         RuntimeStats {
-            begun: shared.begun.load(Ordering::Relaxed),
-            commits: shared.commits.load(Ordering::Relaxed),
-            aborts: shared.aborts.load(Ordering::Relaxed),
-            conflicts: shared.conflicts.load(Ordering::Relaxed),
-            operations: shared.operations.load(Ordering::Relaxed),
-            rollback_failures: shared.rollback_failures.load(Ordering::Relaxed),
-            degraded_commits: shared.degraded_commits.load(Ordering::Relaxed),
-            mode_switches: shared.contention.mode_switches(),
+            begun: hot.next_txn.load(Ordering::Relaxed) - 1,
+            commits: hot.commit_seq.load(Ordering::Relaxed),
+            aborts: hot.aborts.load(Ordering::Relaxed),
+            conflicts: hot.conflicts.load(Ordering::Relaxed),
+            operations: hot.operations.load(Ordering::Relaxed),
+            rollback_failures: hot.rollback_failures.load(Ordering::Relaxed),
+            degraded_commits: hot.degraded_commits.load(Ordering::Relaxed),
+            mode_switches: hot.contention.mode_switches(),
         }
     }
 
@@ -638,7 +937,7 @@ impl SpeculativeRuntime {
     /// while the fallback is disabled. Advisory: by the time the caller
     /// looks at the value a transition may already have landed.
     pub fn mode(&self) -> Mode {
-        self.shared.contention.mode()
+        self.shared.hot.contention.mode()
     }
 
     /// The options this runtime was constructed with.
@@ -659,14 +958,32 @@ impl SpeculativeRuntime {
     /// applying.
     #[doc(hidden)]
     pub fn apply_unlogged(&self, op: &str, args: &[Value]) -> Result<Option<Value>, TxnError> {
-        Ok(self.shared.guarded.lock().tracked.apply(op, args)?)
+        let shared = &self.shared;
+        let stripe = shared
+            .gatekeeper
+            .op_index(op)
+            .and_then(|op_idx| shared.stripe_of(op_idx, args));
+        let (result, _) = shared.hold(stripe).apply(op, args, &shared.hot.version)?;
+        Ok(result)
     }
 
     /// The number of operations currently logged by uncommitted
-    /// transactions.
+    /// transactions. An operation that locks every stripe is logged in each
+    /// and counts once.
     pub fn pending_operations(&self) -> usize {
-        let guarded = self.shared.guarded.lock();
-        guarded.inflight.values().map(Vec::len).sum()
+        let shared = &self.shared;
+        let held = shared.hold(None);
+        held.guards()
+            .iter()
+            .enumerate()
+            .map(|(i, stripe)| {
+                stripe
+                    .entries
+                    .iter()
+                    .filter(|logged| i == 0 || shared.keyed(logged.op_idx))
+                    .count()
+            })
+            .sum()
     }
 }
 
@@ -690,10 +1007,14 @@ enum TxnMode {
 pub struct Transaction {
     runtime: SpeculativeRuntime,
     id: u64,
-    /// How many operations this transaction has logged in its in-flight
-    /// slot. The slot itself lives under the structure mutex; zero means
-    /// there is no slot, so commit and abort need no lock.
+    /// How many operations this transaction has logged.
     logged: usize,
+    /// The stripes it has logged in, one bit each; zero means it has no
+    /// entry anywhere, so commit and abort need no lock.
+    stripes: u64,
+    /// Whether one of its operations changed the state (it then counts in
+    /// the runtime's changers until it finishes).
+    changed: bool,
     mode: TxnMode,
     finished: bool,
 }
@@ -732,6 +1053,7 @@ impl Transaction {
                 let ordinal = self
                     .runtime
                     .shared
+                    .hot
                     .op_ordinal
                     .fetch_add(1, Ordering::Relaxed)
                     + 1;
@@ -748,6 +1070,7 @@ impl Transaction {
                 if faults.fire_forced_conflict(self.id, ordinal) {
                     self.runtime
                         .shared
+                        .hot
                         .conflicts
                         .fetch_add(1, Ordering::Relaxed);
                     return Err(TxnError::Conflict(Conflict {
@@ -776,58 +1099,67 @@ impl Transaction {
             return;
         }
         loop {
-            if shared.contention.mode() == Mode::Degraded {
-                shared.gate.enter_exclusive();
-                if shared.contention.mode() == Mode::Degraded {
+            if shared.hot.contention.mode() == Mode::Degraded {
+                shared.hot.gate.enter_exclusive();
+                if shared.hot.contention.mode() == Mode::Degraded {
                     self.mode = TxnMode::Degraded;
                     return;
                 }
                 // The structure left Degraded while we queued: speculate.
-                shared.gate.exit_exclusive();
+                shared.hot.gate.exit_exclusive();
             } else {
-                shared.gate.enter_shared();
-                if shared.contention.mode() != Mode::Degraded {
+                shared.hot.gate.enter_shared();
+                if shared.hot.contention.mode() != Mode::Degraded {
                     self.mode = TxnMode::Speculative;
                     return;
                 }
                 // Degraded landed while we entered: take the coarse path.
-                shared.gate.exit_shared();
+                shared.hot.gate.exit_shared();
             }
         }
     }
 
-    /// Finish bookkeeping for both commit and abort: feed the contention
-    /// account, then release the gate side held since the first operation.
-    /// The caller has already drawn its commit ticket (commit) or finished
-    /// its rollback (abort) — releasing the gate is the last thing a
-    /// transaction does, which is what orders cross-mode ticket draws.
+    /// Finish bookkeeping for both commit and abort: count the finished
+    /// transaction's operations, feed the contention account, then release
+    /// the gate side held since the first operation. The caller has already
+    /// drawn its commit ticket (commit) or finished its rollback (abort) —
+    /// releasing the gate is the last thing a transaction does, which is
+    /// what orders cross-mode ticket draws.
     fn leave(&mut self, aborted: bool) {
         let shared = &self.runtime.shared;
+        if self.logged > 0 {
+            shared
+                .hot
+                .operations
+                .fetch_add(self.logged as u64, Ordering::Relaxed);
+            self.logged = 0;
+        }
         match self.mode {
             TxnMode::Pending => {}
             TxnMode::Speculative => {
                 if shared.options.fallback.enabled {
-                    shared.contention.record_speculative_finish(aborted);
-                    shared.gate.exit_shared();
+                    shared.hot.contention.record_speculative_finish(aborted);
+                    shared.hot.gate.exit_shared();
                 }
             }
             TxnMode::Degraded => {
-                shared.contention.record_degraded_finish();
-                shared.gate.exit_exclusive();
+                shared.hot.contention.record_degraded_finish();
+                shared.hot.gate.exit_exclusive();
             }
         }
         self.mode = TxnMode::Pending;
     }
 
-    /// Admission, apply and logging, in one structure critical section.
+    /// Admission, apply and logging, in one critical section of the
+    /// operation's stripe locks.
     ///
     /// A speculative transaction is admitted against every logged operation
-    /// of every other live transaction (see `Shared::admit_against_slot`) and
-    /// records a pre-state projection where a sequence condition needs one.
-    /// A degraded transaction holds the gate exclusively, so no other
-    /// transaction is live: there is nothing to admit against and no
-    /// pre-state to project. Both log into their slot, which is what abort
-    /// undoes.
+    /// of every other live transaction in those stripes (see
+    /// `Shared::admit_against_slot`) and records a pre-state projection
+    /// where a sequence condition needs one. A degraded transaction holds
+    /// the gate exclusively, so no other transaction is live: there is
+    /// nothing to admit against and no pre-state to project. Both log into
+    /// the stripes, which is what abort undoes.
     fn execute_locked(&mut self, op: &str, args: &[Value]) -> Result<Option<Value>, TxnError> {
         let shared = &self.runtime.shared;
         // One string resolution for the incoming operation; every per-entry
@@ -836,46 +1168,62 @@ impl Transaction {
         // The log entry's owned copies are made before the critical section,
         // which is what concurrent transactions queue for.
         let (op_name, op_args) = (op.to_string(), args.to_vec());
-        let mut guarded = shared.lock();
-        let Guarded { tracked, inflight } = &mut *guarded;
+        let stripe = op_idx.and_then(|op_idx| shared.stripe_of(op_idx, args));
+        let mut held = shared.hold(stripe);
         let Some(op_idx) = op_idx else {
             // Not an operation of the interface: no condition covers it
             // against another live transaction's entry, and the structure
             // cannot apply it.
-            let logged = inflight
+            let logged = held
+                .guards()
                 .iter()
-                .filter(|(&owner, _)| owner != self.id)
-                .find_map(|(_, slot)| slot.last());
+                .find_map(|stripe| stripe.others(self.id).next());
             return Err(match logged {
-                Some(logged) => {
-                    TxnError::Condition(format!("no condition for pair {}/{op}", logged.entry.op))
+                Some(run) => {
+                    TxnError::Condition(format!("no condition for pair {}/{op}", run[0].entry.op))
                 }
                 None => DispatchError::UnknownOperation(op.to_string()).into(),
             });
         };
         let pre_state = if self.mode == TxnMode::Speculative {
-            // The no-third-party rule (see `Shared::admit_against_slot`).
-            let changed = |slot: &[LoggedOp]| slot.iter().any(|logged| logged.changed);
-            let others = || inflight.iter().filter(|(&owner, _)| owner != self.id);
-            let changers = others().filter(|(_, slot)| changed(slot)).count();
-            for (_, slot) in others() {
-                let bystanders = changers > usize::from(changed(slot));
-                shared.admit_against_slot(slot, op, op_idx, args, tracked, bystanders)?;
+            for stripe in held.guards() {
+                for slot in stripe.others(self.id) {
+                    shared.admit_against_slot(
+                        slot,
+                        op,
+                        op_idx,
+                        args,
+                        &stripe.tracked,
+                        self.changed,
+                    )?;
+                }
             }
             shared
                 .gatekeeper
                 .requires_pre_state_indexed(op_idx)
-                .then(|| tracked.state_value().clone())
+                .then(|| held.guards()[0].tracked.state_value().clone())
         } else {
-            debug_assert!(inflight.keys().all(|&owner| owner == self.id));
+            debug_assert!(held
+                .guards()
+                .iter()
+                .all(|stripe| stripe.others(self.id).next().is_none()));
             None
         };
-        let version = tracked.version();
-        let result = tracked.apply(op, args)?;
-        inflight.entry(self.id).or_default().push(LoggedOp {
+        let version = if stripe.is_none() {
+            shared.hot.version.load(Ordering::SeqCst)
+        } else {
+            0
+        };
+        let (result, changed) = held.apply(op, args, &shared.hot.version)?;
+        if changed && !self.changed {
+            self.changed = true;
+            shared.hot.changers.fetch_add(1, Ordering::SeqCst);
+        }
+        let logged = LoggedOp {
             op_idx,
             version,
-            changed: tracked.version() != version,
+            changed,
+            txn_changed: self.changed,
             entry: LogEntry {
                 txn: self.id,
                 op: op_name,
@@ -883,10 +1231,17 @@ impl Transaction {
                 result: result.clone(),
                 pre_state,
             },
-        });
-        drop(guarded);
+        };
+        let first = held.first;
+        let guards = held.guards_mut();
+        let last = guards.len() - 1;
+        for (i, stripe) in guards[..last].iter_mut().enumerate() {
+            stripe.log(logged.clone(), self.stripes & (1 << (first + i)) == 0);
+        }
+        guards[last].log(logged, self.stripes & (1 << (first + last)) == 0);
+        self.stripes |= (u64::MAX >> (63 - last)) << first;
+        drop(held);
         self.logged += 1;
-        shared.operations.fetch_add(1, Ordering::Relaxed);
         Ok(result)
     }
 
@@ -897,37 +1252,40 @@ impl Transaction {
     /// serialization order. The between conditions guarantee that replaying
     /// the committed transactions serially in ticket order reproduces every
     /// recorded return value and the final abstract state (the differential
-    /// harness checks exactly this). Commit takes the structure mutex once,
-    /// to remove its slot, and no lock at all if it executed nothing.
+    /// harness checks exactly this). Commit takes each stripe it logged in
+    /// once, to remove its entries, and no lock at all if it executed
+    /// nothing.
     pub fn commit(mut self) -> u64 {
         self.finished = true;
         let shared = &self.runtime.shared;
-        // The ticket must be drawn *before* the slot disappears: a
+        // The ticket must be drawn *before* any entry disappears: a
         // transaction that executes a non-commuting operation can only be
-        // admitted after this removal, so its own (later) fetch_add is
-        // guaranteed a larger ticket — the mutex release/acquire orders the
-        // two RMWs. Removing first would let that transaction draw a smaller
-        // ticket and break the replay order. It is also drawn before `leave`
-        // releases the gate, which is what serializes tickets across mode
-        // transitions: a transaction on the other gate side begins strictly
-        // after this release, so its ticket is strictly later.
-        let ticket = shared.commit_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.logged > 0 {
-            // The guard is a temporary: the slot is freed after the unlock.
-            let _slot = shared.lock().inflight.remove(&self.id);
-            self.logged = 0;
-        }
+        // admitted after the removal from that operation's stripe, so its
+        // own (later) fetch_add is guaranteed a larger ticket — the mutex
+        // release/acquire orders the two RMWs. Removing first would let that
+        // transaction draw a smaller ticket and break the replay order. It
+        // is also drawn before `leave` releases the gate, which is what
+        // serializes tickets across mode transitions: a transaction on the
+        // other gate side begins strictly after this release, so its ticket
+        // is strictly later.
+        let ticket = shared.hot.commit_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let _ = shared.release(
+            self.id,
+            std::mem::take(&mut self.stripes),
+            self.changed,
+            |_, _| Ok(()),
+        );
         if self.mode == TxnMode::Degraded {
-            shared.degraded_commits.fetch_add(1, Ordering::Relaxed);
+            shared.hot.degraded_commits.fetch_add(1, Ordering::Relaxed);
         }
-        shared.commits.fetch_add(1, Ordering::Relaxed);
         self.leave(false);
         ticket
     }
 
     /// Aborts the transaction: its operations are rolled back with the
-    /// verified inverse operations, newest first. A transaction that executed
-    /// no operations aborts without taking any lock.
+    /// verified inverse operations, newest first within each stripe. A
+    /// transaction that executed no operations aborts without taking any
+    /// lock.
     pub fn abort(mut self) {
         self.finished = true;
         self.rollback();
@@ -935,65 +1293,62 @@ impl Transaction {
 
     fn rollback(&mut self) {
         let shared = &self.runtime.shared;
-        shared.aborts.fetch_add(1, Ordering::Relaxed);
-        if self.logged == 0 {
-            // No slot and no effect on the structure: the abort is a counter
-            // bump (plus the gate release if an admission-refused first
-            // operation already picked a path).
+        shared.hot.aborts.fetch_add(1, Ordering::Relaxed);
+        if self.stripes == 0 {
+            // No entry and no effect on the structure: the abort is a
+            // counter bump (plus the gate release if an admission-refused
+            // first operation already picked a path).
             self.leave(true);
             return;
         }
-        self.logged = 0;
-        // Slot removal and inverse application happen under one structure
-        // lock acquisition: otherwise a concurrent admission could evaluate
-        // against a state that still contains an effect whose log entry has
-        // already vanished.
-        let mut guarded = shared.lock();
-        let Guarded { tracked, inflight } = &mut *guarded;
-        let slot = inflight.remove(&self.id).unwrap_or_default();
         let injected = shared
             .options
             .faults
             .as_ref()
             .is_some_and(|faults| faults.fire_rollback_failure(self.id));
-        if injected {
-            // Fault injection: behave exactly as if the first inverse had
-            // been rejected.
-            let reason = format!(
-                "rolling back txn {}: injected rollback failure (fault plan)",
-                self.id
-            );
-            shared.rollback_failures.fetch_add(1, Ordering::Relaxed);
-            let _ = shared.poison.set(reason);
-        } else {
-            for LoggedOp { entry, .. } in slot.iter().rev() {
-                let Some((op, args)) = shared.rollback.inverse_call(entry) else {
+        let id = self.id;
+        // A stripe's entries are removed and undone in one critical section:
+        // otherwise a concurrent admission could evaluate against a state
+        // that still contains an effect whose log entry has already
+        // vanished.
+        let stripes = std::mem::take(&mut self.stripes);
+        let undone = shared.release(id, stripes, self.changed, |stripe, run| {
+            if injected {
+                // Fault injection: behave exactly as if the first inverse
+                // had been rejected.
+                return Err(format!(
+                    "rolling back txn {id}: injected rollback failure (fault plan)"
+                ));
+            }
+            for at in run.rev() {
+                let Some((op, args)) = shared.rollback.inverse_call(&stripe.entries[at].entry)
+                else {
                     // Nothing to undo: an observer, or an update that changed
                     // nothing (e.g. `add` returned false).
                     continue;
                 };
-                if let Err(e) = tracked.apply(&op, &args) {
+                if let Err(e) = stripe.apply(&op, &args, &shared.hot.version) {
                     // A verified inverse failed to apply: the structure no
                     // longer matches the log (something mutated it outside
                     // the protocol, or an invariant broke). Panicking here
-                    // — while holding the structure lock — used to take the
-                    // whole process down; instead, poison the runtime so
-                    // every subsequent operation is refused with a
-                    // diagnosable [`TxnError::Poisoned`], and stop undoing:
-                    // applying more inverses to a state we no longer
-                    // understand could only compound the damage.
-                    let reason = format!(
-                        "rolling back txn {}: verified inverse `{op}` of `{}` was rejected: {e}",
-                        self.id, entry.op
-                    );
-                    shared.rollback_failures.fetch_add(1, Ordering::Relaxed);
-                    let _ = shared.poison.set(reason);
-                    break;
+                    // — while holding a stripe lock — used to take the whole
+                    // process down; instead, poison the runtime so every
+                    // subsequent operation is refused with a diagnosable
+                    // [`TxnError::Poisoned`], and stop undoing: applying
+                    // more inverses to a state we no longer understand
+                    // could only compound the damage.
+                    return Err(format!(
+                        "rolling back txn {id}: verified inverse `{op}` of `{}` was rejected: {e}",
+                        stripe.entries[at].entry.op
+                    ));
                 }
             }
+            Ok(())
+        });
+        if let Err(reason) = undone {
+            shared.hot.rollback_failures.fetch_add(1, Ordering::Relaxed);
+            let _ = shared.poison.set(reason);
         }
-        // The slot is freed after the unlock.
-        drop(guarded);
         self.leave(true);
     }
 }
@@ -1225,20 +1580,21 @@ mod tests {
 
     #[test]
     fn empty_commit_and_abort_are_lock_free() {
-        // Hold the structure lock hostage on another thread; an empty commit
-        // or abort must still complete because it never touches the lock.
+        // Hold every stripe lock hostage on another thread; an empty commit
+        // or abort must still complete because it never touches a lock.
         let rt = set_runtime();
+        assert_eq!(rt.shared.stripes.len(), STRIPES);
         let hold = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
         let rt2 = rt.clone();
         let hold2 = std::sync::Arc::clone(&hold);
         let blocker = std::thread::spawn(move || {
-            let _guard = rt2.shared.guarded.lock();
+            let _guards = rt2.shared.hold(None);
             while hold2.load(Ordering::Relaxed) {
                 std::thread::yield_now();
             }
         });
-        // Give the blocker time to take the lock.
-        while rt.shared.guarded.try_lock().is_some() {
+        // Give the blocker time to take the locks (the last one last).
+        while rt.shared.stripes[STRIPES - 1].0.try_lock().is_some() {
             std::thread::yield_now();
         }
         rt.begin().abort(); // would deadlock here if the empty abort locked
@@ -1378,15 +1734,22 @@ mod tests {
         assert_eq!(rt.stats().rollback_failures, 0);
     }
 
-    /// The entries of a transaction's slot, as `(op, pre_state)`.
+    /// The entries of a transaction, as `(op, pre_state)`, read across its
+    /// stripes: stripe by stripe, an entry logged in every stripe once.
     fn logged_pre_states(
         rt: &SpeculativeRuntime,
         txn: &Transaction,
     ) -> Vec<(String, Option<Value>)> {
-        rt.shared.guarded.lock().inflight[&txn.id()]
-            .iter()
-            .map(|logged| (logged.entry.op.clone(), logged.entry.pre_state.clone()))
-            .collect()
+        let held = rt.shared.hold(None);
+        let mut logged = Vec::new();
+        for (i, stripe) in held.guards().iter().enumerate() {
+            for op in &stripe.entries {
+                if op.entry.txn == txn.id() && (i == 0 || rt.shared.keyed(op.op_idx)) {
+                    logged.push((op.entry.op.clone(), op.entry.pre_state.clone()));
+                }
+            }
+        }
+        logged
     }
 
     #[test]
@@ -1451,5 +1814,110 @@ mod tests {
             AbstractState::List(vec![ElemId(2), ElemId(1)])
         );
         t.commit();
+    }
+
+    /// A set or map splits into its stripes: their union is the caller's
+    /// abstract state, every key sits in its own stripe (which
+    /// `check_invariants` checks too), and a sequence stays whole.
+    #[test]
+    fn carved_stripes_partition_the_callers_state() {
+        for name in ["HashSet", "ListSet", "HashTable", "AssociationList"] {
+            for n in [0u32, 20, 3_000] {
+                let mut structure = AnyStructure::by_name(name).unwrap();
+                for k in 1..=n {
+                    let key = Value::elem(k * 3);
+                    let args = match structure.interface() {
+                        semcommute_spec::InterfaceId::Set => vec![key],
+                        _ => vec![key, Value::elem(k)],
+                    };
+                    let op = if args.len() == 1 { "add" } else { "put" };
+                    structure.apply(op, &args).unwrap();
+                }
+                let whole = structure.abstract_state();
+                let rt = SpeculativeRuntime::new(structure);
+                assert_eq!(rt.shared.stripes.len(), STRIPES, "{name}");
+                assert_eq!(rt.snapshot(), whole, "{name} n={n}");
+                assert_eq!(rt.check_invariants(), Ok(()), "{name} n={n}");
+                let held = rt.shared.hold(None);
+                let mut keys = 0;
+                for (i, stripe) in held.guards().iter().enumerate() {
+                    for key in stripe.tracked.inner().keys() {
+                        assert_eq!(stripe_of(key, STRIPE_BITS), i, "{name}: {key}");
+                        keys += 1;
+                    }
+                }
+                assert_eq!(keys, n, "{name}");
+            }
+        }
+        for name in ["ArrayList", "Accumulator"] {
+            let rt = SpeculativeRuntime::new(AnyStructure::by_name(name).unwrap());
+            assert_eq!(rt.shared.stripes.len(), 1, "{name}");
+            assert_eq!(rt.shared.keyed, 0, "{name}");
+        }
+    }
+
+    /// `check_invariants` refuses a key outside its own stripe.
+    #[test]
+    fn a_key_in_a_foreign_stripe_breaks_the_invariant() {
+        let rt = set_runtime();
+        let key = semcommute_logic::ElemId(5);
+        let foreign = (stripe_of(key, STRIPE_BITS) + 1) % STRIPES;
+        rt.shared
+            .lock(foreign)
+            .tracked
+            .apply("add", &[Value::Elem(key)])
+            .unwrap();
+        let err = rt.check_invariants().unwrap_err();
+        assert!(err.contains("not its own stripe"), "{err}");
+    }
+
+    /// A `size` is logged in every stripe but pending once, and every set
+    /// and map pair that reads the state starts with an operation that
+    /// locks every stripe — the only entries whose version is recorded.
+    #[test]
+    fn size_is_logged_everywhere_and_pending_once() {
+        let rt = set_runtime();
+        let mut t = rt.begin();
+        t.execute("add", &[Value::elem(1)]).unwrap();
+        t.execute("size", &[]).unwrap();
+        t.execute("contains", &[Value::elem(2)]).unwrap();
+        assert_eq!(rt.pending_operations(), 3);
+        assert_eq!(t.stripes, u64::MAX);
+        let held = rt.shared.hold(None);
+        let size_entries: usize = held
+            .guards()
+            .iter()
+            .map(|stripe| {
+                stripe
+                    .entries
+                    .iter()
+                    .filter(|op| op.entry.op == "size")
+                    .count()
+            })
+            .sum();
+        assert_eq!(size_entries, STRIPES);
+        drop(held);
+        t.commit();
+        assert_eq!(rt.pending_operations(), 0);
+        for interface in [
+            semcommute_spec::InterfaceId::Set,
+            semcommute_spec::InterfaceId::Map,
+        ] {
+            let rt = SpeculativeRuntime::new(
+                AnyStructure::by_name(if interface == semcommute_spec::InterfaceId::Set {
+                    "HashSet"
+                } else {
+                    "HashTable"
+                })
+                .unwrap(),
+            );
+            let g = &rt.shared.gatekeeper;
+            for (first, second) in g.pairs() {
+                let (i, j) = (g.op_index(&first).unwrap(), g.op_index(&second).unwrap());
+                if g.pair_indexed(i, j).reads_state() {
+                    assert!(!rt.shared.keyed(i), "{interface}: {first}/{second}");
+                }
+            }
+        }
     }
 }

@@ -36,7 +36,7 @@
 //! A state-free condition (the majority — they test `r1` and arguments) is
 //! evaluated once. A set or map condition that reads `s1` is evaluated at
 //! the live state projected onto its keys
-//! ([`PairCheck::state_keys`]), and only while the structure's version is
+//! ([`PairCheck::state_keys`]), and only while the runtime's version is
 //! the one the logged operation ran at, so the captured, live and undo
 //! anchors below coincide. A sequence condition that reads `s1` is
 //! evaluated at up to **three** anchors:
@@ -69,10 +69,9 @@ use std::cell::RefCell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use semcommute_core::catalog::condition_formula;
 use semcommute_core::condition::names;
-use semcommute_core::runtime_form::{rewrite_with, state_query_rewrites};
-use semcommute_core::{CommutativityCondition, ConditionKind, OpVariant};
+use semcommute_core::runtime_form::{runtime_condition, state_query_rewrites};
+use semcommute_core::CommutativityCondition;
 use semcommute_logic::{Sort, Term, Value};
 use semcommute_prover::Program;
 use semcommute_spec::InterfaceId;
@@ -116,11 +115,11 @@ impl fmt::Display for Conflict {
 /// a [`Conflict`] is the ordinary speculative outcome — the transaction
 /// aborts, rolls back, and retrying is likely to succeed once the conflicting
 /// transaction finishes. An [`Evaluation`](AdmissionError::Evaluation) error
-/// means the check itself could not be performed (no condition is registered
-/// for the operation pair, or the condition references information the log
-/// entry does not carry). Retrying cannot fix that, so masking it as a
-/// conflict — as the runtime did before — turns a configuration bug into a
-/// retry loop that ends in a misleading "retries exhausted" report.
+/// means the check itself could not be performed (the condition references
+/// information the log entry does not carry). Retrying cannot fix that, so
+/// masking it as a conflict — as the runtime did before — turns a
+/// configuration bug into a retry loop that ends in a misleading "retries
+/// exhausted" report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmissionError {
     /// The operations genuinely do not commute; abort and retry.
@@ -413,9 +412,8 @@ pub struct CommutativityGatekeeper {
     ops: Vec<String>,
     /// The prepared between conditions for recorded variants, in their
     /// runtime forms, as the flattened (first × second) pair table indexed
-    /// `first * ops.len() + second`; `None` where no condition is held for
-    /// the pair.
-    table: Vec<Option<Prepared>>,
+    /// `first * ops.len() + second`: the catalog holds one for every pair.
+    table: Vec<Prepared>,
 }
 
 impl CommutativityGatekeeper {
@@ -433,25 +431,10 @@ impl CommutativityGatekeeper {
                 .collect()
         };
         let rules = state_query_rewrites(interface);
-        let mut table: Vec<Option<Prepared>> = Vec::with_capacity(ops.len() * ops.len());
+        let mut table = Vec::with_capacity(ops.len() * ops.len());
         for (first, first_op) in ops.iter().enumerate() {
             for (second, second_op) in ops.iter().enumerate() {
-                let (first_variant, second_variant) = (
-                    OpVariant::recorded(first_op),
-                    OpVariant::recorded(second_op),
-                );
-                let kind = ConditionKind::Between;
-                let formula = condition_formula(interface, &first_variant, &second_variant, kind);
-                let condition = rewrite_with(
-                    CommutativityCondition::new(
-                        interface,
-                        first_variant,
-                        second_variant,
-                        kind,
-                        formula,
-                    ),
-                    &rules,
-                );
+                let condition = runtime_condition(interface, first_op, second_op, &rules);
                 let prepared = Prepared::new(condition, params(first, 1), params(second, 2));
                 // Sets and maps keep no mirror to capture or roll back: the
                 // executor can only answer their state at keys.
@@ -460,16 +443,12 @@ impl CommutativityGatekeeper {
                     "{} reads `s1` other than at keys",
                     prepared.condition.id()
                 );
-                table.push(Some(prepared));
+                table.push(prepared);
             }
         }
         let pre_state = table
             .chunks(ops.len())
-            .map(|row| {
-                row.iter()
-                    .flatten()
-                    .any(|p| p.reads_state && p.state_keys.is_none())
-            })
+            .map(|row| row.iter().any(|p| p.reads_state && p.state_keys.is_none()))
             .collect();
         CommutativityGatekeeper {
             interface,
@@ -485,13 +464,14 @@ impl CommutativityGatekeeper {
     }
 
     /// The table cell of an ordered pair of operation indices.
-    fn cell(&self, first: u16, second: u16) -> Option<&Prepared> {
-        self.table[first as usize * self.ops.len() + second as usize].as_ref()
+    fn cell(&self, first: u16, second: u16) -> &Prepared {
+        &self.table[first as usize * self.ops.len() + second as usize]
     }
 
-    /// The prepared condition of an ordered pair of operation names.
+    /// The prepared condition of an ordered pair of operation names, if the
+    /// interface knows both.
     fn prepared(&self, first_op: &str, second_op: &str) -> Option<&Prepared> {
-        self.cell(self.op_index(first_op)?, self.op_index(second_op)?)
+        Some(self.cell(self.op_index(first_op)?, self.op_index(second_op)?))
     }
 
     /// The between condition for an ordered operation pair, in its runtime
@@ -505,13 +485,12 @@ impl CommutativityGatekeeper {
     /// this to cover the whole catalog.
     pub fn pairs(&self) -> Vec<(String, String)> {
         let mut pairs: Vec<(String, String)> = self
-            .table
+            .ops
             .iter()
-            .enumerate()
-            .filter(|(_, cell)| cell.is_some())
-            .map(|(i, _)| {
-                let n = self.ops.len();
-                (self.ops[i / n].clone(), self.ops[i % n].clone())
+            .flat_map(|first| {
+                self.ops
+                    .iter()
+                    .map(|second| (first.clone(), second.clone()))
             })
             .collect();
         pairs.sort();
@@ -552,12 +531,12 @@ impl CommutativityGatekeeper {
     }
 
     /// The condition of the pair (`first` logged, `second` incoming), looked
-    /// up once for every anchor it is checked at; `None` if the table holds
-    /// no condition for the pair. Indices come from
+    /// up once for every anchor it is checked at. Indices come from
     /// [`op_index`](CommutativityGatekeeper::op_index).
-    pub fn pair_indexed(&self, first: u16, second: u16) -> Option<PairCheck<'_>> {
-        self.cell(first, second)
-            .map(|prepared| PairCheck { prepared })
+    pub fn pair_indexed(&self, first: u16, second: u16) -> PairCheck<'_> {
+        PairCheck {
+            prepared: self.cell(first, second),
+        }
     }
 
     /// Checks an incoming operation against one logged entry of another
@@ -570,10 +549,9 @@ impl CommutativityGatekeeper {
     /// # Errors
     ///
     /// Returns the [`Conflict`] if the condition is false, or
-    /// [`AdmissionError::Evaluation`] if the pair has no condition or the
-    /// condition could not be evaluated from the logged information — the
-    /// latter is **not** a conflict and must not be retried (see
-    /// [`AdmissionError`]).
+    /// [`AdmissionError::Evaluation`] if the condition could not be
+    /// evaluated from the logged information — the latter is **not** a
+    /// conflict and must not be retried (see [`AdmissionError`]).
     pub fn check_indexed(
         &self,
         first: u16,
@@ -583,7 +561,6 @@ impl CommutativityGatekeeper {
         incoming_args: &[Value],
     ) -> Result<(), AdmissionError> {
         self.pair_indexed(first, second)
-            .ok_or_else(|| no_condition(logged, incoming_op))?
             .check(logged, incoming_op, incoming_args, None)
     }
 
@@ -619,9 +596,7 @@ impl CommutativityGatekeeper {
         incoming_args: &[Value],
         state: &Value,
     ) -> Result<(), AdmissionError> {
-        let pair = self
-            .pair_indexed(first, second)
-            .ok_or_else(|| no_condition(logged, incoming_op))?;
+        let pair = self.pair_indexed(first, second);
         if !pair.reads_state() {
             return Ok(());
         }
@@ -684,16 +659,11 @@ impl<'g> PairCheck<'g> {
     }
 }
 
-/// The catalog holds no condition for the (logged, incoming) pair.
-pub(crate) fn no_condition(logged: &LogEntry, incoming_op: &str) -> AdmissionError {
-    AdmissionError::Evaluation(format!("no condition for pair {}/{incoming_op}", logged.op))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semcommute_core::interface_catalog;
     use semcommute_core::runtime_form::runtime_rewrites;
+    use semcommute_core::{interface_catalog, ConditionKind};
     use semcommute_spec::AbstractState;
 
     fn set_entry(txn: u64, op: &str, arg: u32, result: bool, state: &[u32]) -> LogEntry {
@@ -772,9 +742,7 @@ mod tests {
         }
         // `size`/`add` still reads `s1`, at the incoming element only.
         let g = CommutativityGatekeeper::new(InterfaceId::Set);
-        let pair = g
-            .pair_indexed(g.op_index("size").unwrap(), g.op_index("add").unwrap())
-            .unwrap();
+        let pair = g.pair_indexed(g.op_index("size").unwrap(), g.op_index("add").unwrap());
         assert!(pair.reads_state());
         let logged = set_entry(1, "size", 0, false, &[]);
         let incoming = [Value::elem(5)];
@@ -784,9 +752,7 @@ mod tests {
         // still captures one, and has no keys.
         let g = CommutativityGatekeeper::new(InterfaceId::List);
         assert!(g.requires_pre_state("get"));
-        let pair = g
-            .pair_indexed(g.op_index("get").unwrap(), g.op_index("removeAt").unwrap())
-            .unwrap();
+        let pair = g.pair_indexed(g.op_index("get").unwrap(), g.op_index("removeAt").unwrap());
         assert!(pair.reads_state());
         assert!(pair.state_keys(&logged, &incoming).is_none());
     }
@@ -943,34 +909,13 @@ mod tests {
     /// An operation the interface does not know has no index, so no
     /// admission can reach the pair table with it (the executor reports it;
     /// see `executor::tests::unknown_operation_pairs_fail_fast_without_retries`).
-    /// A known pair without a catalog condition is an evaluation error, not
-    /// a conflict.
     #[test]
-    fn unknown_operations_have_no_index_and_missing_pairs_are_evaluation_errors() {
-        let mut g = CommutativityGatekeeper::new(InterfaceId::Set);
+    fn unknown_operations_have_no_index() {
+        let g = CommutativityGatekeeper::new(InterfaceId::Set);
         assert_eq!(g.op_index("frobnicate"), None);
         assert!(!g.requires_pre_state("frobnicate"));
         assert!(g.condition("add", "frobnicate").is_none());
         assert!(g.prepared("frobnicate", "add").is_none());
-        // Drop one pair from the table: the indexed check must fail
-        // loudly, not read as "does not commute".
-        let (first, second) = (g.op_index("add").unwrap(), g.op_index("remove").unwrap());
-        g.table[first as usize * g.ops.len() + second as usize] = None;
-        let logged = set_entry(1, "add", 5, true, &[]);
-        let args = [Value::elem(5)];
-        let state = AbstractState::Set(Default::default()).to_value();
-        for err in [
-            g.check_indexed(first, &logged, second, "remove", &args),
-            g.check_indexed_at(first, &logged, second, "remove", &args, &state),
-        ] {
-            match err {
-                Err(AdmissionError::Evaluation(msg)) => {
-                    assert!(msg.contains("no condition for pair add/remove"), "{msg}");
-                }
-                other => panic!("expected an evaluation error, got {other:?}"),
-            }
-        }
-        assert!(g.pair_indexed(first, second).is_none());
     }
 
     fn list_state(items: &[u32]) -> Value {

@@ -23,8 +23,9 @@
 //!   mirror of the abstract state,
 //! * [`LogEntry`] — executed operations (arguments, recorded return
 //!   values, sequence pre-state projections), kept per live transaction in an
-//!   in-flight log that shares the structure's mutex, so admission, apply
-//!   and logging happen at one instant,
+//!   in-flight log split, like a set or map structure, into key stripes:
+//!   each stripe's log shares its part of the structure's mutex, so
+//!   admission, apply and logging happen at one instant,
 //! * [`gatekeeper`] — the dynamic commutativity check driven by the verified
 //!   between conditions, in their verified runtime forms, each compiled once
 //!   per runtime to a flat register program (the one admission evaluator),

@@ -232,7 +232,37 @@ impl AnyStructure {
 /// state.
 type Dispatched = Result<(Option<Value>, bool), DispatchError>;
 
-fn apply_set<S: SetInterface>(s: &mut S, op: &str, args: &[Value]) -> Dispatched {
+/// The element count behind `size`: a part of a split hash table takes it
+/// on the first call and keeps it (see [`HashSet::count`]).
+trait Count {
+    fn count(&mut self) -> usize;
+}
+
+impl Count for ListSet {
+    fn count(&mut self) -> usize {
+        self.size()
+    }
+}
+
+impl Count for HashSet {
+    fn count(&mut self) -> usize {
+        HashSet::count(self)
+    }
+}
+
+impl Count for AssociationList {
+    fn count(&mut self) -> usize {
+        self.size()
+    }
+}
+
+impl Count for HashTable {
+    fn count(&mut self) -> usize {
+        HashTable::count(self)
+    }
+}
+
+fn apply_set<S: SetInterface + Count>(s: &mut S, op: &str, args: &[Value]) -> Dispatched {
     match op {
         "add" => {
             let added = s.add(elem_arg(op, args, 0)?);
@@ -243,12 +273,12 @@ fn apply_set<S: SetInterface>(s: &mut S, op: &str, args: &[Value]) -> Dispatched
             let removed = s.remove(elem_arg(op, args, 0)?);
             Ok((Some(Value::Bool(removed)), removed))
         }
-        "size" => Ok((Some(Value::Int(s.size() as i64)), false)),
+        "size" => Ok((Some(Value::Int(s.count() as i64)), false)),
         _ => Err(DispatchError::UnknownOperation(op.to_string())),
     }
 }
 
-fn apply_map<M: MapInterface>(m: &mut M, op: &str, args: &[Value]) -> Dispatched {
+fn apply_map<M: MapInterface + Count>(m: &mut M, op: &str, args: &[Value]) -> Dispatched {
     match op {
         "containsKey" => Ok((
             Some(Value::Bool(m.contains_key(elem_arg(op, args, 0)?))),
@@ -264,7 +294,7 @@ fn apply_map<M: MapInterface>(m: &mut M, op: &str, args: &[Value]) -> Dispatched
             let previous = m.remove(elem_arg(op, args, 0)?);
             Ok((opt_elem(previous), previous.is_some()))
         }
-        "size" => Ok((Some(Value::Int(m.size() as i64)), false)),
+        "size" => Ok((Some(Value::Int(m.count() as i64)), false)),
         _ => Err(DispatchError::UnknownOperation(op.to_string())),
     }
 }
@@ -308,6 +338,48 @@ fn apply_list<L: ListInterface>(l: &mut L, op: &str, args: &[Value]) -> Dispatch
 }
 
 impl AnyStructure {
+    /// Splits a set or map into `1 << bits` structures of its kind by key
+    /// [stripe](semcommute_structures::stripe), part `i` holding the keys of
+    /// stripe `i` (a hash table moves whole bucket chains, a list relinks
+    /// its nodes); an Accumulator or ArrayList stays whole, as one part.
+    pub(crate) fn split(self, bits: u32) -> Vec<AnyStructure> {
+        match self {
+            AnyStructure::ListSet(s) => s
+                .split(bits)
+                .into_iter()
+                .map(AnyStructure::ListSet)
+                .collect(),
+            AnyStructure::HashSet(s) => s
+                .split(bits)
+                .into_iter()
+                .map(AnyStructure::HashSet)
+                .collect(),
+            AnyStructure::AssociationList(m) => m
+                .split(bits)
+                .into_iter()
+                .map(AnyStructure::AssociationList)
+                .collect(),
+            AnyStructure::HashTable(m) => m
+                .split(bits)
+                .into_iter()
+                .map(AnyStructure::HashTable)
+                .collect(),
+            whole @ (AnyStructure::Accumulator(_) | AnyStructure::ArrayList(_)) => vec![whole],
+        }
+    }
+
+    /// Every key the structure holds: a set's elements, a map's domain;
+    /// none for an Accumulator or ArrayList.
+    pub(crate) fn keys(&self) -> Vec<ElemId> {
+        match self {
+            AnyStructure::ListSet(s) => s.iter().collect(),
+            AnyStructure::HashSet(s) => s.iter().collect(),
+            AnyStructure::AssociationList(m) => m.iter().map(|(k, _)| k).collect(),
+            AnyStructure::HashTable(m) => m.iter().map(|(k, _)| k).collect(),
+            AnyStructure::Accumulator(_) | AnyStructure::ArrayList(_) => Vec::new(),
+        }
+    }
+
     /// The abstract state restricted to `keys`, answered by the concrete
     /// `contains` / `get` — never a walk of the structure. For a set, the
     /// keys it contains; for a map, the keys it maps, with their values.

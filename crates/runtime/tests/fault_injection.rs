@@ -246,8 +246,8 @@ fn stats_stay_consistent_while_probing_keeps_failing() {
     assert_eq!(rt.check_invariants(), Ok(()));
 }
 
-/// Degraded transactions log into the same in-flight slot as speculative
-/// ones (their abort undoes it). With every speculative admission forced
+/// Degraded transactions log into the same in-flight stripes as speculative
+/// ones (their abort undoes them). With every speculative admission forced
 /// into conflict, an operation that succeeds must have run degraded. After a
 /// committed and an aborted degraded transaction nothing is left in flight,
 /// and the state matches a coarse-lock replay of the committed one.

@@ -23,7 +23,7 @@
 //!
 //! Over sets and maps the only conditions that read the state are the
 //! `size`-first ones, evaluated at the live state projected onto the
-//! incoming key, and certified only while the structure's version is the
+//! incoming key, and certified only while the runtime's version is the
 //! one `size` ran at and no third live transaction has changed the state.
 //! The last three tests pin that rule on `HashSet` and `HashTable`, each
 //! ending with a ticket-order replay through `CoarseLockRuntime`.

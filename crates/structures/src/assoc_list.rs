@@ -3,6 +3,7 @@
 use semcommute_logic::ElemId;
 use semcommute_spec::AbstractState;
 
+use crate::stripe::stripe_of;
 use crate::traits::{require_non_null, Abstraction, MapInterface};
 
 /// A node holding one key/value pair.
@@ -57,6 +58,23 @@ impl AssociationList {
         Iter {
             node: self.head.as_deref(),
         }
+    }
+
+    /// Splits the map into `1 << bits` maps, part `i` holding the pairs
+    /// whose key falls in [stripe](crate::stripe) `i`, by relinking every
+    /// node.
+    pub fn split(self, bits: u32) -> Vec<AssociationList> {
+        let mut parts: Vec<AssociationList> =
+            (0..1 << bits).map(|_| AssociationList::new()).collect();
+        let mut cursor = self.head;
+        while let Some(mut node) = cursor {
+            cursor = node.next.take();
+            let part = &mut parts[stripe_of(node.key, bits)];
+            node.next = part.head.take();
+            part.head = Some(node);
+            part.size += 1;
+        }
+        parts
     }
 }
 

@@ -3,6 +3,7 @@
 use semcommute_logic::ElemId;
 use semcommute_spec::AbstractState;
 
+use crate::stripe::{bucket_of, part_shift};
 use crate::traits::{require_non_null, Abstraction, SetInterface};
 
 /// A node in a bucket chain.
@@ -10,13 +11,6 @@ use crate::traits::{require_non_null, Abstraction, SetInterface};
 struct Node {
     elem: ElemId,
     next: Option<Box<Node>>,
-}
-
-/// Multiplicative hash used to spread element identities across buckets.
-fn bucket_of(elem: ElemId, buckets: usize) -> usize {
-    debug_assert!(buckets.is_power_of_two());
-    let h = elem.0.wrapping_mul(0x9E37_79B9);
-    (h as usize) & (buckets - 1)
 }
 
 /// A set of objects implemented with a separately chained hash table, as in
@@ -43,7 +37,13 @@ fn bucket_of(elem: ElemId, buckets: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct HashSet {
     table: Vec<Option<Box<Node>>>,
-    size: usize,
+    /// The element count. `None` in a part of a [split](HashSet::split)
+    /// table until its first growth check or [`count`](HashSet::count)
+    /// takes it: the split moves chains without visiting a node.
+    size: Option<usize>,
+    /// The hash bits below the bucket index: 0 for a whole table; a part of
+    /// a split table indexes by the bits above its stripe.
+    shift: u32,
 }
 
 const INITIAL_BUCKETS: usize = 8;
@@ -54,10 +54,7 @@ const MAX_LOAD_DENOMINATOR: usize = 4;
 impl HashSet {
     /// Creates an empty set.
     pub fn new() -> HashSet {
-        HashSet {
-            table: (0..INITIAL_BUCKETS).map(|_| None).collect(),
-            size: 0,
-        }
+        HashSet::with_capacity(INITIAL_BUCKETS)
     }
 
     /// Creates an empty set with at least `capacity` buckets.
@@ -65,13 +62,14 @@ impl HashSet {
         let buckets = capacity.next_power_of_two().max(INITIAL_BUCKETS);
         HashSet {
             table: (0..buckets).map(|_| None).collect(),
-            size: 0,
+            size: Some(0),
+            shift: 0,
         }
     }
 
     /// Returns `true` if the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.size == 0
+        self.size() == 0
     }
 
     /// The number of buckets currently allocated (exposed for tests and the
@@ -82,19 +80,69 @@ impl HashSet {
 
     /// Iterates over the elements in bucket/chain order.
     pub fn iter(&self) -> impl Iterator<Item = ElemId> + '_ {
-        self.table.iter().flat_map(|bucket| {
-            let mut out = Vec::new();
-            let mut cursor = bucket.as_deref();
-            while let Some(node) = cursor {
-                out.push(node.elem);
-                cursor = node.next.as_deref();
-            }
-            out
-        })
+        self.table
+            .iter()
+            .flat_map(|chain| nodes(chain).map(|node| node.elem))
     }
 
-    fn should_grow(&self) -> bool {
-        self.size * MAX_LOAD_DENOMINATOR >= self.table.len() * MAX_LOAD_NUMERATOR
+    /// The element count, taken and kept the first time a part of a split
+    /// table is asked (a walk of its chains); a plain field read after that.
+    pub fn count(&mut self) -> usize {
+        match self.size {
+            Some(size) => size,
+            None => {
+                let size = chain_lengths(&self.table);
+                self.size = Some(size);
+                size
+            }
+        }
+    }
+
+    /// Splits the set into `1 << bits` sets, part `i` holding the elements
+    /// of [stripe](crate::stripe) `i`. When the table has at least that
+    /// many buckets, whole bucket chains move and no node is visited, so
+    /// each part's element count is left to its first
+    /// [`count`](HashSet::count) or insertion; a smaller table relinks its
+    /// nodes one by one.
+    pub fn split(self, bits: u32) -> Vec<HashSet> {
+        let parts = 1usize << bits;
+        let shift = part_shift(self.shift, bits);
+        if self.table.len() < parts {
+            let mut out: Vec<HashSet> = (0..parts)
+                .map(|_| HashSet {
+                    table: vec![None],
+                    size: Some(0),
+                    shift,
+                })
+                .collect();
+            for chain in self.table {
+                let mut cursor = chain;
+                while let Some(mut node) = cursor {
+                    cursor = node.next.take();
+                    let part = &mut out[bucket_of(node.elem, parts, self.shift)];
+                    let idx = bucket_of(node.elem, part.table.len(), shift);
+                    node.next = part.table[idx].take();
+                    part.table[idx] = Some(node);
+                    *part.size.as_mut().expect("counted") += 1;
+                }
+            }
+            return out;
+        }
+        let size = self.size.filter(|&size| size == 0);
+        let mut tables: Vec<Vec<Option<Box<Node>>>> = (0..parts)
+            .map(|_| Vec::with_capacity(self.table.len() / parts))
+            .collect();
+        for (idx, chain) in self.table.into_iter().enumerate() {
+            tables[idx & (parts - 1)].push(chain);
+        }
+        tables
+            .into_iter()
+            .map(|table| HashSet { table, size, shift })
+            .collect()
+    }
+
+    fn should_grow(&mut self) -> bool {
+        self.count() * MAX_LOAD_DENOMINATOR >= self.table.len() * MAX_LOAD_NUMERATOR
     }
 
     fn grow(&mut self) {
@@ -105,13 +153,23 @@ impl HashSet {
             let mut cursor = bucket;
             while let Some(mut node) = cursor {
                 cursor = node.next.take();
-                let idx = bucket_of(node.elem, new_buckets);
+                let idx = bucket_of(node.elem, new_buckets, self.shift);
                 node.next = new_table[idx].take();
                 new_table[idx] = Some(node);
             }
         }
         self.table = new_table;
     }
+}
+
+/// The nodes of one bucket chain.
+fn nodes(chain: &Option<Box<Node>>) -> impl Iterator<Item = &Node> {
+    std::iter::successors(chain.as_deref(), |node| node.next.as_deref())
+}
+
+/// The number of nodes in the table's chains.
+fn chain_lengths(table: &[Option<Box<Node>>]) -> usize {
+    table.iter().map(|chain| nodes(chain).count()).sum()
 }
 
 impl Default for HashSet {
@@ -129,19 +187,21 @@ impl SetInterface for HashSet {
         if self.should_grow() {
             self.grow();
         }
-        let idx = bucket_of(v, self.table.len());
+        let idx = bucket_of(v, self.table.len(), self.shift);
         let node = Box::new(Node {
             elem: v,
             next: self.table[idx].take(),
         });
         self.table[idx] = Some(node);
-        self.size += 1;
+        if let Some(size) = &mut self.size {
+            *size += 1;
+        }
         true
     }
 
     fn contains(&self, v: ElemId) -> bool {
         require_non_null(v, "element");
-        let idx = bucket_of(v, self.table.len());
+        let idx = bucket_of(v, self.table.len(), self.shift);
         let mut cursor = self.table[idx].as_deref();
         while let Some(node) = cursor {
             if node.elem == v {
@@ -154,7 +214,7 @@ impl SetInterface for HashSet {
 
     fn remove(&mut self, v: ElemId) -> bool {
         require_non_null(v, "element");
-        let idx = bucket_of(v, self.table.len());
+        let idx = bucket_of(v, self.table.len(), self.shift);
         let mut cursor = &mut self.table[idx];
         loop {
             match cursor {
@@ -162,7 +222,9 @@ impl SetInterface for HashSet {
                 Some(node) if node.elem == v => {
                     let next = node.next.take();
                     *cursor = next;
-                    self.size -= 1;
+                    if let Some(size) = &mut self.size {
+                        *size -= 1;
+                    }
                     return true;
                 }
                 Some(node) => cursor = &mut node.next,
@@ -170,8 +232,10 @@ impl SetInterface for HashSet {
         }
     }
 
+    /// The element count; a part of a split table whose count has not
+    /// been taken walks its chains (see [`HashSet::count`]).
     fn size(&self) -> usize {
-        self.size
+        self.size.unwrap_or_else(|| chain_lengths(&self.table))
     }
 }
 
@@ -192,7 +256,7 @@ impl Abstraction for HashSet {
                 if node.elem.is_null() {
                     return Err("hash chain stores the null element".to_string());
                 }
-                if bucket_of(node.elem, self.table.len()) != idx {
+                if bucket_of(node.elem, self.table.len(), self.shift) != idx {
                     return Err(format!("element {} is in the wrong bucket", node.elem));
                 }
                 if !seen.insert(node.elem) {
@@ -202,13 +266,12 @@ impl Abstraction for HashSet {
                 cursor = node.next.as_deref();
             }
         }
-        if count != self.size {
-            return Err(format!(
-                "size field is {} but the table holds {count} elements",
-                self.size
-            ));
+        match self.size {
+            Some(size) if size != count => Err(format!(
+                "size field is {size} but the table holds {count} elements"
+            )),
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 

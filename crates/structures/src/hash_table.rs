@@ -3,6 +3,7 @@
 use semcommute_logic::ElemId;
 use semcommute_spec::AbstractState;
 
+use crate::stripe::{bucket_of, part_shift};
 use crate::traits::{require_non_null, Abstraction, MapInterface};
 
 /// A node in a bucket chain holding one key/value pair.
@@ -11,12 +12,6 @@ struct Node {
     key: ElemId,
     value: ElemId,
     next: Option<Box<Node>>,
-}
-
-fn bucket_of(key: ElemId, buckets: usize) -> usize {
-    debug_assert!(buckets.is_power_of_two());
-    let h = key.0.wrapping_mul(0x9E37_79B9);
-    (h as usize) & (buckets - 1)
 }
 
 const INITIAL_BUCKETS: usize = 8;
@@ -43,16 +38,19 @@ const MAX_LOAD_DENOMINATOR: usize = 4;
 #[derive(Debug, Clone)]
 pub struct HashTable {
     table: Vec<Option<Box<Node>>>,
-    size: usize,
+    /// The pair count. `None` in a part of a [split](HashTable::split)
+    /// table until its first growth check or [`count`](HashTable::count)
+    /// takes it: the split moves chains without visiting a node.
+    size: Option<usize>,
+    /// The hash bits below the bucket index: 0 for a whole table; a part of
+    /// a split table indexes by the bits above its stripe.
+    shift: u32,
 }
 
 impl HashTable {
     /// Creates an empty map.
     pub fn new() -> HashTable {
-        HashTable {
-            table: (0..INITIAL_BUCKETS).map(|_| None).collect(),
-            size: 0,
-        }
+        HashTable::with_capacity(INITIAL_BUCKETS)
     }
 
     /// Creates an empty map with at least `capacity` buckets.
@@ -60,13 +58,14 @@ impl HashTable {
         let buckets = capacity.next_power_of_two().max(INITIAL_BUCKETS);
         HashTable {
             table: (0..buckets).map(|_| None).collect(),
-            size: 0,
+            size: Some(0),
+            shift: 0,
         }
     }
 
     /// Returns `true` if the map is empty.
     pub fn is_empty(&self) -> bool {
-        self.size == 0
+        self.size() == 0
     }
 
     /// The number of buckets currently allocated.
@@ -76,19 +75,69 @@ impl HashTable {
 
     /// Iterates over `(key, value)` pairs in bucket/chain order.
     pub fn iter(&self) -> impl Iterator<Item = (ElemId, ElemId)> + '_ {
-        self.table.iter().flat_map(|bucket| {
-            let mut out = Vec::new();
-            let mut cursor = bucket.as_deref();
-            while let Some(node) = cursor {
-                out.push((node.key, node.value));
-                cursor = node.next.as_deref();
-            }
-            out
-        })
+        self.table
+            .iter()
+            .flat_map(|chain| nodes(chain).map(|node| (node.key, node.value)))
     }
 
-    fn should_grow(&self) -> bool {
-        self.size * MAX_LOAD_DENOMINATOR >= self.table.len() * MAX_LOAD_NUMERATOR
+    /// The pair count, taken and kept the first time a part of a split
+    /// table is asked (a walk of its chains); a plain field read after that.
+    pub fn count(&mut self) -> usize {
+        match self.size {
+            Some(size) => size,
+            None => {
+                let size = chain_lengths(&self.table);
+                self.size = Some(size);
+                size
+            }
+        }
+    }
+
+    /// Splits the map into `1 << bits` maps, part `i` holding the pairs
+    /// whose key falls in [stripe](crate::stripe) `i`. When the table has
+    /// at least that many buckets, whole bucket chains move and no node is
+    /// visited, so each part's pair count is left to its first
+    /// [`count`](HashTable::count) or insertion; a smaller table relinks its
+    /// nodes one by one.
+    pub fn split(self, bits: u32) -> Vec<HashTable> {
+        let parts = 1usize << bits;
+        let shift = part_shift(self.shift, bits);
+        if self.table.len() < parts {
+            let mut out: Vec<HashTable> = (0..parts)
+                .map(|_| HashTable {
+                    table: vec![None],
+                    size: Some(0),
+                    shift,
+                })
+                .collect();
+            for chain in self.table {
+                let mut cursor = chain;
+                while let Some(mut node) = cursor {
+                    cursor = node.next.take();
+                    let part = &mut out[bucket_of(node.key, parts, self.shift)];
+                    let idx = bucket_of(node.key, part.table.len(), shift);
+                    node.next = part.table[idx].take();
+                    part.table[idx] = Some(node);
+                    *part.size.as_mut().expect("counted") += 1;
+                }
+            }
+            return out;
+        }
+        let size = self.size.filter(|&size| size == 0);
+        let mut tables: Vec<Vec<Option<Box<Node>>>> = (0..parts)
+            .map(|_| Vec::with_capacity(self.table.len() / parts))
+            .collect();
+        for (idx, chain) in self.table.into_iter().enumerate() {
+            tables[idx & (parts - 1)].push(chain);
+        }
+        tables
+            .into_iter()
+            .map(|table| HashTable { table, size, shift })
+            .collect()
+    }
+
+    fn should_grow(&mut self) -> bool {
+        self.count() * MAX_LOAD_DENOMINATOR >= self.table.len() * MAX_LOAD_NUMERATOR
     }
 
     fn grow(&mut self) {
@@ -99,13 +148,23 @@ impl HashTable {
             let mut cursor = bucket;
             while let Some(mut node) = cursor {
                 cursor = node.next.take();
-                let idx = bucket_of(node.key, new_buckets);
+                let idx = bucket_of(node.key, new_buckets, self.shift);
                 node.next = new_table[idx].take();
                 new_table[idx] = Some(node);
             }
         }
         self.table = new_table;
     }
+}
+
+/// The nodes of one bucket chain.
+fn nodes(chain: &Option<Box<Node>>) -> impl Iterator<Item = &Node> {
+    std::iter::successors(chain.as_deref(), |node| node.next.as_deref())
+}
+
+/// The number of nodes in the table's chains.
+fn chain_lengths(table: &[Option<Box<Node>>]) -> usize {
+    table.iter().map(|chain| nodes(chain).count()).sum()
 }
 
 impl Default for HashTable {
@@ -117,7 +176,7 @@ impl Default for HashTable {
 impl MapInterface for HashTable {
     fn contains_key(&self, k: ElemId) -> bool {
         require_non_null(k, "key");
-        let idx = bucket_of(k, self.table.len());
+        let idx = bucket_of(k, self.table.len(), self.shift);
         let mut cursor = self.table[idx].as_deref();
         while let Some(node) = cursor {
             if node.key == k {
@@ -130,7 +189,7 @@ impl MapInterface for HashTable {
 
     fn get(&self, k: ElemId) -> Option<ElemId> {
         require_non_null(k, "key");
-        let idx = bucket_of(k, self.table.len());
+        let idx = bucket_of(k, self.table.len(), self.shift);
         let mut cursor = self.table[idx].as_deref();
         while let Some(node) = cursor {
             if node.key == k {
@@ -144,7 +203,7 @@ impl MapInterface for HashTable {
     fn put(&mut self, k: ElemId, v: ElemId) -> Option<ElemId> {
         require_non_null(k, "key");
         require_non_null(v, "value");
-        let idx = bucket_of(k, self.table.len());
+        let idx = bucket_of(k, self.table.len(), self.shift);
         let mut cursor = self.table[idx].as_deref_mut();
         while let Some(node) = cursor {
             if node.key == k {
@@ -157,20 +216,22 @@ impl MapInterface for HashTable {
         if self.should_grow() {
             self.grow();
         }
-        let idx = bucket_of(k, self.table.len());
+        let idx = bucket_of(k, self.table.len(), self.shift);
         let node = Box::new(Node {
             key: k,
             value: v,
             next: self.table[idx].take(),
         });
         self.table[idx] = Some(node);
-        self.size += 1;
+        if let Some(size) = &mut self.size {
+            *size += 1;
+        }
         None
     }
 
     fn remove(&mut self, k: ElemId) -> Option<ElemId> {
         require_non_null(k, "key");
-        let idx = bucket_of(k, self.table.len());
+        let idx = bucket_of(k, self.table.len(), self.shift);
         let mut cursor = &mut self.table[idx];
         loop {
             match cursor {
@@ -179,7 +240,9 @@ impl MapInterface for HashTable {
                     let previous = node.value;
                     let next = node.next.take();
                     *cursor = next;
-                    self.size -= 1;
+                    if let Some(size) = &mut self.size {
+                        *size -= 1;
+                    }
                     return Some(previous);
                 }
                 Some(node) => cursor = &mut node.next,
@@ -187,8 +250,10 @@ impl MapInterface for HashTable {
         }
     }
 
+    /// The pair count; a part of a split table whose count has not been
+    /// taken walks its chains (see [`HashTable::count`]).
     fn size(&self) -> usize {
-        self.size
+        self.size.unwrap_or_else(|| chain_lengths(&self.table))
     }
 }
 
@@ -209,7 +274,7 @@ impl Abstraction for HashTable {
                 if node.key.is_null() || node.value.is_null() {
                     return Err("hash chain stores a null key or value".to_string());
                 }
-                if bucket_of(node.key, self.table.len()) != idx {
+                if bucket_of(node.key, self.table.len(), self.shift) != idx {
                     return Err(format!("key {} is in the wrong bucket", node.key));
                 }
                 if !seen.insert(node.key) {
@@ -219,13 +284,12 @@ impl Abstraction for HashTable {
                 cursor = node.next.as_deref();
             }
         }
-        if count != self.size {
-            return Err(format!(
-                "size field is {} but the table holds {count} pairs",
-                self.size
-            ));
+        match self.size {
+            Some(size) if size != count => Err(format!(
+                "size field is {size} but the table holds {count} pairs"
+            )),
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 

@@ -38,6 +38,7 @@ pub mod conformance;
 pub mod hash_set;
 pub mod hash_table;
 pub mod list_set;
+pub mod stripe;
 pub mod traits;
 
 pub use accumulator::Accumulator;
@@ -46,4 +47,5 @@ pub use assoc_list::AssociationList;
 pub use hash_set::HashSet;
 pub use hash_table::HashTable;
 pub use list_set::ListSet;
+pub use stripe::stripe_of;
 pub use traits::{Abstraction, ListInterface, MapInterface, SetInterface};

@@ -3,6 +3,7 @@
 use semcommute_logic::ElemId;
 use semcommute_spec::AbstractState;
 
+use crate::stripe::stripe_of;
 use crate::traits::{require_non_null, Abstraction, SetInterface};
 
 /// A node of the singly-linked list.
@@ -57,6 +58,21 @@ impl ListSet {
     /// Returns `true` if the set is empty.
     pub fn is_empty(&self) -> bool {
         self.size == 0
+    }
+
+    /// Splits the set into `1 << bits` sets, part `i` holding the elements
+    /// of [stripe](crate::stripe) `i`, by relinking every node.
+    pub fn split(self, bits: u32) -> Vec<ListSet> {
+        let mut parts: Vec<ListSet> = (0..1 << bits).map(|_| ListSet::new()).collect();
+        let mut cursor = self.head;
+        while let Some(mut node) = cursor {
+            cursor = node.next.take();
+            let part = &mut parts[stripe_of(node.elem, bits)];
+            node.next = part.head.take();
+            part.head = Some(node);
+            part.size += 1;
+        }
+        parts
     }
 }
 

@@ -4,7 +4,10 @@
 //! all verified. The equivalence obligations of the runtime forms (the set
 //! and map between conditions the speculative runtime evaluates, with `r1`
 //! in place of the first operation's queries on `s1`) are verified and
-//! counted on their own line.
+//! counted on their own line, and so are the 25 stripe-license obligations
+//! (every ordered pair of keyed set and map operations commutes when the
+//! keys differ, which lets the runtime admit a keyed operation against its
+//! key stripe alone).
 //!
 //! Run with `cargo run --release --example verify_catalog`. Pass a number to
 //! limit how many conditions per interface are verified (useful for a quick
@@ -16,7 +19,7 @@
 
 use std::time::Instant;
 
-use semcommute::core::runtime_form::runtime_rewrites;
+use semcommute::core::runtime_form::{runtime_rewrites, stripe_license};
 use semcommute::core::verify::{verify_catalog, VerifyOptions};
 use semcommute::core::{inverse_catalog, report};
 use semcommute::prover::Portfolio;
@@ -205,5 +208,34 @@ fn main() {
         }
     }
     println!("{rewrites_ok}/{rewrites} runtime-form equivalence obligations verified");
+
+    println!("\nVerifying the stripe license (keyed set and map pairs commute on different keys)");
+    let (mut licenses, mut licenses_ok) = (0, 0);
+    for interface in InterfaceId::ALL {
+        let scope = semcommute::core::verify::scope_for(interface, options.seq_len)
+            .with_orbit(options.orbit);
+        let prover = Portfolio::new(scope);
+        for license in stripe_license(interface) {
+            licenses += 1;
+            let verdict = prover.prove(&license.obligation());
+            println!(
+                "  {:<36} {:<44} {}",
+                license.runtime.id(),
+                license.runtime.formula.to_string(),
+                if verdict.is_valid() {
+                    "licensed"
+                } else {
+                    "FAILED"
+                }
+            );
+            if let Some(model) = verdict.counter_model() {
+                println!("    counterexample:\n{model}");
+            }
+            if verdict.is_valid() {
+                licenses_ok += 1;
+            }
+        }
+    }
+    println!("{licenses_ok}/{licenses} stripe-license obligations verified");
     println!("\nTotal time: {:.2}s", start.elapsed().as_secs_f64());
 }
