@@ -24,7 +24,7 @@
 //!
 //! Usage: `runtime_perf [--ops N] [--prefill N] [--json PATH]`.
 //! Emits the measurements as JSON with an `acceptance` section recording
-//! the criterion, which depends on no host's core count: under forced
+//! the bar, which depends on no host's core count: under forced
 //! contention the adaptive runtime must land near the coarse baseline's
 //! per-op cost while the non-adaptive runtime loses to it by a wide margin.
 //! Throughput and latency against the coarse baseline are measured by the
@@ -316,7 +316,7 @@ fn run_coarse(workload: Workload, threads: u64, ops: u64, prefill: u64) -> Measu
 /// acquisition per transaction — so the adaptive engine cannot match the
 /// bare baseline exactly. Measured on the dev host it lands at ~5.6× the
 /// coarse floor (versus ~21× for non-degraded speculation and unbounded
-/// retry cost without the fallback); the criterion pins that it stays
+/// retry cost without the fallback); the bar pins that it stays
 /// within the same order as the baseline, not within speculation's.
 const HOT_ADAPTIVE_OVER_COARSE_MAX: f64 = 8.0;
 
@@ -455,7 +455,7 @@ fn main() {
         }
     }
 
-    // The contention criterion, measured at threads=1 where the forced
+    // The contention bar, measured at threads=1 where the forced
     // contention is exactly deterministic. Under forced conflicts the
     // adaptive runtime must actually adapt (at least one mode switch, most
     // commits through the degraded section) and end up within a small
@@ -566,5 +566,5 @@ fn main() {
     } else {
         println!("{json}");
     }
-    assert!(passed, "acceptance criterion not met");
+    assert!(passed, "acceptance bar not met");
 }

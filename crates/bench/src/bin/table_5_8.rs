@@ -5,7 +5,9 @@
 //! and prints the per-structure verification time. Accepts an optional
 //! per-interface condition limit, `--seq-len N`, and `--threads N`.
 
-use semcommute_bench::{banner, parse_options, print_verification_table, run_full_verification};
+use semcommute_bench::{banner, parse_options};
+use semcommute_core::report::verification_time_table;
+use semcommute_core::verify::verify_catalog;
 
 fn main() {
     banner("Table 5.8 — Commutativity Testing Method Verification Times");
@@ -14,8 +16,8 @@ fn main() {
         "threads: {}, ArrayList sequence scope: {}, limit: {:?}\n",
         options.threads, options.seq_len, options.limit
     );
-    let reports = run_full_verification(&options);
-    print_verification_table(&reports);
+    let reports = verify_catalog(&options).interfaces;
+    println!("{}", verification_time_table(&reports));
     let failing: usize = reports.iter().map(|r| r.failures().len()).sum();
     println!("unverified conditions: {failing}");
     let (structural, finite): (usize, usize) = reports.iter().fold((0, 0), |acc, r| {

@@ -2,16 +2,14 @@
 //!
 //! The `table_5_*` binaries in `src/bin/` regenerate the paper's evaluation
 //! tables (run them with `cargo run -p semcommute-bench --release --bin
-//! table_5_8`); the Criterion benches in `benches/` measure prover, runtime,
-//! and data structure performance. The `runtime_perf` binary holds the
-//! runtime's contention acceptance bar; end-to-end
-//! measurement of both halves is the separate `perfbench` package.
+//! table_5_8`). The `runtime_perf` binary holds the runtime's contention
+//! acceptance bar. Performance of both halves, end to end and per layer, is
+//! measured by the separate `perfbench` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use semcommute_core::report;
-use semcommute_core::verify::{InterfaceReport, VerifyOptions};
+use semcommute_core::verify::VerifyOptions;
 
 /// Prints a table header in a consistent style.
 pub fn banner(title: &str) {
@@ -61,26 +59,14 @@ pub fn parse_options() -> VerifyOptions {
     options
 }
 
-/// Runs the full verification (as `table_5_8` needs) and returns the
-/// per-interface reports. With `options.threads > 1` all interfaces'
-/// obligations share one work-stealing scheduler (see
-/// [`semcommute_core::verify::verify_catalog`]).
-pub fn run_full_verification(options: &VerifyOptions) -> Vec<InterfaceReport> {
-    semcommute_core::verify::verify_all(options)
-}
-
-/// Prints the verification-time table from a set of reports.
-pub fn print_verification_table(reports: &[InterfaceReport]) {
-    println!("{}", report::verification_time_table(reports));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use semcommute_core::verify::verify_catalog;
 
     #[test]
     fn quick_verification_produces_reports_for_every_interface() {
-        let reports = run_full_verification(&VerifyOptions::quick(3));
+        let reports = verify_catalog(&VerifyOptions::quick(3)).interfaces;
         assert_eq!(reports.len(), 4);
         for r in &reports {
             assert_eq!(r.verified_count(), r.total());
@@ -89,9 +75,9 @@ mod tests {
 
     #[test]
     fn catalog_runs_are_scheduled_only_above_one_thread() {
-        let scheduled = semcommute_core::verify::verify_catalog(&VerifyOptions::quick(2));
+        let scheduled = verify_catalog(&VerifyOptions::quick(2));
         assert!(scheduled.scheduler.is_some(), "quick options are scheduled");
-        let sequential = semcommute_core::verify::verify_catalog(&VerifyOptions {
+        let sequential = verify_catalog(&VerifyOptions {
             threads: 1,
             ..VerifyOptions::quick(2)
         });

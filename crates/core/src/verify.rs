@@ -221,7 +221,7 @@ impl InterfaceReport {
     }
 
     /// How many obligations were decided by the structural prover vs. the
-    /// finite-model prover (the prover-portfolio ablation data).
+    /// finite-model prover.
     pub fn prover_breakdown(&self) -> (usize, usize) {
         let mut structural = 0;
         let mut finite = 0;
@@ -484,13 +484,6 @@ impl CatalogReport {
     pub fn instrs_executed(&self) -> u64 {
         self.interfaces.iter().map(|r| r.instrs_executed()).sum()
     }
-}
-
-/// Verifies every interface (with the same options), reported in the paper's
-/// order. See [`verify_catalog`] for the variant that also returns the
-/// scheduler's counters.
-pub fn verify_all(options: &VerifyOptions) -> Vec<InterfaceReport> {
-    verify_catalog(options).interfaces
 }
 
 /// Verifies every interface against one global work-stealing scheduler.

@@ -9,12 +9,12 @@
 //! canonically identical (the same formula modulo already-performed
 //! simplification). The portfolio therefore keys every verdict by the
 //! 128-bit structural hash of the *simplified* obligation (definitions,
-//! hypotheses, goal), mixed with the scope and back-end configuration, and
-//! answers repeats from the cache. The cache is sharded by
-//! `key % N_SHARDS` ([`VerdictCache`]) and shared between clones of the
-//! portfolio — the verification scheduler runs one portfolio clone per
-//! worker, so a verdict computed on any worker is reused by all of them
-//! without funnelling every lookup through a single lock.
+//! hypotheses, goal), mixed with the scope, and answers repeats from the
+//! cache. The cache is sharded by `key % N_SHARDS` ([`VerdictCache`]) and
+//! shared between clones of the portfolio — the verification scheduler
+//! runs one portfolio clone per worker, so a verdict computed on any worker
+//! is reused by all of them without funnelling every lookup through a
+//! single lock.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -125,8 +125,6 @@ impl VerdictCache {
 #[derive(Debug, Clone)]
 pub struct Portfolio {
     scope: Scope,
-    use_structural: bool,
-    use_finite: bool,
     /// Canonical obligation key → verdict, sharded, shared across clones.
     cache: VerdictCache,
 }
@@ -142,8 +140,8 @@ pub enum Started {
     /// reports a hit). Not re-published.
     Cached(Verdict),
     /// Decided without a model search (structural proof, malformed
-    /// obligation, disabled finite back-end, or a space over budget). The
-    /// caller publishes via [`Portfolio::publish_keyed`].
+    /// obligation, or a space over budget). The caller publishes via
+    /// [`Portfolio::publish_keyed`].
     Decided(Verdict),
     /// A finite-model search is required; the caller runs it and publishes
     /// the finalized verdict via [`Portfolio::publish_keyed`]. Boxed: a
@@ -161,12 +159,10 @@ impl Default for Portfolio {
 }
 
 impl Portfolio {
-    /// Creates a portfolio with the given scope and both back-ends enabled.
+    /// Creates a portfolio with the given scope.
     pub fn new(scope: Scope) -> Portfolio {
         Portfolio {
             scope,
-            use_structural: true,
-            use_finite: true,
             cache: VerdictCache::new(),
         }
     }
@@ -179,19 +175,6 @@ impl Portfolio {
     /// Creates a portfolio with the small (test) scope.
     pub fn small() -> Portfolio {
         Portfolio::new(Scope::small())
-    }
-
-    /// Disables the structural prover (used by the prover-ablation benchmark).
-    pub fn without_structural(mut self) -> Portfolio {
-        self.use_structural = false;
-        self
-    }
-
-    /// Disables the finite-model prover (structural only; many obligations
-    /// will come back `Unknown`).
-    pub fn without_finite(mut self) -> Portfolio {
-        self.use_finite = false;
-        self
     }
 
     /// The scope used by the finite-model back-end.
@@ -230,21 +213,19 @@ impl Portfolio {
 
     /// The canonical cache key of an obligation: a structural hash of its
     /// simplified definitions, hypotheses, and goal, mixed with the scope
-    /// fingerprint and the back-end configuration. Stable across threads
-    /// (the structural hash does not depend on arena ids; defined-variable
-    /// names reuse the arena's cached symbol hashes), so a key computed by
-    /// the scheduler on one worker addresses the same verdict everywhere.
+    /// fingerprint. Stable across threads (the structural hash does not
+    /// depend on arena ids; defined-variable names reuse the arena's cached
+    /// symbol hashes), so a key computed by the scheduler on one worker
+    /// addresses the same verdict everywhere.
     /// Thread count and split granularity are deliberately *not* part of the
     /// key: the range-split model search reports exactly the sequential
     /// scan's verdict (the minimum-position deciding event), so verdicts are
     /// shareable across every scheduling configuration.
     pub fn canonical_key(&self, ob: &Obligation) -> u128 {
         use crate::scope::mix128 as mix;
-        let config = (self.use_structural as u128) | ((self.use_finite as u128) << 1);
         with_arena(|arena| {
             let mut key: u128 = 0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C834;
             key = mix(key, self.scope.fingerprint());
-            key = mix(key, config);
             for (name, term) in &ob.defines {
                 let id = arena.intern(term);
                 let simplified = arena.simplify_id(id);
@@ -276,7 +257,7 @@ impl Portfolio {
     /// already computed (the obligation scheduler keys every obligation once
     /// while deduplicating the work queue, so re-hashing here would be
     /// wasted work). `key` must come from [`Portfolio::canonical_key`] on a
-    /// portfolio with the same scope and configuration.
+    /// portfolio with the same scope.
     pub fn prove_keyed(&self, key: u128, ob: &Obligation) -> Verdict {
         match self.start_keyed(key, ob) {
             Started::Cached(verdict) => verdict,
@@ -312,18 +293,8 @@ impl Portfolio {
             };
             return Started::Cached(hit);
         }
-        if self.use_structural {
-            if let Some(stats) = prove_structural(ob) {
-                return Started::Decided(Verdict::Valid { stats });
-            }
-        }
-        if !self.use_finite {
-            return Started::Decided(Verdict::Unknown {
-                reason:
-                    "structural prover could not decide and the finite-model prover is disabled"
-                        .to_string(),
-                stats: ProofStats::none(),
-            });
+        if let Some(stats) = prove_structural(ob) {
+            return Started::Decided(Verdict::Valid { stats });
         }
         match FiniteModelProver::new(self.scope.clone()).begin(ob) {
             Err(verdict) => Started::Decided(verdict),
@@ -394,10 +365,8 @@ mod tests {
     }
 
     #[test]
-    fn ablation_without_structural_still_valid_but_slower() {
-        let verdict = Portfolio::small()
-            .without_structural()
-            .prove(&add_add_obligation());
+    fn finite_model_alone_still_valid_but_slower() {
+        let verdict = FiniteModelProver::new(Scope::small()).prove(&add_add_obligation());
         assert!(verdict.is_valid());
         assert_eq!(verdict.stats().prover, ProverChoice::FiniteModel);
         assert!(verdict.stats().models_checked > 0);
@@ -406,8 +375,7 @@ mod tests {
     #[test]
     fn structural_only_reports_unknown_when_undecided() {
         let ob = Obligation::new("needs_models").goal(member(var_elem("v"), var_set("s")));
-        let verdict = Portfolio::small().without_finite().prove(&ob);
-        assert!(verdict.is_unknown());
+        assert!(prove_structural(&ob).is_none());
     }
 
     #[test]
@@ -476,17 +444,13 @@ mod tests {
     }
 
     #[test]
-    fn canonical_key_depends_on_scope_and_configuration() {
+    fn canonical_key_depends_on_scope() {
         let ob = add_add_obligation();
         let small = Portfolio::small();
         assert_eq!(small.canonical_key(&ob), small.canonical_key(&ob));
         assert_ne!(
             small.canonical_key(&ob),
             Portfolio::standard().canonical_key(&ob)
-        );
-        assert_ne!(
-            small.canonical_key(&ob),
-            Portfolio::small().without_structural().canonical_key(&ob)
         );
         // ... so one shared cache can safely serve differently-scoped
         // portfolios: a tiny-budget Unknown never answers the real scope.

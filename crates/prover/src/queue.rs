@@ -8,7 +8,7 @@
 //!
 //! * every submitted obligation is addressed by its **canonical hash**
 //!   ([`Portfolio::canonical_key`]: the structural hash of the simplified
-//!   obligation mixed with scope and configuration). Keying — the intern +
+//!   obligation mixed with the scope). Keying — the intern +
 //!   simplify pass over the obligation — happens **on the worker that pops
 //!   the submission**, not on the submitting thread: an up-front serial
 //!   keying pre-pass was the scheduler's Amdahl floor at high worker

@@ -85,7 +85,7 @@ proptest! {
     fn portfolio_matches_finite_model_alone(goal in goal()) {
         let ob = Obligation::new("prop").goal(goal);
         let portfolio = Portfolio::small().prove(&ob);
-        let finite_only = Portfolio::small().without_structural().prove(&ob);
+        let finite_only = FiniteModelProver::new(Scope::small()).prove(&ob);
         prop_assert_eq!(portfolio.is_valid(), finite_only.is_valid());
     }
 }

@@ -33,8 +33,9 @@
 //!   commutativity-based conflict detection and inverse-based rollback,
 //! * [`CoarseLockRuntime`] — the baseline that serializes whole transactions
 //!   with one lock,
-//! * [`rollback`] — inverse-based vs. snapshot-based rollback, the comparison
-//!   behind the paper's efficiency claim for inverse operations,
+//! * [`rollback`] — inverse-based rollback (the paper's efficiency claim for
+//!   inverse operations; the snapshot comparison's last readings are in
+//!   `docs/PERF.md`) and rebuilding a structure from an abstract state,
 //! * [`contention`] — the adaptive fallback: sliding-window abort accounting
 //!   that degrades a hot structure to a coarse mutex section (and probes its
 //!   way back) when the abort rate says speculation is losing, plus bounded
@@ -63,5 +64,5 @@ pub use executor::{
 pub use fault::{FaultKind, FaultPlan, FiredFault};
 pub use gatekeeper::{AdmissionError, CommutativityGatekeeper, Conflict, PairCheck};
 pub use log::LogEntry;
-pub use rollback::{InverseRollback, SnapshotRollback};
+pub use rollback::InverseRollback;
 pub use structure::{AnyStructure, TrackedStructure};

@@ -1,22 +1,21 @@
-//! Rolling back speculative operations: inverse operations vs. snapshots.
+//! Rolling back speculative operations with verified inverse operations.
 //!
 //! Section 1.3 of the paper argues that executing verified inverse operations
 //! "can be substantially more efficient than alternate approaches (such as
 //! pessimistically saving the data structure state before operations execute,
-//! then restoring the state)". This module provides both mechanisms so that
-//! the benchmark suite can reproduce that comparison:
+//! then restoring the state)". [`InverseRollback`] undoes a transaction's
+//! logged operations, newest first, by invoking the verified inverse of each,
+//! so its cost follows the number of operations to undo rather than the size
+//! of the structure. The snapshot comparator that measured that claim is
+//! retired; its last readings are in `docs/PERF.md` ("Retired comparators").
 //!
-//! * [`InverseRollback`] undoes a transaction's logged operations, newest
-//!   first, by invoking the verified inverse of each (cost proportional to
-//!   the number of operations to undo);
-//! * [`SnapshotRollback`] captures the whole abstract state up front and
-//!   rebuilds the structure from it on abort (cost proportional to the size
-//!   of the data structure, paid even when no abort happens).
+//! [`rebuild`] builds a fresh structure holding a given abstract state; the
+//! schedule tests and the benchmark start their serial replay oracle with it.
 
 use std::collections::HashMap;
 
 use semcommute_core::{inverse_catalog, InverseOperation};
-use semcommute_logic::{ElemId, Value};
+use semcommute_logic::Value;
 use semcommute_spec::{AbstractState, InterfaceId};
 
 use crate::log::LogEntry;
@@ -75,39 +74,6 @@ impl InverseRollback {
     }
 }
 
-/// Snapshot-based rollback: save the abstract state, restore it on demand.
-#[derive(Debug, Clone)]
-pub struct SnapshotRollback {
-    snapshot: AbstractState,
-    name: &'static str,
-}
-
-impl SnapshotRollback {
-    /// Captures the abstract state of a structure.
-    pub fn capture(structure: &AnyStructure) -> SnapshotRollback {
-        SnapshotRollback {
-            snapshot: structure.abstract_state(),
-            name: structure.name(),
-        }
-    }
-
-    /// The captured abstract state.
-    pub fn snapshot(&self) -> &AbstractState {
-        &self.snapshot
-    }
-
-    /// Restores the captured state by rebuilding the structure from scratch.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the captured state cannot be replayed (see
-    /// [`rebuild`]) — impossible for snapshots captured from a live
-    /// structure, whose abstract state is well-formed by construction.
-    pub fn restore(&self) -> Result<AnyStructure, String> {
-        rebuild(self.name, &self.snapshot)
-    }
-}
-
 /// Rebuilds a concrete structure of the given kind holding the given abstract
 /// state.
 ///
@@ -149,11 +115,6 @@ pub fn rebuild(name: &str, state: &AbstractState) -> Result<AnyStructure, String
         }
     }
     Ok(structure)
-}
-
-/// Convenience used by tests and benchmarks: a set-shaped abstract state.
-pub fn set_state(ids: impl IntoIterator<Item = u32>) -> AbstractState {
-    AbstractState::Set(ids.into_iter().map(ElemId).collect())
 }
 
 #[cfg(test)]
@@ -241,7 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_rollback_round_trips_every_structure() {
+    fn rebuild_round_trips_every_structure() {
         for name in [
             "HashSet",
             "ListSet",
@@ -266,31 +227,16 @@ mod tests {
                     s.apply("increase", &[Value::Int(7)]).unwrap();
                 }
             }
-            let snapshot = SnapshotRollback::capture(&s);
-            // Mutate further, then restore.
-            match s.interface() {
-                InterfaceId::Set => {
-                    s.apply("remove", &[Value::elem(1)]).unwrap();
-                }
-                InterfaceId::Map => {
-                    s.apply("remove", &[Value::elem(1)]).unwrap();
-                }
-                InterfaceId::List => {
-                    s.apply("removeAt", &[Value::Int(0)]).unwrap();
-                }
-                InterfaceId::Accumulator => {
-                    s.apply("increase", &[Value::Int(1)]).unwrap();
-                }
-            }
-            let restored = snapshot.restore().unwrap();
-            assert_eq!(restored.abstract_state(), *snapshot.snapshot(), "{name}");
-            assert!(restored.check_invariants().is_ok());
+            let state = s.abstract_state();
+            let rebuilt = rebuild(name, &state).unwrap();
+            assert_eq!(rebuilt.abstract_state(), state, "{name}");
+            assert!(rebuilt.check_invariants().is_ok(), "{name}");
         }
     }
 
     #[test]
     fn rebuild_surfaces_malformed_states_as_errors() {
-        use semcommute_logic::NULL_ELEM;
+        use semcommute_logic::{ElemId, NULL_ELEM};
 
         // An unknown structure name is an error, not a panic.
         let err = rebuild("NoSuchStructure", &AbstractState::Counter(0)).unwrap_err();
@@ -308,7 +254,7 @@ mod tests {
         assert!(err.contains("replaying `put` failed"), "{err}");
 
         // A well-formed state still round-trips.
-        let good = set_state([1, 2, 3]);
+        let good = AbstractState::Set([1, 2, 3].into_iter().map(ElemId).collect());
         let rebuilt = rebuild("HashSet", &good).unwrap();
         assert_eq!(rebuilt.abstract_state(), good);
     }
