@@ -2,8 +2,11 @@
 //!
 //! Generates and verifies all 1530 testing methods (soundness and
 //! completeness for each of the 765 conditions, counted per data structure)
-//! and prints the per-structure verification time. Accepts an optional
-//! per-interface condition limit, `--seq-len N`, and `--threads N`.
+//! and prints the per-structure verification time (busy time: the summed
+//! proof time of each structure's obligations). Accepts an optional
+//! per-interface condition limit, `--seq-len N`, and `--threads N` (the
+//! work-stealing scheduler's width; `--threads 1` runs the same scheduler at
+//! one worker).
 
 use semcommute_bench::{banner, parse_options};
 use semcommute_core::report::verification_time_table;

@@ -74,13 +74,16 @@ mod tests {
     }
 
     #[test]
-    fn catalog_runs_are_scheduled_only_above_one_thread() {
+    fn catalog_runs_are_scheduled_at_every_width() {
         let scheduled = verify_catalog(&VerifyOptions::quick(2));
         assert!(scheduled.scheduler.is_some(), "quick options are scheduled");
-        let sequential = verify_catalog(&VerifyOptions {
+        let one_worker = verify_catalog(&VerifyOptions {
             threads: 1,
             ..VerifyOptions::quick(2)
         });
-        assert!(sequential.scheduler.is_none());
+        assert!(
+            one_worker.scheduler.is_some(),
+            "threads = 1 is scheduled too"
+        );
     }
 }

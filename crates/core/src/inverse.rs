@@ -15,6 +15,8 @@ use semcommute_logic::{build, Term, Value, NULL_ELEM};
 use semcommute_prover::{Obligation, Portfolio, Verdict};
 use semcommute_spec::{interface_by_id, InterfaceId, OpSpec};
 
+use crate::verify::{method_verdict, plan_method, prove_on_one_worker};
+
 /// Where an argument of the inverse call comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArgSource {
@@ -417,18 +419,12 @@ pub fn inverse_catalog() -> Vec<InverseOperation> {
 }
 
 /// Verifies one inverse operation, returning the merged verdict of its
-/// testing-method obligations.
+/// testing-method obligations: planned like a commutativity testing method
+/// and proved by the scheduler at one worker on `prover`.
 pub fn verify_inverse(inverse: &InverseOperation, prover: &Portfolio) -> Verdict {
-    let mut accumulated = semcommute_prover::ProofStats::none();
-    for ob in inverse.obligations() {
-        let mut verdict = prover.prove(&ob);
-        accumulated.merge(verdict.stats());
-        if !verdict.is_valid() {
-            *verdict.stats_mut() = accumulated;
-            return verdict;
-        }
-    }
-    Verdict::Valid { stats: accumulated }
+    let mut items = Vec::new();
+    let plan = plan_method(Ok(inverse.obligations()), 0, &mut items);
+    method_verdict(&plan, &prove_on_one_worker(prover, items))
 }
 
 #[cfg(test)]

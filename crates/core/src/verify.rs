@@ -3,15 +3,19 @@
 //! For every commutativity condition the driver generates the soundness and
 //! completeness testing methods, symbolically executes them into proof
 //! obligations, and discharges the obligations with the prover portfolio.
-//! This reproduces the experiment behind Table 5.8 (verification times per
-//! data structure) and the headline claim that all 765 conditions are sound
-//! and complete.
+//! Every entry point — [`verify_catalog`], [`verify_interface`],
+//! [`verify_condition`] and [`crate::inverse::verify_inverse`] — plans its
+//! obligations into scheduler submissions and proves them through the
+//! work-stealing scheduler ([`semcommute_prover::queue`]), at one worker or
+//! many. This reproduces the experiment behind Table 5.8 (verification
+//! times per data structure) and the headline claim that all 765 conditions
+//! are sound and complete.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use semcommute_prover::queue::{self, ExitGuard, QueueReport, ScheduledObligation};
-use semcommute_prover::{Portfolio, ProofStats, ProverChoice, Scope, Verdict, VerdictCache};
+use semcommute_prover::{Obligation, Portfolio, ProofStats, ProverChoice, Scope, Verdict};
 use semcommute_spec::InterfaceId;
 
 use crate::catalog::interface_catalog;
@@ -55,8 +59,7 @@ pub struct VerifyOptions {
     /// Unreduced-candidate-space size above which a claimed obligation's
     /// model search is split into stealable range tasks (see
     /// [`semcommute_prover::queue::prove_all_scheduled_split`]);
-    /// `u64::MAX` disables splitting. Ignored at `threads <= 1`, where the
-    /// sequential oracle never splits. Verdicts do not depend on this value
+    /// `u64::MAX` disables splitting. Verdicts do not depend on this value
     /// — only the work distribution does.
     pub split_threshold: u64,
     /// Whether the finite-model search enumerates the input space
@@ -103,7 +106,9 @@ pub struct ConditionReport {
     pub soundness: Verdict,
     /// Verdict of the completeness testing method.
     pub completeness: Verdict,
-    /// Wall-clock time spent on this condition.
+    /// Busy time spent on this condition: the summed proof time of the
+    /// obligations its two methods proved, at every width. Testing-method
+    /// generation, vcgen and canonical keying are not included.
     pub elapsed: Duration,
     /// Whether the generated methods carried proof hints.
     pub hinted: bool,
@@ -123,7 +128,8 @@ pub struct InterfaceReport {
     pub interface: InterfaceId,
     /// Per-condition reports, in catalog order.
     pub reports: Vec<ConditionReport>,
-    /// Total wall-clock time of the run.
+    /// Busy time of the interface's conditions (the sum of their
+    /// [`ConditionReport::elapsed`]), at every width.
     pub elapsed: Duration,
     /// The sequence scope used (relevant for ArrayList).
     pub seq_len: usize,
@@ -239,55 +245,55 @@ impl InterfaceReport {
 }
 
 /// Verifies a single condition with the given prover.
+///
+/// The condition's two testing methods are planned exactly as in a catalog
+/// run and proved by the scheduler at one worker on `prover`, so a single
+/// condition takes the same path as [`verify_catalog`].
 pub fn verify_condition(
     cond: &CommutativityCondition,
     prover: &Portfolio,
     id: usize,
 ) -> ConditionReport {
-    let start = Instant::now();
-    let (soundness_method, completeness_method) = testing_methods(cond, id);
-    let hinted = !soundness_method.hints.is_empty() || !completeness_method.hints.is_empty();
-    let soundness = prove_method_obligations(&soundness_method, prover);
-    let completeness = prove_method_obligations(&completeness_method, prover);
-    ConditionReport {
-        condition: cond.clone(),
-        soundness,
-        completeness,
-        elapsed: start.elapsed(),
-        hinted,
-    }
+    let mut items = Vec::new();
+    let plan = plan_condition(cond.clone(), id, 0, &mut items);
+    assemble_report(plan, &prove_on_one_worker(prover, items))
 }
 
-/// Proves every obligation of a testing method, merging statistics. The
-/// verdict is `Valid` only if every obligation is valid; otherwise the first
-/// non-valid verdict is returned (with accumulated statistics).
-fn prove_method_obligations(method: &crate::method::TestingMethod, prover: &Portfolio) -> Verdict {
-    let obligations = match generate_obligations(method) {
-        Ok(obs) => obs,
-        Err(e) => {
-            return Verdict::Unknown {
-                reason: format!("vcgen failed: {e}"),
-                stats: Default::default(),
-            }
-        }
-    };
-    let mut accumulated = semcommute_prover::ProofStats::none();
-    for ob in &obligations {
-        let mut verdict = prover.prove(ob);
-        accumulated.merge(verdict.stats());
-        if !verdict.is_valid() {
-            *verdict.stats_mut() = accumulated;
-            return verdict;
-        }
-    }
-    Verdict::Valid { stats: accumulated }
+/// Proves planned submissions with the scheduler at one worker on `prover`:
+/// the caller-supplied portfolio's cache answers repeats, and submissions
+/// are processed in order.
+pub(crate) fn prove_on_one_worker(
+    prover: &Portfolio,
+    items: Vec<ScheduledObligation>,
+) -> Vec<Option<Verdict>> {
+    queue::prove_all_scheduled_split(std::slice::from_ref(prover), items, 1, u64::MAX).verdicts
 }
 
-/// The scheduler-facing shape of one generated testing method: where its
-/// obligations sit in the flat submission list, or why vcgen rejected it.
-/// (The method's [`ExitGuard`] travels inside its [`ScheduledObligation`]s.)
-struct MethodPlan {
+/// The scheduler-facing shape of one testing method: where its obligations
+/// sit in the flat submission list, or why vcgen rejected it. (The method's
+/// [`ExitGuard`] travels inside its [`ScheduledObligation`]s.)
+pub(crate) struct MethodPlan {
     obligations: Result<std::ops::Range<usize>, String>,
+}
+
+/// Appends one method's obligations to the submission list, tagged with
+/// `portfolio` and one fresh [`ExitGuard`] for the method.
+pub(crate) fn plan_method(
+    obligations: Result<Vec<Obligation>, String>,
+    portfolio: usize,
+    items: &mut Vec<ScheduledObligation>,
+) -> MethodPlan {
+    let guard = Arc::new(ExitGuard::new());
+    let obligations = obligations.map(|obs| {
+        let start = items.len();
+        items.extend(obs.into_iter().enumerate().map(|(index, ob)| {
+            ScheduledObligation::new(ob)
+                .with_portfolio(portfolio)
+                .with_guard(guard.clone(), index as u32)
+        }));
+        start..items.len()
+    });
+    MethodPlan { obligations }
 }
 
 /// One condition's two testing methods, planned for the scheduler.
@@ -298,56 +304,31 @@ struct ConditionPlan {
     completeness: MethodPlan,
 }
 
-/// Flattens (a prefix of) an interface's catalog into scheduler submissions.
-///
-/// Every obligation of every generated testing method becomes one
-/// [`ScheduledObligation`] tagged with the interface's portfolio and its
-/// method's [`ExitGuard`]; the returned plans remember which submission
-/// range belongs to which method so the verdicts can be reassembled into
-/// [`ConditionReport`]s afterwards.
-fn plan_interface(
-    catalog: Vec<CommutativityCondition>,
+/// Generates a condition's testing methods and plans their obligations.
+fn plan_condition(
+    condition: CommutativityCondition,
+    id: usize,
     portfolio: usize,
     items: &mut Vec<ScheduledObligation>,
-) -> Vec<ConditionPlan> {
-    let mut plans = Vec::with_capacity(catalog.len());
-    for (id, condition) in catalog.into_iter().enumerate() {
-        let (soundness_method, completeness_method) = testing_methods(&condition, id);
-        let hinted = !soundness_method.hints.is_empty() || !completeness_method.hints.is_empty();
-        let mut plan_method = |method: &crate::method::TestingMethod| -> MethodPlan {
-            let guard = Arc::new(ExitGuard::new());
-            let obligations = match generate_obligations(method) {
-                Err(e) => Err(e),
-                Ok(obs) => {
-                    let start = items.len();
-                    items.extend(obs.into_iter().enumerate().map(|(index, ob)| {
-                        ScheduledObligation::new(ob)
-                            .with_portfolio(portfolio)
-                            .with_guard(guard.clone(), index as u32)
-                    }));
-                    Ok(start..items.len())
-                }
-            };
-            MethodPlan { obligations }
-        };
-        let soundness = plan_method(&soundness_method);
-        let completeness = plan_method(&completeness_method);
-        plans.push(ConditionPlan {
-            condition,
-            hinted,
-            soundness,
-            completeness,
-        });
+) -> ConditionPlan {
+    let (soundness_method, completeness_method) = testing_methods(&condition, id);
+    let hinted = !soundness_method.hints.is_empty() || !completeness_method.hints.is_empty();
+    let soundness = plan_method(generate_obligations(&soundness_method), portfolio, items);
+    let completeness = plan_method(generate_obligations(&completeness_method), portfolio, items);
+    ConditionPlan {
+        condition,
+        hinted,
+        soundness,
+        completeness,
     }
-    plans
 }
 
-/// Reassembles one method's verdict from the scheduler's flat verdict list,
-/// reproducing the sequential early-exit semantics: statistics accumulate in
-/// obligation order up to (and including) the first non-valid verdict, which
-/// becomes the method's verdict; obligations past the failure may have been
-/// skipped by the guard and are not consulted.
-fn method_verdict(plan: &MethodPlan, verdicts: &[Option<Verdict>]) -> Verdict {
+/// Reassembles one method's verdict from the scheduler's flat verdict list:
+/// statistics accumulate in obligation order up to (and including) the
+/// first non-valid verdict, which becomes the method's verdict; obligations
+/// past the failure may have been skipped by the guard and are not
+/// consulted. A method whose obligations all hold is `Valid`.
+pub(crate) fn method_verdict(plan: &MethodPlan, verdicts: &[Option<Verdict>]) -> Verdict {
     let range = match &plan.obligations {
         Err(e) => {
             return Verdict::Unknown {
@@ -375,74 +356,29 @@ fn method_verdict(plan: &MethodPlan, verdicts: &[Option<Verdict>]) -> Verdict {
     Verdict::Valid { stats: accumulated }
 }
 
-/// Reassembles the per-condition reports of one planned interface.
-///
-/// In a scheduled run a condition's obligations are interleaved with the
-/// whole catalog, so the per-condition `elapsed` is the *busy* time its
-/// obligations cost (the sum of their proof times) rather than a span of
-/// wall-clock.
-fn assemble_reports(
-    plans: Vec<ConditionPlan>,
-    verdicts: &[Option<Verdict>],
-) -> Vec<ConditionReport> {
-    plans
-        .into_iter()
-        .map(|plan| {
-            let soundness = method_verdict(&plan.soundness, verdicts);
-            let completeness = method_verdict(&plan.completeness, verdicts);
-            let elapsed = soundness.stats().elapsed + completeness.stats().elapsed;
-            ConditionReport {
-                condition: plan.condition,
-                soundness,
-                completeness,
-                elapsed,
-                hinted: plan.hinted,
-            }
-        })
-        .collect()
+/// Reassembles one condition's report. Its obligations may interleave with
+/// the rest of the run on any worker, so `elapsed` is the *busy* time they
+/// cost (the sum of their proof times) rather than a span of wall-clock.
+fn assemble_report(plan: ConditionPlan, verdicts: &[Option<Verdict>]) -> ConditionReport {
+    let soundness = method_verdict(&plan.soundness, verdicts);
+    let completeness = method_verdict(&plan.completeness, verdicts);
+    let elapsed = soundness.stats().elapsed + completeness.stats().elapsed;
+    ConditionReport {
+        condition: plan.condition,
+        soundness,
+        completeness,
+        elapsed,
+        hinted: plan.hinted,
+    }
 }
 
-/// Verifies (a prefix of) an interface's catalog.
-///
-/// With `options.threads <= 1` conditions are verified strictly in order on
-/// the calling thread (the reproducible sequential baseline). Otherwise the
-/// interface's obligations are flattened onto the work-stealing scheduler
-/// ([`semcommute_prover::queue`]) and proved by `options.threads` workers.
+/// Verifies (a prefix of) an interface's catalog: [`verify_catalog`]
+/// restricted to one interface.
 pub fn verify_interface(interface: InterfaceId, options: &VerifyOptions) -> InterfaceReport {
-    let start = Instant::now();
-    let mut catalog = interface_catalog(interface);
-    if let Some(limit) = options.limit {
-        catalog.truncate(limit);
-    }
-    let scope = scope_for(interface, options.seq_len).with_orbit(options.orbit);
-    let prover = Portfolio::new(scope);
-    let threads = options.threads.max(1);
-    // Even a single-condition catalog goes through the scheduler at
-    // `threads > 1`: its model searches can still fan out over every worker
-    // as split range tasks.
-    let reports = if threads == 1 || catalog.is_empty() {
-        catalog
-            .iter()
-            .enumerate()
-            .map(|(i, c)| verify_condition(c, &prover, i))
-            .collect()
-    } else {
-        let mut items = Vec::new();
-        let plans = plan_interface(catalog, 0, &mut items);
-        let run = queue::prove_all_scheduled_split(
-            std::slice::from_ref(&prover),
-            items,
-            threads,
-            options.split_threshold,
-        );
-        assemble_reports(plans, &run.verdicts)
-    };
-    InterfaceReport {
-        interface,
-        reports,
-        elapsed: start.elapsed(),
-        seq_len: options.seq_len,
-    }
+    verify_interfaces(&[interface], options)
+        .interfaces
+        .pop()
+        .expect("one interface was planned")
 }
 
 /// The outcome of verifying the whole catalog, with scheduler telemetry.
@@ -450,8 +386,8 @@ pub fn verify_interface(interface: InterfaceId, options: &VerifyOptions) -> Inte
 pub struct CatalogReport {
     /// Per-interface reports, in the paper's order.
     pub interfaces: Vec<InterfaceReport>,
-    /// Scheduler counters of the run (`None` for the sequential baseline,
-    /// which does not go through the queue).
+    /// Scheduler counters of the run. Every run goes through the
+    /// scheduler, so this is always `Some`.
     pub scheduler: Option<QueueReport>,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
@@ -488,50 +424,46 @@ impl CatalogReport {
 
 /// Verifies every interface against one global work-stealing scheduler.
 ///
-/// With `options.threads <= 1` the interfaces run strictly sequentially in
-/// catalog order — the reproducible single-threaded oracle the differential
-/// tests compare against. Otherwise *all* interfaces' obligations are
-/// flattened into a single canonical-hash-addressed work queue drained by
-/// `options.threads` stealing workers, with one sharded verdict cache shared
-/// across the interfaces' portfolios. Compared to the static
-/// one-thread-group-per-interface split this keeps every worker busy to the
-/// end on skewed catalogs (ArrayList dominates the paper's wall-clock), and
-/// canonically identical obligations dedup across interfaces.
+/// *All* interfaces' obligations are flattened into a single
+/// canonical-hash-addressed work queue drained by `options.threads`
+/// stealing workers — one worker included, which processes the submissions
+/// in catalog order. Compared to the static one-thread-group-per-interface
+/// split this keeps every worker busy to the end on skewed catalogs
+/// (ArrayList dominates the paper's wall-clock), and the scheduler's
+/// in-flight table dedups canonically identical obligations across the
+/// interfaces' portfolios.
 ///
-/// In a scheduled run the per-interface (and per-condition) `elapsed` fields
-/// report *busy* time — the summed proof time of their obligations — because
-/// interfaces interleave on the same workers; `CatalogReport::elapsed` is
-/// the measured wall-clock of the whole run.
+/// The per-interface (and per-condition) `elapsed` fields report *busy*
+/// time — the summed proof time of their obligations — because interfaces
+/// interleave on the same workers; `CatalogReport::elapsed` is the measured
+/// wall-clock of the whole run.
 pub fn verify_catalog(options: &VerifyOptions) -> CatalogReport {
+    verify_interfaces(&InterfaceId::ALL, options)
+}
+
+/// The one verification driver behind [`verify_catalog`] and
+/// [`verify_interface`]: plans (a prefix of) each interface's catalog into
+/// scheduler submissions, one portfolio per interface scope, and proves
+/// them all in one scheduler run at `options.threads` workers.
+fn verify_interfaces(interfaces: &[InterfaceId], options: &VerifyOptions) -> CatalogReport {
     let start = Instant::now();
-    if options.threads <= 1 {
-        let interfaces = InterfaceId::ALL
-            .into_iter()
-            .map(|id| verify_interface(id, options))
-            .collect();
-        return CatalogReport {
-            interfaces,
-            scheduler: None,
-            elapsed: start.elapsed(),
-        };
-    }
-    let cache = VerdictCache::new();
     let mut portfolios = Vec::new();
     let mut items = Vec::new();
     let mut plans = Vec::new();
-    for interface in InterfaceId::ALL {
+    for (portfolio, &interface) in interfaces.iter().enumerate() {
         let mut catalog = interface_catalog(interface);
         if let Some(limit) = options.limit {
             catalog.truncate(limit);
         }
-        let portfolio =
-            Portfolio::new(scope_for(interface, options.seq_len).with_orbit(options.orbit))
-                .with_shared_cache(&cache);
-        portfolios.push(portfolio);
-        plans.push((
-            interface,
-            plan_interface(catalog, portfolios.len() - 1, &mut items),
+        portfolios.push(Portfolio::new(
+            scope_for(interface, options.seq_len).with_orbit(options.orbit),
         ));
+        let planned: Vec<ConditionPlan> = catalog
+            .into_iter()
+            .enumerate()
+            .map(|(id, condition)| plan_condition(condition, id, portfolio, &mut items))
+            .collect();
+        plans.push((interface, planned));
     }
     let run = queue::prove_all_scheduled_split(
         &portfolios,
@@ -542,7 +474,10 @@ pub fn verify_catalog(options: &VerifyOptions) -> CatalogReport {
     let interfaces = plans
         .into_iter()
         .map(|(interface, plans)| {
-            let reports = assemble_reports(plans, &run.verdicts);
+            let reports: Vec<ConditionReport> = plans
+                .into_iter()
+                .map(|plan| assemble_report(plan, &run.verdicts))
+                .collect();
             let elapsed = reports.iter().map(|r| r.elapsed).sum();
             InterfaceReport {
                 interface,
@@ -599,6 +534,54 @@ mod tests {
         let report = verify_condition(&cond, &prover, 0);
         assert!(report.verified());
         assert!(!report.hinted);
+    }
+
+    /// Every public entry point takes the one scheduler path:
+    /// `verify_condition` and `verify_interface` reproduce the matching rows
+    /// of `verify_catalog`, at one worker and at two.
+    #[test]
+    fn entry_points_agree_with_the_catalog_run() {
+        fn assert_same(expected: &ConditionReport, got: &ConditionReport, entry: &str) {
+            let id = expected.condition.id();
+            assert_eq!(id, got.condition.id(), "{entry}");
+            for (method, e, g) in [
+                ("soundness", &expected.soundness, &got.soundness),
+                ("completeness", &expected.completeness, &got.completeness),
+            ] {
+                assert_eq!(e.is_valid(), g.is_valid(), "{entry}: {id} {method}");
+                assert_eq!(e.is_unknown(), g.is_unknown(), "{entry}: {id} {method}");
+                assert_eq!(
+                    e.counter_model(),
+                    g.counter_model(),
+                    "{entry}: {id} {method}"
+                );
+                assert_eq!(
+                    e.stats().models_checked,
+                    g.stats().models_checked,
+                    "{entry}: {id} {method} models_checked"
+                );
+            }
+        }
+        for threads in [1, 2] {
+            let options = VerifyOptions {
+                threads,
+                ..VerifyOptions::quick(6)
+            };
+            let catalog = verify_catalog(&options);
+            assert_eq!(catalog.interfaces.len(), InterfaceId::ALL.len());
+            for row in &catalog.interfaces {
+                let single = verify_interface(row.interface, &options);
+                assert_eq!(single.total(), row.total());
+                let prover = Portfolio::new(
+                    scope_for(row.interface, options.seq_len).with_orbit(options.orbit),
+                );
+                for (i, expected) in row.reports.iter().enumerate() {
+                    assert_same(expected, &single.reports[i], "verify_interface");
+                    let condition = verify_condition(&expected.condition, &prover, i);
+                    assert_same(expected, &condition, "verify_condition");
+                }
+            }
+        }
     }
 
     #[test]

@@ -212,9 +212,9 @@ impl ModelSearch {
         self.total
     }
 
-    /// Runs the whole search sequentially on the calling thread and returns
-    /// the verdict. Equivalent to `run_range(0, total)` + finalize, but with
-    /// no shared state or atomics — the reproducible sequential form.
+    /// Runs the whole search on the calling thread and returns the verdict:
+    /// [`ModelSearch::run_range`] over `[0, total)` followed by
+    /// [`ModelSearch::finalize`], the one block-scan loop.
     ///
     /// Candidates are materialized in blocks of up to [`LANES`] and executed
     /// column-wise. [`crate::bytecode::Program::run_block`] reports the
@@ -223,59 +223,9 @@ impl ModelSearch {
     /// `Unknown` reason, `models_checked`, and `orbits_pruned` all match a
     /// candidate-by-candidate [`FiniteModelProver::replay`] of the space.
     pub fn run(self) -> Verdict {
-        let program = &self.program;
-        let mut it = self.space.iter();
-        let mut block = BlockBuf::new();
-        let mut exec = program.block_exec();
-        let mut checked: u64 = 0;
-        loop {
-            let lanes = it.next_block(LANES, &mut block);
-            if lanes == 0 {
-                break;
-            }
-            match program.run_block(&block, &mut exec) {
-                None => checked += lanes as u64,
-                Some(BlockEvent::Counterexample(lane)) => {
-                    return Verdict::CounterModel {
-                        model: program.reconstruct_lane(&exec, lane),
-                        stats: ProofStats::finite(
-                            checked + lane as u64 + 1,
-                            self.started.elapsed(),
-                        )
-                        .with_orbits_pruned(block.pruned_after(lane))
-                        .with_batch_counters(
-                            exec.batches(),
-                            exec.fallback_lanes(),
-                            exec.instrs_executed(),
-                        ),
-                    }
-                }
-                Some(BlockEvent::Error(lane, reason)) => {
-                    return Verdict::Unknown {
-                        reason,
-                        stats: ProofStats::finite(
-                            checked + lane as u64 + 1,
-                            self.started.elapsed(),
-                        )
-                        .with_orbits_pruned(block.pruned_after(lane))
-                        .with_batch_counters(
-                            exec.batches(),
-                            exec.fallback_lanes(),
-                            exec.instrs_executed(),
-                        ),
-                    }
-                }
-            }
-        }
-        Verdict::Valid {
-            stats: ProofStats::finite(checked, self.started.elapsed())
-                .with_orbits_pruned(it.orbits_pruned())
-                .with_batch_counters(
-                    exec.batches(),
-                    exec.fallback_lanes(),
-                    exec.instrs_executed(),
-                ),
-        }
+        let shared = SearchShared::new();
+        self.run_range(0, self.total, &shared);
+        self.finalize(&shared)
     }
 
     /// Scans the candidates whose unreduced position lies in `[lo, hi)`,
@@ -527,11 +477,6 @@ pub fn assemble_verdict(outcome: SearchOutcome, elapsed: Duration) -> Verdict {
     } else {
         Verdict::Valid { stats }
     }
-}
-
-/// Convenience: prove an obligation with [`Scope::standard`].
-pub fn prove_finite(ob: &Obligation) -> Verdict {
-    FiniteModelProver::new(Scope::standard()).prove(ob)
 }
 
 #[cfg(test)]

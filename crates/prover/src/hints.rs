@@ -201,6 +201,13 @@ mod tests {
         // Side obligation and augmented main are both valid.
         assert!(prover().prove(&hinted.side_obligations[0]).is_valid());
         assert!(prover().prove(&hinted.main).is_valid());
+
+        // A bogus note (v is always in s): its side obligation has a
+        // counter-model, which is how a wrong hint fails its method.
+        let bogus = apply_hints(&ob, &[Hint::Note(member(var_elem("v"), var_set("s")))]).unwrap();
+        assert!(prover()
+            .prove(&bogus.side_obligations[0])
+            .is_counterexample());
     }
 
     #[test]

@@ -22,14 +22,11 @@ use std::sync::{Arc, Mutex};
 use semcommute_logic::with_arena;
 
 use crate::finite::{FiniteModelProver, ModelSearch};
-use crate::hints::{apply_hints, Hint, HintError};
 use crate::obligation::Obligation;
 use crate::scope::Scope;
 use crate::stats::ProofStats;
 use crate::structural::prove_structural;
 use crate::verdict::Verdict;
-
-pub use crate::stats::ProverChoice as Choice;
 
 /// Number of shards in a [`VerdictCache`]. Sixteen keeps the per-shard lock
 /// essentially uncontended for the worker counts the scheduler runs with
@@ -88,11 +85,6 @@ impl VerdictCache {
     /// `true` when no verdict is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Returns `true` when both caches share the same shards.
-    pub fn shares_with(&self, other: &VerdictCache) -> bool {
-        Arc::ptr_eq(&self.shards, &other.shards)
     }
 }
 
@@ -187,17 +179,6 @@ impl Portfolio {
     /// never answer obligations proved under the new one.
     pub fn with_scope(mut self, scope: Scope) -> Portfolio {
         self.scope = scope;
-        self
-    }
-
-    /// Replaces the dedup cache with `cache`, sharing its shards.
-    ///
-    /// The global obligation scheduler proves interfaces with different
-    /// scopes through different portfolios; giving them one shared cache
-    /// lets canonically identical obligations dedup across interfaces (the
-    /// scope fingerprint inside the key keeps that sound).
-    pub fn with_shared_cache(mut self, cache: &VerdictCache) -> Portfolio {
-        self.cache = cache.clone();
         self
     }
 
@@ -307,35 +288,7 @@ impl Portfolio {
     pub fn publish_keyed(&self, key: u128, verdict: &Verdict) {
         self.cache.insert(key, verdict.clone());
     }
-
-    /// Attempts to prove an obligation that carries proof hints.
-    ///
-    /// All side obligations introduced by the hints must be valid; their
-    /// statistics are accumulated into the returned verdict. If a side
-    /// obligation fails, its verdict is returned (with the side obligation's
-    /// name available through the failing obligation).
-    pub fn prove_with_hints(&self, ob: &Obligation, hints: &[Hint]) -> Result<Verdict, HintError> {
-        let hinted = apply_hints(ob, hints)?;
-        let mut accumulated = ProofStats::none();
-        for side in &hinted.side_obligations {
-            let verdict = self.prove(side);
-            accumulated.merge(verdict.stats());
-            if !verdict.is_valid() {
-                let mut verdict = verdict;
-                *verdict.stats_mut() = accumulated;
-                return Ok(verdict);
-            }
-        }
-        let mut verdict = self.prove(&hinted.main);
-        accumulated.merge(verdict.stats());
-        *verdict.stats_mut() = accumulated;
-        Ok(verdict)
-    }
 }
-
-/// Identifies which back-end proved an obligation (re-exported name used by
-/// reports).
-pub type ProverChoiceReport = crate::stats::ProverChoice;
 
 #[cfg(test)]
 mod tests {
@@ -382,27 +335,6 @@ mod tests {
     fn counterexamples_pass_through() {
         let ob = Obligation::new("bogus").goal(member(var_elem("v"), var_set("s")));
         let verdict = Portfolio::small().prove(&ob);
-        assert!(verdict.is_counterexample());
-    }
-
-    #[test]
-    fn hints_accumulate_statistics() {
-        let ob = Obligation::new("t")
-            .define("s1", set_add(var_set("s"), var_elem("v")))
-            .goal(member(var_elem("v"), var_set("s1")));
-        let hints = vec![Hint::Note(member(var_elem("v"), var_set("s1")))];
-        let verdict = Portfolio::small().prove_with_hints(&ob, &hints).unwrap();
-        assert!(verdict.is_valid());
-        // Both the side obligation and the main obligation were attempted.
-        assert!(verdict.stats().models_checked > 0 || verdict.stats().prover != ProverChoice::None);
-    }
-
-    #[test]
-    fn failing_side_obligation_is_reported() {
-        let ob = Obligation::new("t").goal(tru());
-        // A bogus note: claims v is always in s.
-        let hints = vec![Hint::Note(member(var_elem("v"), var_set("s")))];
-        let verdict = Portfolio::small().prove_with_hints(&ob, &hints).unwrap();
         assert!(verdict.is_counterexample());
     }
 
@@ -454,24 +386,19 @@ mod tests {
         );
         // ... so one shared cache can safely serve differently-scoped
         // portfolios: a tiny-budget Unknown never answers the real scope.
-        let cache = VerdictCache::new();
-        let starved = Portfolio::small()
-            .with_scope(Scope::small().with_max_models(1))
-            .with_shared_cache(&cache);
-        let real = Portfolio::small().with_shared_cache(&cache);
+        let real = Portfolio::small();
+        let starved = real.clone().with_scope(Scope::small().with_max_models(1));
         let ob = Obligation::new("m").goal(eq(var_map("m"), var_map("n")));
         assert!(starved.prove(&ob).is_unknown());
         assert!(real.prove(&ob).is_counterexample());
-        assert_eq!(cache.len(), 2);
+        assert_eq!(real.cached_verdicts(), 2);
     }
 
     #[test]
     fn shared_cache_is_shared_and_sharded() {
-        let cache = VerdictCache::new();
-        assert!(cache.is_empty());
-        let a = Portfolio::small().with_shared_cache(&cache);
-        let b = Portfolio::small().with_shared_cache(&cache);
-        assert!(a.cache().shares_with(b.cache()));
+        let a = Portfolio::small();
+        assert!(a.cache().is_empty());
+        let b = a.clone();
         let first = a.prove(&add_add_obligation());
         assert_eq!(first.stats().cache_hits, 0);
         let second = b.prove(&add_add_obligation());
@@ -481,7 +408,7 @@ mod tests {
             let ob = Obligation::new("n").goal(eq(var_int("x"), int(i)));
             b.prove(&ob);
         }
-        assert_eq!(cache.len(), 9);
+        assert_eq!(a.cache().len(), 9);
     }
 
     #[test]

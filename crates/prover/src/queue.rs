@@ -33,8 +33,8 @@
 //!   the obligation at index `i` of a group fails, obligations of the same
 //!   group at indices `> i` may be skipped — but never obligations at lower
 //!   indices, so the group's reported verdict (the *first* failing
-//!   obligation in program order) is exactly the one the sequential oracle
-//!   would report;
+//!   obligation in program order) is exactly the one an in-order proof of
+//!   the group would report;
 //! * obligations are **splittable**: when the claimed obligation needs a
 //!   finite-model search whose unreduced candidate space exceeds the
 //!   *split threshold*, the worker turns it into range tasks Cilk-style —
@@ -53,10 +53,11 @@
 //!   each while the rest of the pool idles; with it, the largest obligation
 //!   parallelizes like the rest of the catalog.
 //!
-//! With `workers <= 1` the scheduler degenerates to an in-order, in-thread
-//! loop over the deduplicated tasks with splitting disabled (threshold = ∞)
-//! — the reproducible sequential baseline that the differential tests treat
-//! as the oracle.
+//! Every width runs the same worker loop on `workers` scoped threads. At one
+//! worker the single deque holds the submissions in submission order, so
+//! they are processed in order, and splitting is off (there is no one to
+//! steal a range); running that worker on a scoped thread rather than the
+//! caller's also keeps the caller's thread-local term arena from growing.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -101,12 +102,12 @@ pub fn default_split_threshold() -> u64 {
 /// Early-exit flag shared by the obligations of one group (one generated
 /// testing method, in the verification driver).
 ///
-/// The sequential driver proves a method's obligations in order and stops at
-/// the first failure. In a parallel run the group's obligations complete out
-/// of order, so the guard tracks the *lowest* failing index instead: workers
-/// skip obligations strictly above it, and because indices below the
-/// current minimum are never skipped, the minimum converges to exactly the
-/// index the sequential run would have stopped at.
+/// An in-order proof of a method's obligations stops at the first failure.
+/// In a parallel run the group's obligations complete out of order, so the
+/// guard tracks the *lowest* failing index instead: workers skip
+/// obligations strictly above it, and because indices below the current
+/// minimum are never skipped, the minimum converges to exactly the index an
+/// in-order run would have stopped at.
 #[derive(Debug, Default)]
 pub struct ExitGuard {
     failed_at: AtomicU32,
@@ -357,9 +358,9 @@ pub fn prove_all_scheduled(
 /// are identical to what a sequential run over the same submissions would
 /// have accumulated. A submission whose early-exit guard has already failed
 /// at a lower index when it is popped is skipped outright (verdict `None`),
-/// exactly as the sequential driver would have stopped before it. Verdicts
-/// — including reported counter-models and deciding `Unknown` reasons — are
-/// identical at every worker count and split threshold.
+/// exactly as an in-order proof of the group would have stopped before it.
+/// Verdicts — including reported counter-models and deciding `Unknown`
+/// reasons — are identical at every worker count and split threshold.
 ///
 /// # Panics
 ///
@@ -389,7 +390,8 @@ pub fn prove_all_scheduled_split(
     // range tasks once its search splits.
     let workers = if submitted == 0 { 1 } else { workers.max(1) };
     // A chunk must make progress, so the smallest meaningful threshold is 1
-    // (every position its own task); the sequential baseline never splits.
+    // (every position its own task); a lone worker has no thief to split
+    // for.
     let split_threshold = if workers <= 1 {
         u64::MAX
     } else {
@@ -574,154 +576,142 @@ pub fn prove_all_scheduled_split(
         }
     };
 
-    if workers <= 1 {
-        // The reproducible baseline: submissions run in order on the
-        // calling thread (keying included, so the arena warm-up pattern
-        // matches the pre-scheduler sequential driver), splitting disabled.
-        // This is the oracle the differential tests compare parallel runs
-        // against.
-        for (index, item) in items.iter().enumerate() {
-            let seeded = process_submission(index, item);
-            debug_assert!(seeded.is_none(), "the sequential baseline never splits");
-        }
-    } else {
-        // Seed the per-worker deques round-robin so every worker starts
-        // with a cross-section of the catalog, then let emptied workers
-        // steal batches from the back of loaded ones. `pending` counts
-        // tasks queued or running; a worker only exits when it finds
-        // nothing to steal *and* nothing is still running — a running
-        // range task may yet split and repopulate the deques.
-        let deques: Vec<Mutex<VecDeque<Task>>> = (0..workers)
-            .map(|w| {
-                Mutex::new(
-                    (0..submitted)
-                        .filter(|i| i % workers == w)
-                        .map(Task::Submission)
-                        .collect::<VecDeque<Task>>(),
-                )
-            })
-            .collect();
-        let pending = AtomicU64::new(submitted as u64);
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let (deques, items, pending) = (&deques, &items, &pending);
-                let (process_submission, finish_range) = (&process_submission, &finish_range);
-                let (steals, stolen_tasks) = (&steals, &stolen_tasks);
-                let (splits, subranges) = (&splits, &subranges);
-                scope.spawn(move || {
-                    // Scans `[lo, hi)` of a split search Cilk-style: while
-                    // the range exceeds the threshold, push the back half
-                    // onto the *front* of the own deque (the owner drains
-                    // nearest-first for locality; thieves take from the
-                    // back, so a thief grabs the largest, farthest range)
-                    // and keep the front. The chunk scan shares the
-                    // search's minimum-position guard, so racing chunks
-                    // stop as soon as the verdict is decided to their left.
-                    let run_chunk = |search: Arc<ActiveSearch>, lo: u64, mut hi: u64| {
-                        while hi - lo > split_threshold {
-                            let mid = lo + (hi - lo) / 2;
-                            search.outstanding.fetch_add(1, Ordering::Relaxed);
-                            pending.fetch_add(1, Ordering::Relaxed);
-                            splits.fetch_add(1, Ordering::Relaxed);
-                            deques[me]
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .push_front(Task::Range {
-                                    search: search.clone(),
-                                    lo: mid,
-                                    hi,
-                                });
-                            hi = mid;
-                        }
-                        subranges.fetch_add(1, Ordering::Relaxed);
-                        search.search.run_range(lo, hi, &search.shared);
-                        finish_range(&search);
-                    };
-                    // Consecutive empty pop+steal rounds: yield at first,
-                    // then back off to short sleeps so workers starved by a
-                    // long-running unsplittable task don't burn their cores
-                    // polling the deques.
-                    let mut idle_rounds: u32 = 0;
-                    loop {
-                        let next = deques[me]
+    // Seed the per-worker deques round-robin so every worker starts
+    // with a cross-section of the catalog, then let emptied workers
+    // steal batches from the back of loaded ones. `pending` counts
+    // tasks queued or running; a worker only exits when it finds
+    // nothing to steal *and* nothing is still running — a running
+    // range task may yet split and repopulate the deques.
+    let deques: Vec<Mutex<VecDeque<Task>>> = (0..workers)
+        .map(|w| {
+            Mutex::new(
+                (0..submitted)
+                    .filter(|i| i % workers == w)
+                    .map(Task::Submission)
+                    .collect::<VecDeque<Task>>(),
+            )
+        })
+        .collect();
+    let pending = AtomicU64::new(submitted as u64);
+    std::thread::scope(|scope| {
+        for me in 0..workers {
+            let (deques, items, pending) = (&deques, &items, &pending);
+            let (process_submission, finish_range) = (&process_submission, &finish_range);
+            let (steals, stolen_tasks) = (&steals, &stolen_tasks);
+            let (splits, subranges) = (&splits, &subranges);
+            scope.spawn(move || {
+                // Scans `[lo, hi)` of a split search Cilk-style: while
+                // the range exceeds the threshold, push the back half
+                // onto the *front* of the own deque (the owner drains
+                // nearest-first for locality; thieves take from the
+                // back, so a thief grabs the largest, farthest range)
+                // and keep the front. The chunk scan shares the
+                // search's minimum-position guard, so racing chunks
+                // stop as soon as the verdict is decided to their left.
+                let run_chunk = |search: Arc<ActiveSearch>, lo: u64, mut hi: u64| {
+                    while hi - lo > split_threshold {
+                        let mid = lo + (hi - lo) / 2;
+                        search.outstanding.fetch_add(1, Ordering::Relaxed);
+                        pending.fetch_add(1, Ordering::Relaxed);
+                        splits.fetch_add(1, Ordering::Relaxed);
+                        deques[me]
                             .lock()
                             .unwrap_or_else(|p| p.into_inner())
-                            .pop_front();
-                        let task = match next {
-                            Some(task) => task,
-                            None => {
-                                // Steal half of the first non-empty
-                                // victim's deque (from the back, so the
-                                // victim keeps the front it is about to
-                                // pop).
-                                let mut batch: VecDeque<Task> = VecDeque::new();
-                                for offset in 1..workers {
-                                    let victim = (me + offset) % workers;
-                                    let mut v =
-                                        deques[victim].lock().unwrap_or_else(|p| p.into_inner());
-                                    let take = v.len().div_ceil(2);
-                                    if take == 0 {
-                                        continue;
-                                    }
-                                    for _ in 0..take {
-                                        if let Some(task) = v.pop_back() {
-                                            batch.push_front(task);
-                                        }
-                                    }
-                                    break;
-                                }
-                                match batch.pop_front() {
-                                    None => {
-                                        if pending.load(Ordering::Acquire) == 0 {
-                                            // Nothing queued, nothing
-                                            // running: done.
-                                            break;
-                                        }
-                                        // A running task may still split;
-                                        // wait for work to appear — yield
-                                        // briefly, then sleep (capped at
-                                        // 1 ms so newly split ranges are
-                                        // picked up promptly).
-                                        idle_rounds = idle_rounds.saturating_add(1);
-                                        if idle_rounds < 16 {
-                                            std::thread::yield_now();
-                                        } else {
-                                            let exp = (idle_rounds - 16).min(4);
-                                            std::thread::sleep(Duration::from_micros(62 << exp));
-                                        }
-                                        continue;
-                                    }
-                                    Some(task) => {
-                                        steals.fetch_add(1, Ordering::Relaxed);
-                                        stolen_tasks
-                                            .fetch_add(batch.len() as u64 + 1, Ordering::Relaxed);
-                                        if !batch.is_empty() {
-                                            deques[me]
-                                                .lock()
-                                                .unwrap_or_else(|p| p.into_inner())
-                                                .append(&mut batch);
-                                        }
-                                        task
-                                    }
-                                }
-                            }
-                        };
-                        idle_rounds = 0;
-                        match task {
-                            Task::Submission(index) => {
-                                if let Some(active) = process_submission(index, &items[index]) {
-                                    let total = active.search.total();
-                                    run_chunk(active, 0, total);
-                                }
-                            }
-                            Task::Range { search, lo, hi } => run_chunk(search, lo, hi),
-                        }
-                        pending.fetch_sub(1, Ordering::Release);
+                            .push_front(Task::Range {
+                                search: search.clone(),
+                                lo: mid,
+                                hi,
+                            });
+                        hi = mid;
                     }
-                });
-            }
-        });
-    }
+                    subranges.fetch_add(1, Ordering::Relaxed);
+                    search.search.run_range(lo, hi, &search.shared);
+                    finish_range(&search);
+                };
+                // Consecutive empty pop+steal rounds: yield at first,
+                // then back off to short sleeps so workers starved by a
+                // long-running unsplittable task don't burn their cores
+                // polling the deques.
+                let mut idle_rounds: u32 = 0;
+                loop {
+                    let next = deques[me]
+                        .lock()
+                        .unwrap_or_else(|p| p.into_inner())
+                        .pop_front();
+                    let task = match next {
+                        Some(task) => task,
+                        None => {
+                            // Steal half of the first non-empty
+                            // victim's deque (from the back, so the
+                            // victim keeps the front it is about to
+                            // pop).
+                            let mut batch: VecDeque<Task> = VecDeque::new();
+                            for offset in 1..workers {
+                                let victim = (me + offset) % workers;
+                                let mut v =
+                                    deques[victim].lock().unwrap_or_else(|p| p.into_inner());
+                                let take = v.len().div_ceil(2);
+                                if take == 0 {
+                                    continue;
+                                }
+                                for _ in 0..take {
+                                    if let Some(task) = v.pop_back() {
+                                        batch.push_front(task);
+                                    }
+                                }
+                                break;
+                            }
+                            match batch.pop_front() {
+                                None => {
+                                    if pending.load(Ordering::Acquire) == 0 {
+                                        // Nothing queued, nothing
+                                        // running: done.
+                                        break;
+                                    }
+                                    // A running task may still split;
+                                    // wait for work to appear — yield
+                                    // briefly, then sleep (capped at
+                                    // 1 ms so newly split ranges are
+                                    // picked up promptly).
+                                    idle_rounds = idle_rounds.saturating_add(1);
+                                    if idle_rounds < 16 {
+                                        std::thread::yield_now();
+                                    } else {
+                                        let exp = (idle_rounds - 16).min(4);
+                                        std::thread::sleep(Duration::from_micros(62 << exp));
+                                    }
+                                    continue;
+                                }
+                                Some(task) => {
+                                    steals.fetch_add(1, Ordering::Relaxed);
+                                    stolen_tasks
+                                        .fetch_add(batch.len() as u64 + 1, Ordering::Relaxed);
+                                    if !batch.is_empty() {
+                                        deques[me]
+                                            .lock()
+                                            .unwrap_or_else(|p| p.into_inner())
+                                            .append(&mut batch);
+                                    }
+                                    task
+                                }
+                            }
+                        }
+                    };
+                    idle_rounds = 0;
+                    match task {
+                        Task::Submission(index) => {
+                            if let Some(active) = process_submission(index, &items[index]) {
+                                let total = active.search.total();
+                                run_chunk(active, 0, total);
+                            }
+                        }
+                        Task::Range { search, lo, hi } => run_chunk(search, lo, hi),
+                    }
+                    pending.fetch_sub(1, Ordering::Release);
+                }
+            });
+        }
+    });
 
     report.unique = in_flight.unique();
     let mut skipped = 0u64;

@@ -1,26 +1,38 @@
-//! Differential test: the parallel work-stealing scheduler against the
-//! sequential oracle, across a worker-count × split-threshold matrix.
+//! Differential test: the verification driver against a test-local
+//! sequential reference, across a worker-count × split-threshold matrix.
 //!
-//! The correctness story of the global obligation scheduler is that
-//! parallelism must be *observationally invisible*: for every condition in
-//! the catalog, the soundness and completeness verdicts of a scheduled run —
-//! including the concrete counterexample models of failing conditions, not
-//! just their number — must be identical to those of the strictly
-//! sequential `threads = 1` baseline, **at every split threshold**. Since
-//! PR 5 an obligation whose model search exceeds the threshold is scanned as
-//! racing range tasks, so the matrix includes a pathologically small
-//! threshold (ranges of one unreduced position — maximal racing) alongside
-//! the default; the full-catalog run additionally reconciles counters:
-//! every subrange's `models_checked` / `orbits_pruned` merges into its
-//! obligation's verdict, so the catalog totals must equal the unsplit
-//! sequential oracle's exactly.
+//! Every width of the driver runs through the work-stealing scheduler, so
+//! the reference lives here: each condition's testing methods generated,
+//! symbolically executed and proved with `Portfolio::prove` strictly in
+//! order, each method stopping at its first non-valid verdict. For every
+//! condition in the catalog the soundness and completeness verdicts of a
+//! scheduled run — including the concrete counterexample models of failing
+//! conditions, not just their number — must be identical to the
+//! reference's, at one worker and at many, **at every split threshold**. An
+//! obligation whose model search exceeds the threshold is scanned as racing
+//! range tasks, so the matrix includes a pathologically small threshold
+//! (ranges of one unreduced position — maximal racing) alongside the
+//! default; the full-catalog run additionally reconciles counters: every
+//! subrange's `models_checked` / `orbits_pruned` merges into its
+//! obligation's verdict, so the catalog totals must equal the reference's
+//! exactly.
 //!
 //! The ArrayList sequence scope is 3 here so that a full-catalog run stays
 //! fast in debug builds; the scope is a verification parameter, not a
 //! truncation of the catalog.
 
-use semcommute_core::verify::{verify_catalog, CatalogReport, VerifyOptions};
-use semcommute_prover::Verdict;
+use std::time::Duration;
+
+use semcommute_core::catalog::interface_catalog;
+use semcommute_core::method::TestingMethod;
+use semcommute_core::template::testing_methods;
+use semcommute_core::vcgen::generate_obligations;
+use semcommute_core::verify::{
+    scope_for, verify_catalog, CatalogReport, ConditionReport, InterfaceReport, VerifyOptions,
+};
+use semcommute_core::CommutativityCondition;
+use semcommute_prover::{Portfolio, ProofStats, Verdict};
+use semcommute_spec::InterfaceId;
 
 /// The observable outcome of one testing-method verdict: its kind plus the
 /// counterexample model, rendered. Statistics (timings, model counts) are
@@ -31,6 +43,82 @@ fn observable(verdict: &Verdict) -> String {
         Verdict::CounterModel { model, .. } => format!("counterexample:\n{model}"),
         Verdict::Unknown { reason, .. } => format!("unknown: {reason}"),
     }
+}
+
+/// The reference verdict of one testing method: its obligations proved in
+/// order with `Portfolio::prove`, statistics accumulated up to and
+/// including the first non-valid verdict, which becomes the method's.
+fn reference_method(method: &TestingMethod, prover: &Portfolio) -> Verdict {
+    let obligations = match generate_obligations(method) {
+        Ok(obligations) => obligations,
+        Err(e) => {
+            return Verdict::Unknown {
+                reason: format!("vcgen failed: {e}"),
+                stats: ProofStats::none(),
+            }
+        }
+    };
+    let mut accumulated = ProofStats::none();
+    for ob in &obligations {
+        let mut verdict = prover.prove(ob);
+        accumulated.merge(verdict.stats());
+        if !verdict.is_valid() {
+            *verdict.stats_mut() = accumulated;
+            return verdict;
+        }
+    }
+    Verdict::Valid { stats: accumulated }
+}
+
+/// The reference report of one condition (its `elapsed` is not measured).
+fn reference_condition(
+    condition: &CommutativityCondition,
+    id: usize,
+    prover: &Portfolio,
+) -> ConditionReport {
+    let (soundness, completeness) = testing_methods(condition, id);
+    ConditionReport {
+        condition: condition.clone(),
+        hinted: !soundness.hints.is_empty() || !completeness.hints.is_empty(),
+        soundness: reference_method(&soundness, prover),
+        completeness: reference_method(&completeness, prover),
+        elapsed: Duration::ZERO,
+    }
+}
+
+/// The reference run of (a prefix of) the whole catalog: one portfolio per
+/// interface, conditions in catalog order.
+fn reference_catalog(options: &VerifyOptions) -> Vec<InterfaceReport> {
+    InterfaceId::ALL
+        .into_iter()
+        .map(|interface| {
+            let prover =
+                Portfolio::new(scope_for(interface, options.seq_len).with_orbit(options.orbit));
+            let mut catalog = interface_catalog(interface);
+            if let Some(limit) = options.limit {
+                catalog.truncate(limit);
+            }
+            let reports = catalog
+                .iter()
+                .enumerate()
+                .map(|(id, condition)| reference_condition(condition, id, &prover))
+                .collect();
+            InterfaceReport {
+                interface,
+                reports,
+                elapsed: Duration::ZERO,
+                seq_len: options.seq_len,
+            }
+        })
+        .collect()
+}
+
+fn models_checked(reports: &[InterfaceReport]) -> u64 {
+    reports.iter().map(|r| r.models_checked()).sum()
+}
+
+fn orbits_pruned(reports: &[InterfaceReport]) -> u64 {
+    reports.iter().map(|r| r.orbits_pruned()).sum()
 }
 
 fn options(threads: usize, limit: Option<usize>) -> VerifyOptions {
@@ -49,69 +137,69 @@ fn split_options(threads: usize, limit: Option<usize>, split_threshold: u64) -> 
     }
 }
 
-fn assert_identical_verdicts(oracle: &CatalogReport, parallel: &CatalogReport, workers: usize) {
-    assert_eq!(oracle.interfaces.len(), parallel.interfaces.len());
-    for (seq_report, par_report) in oracle.interfaces.iter().zip(&parallel.interfaces) {
-        assert_eq!(seq_report.interface, par_report.interface);
+fn assert_identical_verdicts(reference: &[InterfaceReport], run: &CatalogReport, workers: usize) {
+    assert_eq!(reference.len(), run.interfaces.len());
+    for (ref_report, run_report) in reference.iter().zip(&run.interfaces) {
+        assert_eq!(ref_report.interface, run_report.interface);
         assert_eq!(
-            seq_report.total(),
-            par_report.total(),
+            ref_report.total(),
+            run_report.total(),
             "{workers} workers: {} condition count drifted",
-            seq_report.interface
+            ref_report.interface
         );
-        for (seq_cond, par_cond) in seq_report.reports.iter().zip(&par_report.reports) {
-            assert_eq!(seq_cond.condition.id(), par_cond.condition.id());
-            assert_eq!(seq_cond.hinted, par_cond.hinted);
-            for (kind, seq_verdict, par_verdict) in [
-                ("soundness", &seq_cond.soundness, &par_cond.soundness),
+        for (ref_cond, run_cond) in ref_report.reports.iter().zip(&run_report.reports) {
+            assert_eq!(ref_cond.condition.id(), run_cond.condition.id());
+            assert_eq!(ref_cond.hinted, run_cond.hinted);
+            for (kind, ref_verdict, run_verdict) in [
+                ("soundness", &ref_cond.soundness, &run_cond.soundness),
                 (
                     "completeness",
-                    &seq_cond.completeness,
-                    &par_cond.completeness,
+                    &ref_cond.completeness,
+                    &run_cond.completeness,
                 ),
-            ]
-            .map(|(k, s, p)| (k, s, p))
-            {
+            ] {
                 assert_eq!(
-                    observable(seq_verdict),
-                    observable(par_verdict),
-                    "{workers} workers: {} {kind} verdict differs from the sequential oracle",
-                    seq_cond.condition.id(),
+                    observable(ref_verdict),
+                    observable(run_verdict),
+                    "{workers} workers: {} {kind} verdict differs from the reference",
+                    ref_cond.condition.id(),
                 );
             }
         }
     }
 }
 
-/// The full catalog: sequential oracle vs. a worker-count × split-threshold
-/// matrix. Every configuration must reproduce the oracle's verdicts *and*
-/// its work counters — the catalog is all-valid, so every model search
-/// enumerates its whole space and `sum(subrange models_checked)` must equal
-/// the unsplit sequential count exactly (same for `orbits_pruned`).
+/// The full catalog: the reference vs. a worker-count × split-threshold
+/// matrix. Every configuration must reproduce the reference's verdicts
+/// *and* its work counters — the catalog is all-valid, so every model
+/// search enumerates its whole space and `sum(subrange models_checked)`
+/// must equal the unsplit sequential count exactly (same for
+/// `orbits_pruned`).
 #[test]
 fn full_catalog_verdicts_match_sequential_oracle() {
-    let oracle = verify_catalog(&options(1, None));
-    assert!(oracle.scheduler.is_none(), "threads = 1 is the oracle path");
-    let verified: usize = oracle.interfaces.iter().map(|r| r.verified_count()).sum();
-    let total: usize = oracle.interfaces.iter().map(|r| r.total()).sum();
-    assert_eq!(verified, total, "the catalog verifies under the oracle");
+    let reference = reference_catalog(&options(1, None));
+    let verified: usize = reference.iter().map(|r| r.verified_count()).sum();
+    let total: usize = reference.iter().map(|r| r.total()).sum();
+    assert_eq!(verified, total, "the catalog verifies under the reference");
     assert_eq!(total, 510, "12 + 108 + 147 + 243 catalog conditions");
 
     // (workers, split_threshold): the default threshold at several widths,
-    // plus a small threshold at 4 workers so range tasks dominate the run.
+    // one worker included, plus a small threshold at 4 workers so range
+    // tasks dominate the run.
     let default_threshold = VerifyOptions::default().split_threshold;
     let matrix = [
+        (1, default_threshold),
         (2, default_threshold),
         (4, default_threshold),
         (8, default_threshold),
         (4, 4_096),
     ];
     for (workers, threshold) in matrix {
-        let parallel = verify_catalog(&split_options(workers, None, threshold));
-        let scheduler = parallel
+        let run = verify_catalog(&split_options(workers, None, threshold));
+        let scheduler = run
             .scheduler
             .as_ref()
-            .expect("threads > 1 goes through the scheduler");
+            .expect("every width goes through the scheduler");
         assert_eq!(
             scheduler.proved + scheduler.cache_hits + scheduler.skipped,
             scheduler.submitted as u64,
@@ -122,12 +210,20 @@ fn full_catalog_verdicts_match_sequential_oracle() {
             scheduler.unique <= scheduler.submitted,
             "dedup can only shrink the queue"
         );
+        if workers == 1 {
+            assert_eq!(
+                (scheduler.steals, scheduler.splits),
+                (0, 0),
+                "a lone worker neither steals nor splits"
+            );
+        }
         // At seq_len 3 the largest searches run ~15k unreduced positions:
         // under the default threshold nothing splits (and the run must
-        // still match the oracle); the small-threshold row exercises real
-        // splits, where each split search scans one chunk per split plus
-        // its seed chunk.
-        if threshold < 15_000 {
+        // still match the reference); the small-threshold row exercises
+        // real splits, where each split search scans one chunk per split
+        // plus its seed chunk. (`SEMCOMMUTE_SPLIT` can lower the default
+        // threshold; a lone worker still never splits.)
+        if threshold < 15_000 && workers > 1 {
             assert!(
                 scheduler.splits > 0,
                 "{workers}w/{threshold}: the catalog's monolithic searches must split"
@@ -139,16 +235,16 @@ fn full_catalog_verdicts_match_sequential_oracle() {
                 scheduler.splits
             );
         }
-        assert_identical_verdicts(&oracle, &parallel, workers);
+        assert_identical_verdicts(&reference, &run, workers);
         assert_eq!(
-            parallel.models_checked(),
-            oracle.models_checked(),
-            "{workers}w/{threshold}: subrange models_checked must sum to the oracle's"
+            run.models_checked(),
+            models_checked(&reference),
+            "{workers}w/{threshold}: subrange models_checked must sum to the reference's"
         );
         assert_eq!(
-            parallel.orbits_pruned(),
-            oracle.orbits_pruned(),
-            "{workers}w/{threshold}: subrange orbits_pruned must sum to the oracle's"
+            run.orbits_pruned(),
+            orbits_pruned(&reference),
+            "{workers}w/{threshold}: subrange orbits_pruned must sum to the reference's"
         );
     }
 }
@@ -159,14 +255,15 @@ fn full_catalog_verdicts_match_sequential_oracle() {
 /// failing searches are split, pinning both early-exit guards (a racing
 /// later failure must not replace the first one across obligations, and a
 /// racing higher-position counter-model must not replace the
-/// minimum-position one within a split obligation).
+/// minimum-position one within a split obligation). The sabotaged
+/// conditions are not in the catalog, so they go through the driver's
+/// single-condition entry point and through hand-built scheduler
+/// submissions shaped like the driver's.
 #[test]
 fn failing_conditions_report_the_same_counterexample_in_parallel() {
-    use semcommute_core::catalog::interface_catalog;
-    use semcommute_core::verify::{verify_condition, ConditionReport};
+    use semcommute_core::verify::verify_condition;
     use semcommute_prover::queue::{self, ExitGuard, ScheduledObligation};
-    use semcommute_prover::{Portfolio, Scope};
-    use semcommute_spec::InterfaceId;
+    use semcommute_prover::Scope;
     use std::sync::Arc;
 
     // Sabotage: claim contains/add commute unconditionally (they don't).
@@ -179,24 +276,53 @@ fn failing_conditions_report_the_same_counterexample_in_parallel() {
         cond.formula = semcommute_logic::build::tru();
     }
 
-    let prover = Portfolio::new(Scope::small());
-    let oracle: Vec<ConditionReport> = sabotaged
+    let reference: Vec<ConditionReport> = sabotaged
         .iter()
         .enumerate()
-        .map(|(i, c)| verify_condition(c, &Portfolio::new(Scope::small()), i))
+        .map(|(i, c)| reference_condition(c, i, &Portfolio::new(Scope::small())))
         .collect();
-    assert!(oracle.iter().any(|r| !r.verified()));
+    assert!(reference.iter().any(|r| !r.verified()));
 
-    for (workers, split_threshold) in [(2, u64::MAX), (4, u64::MAX), (8, u64::MAX), (4, 1), (8, 64)]
-    {
-        // Rebuild the method obligations exactly as the driver would and
-        // push them through the scheduler.
+    for (i, c) in sabotaged.iter().enumerate() {
+        let driven = verify_condition(c, &Portfolio::new(Scope::small()), i);
+        for (kind, expected, got) in [
+            ("soundness", &reference[i].soundness, &driven.soundness),
+            (
+                "completeness",
+                &reference[i].completeness,
+                &driven.completeness,
+            ),
+        ] {
+            assert_eq!(
+                observable(expected),
+                observable(got),
+                "verify_condition: condition {i} {kind} verdict drifted"
+            );
+            assert_eq!(
+                expected.stats().models_checked,
+                got.stats().models_checked,
+                "verify_condition: condition {i} {kind} models_checked drifted"
+            );
+        }
+    }
+
+    let prover = Portfolio::new(Scope::small());
+    for (workers, split_threshold) in [
+        (1, u64::MAX),
+        (2, u64::MAX),
+        (4, u64::MAX),
+        (8, u64::MAX),
+        (4, 1),
+        (8, 64),
+    ] {
+        // Build the method obligations exactly as the driver does and push
+        // them through the scheduler.
         let mut items = Vec::new();
         let mut method_ranges = Vec::new();
         for (i, cond) in sabotaged.iter().enumerate() {
-            let (soundness, completeness) = semcommute_core::template::testing_methods(cond, i);
+            let (soundness, completeness) = testing_methods(cond, i);
             for method in [soundness, completeness] {
-                let obs = semcommute_core::vcgen::generate_obligations(&method).unwrap();
+                let obs = generate_obligations(&method).unwrap();
                 let guard = Arc::new(ExitGuard::new());
                 let start = items.len();
                 items.extend(obs.into_iter().enumerate().map(|(j, ob)| {
@@ -212,28 +338,28 @@ fn failing_conditions_report_the_same_counterexample_in_parallel() {
             split_threshold,
         );
         for (m, range) in method_ranges.iter().enumerate() {
-            let sequential = if m % 2 == 0 {
-                &oracle[m / 2].soundness
+            let expected = if m % 2 == 0 {
+                &reference[m / 2].soundness
             } else {
-                &oracle[m / 2].completeness
+                &reference[m / 2].completeness
             };
             // First non-valid verdict in obligation order, as the driver
             // reassembles it.
-            let mut parallel: Option<&Verdict> = None;
+            let mut scheduled: Option<&Verdict> = None;
             for index in range.clone() {
                 match &run.verdicts[index] {
                     None => break,
                     Some(v) if !v.is_valid() => {
-                        parallel = Some(v);
+                        scheduled = Some(v);
                         break;
                     }
-                    Some(v) => parallel = Some(v),
+                    Some(v) => scheduled = Some(v),
                 }
             }
-            let parallel = parallel.expect("at least one obligation per method");
+            let scheduled = scheduled.expect("at least one obligation per method");
             assert_eq!(
-                observable(sequential),
-                observable(parallel),
+                observable(expected),
+                observable(scheduled),
                 "{workers} workers at threshold {split_threshold}: method {m} verdict drifted"
             );
         }
@@ -241,24 +367,30 @@ fn failing_conditions_report_the_same_counterexample_in_parallel() {
 }
 
 /// A quick differential pass that also exercises the `limit` knob, so the
-/// scheduler is compared against the oracle on truncated catalogs too —
+/// driver is compared against the reference on truncated catalogs too —
 /// including a *pathologically small* split threshold (1: every large
 /// search shatters into single-position range tasks, maximizing races on
 /// the shared minimum-position guard).
 #[test]
 fn limited_catalog_matches_oracle() {
-    let oracle = verify_catalog(&options(1, Some(10)));
+    let reference = reference_catalog(&options(1, Some(10)));
     for (workers, threshold) in [
+        (1, VerifyOptions::default().split_threshold),
         (2, VerifyOptions::default().split_threshold),
         (4, 1),
         (8, 7),
     ] {
-        let parallel = verify_catalog(&split_options(workers, Some(10), threshold));
-        assert_identical_verdicts(&oracle, &parallel, workers);
+        let run = verify_catalog(&split_options(workers, Some(10), threshold));
+        assert_identical_verdicts(&reference, &run, workers);
         assert_eq!(
-            parallel.models_checked(),
-            oracle.models_checked(),
+            run.models_checked(),
+            models_checked(&reference),
             "{workers}w/{threshold}: models_checked must reconcile on the truncated catalog"
+        );
+        assert_eq!(
+            run.orbits_pruned(),
+            orbits_pruned(&reference),
+            "{workers}w/{threshold}: orbits_pruned must reconcile on the truncated catalog"
         );
     }
 }
@@ -271,7 +403,7 @@ fn limited_catalog_matches_oracle() {
 fn split_obligation_stats_reconcile_with_unsplit_prove() {
     use semcommute_logic::build::*;
     use semcommute_prover::queue::{self, ScheduledObligation};
-    use semcommute_prover::{Obligation, Portfolio, Scope};
+    use semcommute_prover::{Obligation, Scope};
 
     // Needs the finite-model search over a non-trivial space (the
     // structural prover cannot decide membership-dependent equalities).

@@ -39,11 +39,6 @@ impl InverseRollback {
         InverseRollback { inverses }
     }
 
-    /// The inverse for an operation, if the operation updates the state.
-    pub fn inverse_of(&self, op: &str) -> Option<&InverseOperation> {
-        self.inverses.get(op)
-    }
-
     /// The concrete call that undoes one logged operation, or `None` if there
     /// is nothing to undo: an observer, or an update that changed nothing
     /// (e.g. `add` returned false).
@@ -257,14 +252,5 @@ mod tests {
         let good = AbstractState::Set([1, 2, 3].into_iter().map(ElemId).collect());
         let rebuilt = rebuild("HashSet", &good).unwrap();
         assert_eq!(rebuilt.abstract_state(), good);
-    }
-
-    #[test]
-    fn inverse_of_exists_only_for_updates() {
-        let r = InverseRollback::new(InterfaceId::Set);
-        assert!(r.inverse_of("add").is_some());
-        assert!(r.inverse_of("remove").is_some());
-        assert!(r.inverse_of("contains").is_none());
-        assert!(r.inverse_of("size").is_none());
     }
 }

@@ -13,7 +13,7 @@
 //! limit how many conditions per interface are verified (useful for a quick
 //! look), `--seq-len N` to change the ArrayList sequence scope,
 //! `--threads N` to size the work-stealing obligation scheduler (`1` runs
-//! the reproducible sequential baseline), `--orbit off` to enumerate
+//! the same scheduler at one worker, in catalog order), `--orbit off` to enumerate
 //! candidate models unreduced (the oracle the differential soundness
 //! harness compares the default orbit-canonical enumeration against).
 
@@ -31,7 +31,7 @@ usage: verify_catalog [LIMIT] [--seq-len N] [--threads N]
 
   LIMIT               verify only the first LIMIT conditions per interface
   --seq-len N         ArrayList sequence scope (default 4)
-  --threads N         work-stealing scheduler width; 1 = sequential baseline
+  --threads N         work-stealing scheduler width (1 = one worker)
   --split-threshold N unreduced-space size above which one obligation's
                       model search splits into stealable range tasks
   --orbit on|off      orbit-canonical (default) vs. unreduced enumeration";
