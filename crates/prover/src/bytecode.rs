@@ -1,22 +1,24 @@
-//! Flat register bytecode for compiled obligations: the evaluation backend
-//! of the finite-model prover.
+//! Flat register bytecode for obligations: the evaluation backend of the
+//! finite-model prover.
 //!
 //! The search evaluates one obligation under millions of candidate models.
-//! This module lowers the slot-compiled form
-//! ([`crate::compiled::CompiledObligation`]) **once** to a flat register
-//! [`Program`]: a `Vec` of instructions over dense `u32` registers, with
-//! pooled constants, common subexpressions shared, and the obligation's
-//! define/hypothesis schedule (`compiled::schedule`) preserved — a
-//! hypothesis that fails still skips every later define (a failed
-//! `Instr::Check` ends the candidate; in the batched executor it clears the
-//! candidate's lane from the active mask, which is the block-level form of
-//! the same jump-to-end).
+//! The reference evaluator ([`mod@semcommute_logic::eval`]) looks every
+//! variable up by name in a `Model` and clones the model to bind a
+//! quantifier variable; this module instead lowers the obligation's terms
+//! **once** to a flat register [`Program`] ([`Program::lower`]): a `Vec` of
+//! instructions over dense `u32` registers, every variable occurrence
+//! resolved to a register (input `i` is register `i`), constants pooled,
+//! common subexpressions shared, and the obligation's define/hypothesis
+//! schedule (`obligation::schedule`) preserved — a hypothesis that fails
+//! still skips every later define (a failed `Instr::Check` ends the
+//! candidate; in the batched executor it clears the candidate's lane from
+//! the active mask, which is the block-level form of the same jump-to-end).
 //!
 //! Two executors run the program:
 //!
-//! * a **scalar** executor ([`Program::check`]) with one `Value` per
-//!   register, used by the block executor's fallback, the runtime's
-//!   admission gatekeeper, the property harness, and the microbenchmarks,
+//! * a **scalar** executor ([`Program::check`], and
+//!   [`Program::eval_in_regs`] for a formula) with one `Value` per register,
+//!   used by the runtime's admission gatekeeper and the property harness,
 //!   and
 //! * a **block** executor ([`Program::run_block`]) that evaluates up to
 //!   [`LANES`] candidates at once, column-wise: each register holds a
@@ -24,8 +26,9 @@
 //!   words) so comparisons and connectives amortize to a few word ops,
 //!   integer columns are flat `i64` lanes, and whole-block-constant
 //!   ("uniform") operands are evaluated once per block. Collection-valued
-//!   registers and error paths fall back to per-candidate scalar execution
-//!   of that instruction, lane by lane, in ascending lane order.
+//!   registers, quantifiers and error paths fall back to per-lane execution
+//!   of that instruction (`exec_lane`), lane by lane, in ascending lane
+//!   order.
 //!
 //! Semantics mirror the reference evaluator ([`mod@semcommute_logic::eval`])
 //! **exactly** — totalization, operand evaluation order, sort-check order
@@ -45,8 +48,7 @@ use std::collections::{HashMap, HashSet};
 use semcommute_logic::eval::MAX_QUANTIFIER_RANGE;
 use semcommute_logic::{ElemId, Model, PMap, PSeq, PSet, Term, Value, NULL_ELEM};
 
-use crate::compiled::{CTerm, CompiledObligation, Step};
-use crate::obligation::Obligation;
+use crate::obligation::{schedule, Obligation, Stage};
 use crate::space::BlockBuf;
 
 /// Register index.
@@ -170,10 +172,11 @@ enum Instr {
         kind: Kind,
         ctx: &'static str,
     },
-    /// A read of a slot that was never bound: always errors with the
-    /// reference `"unbound slot {slot}"` message.
+    /// A read of a variable that is not in scope where it is read (not an
+    /// input, not a define lowered before it, not a binder): always errors
+    /// with the reference ``"unbound variable `name`"`` message.
     Unbound {
-        slot: u32,
+        name: Box<str>,
     },
     Not {
         out: R,
@@ -295,11 +298,12 @@ enum CseKey {
     Coll(CollOp, R, R, R),
 }
 
-/// A compiled obligation lowered to a flat register program.
+/// An obligation lowered to a flat register program.
 ///
-/// Built once per model search by [`Program::lower`]; executed per candidate
-/// by [`Program::check`] (scalar) or per block of up to [`LANES`] candidates
-/// by [`Program::run_block`].
+/// Built once per model search by [`Program::lower`] (or once per formula by
+/// [`Program::lower_formula`]); executed per candidate by [`Program::check`]
+/// (scalar) or per block of up to [`LANES`] candidates by
+/// [`Program::run_block`].
 #[derive(Debug, Clone)]
 pub struct Program {
     /// Main instruction stream: defines, interleaved hypothesis checks, goal.
@@ -311,24 +315,26 @@ pub struct Program {
     /// `(first instruction index, region)` pairs, ascending: the error-prefix
     /// region of every instruction, looked up by binary search on failure.
     regions: Vec<(u32, Region)>,
-    /// Final slot-name → register mapping for the named (input + defined)
-    /// slots, used to reconstruct counter-models. Where a define shadows an
-    /// input slot this holds the define's register, matching the reference
-    /// evaluator's overwritten environment slot.
+    /// Variable-name → register mapping for the inputs and the defines, in
+    /// that order, used to reconstruct counter-models. Where a define shadows
+    /// an input both are listed and the define comes later, so it wins —
+    /// matching the reference evaluator's overwritten model entry.
     named: Vec<(String, R)>,
     reg_count: usize,
     input_count: usize,
 }
 
-struct Lower {
+struct Lower<'a> {
     /// Stack of instruction sinks: the main stream at the bottom, one per
     /// open quantifier body above it.
     sinks: Vec<Vec<Instr>>,
     bodies: Vec<Vec<Instr>>,
     consts: Vec<(R, Value)>,
     const_map: HashMap<ConstKey, R>,
-    /// Slot index → register currently holding that slot's value.
-    slot_reg: Vec<Option<R>>,
+    /// The variables in scope, innermost last: input `i` in register `i`,
+    /// then each define once its stage is lowered, then the binder of each
+    /// open quantifier. A name resolves to its last entry.
+    scope: Vec<(&'a str, R)>,
     /// Layered value-numbering maps (one layer per open quantifier body).
     cse: Vec<HashMap<CseKey, R>>,
     /// Layered already-asserted `(register, kind)` coercions.
@@ -336,7 +342,7 @@ struct Lower {
     next_reg: R,
 }
 
-impl Lower {
+impl<'a> Lower<'a> {
     fn fresh(&mut self) -> R {
         let r = self.next_reg;
         self.next_reg += 1;
@@ -394,7 +400,7 @@ impl Lower {
     /// Lowers a collection operation: operands in evaluation order, each
     /// followed by its sort assertion, exactly mirroring the reference
     /// evaluator's operand/check interleaving and context strings.
-    fn coll(&mut self, op: CollOp, args: &[(&CTerm, Kind, &'static str)]) -> R {
+    fn coll(&mut self, op: CollOp, args: &[(&'a Term, Kind, &'static str)]) -> R {
         let mut regs = [0u32; 3];
         for (i, (term, kind, ctx)) in args.iter().enumerate() {
             let r = self.lower(term);
@@ -417,7 +423,7 @@ impl Lower {
     /// Lowers an `and` / `or` chain: each operand is evaluated then
     /// bool-checked *before* the next operand is evaluated (the reference
     /// interleaving), and the fold is total — no operand is skipped.
-    fn chain(&mut self, op: Bool2, ctx: &'static str, cs: &[CTerm]) -> R {
+    fn chain(&mut self, op: Bool2, ctx: &'static str, cs: &'a [Term]) -> R {
         let empty = matches!(op, Bool2::And);
         let mut acc: Option<R> = None;
         for c in cs {
@@ -436,7 +442,7 @@ impl Lower {
         acc.unwrap_or_else(|| self.const_reg(ConstKey::Bool(empty)))
     }
 
-    fn bool2(&mut self, op: Bool2, ctx: &'static str, a: &CTerm, b: &CTerm) -> R {
+    fn bool2(&mut self, op: Bool2, ctx: &'static str, a: &'a Term, b: &'a Term) -> R {
         let ra = self.lower(a);
         self.coerce(ra, Kind::Bool, ctx);
         let rb = self.lower(b);
@@ -449,7 +455,7 @@ impl Lower {
         })
     }
 
-    fn int2(&mut self, op: Int2, ctx: &'static str, a: &CTerm, b: &CTerm) -> R {
+    fn int2(&mut self, op: Int2, ctx: &'static str, a: &'a Term, b: &'a Term) -> R {
         let ra = self.lower(a);
         self.coerce(ra, Kind::Int, ctx);
         let rb = self.lower(b);
@@ -462,50 +468,54 @@ impl Lower {
         })
     }
 
-    fn lower(&mut self, term: &CTerm) -> R {
+    fn lower(&mut self, term: &'a Term) -> R {
         use CollOp as O;
         use Kind as K;
+        use Term as T;
         match term {
-            CTerm::Slot(i) => match self.slot_reg.get(*i as usize).copied().flatten() {
-                Some(r) => r,
-                None => {
-                    // Defensive, like the reference: reading a never-bound
-                    // slot errors at the read site. The dummy result
-                    // register is never reached.
-                    self.emit(Instr::Unbound { slot: *i });
-                    self.fresh()
+            T::Var(v) => {
+                let name = v.name.as_str();
+                match self.scope.iter().rev().find(|(n, _)| *n == name) {
+                    Some(&(_, r)) => r,
+                    None => {
+                        // Defensive, like the reference: reading a variable
+                        // that is not in scope errors at the read site. The
+                        // dummy result register is never reached.
+                        self.emit(Instr::Unbound { name: name.into() });
+                        self.fresh()
+                    }
                 }
-            },
-            CTerm::BoolLit(b) => self.const_reg(ConstKey::Bool(*b)),
-            CTerm::IntLit(i) => self.const_reg(ConstKey::Int(*i)),
-            CTerm::Null => self.const_reg(ConstKey::Null),
-            CTerm::EmptySet => self.const_reg(ConstKey::EmptySet),
-            CTerm::EmptyMap => self.const_reg(ConstKey::EmptyMap),
-            CTerm::EmptySeq => self.const_reg(ConstKey::EmptySeq),
-            CTerm::Not(a) => {
+            }
+            T::BoolLit(b) => self.const_reg(ConstKey::Bool(*b)),
+            T::IntLit(i) => self.const_reg(ConstKey::Int(*i)),
+            T::Null => self.const_reg(ConstKey::Null),
+            T::EmptySet => self.const_reg(ConstKey::EmptySet),
+            T::EmptyMap => self.const_reg(ConstKey::EmptyMap),
+            T::EmptySeq => self.const_reg(ConstKey::EmptySeq),
+            T::Not(a) => {
                 let ra = self.lower(a);
                 self.coerce(ra, K::Bool, "not");
                 self.cse(CseKey::Not(ra), |out| Instr::Not { out, a: ra })
             }
-            CTerm::Neg(a) => {
+            T::Neg(a) => {
                 let ra = self.lower(a);
                 self.coerce(ra, K::Int, "neg");
                 self.cse(CseKey::Neg(ra), |out| Instr::Neg { out, a: ra })
             }
-            CTerm::And(cs) => self.chain(Bool2::And, "and", cs),
-            CTerm::Or(cs) => self.chain(Bool2::Or, "or", cs),
-            CTerm::Implies(a, b) => self.bool2(Bool2::Implies, "implies", a, b),
-            CTerm::Iff(a, b) => self.bool2(Bool2::Iff, "iff", a, b),
-            CTerm::Add(a, b) => self.int2(Int2::Add, "add", a, b),
-            CTerm::Sub(a, b) => self.int2(Int2::Sub, "sub", a, b),
-            CTerm::Lt(a, b) => self.int2(Int2::Lt, "lt", a, b),
-            CTerm::Le(a, b) => self.int2(Int2::Le, "le", a, b),
-            CTerm::Eq(a, b) => {
+            T::And(cs) => self.chain(Bool2::And, "and", cs),
+            T::Or(cs) => self.chain(Bool2::Or, "or", cs),
+            T::Implies(a, b) => self.bool2(Bool2::Implies, "implies", a, b),
+            T::Iff(a, b) => self.bool2(Bool2::Iff, "iff", a, b),
+            T::Add(a, b) => self.int2(Int2::Add, "add", a, b),
+            T::Sub(a, b) => self.int2(Int2::Sub, "sub", a, b),
+            T::Lt(a, b) => self.int2(Int2::Lt, "lt", a, b),
+            T::Le(a, b) => self.int2(Int2::Le, "le", a, b),
+            T::Eq(a, b) => {
                 let ra = self.lower(a);
                 let rb = self.lower(b);
                 self.cse(CseKey::Eq(ra, rb), |out| Instr::Eq { out, a: ra, b: rb })
             }
-            CTerm::Ite(c, t, e) => {
+            T::Ite(c, t, e) => {
                 let rc = self.lower(c);
                 self.coerce(rc, K::Bool, "ite condition");
                 let rt = self.lower(t);
@@ -517,23 +527,23 @@ impl Lower {
                     e: re,
                 })
             }
-            CTerm::Card(s) => self.coll(O::Card, &[(s, K::Set, "card")]),
-            CTerm::MapSize(m) => self.coll(O::MapSize, &[(m, K::Map, "map size")]),
-            CTerm::SeqLen(s) => self.coll(O::SeqLen, &[(s, K::Seq, "seq len")]),
-            CTerm::SetAdd(s, v) => self.coll(
+            T::Card(s) => self.coll(O::Card, &[(s, K::Set, "card")]),
+            T::MapSize(m) => self.coll(O::MapSize, &[(m, K::Map, "map size")]),
+            T::SeqLen(s) => self.coll(O::SeqLen, &[(s, K::Seq, "seq len")]),
+            T::SetAdd(s, v) => self.coll(
                 O::SetAdd,
                 &[(s, K::Set, "set add"), (v, K::Elem, "set add")],
             ),
-            CTerm::SetRemove(s, v) => self.coll(
+            T::SetRemove(s, v) => self.coll(
                 O::SetRemove,
                 &[(s, K::Set, "set remove"), (v, K::Elem, "set remove")],
             ),
             // The reference evaluates the *value* before the set for
             // `member`; operands stay in that order.
-            CTerm::Member(v, s) => {
+            T::Member(v, s) => {
                 self.coll(O::Member, &[(v, K::Elem, "member"), (s, K::Set, "member")])
             }
-            CTerm::MapPut(m, k, v) => self.coll(
+            T::MapPut(m, k, v) => self.coll(
                 O::MapPut,
                 &[
                     (m, K::Map, "map put"),
@@ -541,19 +551,19 @@ impl Lower {
                     (v, K::Elem, "map put value"),
                 ],
             ),
-            CTerm::MapRemove(m, k) => self.coll(
+            T::MapRemove(m, k) => self.coll(
                 O::MapRemove,
                 &[(m, K::Map, "map remove"), (k, K::Elem, "map remove key")],
             ),
-            CTerm::MapGet(m, k) => self.coll(
+            T::MapGet(m, k) => self.coll(
                 O::MapGet,
                 &[(m, K::Map, "map get"), (k, K::Elem, "map get key")],
             ),
-            CTerm::MapHasKey(m, k) => self.coll(
+            T::MapHasKey(m, k) => self.coll(
                 O::MapHasKey,
                 &[(m, K::Map, "map has-key"), (k, K::Elem, "map has-key key")],
             ),
-            CTerm::SeqInsertAt(s, i, v) => self.coll(
+            T::SeqInsertAt(s, i, v) => self.coll(
                 O::SeqInsertAt,
                 &[
                     (s, K::Seq, "seq insert-at"),
@@ -561,14 +571,14 @@ impl Lower {
                     (v, K::Elem, "seq insert-at value"),
                 ],
             ),
-            CTerm::SeqRemoveAt(s, i) => self.coll(
+            T::SeqRemoveAt(s, i) => self.coll(
                 O::SeqRemoveAt,
                 &[
                     (s, K::Seq, "seq remove-at"),
                     (i, K::Int, "seq remove-at index"),
                 ],
             ),
-            CTerm::SeqSetAt(s, i, v) => self.coll(
+            T::SeqSetAt(s, i, v) => self.coll(
                 O::SeqSetAt,
                 &[
                     (s, K::Seq, "seq set-at"),
@@ -576,38 +586,32 @@ impl Lower {
                     (v, K::Elem, "seq set-at value"),
                 ],
             ),
-            CTerm::SeqAt(s, i) => self.coll(
+            T::SeqAt(s, i) => self.coll(
                 O::SeqAt,
                 &[(s, K::Seq, "seq at"), (i, K::Int, "seq at index")],
             ),
-            CTerm::SeqIndexOf(s, v) => self.coll(
+            T::SeqIndexOf(s, v) => self.coll(
                 O::SeqIndexOf,
                 &[
                     (s, K::Seq, "seq index-of"),
                     (v, K::Elem, "seq index-of value"),
                 ],
             ),
-            CTerm::SeqLastIndexOf(s, v) => self.coll(
+            T::SeqLastIndexOf(s, v) => self.coll(
                 O::SeqLastIndexOf,
                 &[
                     (s, K::Seq, "seq last-index-of"),
                     (v, K::Elem, "seq last-index-of value"),
                 ],
             ),
-            CTerm::SeqContains(s, v) => self.coll(
+            T::SeqContains(s, v) => self.coll(
                 O::SeqContains,
                 &[
                     (s, K::Seq, "seq contains"),
                     (v, K::Elem, "seq contains value"),
                 ],
             ),
-            CTerm::Quantifier {
-                universal,
-                slot,
-                lo,
-                hi,
-                body,
-            } => {
+            T::ForallInt { var, lo, hi, body } | T::ExistsInt { var, lo, hi, body } => {
                 let rlo = self.lower(lo);
                 self.coerce(rlo, K::Int, "quantifier lower bound");
                 let rhi = self.lower(hi);
@@ -617,7 +621,7 @@ impl Lower {
                 // CSE layer: body instructions may *reuse* outer registers
                 // (binder-independent work hoists out of the loop for
                 // free), but nothing lowered inside the body leaks out.
-                self.slot_reg[*slot as usize] = Some(binder);
+                self.scope.push((var.as_str(), binder));
                 self.sinks.push(Vec::new());
                 self.cse.push(HashMap::new());
                 self.coerced.push(HashSet::new());
@@ -626,13 +630,13 @@ impl Lower {
                 let body_instrs = self.sinks.pop().expect("body sink");
                 self.cse.pop();
                 self.coerced.pop();
-                self.slot_reg[*slot as usize] = None;
+                self.scope.pop();
                 let body_idx = self.bodies.len() as u32;
                 self.bodies.push(body_instrs);
                 let out = self.fresh();
                 self.emit(Instr::Quant {
                     out,
-                    universal: *universal,
+                    universal: matches!(term, T::ForallInt { .. }),
                     binder,
                     lo: rlo,
                     hi: rhi,
@@ -646,42 +650,42 @@ impl Lower {
 }
 
 impl Program {
-    /// Lowers a compiled obligation to its flat register program. Called
-    /// once per model search; the program is then shared (immutably) by
-    /// every range task scanning the search.
-    pub fn lower(ob: &CompiledObligation) -> Program {
+    /// Lowers an obligation to its flat register program against a fixed
+    /// input-variable order: `input_order[i]` is read from register `i` (the
+    /// search passes its space's enumeration order). Defines are computed
+    /// and hypotheses checked in the obligation's schedule
+    /// (`obligation::schedule`), the order the reference replay follows.
+    /// Called once per model search; the program is then shared (immutably)
+    /// by every range task scanning the search.
+    pub fn lower(ob: &Obligation, input_order: &[String]) -> Program {
+        let input_count = input_order.len();
         let mut lw = Lower {
             sinks: vec![Vec::new()],
             bodies: Vec::new(),
             consts: Vec::new(),
             const_map: HashMap::new(),
-            slot_reg: {
-                let mut slots: Vec<Option<R>> = vec![None; ob.slot_names.len()];
-                for (i, slot) in slots.iter_mut().enumerate().take(ob.input_count) {
-                    *slot = Some(i as R);
-                }
-                slots
-            },
+            scope: input_order
+                .iter()
+                .enumerate()
+                .map(|(i, name)| (name.as_str(), i as R))
+                .collect(),
             cse: vec![HashMap::new()],
             coerced: vec![HashSet::new()],
-            next_reg: ob.input_count as R,
+            next_reg: input_count as R,
         };
         let mut regions: Vec<(u32, Region)> = Vec::new();
-        for step in &ob.steps {
-            regions.push((
-                lw.sinks[0].len() as u32,
-                match step {
-                    Step::Define(slot, _) => Region::Define(ob.slot_names[*slot as usize].clone()),
-                    Step::Check(_) => Region::Hypothesis,
-                },
-            ));
-            match step {
-                Step::Define(slot, term) => {
+        for stage in schedule(ob) {
+            let start = lw.sinks[0].len() as u32;
+            match stage {
+                Stage::Define(i) => {
+                    let (name, term) = &ob.defines[i];
+                    regions.push((start, Region::Define(name.clone())));
                     let r = lw.lower(term);
-                    lw.slot_reg[*slot as usize] = Some(r);
+                    lw.scope.push((name.as_str(), r));
                 }
-                Step::Check(h) => {
-                    let r = lw.lower(h);
+                Stage::Hypothesis(i) => {
+                    regions.push((start, Region::Hypothesis));
+                    let r = lw.lower(&ob.hypotheses[i]);
                     lw.emit(Instr::Check { r });
                 }
             }
@@ -690,26 +694,25 @@ impl Program {
         let goal = lw.lower(&ob.goal);
         lw.emit(Instr::CheckGoal { r: goal });
 
-        let named = ob
-            .slot_names
-            .iter()
-            .take(ob.named_slots)
-            .enumerate()
-            .filter_map(|(slot, name)| lw.slot_reg[slot].map(|r| (name.clone(), r)))
-            .collect();
         Program {
             instrs: lw.sinks.pop().expect("main sink"),
             bodies: lw.bodies,
             consts: lw.consts,
             regions,
-            named,
+            // Every binder has been popped: the scope holds the inputs, then
+            // the defines.
+            named: lw
+                .scope
+                .into_iter()
+                .map(|(name, r)| (name.to_string(), r))
+                .collect(),
             reg_count: lw.next_reg as usize,
-            input_count: ob.input_count,
+            input_count,
         }
     }
 
-    /// Number of instructions in the main stream (bodies excluded) — the
-    /// static program size, reported by the microbenchmarks.
+    /// Number of instructions in the main stream (bodies excluded): the
+    /// static program size.
     pub fn len(&self) -> usize {
         self.instrs.len()
     }
@@ -783,6 +786,11 @@ fn pseq_of(v: &Value) -> Result<&PSeq, String> {
         Value::Seq(s) => Ok(s),
         other => Err(format!("internal: expected seq, found {}", other.sort())),
     }
+}
+
+/// The reference evaluator's message for a variable it cannot look up.
+fn unbound(name: &str) -> String {
+    format!("unbound variable `{name}`")
 }
 
 fn apply_eq(a: &Value, b: &Value) -> Result<Value, String> {
@@ -988,7 +996,7 @@ impl Program {
     }
 
     /// Checks one candidate, scalar: `inputs` are the input-variable values
-    /// in compile order. Same contract as [`crate::FiniteModelProver::replay`]
+    /// in the input order the program was lowered with. Same contract as [`crate::FiniteModelProver::replay`]
     /// — `Ok(None)` when the candidate is not a counterexample,
     /// `Ok(Some(()))` when it is (call [`Program::reconstruct`] on the same
     /// environment for the model), and `Err` with the reference evaluator's
@@ -1020,7 +1028,7 @@ impl Program {
             Instr::Coerce { a, kind, ctx } => {
                 coerce_value(&regs[*a as usize], *kind, ctx)?;
             }
-            Instr::Unbound { slot } => return Err(format!("unbound slot {slot}")),
+            Instr::Unbound { name } => return Err(unbound(name)),
             Instr::Check { r } => match &regs[*r as usize] {
                 Value::Bool(true) => {}
                 Value::Bool(false) => return Ok(Flow::Reject),
@@ -1107,30 +1115,32 @@ impl Program {
         model
     }
 
-    /// Lowers a bare boolean formula to a goal-only program with a
-    /// caller-supplied slot layout: `input_order[i]` becomes input slot `i`
-    /// (register `i`). Free variables of the formula that are not listed
-    /// compile to an unbound-variable instruction, so evaluating a formula whose inputs
+    /// Lowers a bare boolean formula to a goal-only program against a
+    /// caller-supplied input order: `input_order[i]` is read from register
+    /// `i`. Free variables of the formula that are not listed lower to an
+    /// unbound-variable instruction, so evaluating a formula whose inputs
     /// the caller cannot supply fails loudly instead of guessing — the same
     /// contract the reference evaluator's `Model` lookup has. Duplicate names
     /// resolve to the *last* occurrence, matching a `Model` built by
-    /// inserting the slots in order.
+    /// inserting the inputs in order.
     ///
     /// This is the entry point for callers outside the prover (the runtime's
     /// admission gatekeeper) that want the flat-register evaluation speed for
     /// a formula that is not a proof obligation.
     pub fn lower_formula(formula: &Term, input_order: &[String]) -> Program {
-        let ob = Obligation::new("formula").goal(formula.clone());
-        Program::lower(&CompiledObligation::compile(&ob, input_order))
+        Program::lower(
+            &Obligation::new("formula").goal(formula.clone()),
+            input_order,
+        )
     }
 
     /// Number of input slots (the length of the `input_order` the program was
-    /// compiled with).
+    /// lowered with).
     pub fn input_count(&self) -> usize {
         self.input_count
     }
 
-    /// Which input slots the compiled program actually reads, per slot index.
+    /// Which input slots the program actually reads, per slot index.
     ///
     /// A slot is *read* when some instruction (in the main stream or any
     /// quantifier body) consumes its register. Slots whose variable was
@@ -1175,42 +1185,20 @@ impl Program {
         reads
     }
 
-    /// Evaluates a goal-only program (from [`Program::lower_formula`]) as a
-    /// boolean formula: `true` iff the goal holds on the given inputs.
-    ///
-    /// `inputs` are the input-slot values in compile order and are drained;
-    /// `regs` is a caller-owned register buffer, grown to fit and reusable
-    /// across calls **and across programs** — every register a given
-    /// execution reads is rewritten (constants and inputs here, SSA
-    /// temporaries by the instruction stream) before that read, so stale
-    /// values from a previous evaluation can never leak into this one.
-    ///
-    /// # Errors
-    ///
-    /// Returns the reference evaluator's error (with the `"evaluating goal:"`
-    /// region prefix) when the formula cannot be evaluated — an unbound slot,
-    /// an ill-sorted operand, or an oversized quantifier range.
-    pub fn eval_formula(
-        &self,
-        inputs: &mut Vec<Value>,
-        regs: &mut Vec<Value>,
-    ) -> Result<bool, String> {
-        debug_assert_eq!(inputs.len(), self.input_count);
-        self.prepare_regs(regs);
-        for (slot, value) in inputs.drain(..).enumerate() {
-            regs[slot] = value;
-        }
-        self.eval_in_regs(regs)
-    }
-
-    /// First half of the two-step form of
-    /// [`eval_formula`](Program::eval_formula): grows `regs` to this
+    /// First half of evaluating a goal-only program (from
+    /// [`Program::lower_formula`]) as a boolean formula: grows `regs` to this
     /// program's register count and writes the constant pool. The caller then
-    /// places the input-slot values in `regs[0..input_count]` directly —
-    /// skipping slots [`input_reads`](Program::input_reads) marks unread,
+    /// places the input values in `regs[0..input_count]` directly —
+    /// skipping inputs [`input_reads`](Program::input_reads) marks unread,
     /// whose registers no instruction ever touches — and finishes with
     /// [`eval_in_regs`](Program::eval_in_regs). Constant registers never
-    /// overlap input slots, so the two fills commute.
+    /// overlap input registers, so the two fills commute.
+    ///
+    /// `regs` is caller-owned and reusable across calls **and across
+    /// programs**: every register an execution reads is rewritten (constants
+    /// here, inputs by the caller, SSA temporaries by the instruction stream)
+    /// before that read, so stale values from a previous evaluation never
+    /// leak into this one.
     pub fn prepare_regs(&self, regs: &mut Vec<Value>) {
         if regs.len() < self.reg_count {
             regs.resize(self.reg_count, Value::Bool(false));
@@ -1220,14 +1208,15 @@ impl Program {
         }
     }
 
-    /// Second half of the two-step form of
-    /// [`eval_formula`](Program::eval_formula): runs the instruction stream
-    /// over registers prepared by [`prepare_regs`](Program::prepare_regs)
-    /// and filled by the caller.
+    /// Second half of evaluating a formula: runs the instruction stream over
+    /// registers prepared by [`prepare_regs`](Program::prepare_regs) and
+    /// filled by the caller. `Ok(true)` iff the goal holds.
     ///
     /// # Errors
     ///
-    /// As [`eval_formula`](Program::eval_formula).
+    /// Returns the reference evaluator's error (with the `"evaluating goal:"`
+    /// region prefix) when the formula cannot be evaluated — an unbound
+    /// variable, an ill-sorted operand, or an oversized quantifier range.
     pub fn eval_in_regs(&self, regs: &mut [Value]) -> Result<bool, String> {
         for (pc, instr) in self.instrs.iter().enumerate() {
             match self.exec_scalar(instr, regs) {
@@ -1738,10 +1727,7 @@ impl Program {
                 }
                 Ok(())
             }
-            Instr::Unbound { slot } => Err((
-                first_lane(&exec.active).unwrap_or(0),
-                format!("unbound slot {slot}"),
-            )),
+            Instr::Unbound { name } => Err((first_lane(&exec.active).unwrap_or(0), unbound(name))),
             Instr::Check { r } => {
                 let (m, err) = mask_col(&exec.cols[*r as usize], exec.active);
                 exec.active = mask_and(exec.active, m);
@@ -1932,7 +1918,7 @@ impl Program {
                 let mut s = Value::Bool(false);
                 coerce_value(lane_ref(&exec.cols[*a as usize], lane, &mut s), *kind, ctx)
             }
-            Instr::Unbound { slot } => Err(format!("unbound slot {slot}")),
+            Instr::Unbound { name } => Err(unbound(name)),
             Instr::Check { .. } | Instr::CheckGoal { .. } => {
                 Err("internal: check inside quantifier body".to_string())
             }
@@ -2041,7 +2027,7 @@ mod tests {
     fn compare_scalar(ob: &Obligation, order: &[&str], inputs: Vec<Value>) {
         let input = Model::from_bindings(order.iter().copied().zip(inputs.iter().cloned()));
         let order: Vec<String> = order.iter().map(|s| s.to_string()).collect();
-        let program = Program::lower(&CompiledObligation::compile(ob, &order));
+        let program = Program::lower(ob, &order);
         let mut exec = program.scalar_exec();
         let mut bc_inputs = inputs;
         let reference = crate::FiniteModelProver::default().replay(ob, &input);
@@ -2165,11 +2151,126 @@ mod tests {
         }
     }
 
+    /// A variable that is in scope nowhere it is read: the scalar executor
+    /// reports the reference replay's message.
+    #[test]
+    fn scalar_check_reports_unbound_variables_like_the_replayer() {
+        let ob = Obligation::new("unbound").goal(eq(var_int("x"), int(0)));
+        compare_scalar(&ob, &["s"], vec![Value::set_of([])]);
+        let input = Model::from_bindings([("s", Value::set_of([]))]);
+        assert_eq!(
+            crate::Replayer::new(&ob).check(&input),
+            Err("evaluating goal: unbound variable `x`".to_string())
+        );
+    }
+
+    /// A goal-only formula evaluated through registers reports an unbound
+    /// variable as `eval_bool` does, behind the goal's region prefix.
+    #[test]
+    fn formula_evaluation_reports_unbound_variables_like_eval_bool() {
+        let formula = eq(var_int("x"), int(0));
+        let program = Program::lower_formula(&formula, &["s".to_string()]);
+        let mut regs = Vec::new();
+        program.prepare_regs(&mut regs);
+        regs[0] = Value::set_of([]);
+        let model = Model::from_bindings([("s", Value::set_of([]))]);
+        let reference = semcommute_logic::eval_bool(&formula, &model).unwrap_err();
+        assert_eq!(
+            program.eval_in_regs(&mut regs),
+            Err(format!("evaluating goal: {reference}"))
+        );
+    }
+
+    /// The block executor reports an unbound variable by name too.
+    #[test]
+    fn block_execution_reports_unbound_variables_by_name() {
+        let ob = Obligation::new("unbound").goal(eq(var_int("x"), var_int("i")));
+        let program = Program::lower(&ob, &["i".to_string()]);
+        let space = crate::InputSpace::from_obligation(
+            &Obligation::new("inputs").goal(eq(var_int("i"), int(0))),
+            crate::Scope::default(),
+        );
+        let mut block = BlockBuf::new();
+        assert!(space.iter().next_block(LANES, &mut block) > 0);
+        let mut exec = program.block_exec();
+        match program.run_block(&block, &mut exec) {
+            Some(BlockEvent::Error(0, e)) => {
+                assert_eq!(e, "evaluating goal: unbound variable `x`")
+            }
+            other => panic!("expected an error at lane 0, got {other:?}"),
+        }
+    }
+
+    /// The main stream follows the obligation's schedule: each hypothesis
+    /// region starts right after the define it last reads.
+    #[test]
+    fn regions_follow_the_schedule() {
+        let ob = Obligation::new("sched")
+            .define("r1", member(var_elem("v"), var_set("s")))
+            .define("s1", set_add(var_set("s"), var_elem("v")))
+            .assume(lt(var_int("i"), int(2)))
+            .assume(var_bool("r1"))
+            .assume(member(var_elem("v"), var_set("s1")))
+            .goal(var_bool("r1"));
+        let program = Program::lower(&ob, &["i", "s", "v"].map(String::from));
+        let regions: Vec<String> = program
+            .regions
+            .iter()
+            .map(|(_, region)| region.wrap(String::new()))
+            .collect();
+        assert_eq!(
+            regions,
+            [
+                "evaluating hypothesis: ",
+                "evaluating `r1`: ",
+                "evaluating hypothesis: ",
+                "evaluating `s1`: ",
+                "evaluating hypothesis: ",
+                "evaluating goal: ",
+            ]
+        );
+    }
+
+    /// A quantifier nested in another and binding the same name gets its
+    /// own binder register, distinct from every input and define register.
+    #[test]
+    fn a_shadowing_quantifier_gets_its_own_binder_register() {
+        let ob = Obligation::new("q").goal(exists_int(
+            "i",
+            int(0),
+            seq_len(var_seq("q")),
+            and2(
+                eq(seq_at(var_seq("q"), var_int("i")), var_elem("v")),
+                forall_int("i", int(0), int(2), le(int(0), var_int("i"))),
+            ),
+        ));
+        let program = Program::lower(&ob, &["q".to_string(), "v".to_string()]);
+        let binders: Vec<R> = program
+            .instrs
+            .iter()
+            .chain(program.bodies.iter().flatten())
+            .filter_map(|instr| match instr {
+                Instr::Quant { binder, .. } => Some(*binder),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(binders.len(), 2);
+        assert_ne!(binders[0], binders[1], "the shadowing binder is private");
+        assert!(binders.iter().all(|&b| b as usize >= program.input_count));
+        assert_eq!(program.named.len(), 2, "binders are not named variables");
+    }
+
+    /// Carrying the variable name did not make instructions larger.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn instructions_stay_four_words() {
+        assert_eq!(std::mem::size_of::<Instr>(), 32);
+    }
+
     #[test]
     fn lowering_ends_with_the_goal_check() {
         let ob = Obligation::new("g").goal(eq(var_int("x"), int(0)));
-        let compiled = CompiledObligation::compile(&ob, &["x".to_string()]);
-        let program = Program::lower(&compiled);
+        let program = Program::lower(&ob, &["x".to_string()]);
         assert!(!program.is_empty());
         assert!(matches!(
             program.instrs.last(),
@@ -2184,8 +2285,7 @@ mod tests {
             le(card(var_set("s")), card(var_set("s"))),
             lt(int(-1), card(var_set("s"))),
         ));
-        let compiled = CompiledObligation::compile(&ob, &["s".to_string()]);
-        let program = Program::lower(&compiled);
+        let program = Program::lower(&ob, &["s".to_string()]);
         let cards = program
             .instrs
             .iter()

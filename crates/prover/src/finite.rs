@@ -8,8 +8,7 @@ use std::time::{Duration, Instant};
 use semcommute_logic::{eval, Model, Term, Value};
 
 use crate::bytecode::{BlockEvent, Program, LANES};
-use crate::compiled::{schedule, CompiledObligation, Stage};
-use crate::obligation::Obligation;
+use crate::obligation::{schedule, Obligation, Stage};
 use crate::scope::Scope;
 use crate::space::{BlockBuf, InputSpace};
 use crate::stats::ProofStats;
@@ -76,12 +75,12 @@ impl FiniteModelProver {
                 stats: ProofStats::finite(0, started.elapsed()),
             });
         }
-        // The obligation is compiled and lowered once per search: every
-        // variable occurrence becomes a register, so the per-candidate loop
-        // never builds a name-keyed model or looks anything up by string. The
+        // The obligation is lowered once per search: every variable
+        // occurrence becomes a register, so the per-candidate loop never
+        // builds a name-keyed model or looks anything up by string. The
         // program holds no arena ids, so one search can be scanned from many
         // worker threads.
-        let program = Program::lower(&CompiledObligation::compile(ob, &space.var_order()));
+        let program = Program::lower(ob, &space.var_order());
         Ok(ModelSearch {
             space,
             program,
@@ -125,7 +124,7 @@ impl FiniteModelProver {
 
 /// An obligation prepared for reference evaluation
 /// ([`FiniteModelProver::replay`]): its define/hypothesis schedule
-/// (`compiled::schedule`) is computed once, so a candidate-by-candidate
+/// (`obligation::schedule`) is computed once, so a candidate-by-candidate
 /// reference scan pays only for the [`mod@semcommute_logic::eval`] calls.
 #[derive(Debug, Clone)]
 pub struct Replayer<'a> {
@@ -145,7 +144,7 @@ impl<'a> Replayer<'a> {
     /// Evaluates the obligation under one input model with `logic::eval`.
     ///
     /// Defines are computed and hypotheses checked in the obligation's
-    /// schedule (`compiled::schedule`), the order the search follows, and
+    /// schedule (`obligation::schedule`), the order the search follows, and
     /// evaluation errors carry the same `evaluating ...:` context the search
     /// reports. Returns `Ok(Some(full_model))` (inputs plus computed
     /// defines) when the model is a counterexample, `Ok(None)` when a
@@ -969,7 +968,7 @@ mod tests {
             .assume(lt(var_int("i"), int(0)))
             .goal(eq(var_int("n"), int(0)));
         let order = ["i", "v"].map(String::from);
-        let program = Program::lower(&CompiledObligation::compile(&ob, &order));
+        let program = Program::lower(&ob, &order);
         let mut exec = program.scalar_exec();
         for (i, expected) in [
             (3, Ok(None)),

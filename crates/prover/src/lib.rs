@@ -19,7 +19,11 @@
 //!   that ArrayList obligations need extra help). The search space is doubly
 //!   symmetry-reduced: element variables are assigned partition patterns, and
 //!   collection-valued inputs are enumerated orbit-canonically under
-//!   permutations of the anonymous padding elements ([`orbit`]).
+//!   permutations of the anonymous padding elements ([`orbit`]). Each
+//!   searched obligation is lowered once, straight from its terms, to a flat
+//!   register program ([`bytecode`]) that evaluates blocks of candidates at
+//!   a time; `logic::eval` stays the reference it is tested against
+//!   ([`FiniteModelProver::replay`]).
 //!
 //! The [`portfolio`] module combines the two (structural first, then
 //! finite-model) behind a sharded canonical-hash verdict cache, [`queue`]
@@ -48,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod bytecode;
-pub mod compiled;
 pub mod finite;
 pub mod hints;
 pub mod obligation;

@@ -1,6 +1,6 @@
 //! Proof obligations.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use semcommute_logic::{build, free_vars, Sort, Term};
@@ -147,6 +147,73 @@ impl Obligation {
     }
 }
 
+/// One entry of an obligation's evaluation [`schedule`]: compute define `i`
+/// (an index into [`Obligation::defines`]) or check hypothesis `i` (an index
+/// into [`Obligation::hypotheses`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    Define(usize),
+    Hypothesis(usize),
+}
+
+/// The order in which an obligation's defines are computed and its
+/// hypotheses checked — the single definition both evaluators follow: the
+/// bytecode lowering (`Program::lower`) and the reference
+/// [`crate::FiniteModelProver::replay`].
+///
+/// Hypotheses are scheduled at the *earliest* point their referenced defines
+/// are available — a hypothesis over input variables only (an index-bounds
+/// precondition, say) runs before any define is computed, so the large
+/// fraction of candidates that violate it never pays for the defines. The
+/// schedule is observable: a candidate that fails an early hypothesis never
+/// evaluates a later define, so a define that would fail to evaluate on it
+/// does not turn the candidate into an error.
+///
+/// Definition order is preserved, hypothesis order is preserved, and each
+/// hypothesis sits immediately after the last define it reads.
+pub(crate) fn schedule(ob: &Obligation) -> Vec<Stage> {
+    let define_position: HashMap<&str, usize> = ob
+        .defines
+        .iter()
+        .enumerate()
+        .map(|(i, (name, _))| (name.as_str(), i))
+        .collect();
+    // For each hypothesis, the position of the last define it reads (`None`
+    // when it only reads inputs).
+    let mut pending = ob
+        .hypotheses
+        .iter()
+        .enumerate()
+        .map(|(i, h)| {
+            let latest = free_vars(h)
+                .keys()
+                .filter_map(|name| define_position.get(name.as_str()).copied())
+                .max();
+            (latest, i)
+        })
+        .peekable();
+    let mut stages = Vec::with_capacity(ob.defines.len() + ob.hypotheses.len());
+    let mut emit_ready = |after: Option<usize>, stages: &mut Vec<Stage>| {
+        // Hypothesis dependencies are monotone in hypothesis order (vcgen
+        // only references already-defined variables), so a peek-and-pop
+        // sweep preserves their relative order; a hypothesis that reads a
+        // later define merely holds back the ones behind it.
+        while matches!(pending.peek(), Some((latest, _)) if *latest <= after) {
+            let (_, i) = pending.next().expect("peeked");
+            stages.push(Stage::Hypothesis(i));
+        }
+    };
+    emit_ready(None, &mut stages);
+    for position in 0..ob.defines.len() {
+        stages.push(Stage::Define(position));
+        emit_ready(Some(position), &mut stages);
+    }
+    // Every `latest` is `None` or a define position, so the sweep after the
+    // last define has drained every hypothesis.
+    debug_assert!(pending.next().is_none());
+    stages
+}
+
 impl fmt::Display for Obligation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "obligation {} {{", self.name)?;
@@ -225,6 +292,45 @@ mod tests {
             .define("a", var_int("b"))
             .define("b", int(1));
         assert!(ob.validate().is_err());
+    }
+
+    #[test]
+    fn hypotheses_run_right_after_their_last_define() {
+        let ob = Obligation::new("sched")
+            .define("r1", member(var_elem("v"), var_set("s")))
+            .define("s1", set_add(var_set("s"), var_elem("v")))
+            .assume(lt(var_int("i"), int(2)))
+            .assume(var_bool("r1"))
+            .assume(member(var_elem("v"), var_set("s1")))
+            .goal(var_bool("r1"));
+        assert_eq!(
+            schedule(&ob),
+            [
+                Stage::Hypothesis(0),
+                Stage::Define(0),
+                Stage::Hypothesis(1),
+                Stage::Define(1),
+                Stage::Hypothesis(2),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_hypothesis_on_a_later_define_holds_back_the_ones_behind_it() {
+        let ob = Obligation::new("held")
+            .define("a", int(1))
+            .define("b", int(2))
+            .assume(eq(var_int("b"), int(2)))
+            .assume(eq(var_int("x"), int(0)));
+        assert_eq!(
+            schedule(&ob),
+            [
+                Stage::Define(0),
+                Stage::Define(1),
+                Stage::Hypothesis(0),
+                Stage::Hypothesis(1),
+            ]
+        );
     }
 
     #[test]

@@ -79,7 +79,8 @@ impl InputSpace {
 
     /// The enumeration order of all input variables: element variables first,
     /// then the rest — the order in which [`SpaceIter::next_values`] emits
-    /// values, and the slot order the compiled prover path binds them to.
+    /// values, and the input order [`crate::Program::lower`] assigns
+    /// registers in.
     pub fn var_order(&self) -> Vec<String> {
         self.elem_vars
             .iter()

@@ -15,7 +15,6 @@ use semcommute_logic::build::*;
 use semcommute_logic::eval::MAX_QUANTIFIER_RANGE;
 use semcommute_logic::{Model, Term};
 use semcommute_prover::bytecode::{BlockEvent, Program, LANES};
-use semcommute_prover::compiled::CompiledObligation;
 use semcommute_prover::space::{BlockBuf, InputSpace};
 use semcommute_prover::{Obligation, Replayer, Scope};
 
@@ -253,7 +252,7 @@ proptest! {
     fn scalar_execution_matches_the_reference(ob in obligation(), orbit in proptest::bool::ANY) {
         let space = InputSpace::from_obligation(&ob, tiny_scope(orbit));
         prop_assume!(space.estimated_size() <= 2_000);
-        let program = Program::lower(&CompiledObligation::compile(&ob, &space.var_order()));
+        let program = Program::lower(&ob, &space.var_order());
         prop_assert_eq!(reference_scan(&space, &ob), scalar_scan(&space, &program));
     }
 
@@ -267,8 +266,7 @@ proptest! {
     ) {
         let space = InputSpace::from_obligation(&ob, tiny_scope(orbit));
         prop_assume!(space.estimated_size() <= 2_000);
-        let compiled = CompiledObligation::compile(&ob, &space.var_order());
-        let program = Program::lower(&compiled);
+        let program = Program::lower(&ob, &space.var_order());
         let reference = scalar_scan(&space, &program);
         for block_size in [1usize, 2, 3, 7, 64, LANES] {
             prop_assert_eq!(

@@ -4,14 +4,14 @@
 //! # Compiled admission
 //!
 //! The gatekeeper compiles each between condition formula **once per
-//! runtime** into a flat register [`Program`] via
+//! process** into a flat register [`Program`] via
 //! [`Program::lower_formula`] with a fixed slot layout — `s1`, `r1`, the
 //! first operation's canonical argument names, then the second's — and
 //! evaluates admissions through the program with reusable thread-local
 //! register buffers. No `Model`, no `HashMap`, no term-tree walk on the hot
 //! path. Programs are compiled lazily on first use of each (logged-op,
-//! incoming-op) pair and shared across clones of the gatekeeper, so a
-//! runtime pays for exactly the pairs its workload exercises, once.
+//! incoming-op) pair, in the interface's one pair table (see below), so a
+//! process pays for exactly the pairs its workloads exercise, once.
 //!
 //! The reference semantics is `logic::eval_bool` over a `Model` built from
 //! the log entry: `tests/diff_gatekeeper.rs` checks every catalog pair's
@@ -63,7 +63,9 @@
 //! list ([`op_index`](CommutativityGatekeeper::op_index)); every pair lookup,
 //! by name or by index, reads one flattened (first × second) table. Whether
 //! a pair reads `s1`, and whether an operation's log entries must carry a
-//! pre-state, are decided once, when the table is built.
+//! pre-state, are decided once, when the table is built. The table depends
+//! only on the interface, so it is built once per process and interface and
+//! shared (`Arc`) by every gatekeeper and runtime for that interface.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -154,7 +156,7 @@ enum SlotSrc {
 /// A between condition compiled to a flat register program with the
 /// admission slot layout: slot 0 is `s1`, slot 1 is `r1`, then the first
 /// operation's canonical argument names, then the second's. Built once per
-/// (logged-op, incoming-op) pair and shared by every clone of the gatekeeper.
+/// (logged-op, incoming-op) pair, in the interface's shared pair table.
 #[derive(Debug)]
 struct AdmissionProgram {
     program: Program,
@@ -248,7 +250,7 @@ impl AdmissionProgram {
 /// specification once, and the formula's state requirements are precomputed,
 /// so the per-admission work is a slot fill plus a flat register program
 /// run.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Prepared {
     condition: CommutativityCondition,
     /// Canonical names (`v1`, `k1`, …) for the first operation's arguments.
@@ -264,9 +266,10 @@ struct Prepared {
     /// `s1` only through membership and lookup at arguments (see
     /// [`keyed_state_reads`]); `None` if it reads `s1` any other way.
     state_keys: Option<Vec<SlotSrc>>,
-    /// The compiled admission program, built lazily on first use and shared
-    /// across clones of the gatekeeper (`Arc`): the once-per-runtime cache.
-    program: Arc<OnceLock<AdmissionProgram>>,
+    /// The compiled admission program, built lazily on first use. The pair
+    /// table that holds this cell is shared process-wide, so each program is
+    /// compiled at most once per process.
+    program: OnceLock<AdmissionProgram>,
 }
 
 /// The argument slots at which `formula` queries the initial state, if it
@@ -329,7 +332,7 @@ impl Prepared {
             second_params,
             reads_state,
             state_keys,
-            program: Arc::new(OnceLock::new()),
+            program: OnceLock::new(),
         }
     }
 
@@ -398,10 +401,19 @@ impl Prepared {
 /// when logging the operation. Only a sequence operation with a condition
 /// that reads `s1` needs one: set and map conditions read `s1` at keys the
 /// live structure answers, and the rest test `r1` and arguments. The answer
-/// is computed once per operation, at construction, from the formulas.
+/// is computed once per operation, when the interface's pair table is built.
 #[derive(Debug, Clone)]
 pub struct CommutativityGatekeeper {
     interface: InterfaceId,
+    /// The interface's pair table, shared by every gatekeeper for it.
+    table: Arc<PairTable>,
+}
+
+/// Everything a gatekeeper knows about its interface. It depends only on the
+/// interface, so [`CommutativityGatekeeper::new`] builds it once per process
+/// and interface and every gatekeeper for that interface shares it.
+#[derive(Debug)]
+struct PairTable {
     /// Per operation of `ops`: does a condition with this operation first
     /// read `s1` other than at keys?
     pre_state: Vec<bool>,
@@ -413,14 +425,14 @@ pub struct CommutativityGatekeeper {
     /// The prepared between conditions for recorded variants, in their
     /// runtime forms, as the flattened (first × second) pair table indexed
     /// `first * ops.len() + second`: the catalog holds one for every pair.
-    table: Vec<Prepared>,
+    cells: Vec<Prepared>,
 }
 
-impl CommutativityGatekeeper {
-    /// Builds the gatekeeper for an interface from the runtime forms of the
-    /// verified catalog's recorded between conditions. Only those conditions
-    /// are built: one per ordered pair of operations.
-    pub fn new(interface: InterfaceId) -> CommutativityGatekeeper {
+impl PairTable {
+    /// Builds the table from the runtime forms of the verified catalog's
+    /// recorded between conditions. Only those conditions are built: one per
+    /// ordered pair of operations.
+    fn build(interface: InterfaceId) -> PairTable {
         let iface = semcommute_spec::interface_by_id(interface);
         let ops: Vec<String> = iface.ops.iter().map(|op| op.name.clone()).collect();
         let params = |op: usize, which: usize| -> Vec<String> {
@@ -431,7 +443,7 @@ impl CommutativityGatekeeper {
                 .collect()
         };
         let rules = state_query_rewrites(interface);
-        let mut table = Vec::with_capacity(ops.len() * ops.len());
+        let mut cells = Vec::with_capacity(ops.len() * ops.len());
         for (first, first_op) in ops.iter().enumerate() {
             for (second, second_op) in ops.iter().enumerate() {
                 let condition = runtime_condition(interface, first_op, second_op, &rules);
@@ -443,19 +455,31 @@ impl CommutativityGatekeeper {
                     "{} reads `s1` other than at keys",
                     prepared.condition.id()
                 );
-                table.push(prepared);
+                cells.push(prepared);
             }
         }
-        let pre_state = table
+        let pre_state = cells
             .chunks(ops.len())
             .map(|row| row.iter().any(|p| p.reads_state && p.state_keys.is_none()))
             .collect();
-        CommutativityGatekeeper {
-            interface,
+        PairTable {
             pre_state,
             ops,
-            table,
+            cells,
         }
+    }
+}
+
+impl CommutativityGatekeeper {
+    /// The gatekeeper for an interface. Its pair table is built on the first
+    /// call for the interface in the process; later calls share it.
+    pub fn new(interface: InterfaceId) -> CommutativityGatekeeper {
+        static TABLES: [OnceLock<Arc<PairTable>>; InterfaceId::ALL.len()] =
+            [const { OnceLock::new() }; InterfaceId::ALL.len()];
+        let table = TABLES[interface as usize]
+            .get_or_init(|| Arc::new(PairTable::build(interface)))
+            .clone();
+        CommutativityGatekeeper { interface, table }
     }
 
     /// The interface this gatekeeper serves.
@@ -465,7 +489,7 @@ impl CommutativityGatekeeper {
 
     /// The table cell of an ordered pair of operation indices.
     fn cell(&self, first: u16, second: u16) -> &Prepared {
-        &self.table[first as usize * self.ops.len() + second as usize]
+        &self.table.cells[first as usize * self.table.ops.len() + second as usize]
     }
 
     /// The prepared condition of an ordered pair of operation names, if the
@@ -484,14 +508,10 @@ impl CommutativityGatekeeper {
     /// between condition for, sorted by name. Differential harnesses iterate
     /// this to cover the whole catalog.
     pub fn pairs(&self) -> Vec<(String, String)> {
-        let mut pairs: Vec<(String, String)> = self
-            .ops
+        let ops = &self.table.ops;
+        let mut pairs: Vec<(String, String)> = ops
             .iter()
-            .flat_map(|first| {
-                self.ops
-                    .iter()
-                    .map(|second| (first.clone(), second.clone()))
-            })
+            .flat_map(|first| ops.iter().map(|second| (first.clone(), second.clone())))
             .collect();
         pairs.sort();
         pairs
@@ -514,7 +534,7 @@ impl CommutativityGatekeeper {
     /// for an operation pre-resolved via
     /// [`op_index`](CommutativityGatekeeper::op_index): one lookup.
     pub fn requires_pre_state_indexed(&self, op_idx: u16) -> bool {
-        self.pre_state[op_idx as usize]
+        self.table.pre_state[op_idx as usize]
     }
 
     /// Resolves an operation name to its dense index in this gatekeeper's
@@ -524,7 +544,8 @@ impl CommutativityGatekeeper {
     /// [`check_indexed`](CommutativityGatekeeper::check_indexed) never hashes
     /// a string.
     pub fn op_index(&self, op: &str) -> Option<u16> {
-        self.ops
+        self.table
+            .ops
             .iter()
             .position(|name| name == op)
             .map(|i| i as u16)
@@ -727,6 +748,18 @@ mod tests {
             }
         }
         assert_eq!(g.interface(), InterfaceId::Set);
+    }
+
+    /// The pair table depends only on the interface: two gatekeepers for
+    /// one interface share it (and with it every compiled program), and
+    /// gatekeepers for different interfaces do not.
+    #[test]
+    fn gatekeepers_for_one_interface_share_their_table() {
+        let a = CommutativityGatekeeper::new(InterfaceId::List);
+        let b = CommutativityGatekeeper::new(InterfaceId::List);
+        assert!(Arc::ptr_eq(&a.table, &b.table));
+        let set = CommutativityGatekeeper::new(InterfaceId::Set);
+        assert!(!Arc::ptr_eq(&a.table, &set.table));
     }
 
     #[test]

@@ -261,6 +261,19 @@ fn reference(formula: &Term, vocab: &[(String, Sort)], values: &[Value]) -> Resu
     eval_bool(formula, &model).map_err(|e| e.to_string())
 }
 
+/// Evaluates a lowered formula the way the gatekeeper's admission does:
+/// constants into the reused buffer, then every input the program reads into
+/// its register, then the instruction stream.
+fn eval(program: &Program, values: &[Value], regs: &mut Vec<Value>) -> Result<bool, String> {
+    program.prepare_regs(regs);
+    for (slot, (value, read)) in values.iter().zip(program.input_reads()).enumerate() {
+        if read {
+            regs[slot] = value.clone();
+        }
+    }
+    program.eval_in_regs(regs)
+}
+
 /// Compiled evaluation ≡ reference evaluation, verdicts and error strings
 /// (modulo the `"evaluating goal:"` region prefix), and the program's input
 /// reads are exactly the formula's free variables.
@@ -286,14 +299,11 @@ fn compiled_formula_agrees_with_eval_bool_on_arbitrary_valuations() {
             );
         }
 
-        let mut inputs = Vec::new();
         let mut regs = Vec::new();
         for _ in 0..25 {
             let values = random_valuation(&mut rng, &vocab);
             let expected = reference(&formula, &vocab, &values);
-            inputs.clear();
-            inputs.extend(values.iter().cloned());
-            let got = program.eval_formula(&mut inputs, &mut regs);
+            let got = eval(&program, &values, &mut regs);
             match (&expected, &got) {
                 (Ok(a), Ok(b)) => assert_eq!(
                     a, b,
@@ -314,7 +324,7 @@ fn compiled_formula_agrees_with_eval_bool_on_arbitrary_valuations() {
 }
 
 /// Register-buffer reuse never leaks state between evaluations: many
-/// programs evaluated through one shared buffer pair, in an interleaved
+/// programs evaluated through one shared buffer, in an interleaved
 /// order, produce exactly the results of fresh-buffer evaluations.
 #[test]
 fn shared_register_buffers_never_leak_between_programs() {
@@ -341,24 +351,18 @@ fn shared_register_buffers_never_leak_between_programs() {
         .iter()
         .map(|(idx, values)| {
             let (program, _) = &programs[*idx];
-            let mut inputs = values.clone();
-            let mut fresh_regs = Vec::new();
-            program.eval_formula(&mut inputs, &mut fresh_regs)
+            eval(program, values, &mut Vec::new())
         })
         .collect();
-    // Same plan through one shared buffer pair.
-    let mut inputs = Vec::new();
+    // Same plan through one shared buffer.
     let mut regs = Vec::new();
     for (step, (idx, values)) in plan.iter().enumerate() {
         let (program, _) = &programs[*idx];
-        inputs.clear();
-        inputs.extend(values.iter().cloned());
-        let got = program.eval_formula(&mut inputs, &mut regs);
+        let got = eval(program, values, &mut regs);
         assert_eq!(
             got, expected[step],
             "step {step}: shared-buffer evaluation of program {idx} diverged — register \
              state leaked from a previous call"
         );
-        assert!(inputs.is_empty(), "inputs are drained by evaluation");
     }
 }
