@@ -26,18 +26,24 @@
 //! The check is incremental: the first slot at which some permutation's
 //! image becomes strictly smaller decides non-canonicality for *every*
 //! completion of that prefix, so the enumerator prunes the whole odometer
-//! subtree in one step (the crate-internal `OrbitTables::violation`
-//! check returns the deciding slot). With the candidate lists sorted by value, images are precomputed
-//! as index tables and the per-candidate check is a handful of integer
-//! comparisons.
+//! subtree in one step (the crate-internal `violation` check returns the
+//! deciding slot). Each sorted collection candidate list carries, once per
+//! process, the index of every value's image under every non-identity
+//! block permutation (`image_tables`, stored beside the list in the
+//! enumerator's memo — see [`crate::space`]), so the per-candidate check is
+//! a handful of integer comparisons and no table is built per element
+//! assignment.
 //!
 //! [`Scope::elem_padding`]: crate::scope::Scope::elem_padding
 //! [`Value`]: semcommute_logic::Value
 //! [`Value::map_elems`]: semcommute_logic::Value::map_elems
 
 use std::ops::Range;
+use std::sync::Arc;
 
-use semcommute_logic::{ElemId, Sort, Value};
+use semcommute_logic::{ElemId, Value};
+
+use crate::space::CandidateList;
 
 /// The permutable block of anonymous padding element ids for an element
 /// assignment whose largest named class is `max_named_class`, under
@@ -118,8 +124,8 @@ fn permute(ids: &mut Vec<u32>, at: usize, block_start: u32, out: &mut Vec<BlockP
 /// action and compare equal, so they may be included freely.
 ///
 /// This is the *definition* the enumerator's incremental index-table check
-/// (the crate-internal `OrbitTables`) is tested against; the enumerator
-/// never calls it.
+/// (the crate-internal `violation`) is tested against; the enumerator never
+/// calls it.
 pub fn is_canonical(values: &[Value], block: Range<u32>) -> bool {
     for perm in block_permutations(block).iter().skip(1) {
         for v in values {
@@ -133,102 +139,73 @@ pub fn is_canonical(values: &[Value], block: Range<u32>) -> bool {
     true
 }
 
-/// Precomputed pruning tables for one element assignment of a
-/// [`crate::space::SpaceIter`] odometer.
+/// The index images of a candidate list under every non-identity
+/// permutation of `block`, in [`block_permutations`] order:
+/// `images[p][i]` is the index in `list` of the image of `list[i]` under
+/// permutation `p + 1`.
 ///
-/// Built against the iterator's candidate lists with every collection-valued
-/// list sorted ascending by value, so index order *is* value order and the
-/// canonicality check reduces to integer comparisons: the image of the
-/// candidate at index `i` of collection slot `k` under non-identity
-/// permutation `p` sits at index `image[p][k][i]` of the same (sorted) list
-/// — candidate lists are closed under the padding permutations because the
-/// bounds they enforce (cardinality, length) are permutation-invariant.
-#[derive(Debug)]
-pub(crate) struct OrbitTables {
-    /// Odometer slot indices of the collection-valued variables, ascending.
-    slots: Vec<usize>,
-    /// `image[p][k][i]`: index of the permuted candidate (see type docs).
-    image: Vec<Vec<Vec<u32>>>,
+/// `list` must be sorted ascending by value, so index order *is* value
+/// order and the canonicality check reduces to integer comparisons, and it
+/// must be closed under the padding permutations — the bounds candidate
+/// lists enforce (cardinality, length) are permutation-invariant.
+pub(crate) fn image_tables(list: &[Value], block: Range<u32>) -> Vec<Vec<u32>> {
+    debug_assert!(list.is_sorted(), "collection candidates must be sorted");
+    block_permutations(block)[1..]
+        .iter()
+        .map(|perm| {
+            list.iter()
+                .map(|v| {
+                    let index = list
+                        .binary_search(&perm.apply_value(v))
+                        .expect("candidate lists are closed under padding permutations");
+                    index as u32
+                })
+                .collect()
+        })
+        .collect()
 }
 
-impl OrbitTables {
-    /// Builds tables for `candidates` (one list per odometer slot, with the
-    /// collection-valued ones sorted ascending). Returns `None` when there
-    /// is nothing to reduce: a permutable block smaller than two, or no
-    /// collection-valued slot.
-    pub(crate) fn build(
-        candidates: &[Vec<Value>],
-        sorts: &[Sort],
-        block: Range<u32>,
-    ) -> Option<OrbitTables> {
-        if block.len() < 2 {
-            return None;
-        }
-        let slots: Vec<usize> = sorts
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s, Sort::Set | Sort::Map | Sort::Seq))
-            .map(|(i, _)| i)
-            .collect();
-        if slots.is_empty() {
-            return None;
-        }
-        let perms = block_permutations(block);
-        let image = perms[1..]
-            .iter()
-            .map(|perm| {
-                slots
-                    .iter()
-                    .map(|&slot| {
-                        let list = &candidates[slot];
-                        debug_assert!(list.is_sorted(), "collection candidates must be sorted");
-                        list.iter()
-                            .map(|v| {
-                                let index = list.binary_search(&perm.apply_value(v)).expect(
-                                    "candidate lists are closed under padding permutations",
-                                );
-                                index as u32
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        Some(OrbitTables { slots, image })
-    }
-
-    /// Checks the candidate tuple at `positions` (one index per odometer
-    /// slot). Returns `None` when the tuple is canonical, or
-    /// `Some(deciding_slot)` — the smallest odometer slot at which some
-    /// permutation's image becomes strictly lex-smaller, proving every
-    /// completion of the prefix up to and including that slot non-canonical.
-    pub(crate) fn violation(&self, positions: &[usize]) -> Option<usize> {
-        let mut deciding: Option<usize> = None;
-        for perm in &self.image {
-            for (k, &slot) in self.slots.iter().enumerate() {
-                if deciding.is_some_and(|d| slot >= d) {
-                    // A violation at or before this slot is already known;
-                    // this permutation can only decide later. Move on.
+/// Checks the candidate tuple at `positions` (one index per odometer slot)
+/// against the collection-valued `slots` (odometer slot indices, ascending,
+/// each list carrying the [`image_tables`] of one and the same block).
+/// Returns `None` when the tuple is canonical, or `Some(deciding_slot)` —
+/// the smallest odometer slot at which some permutation's image becomes
+/// strictly lex-smaller, proving every completion of the prefix up to and
+/// including that slot non-canonical.
+pub(crate) fn violation(
+    lists: &[Arc<CandidateList>],
+    slots: &[usize],
+    positions: &[usize],
+) -> Option<usize> {
+    let perms = slots.first().map_or(0, |&slot| lists[slot].images.len());
+    let mut deciding: Option<usize> = None;
+    for p in 0..perms {
+        for &slot in slots {
+            if deciding.is_some_and(|d| slot >= d) {
+                // A violation at or before this slot is already known;
+                // this permutation can only decide later. Move on.
+                break;
+            }
+            let pos = positions[slot];
+            match (lists[slot].images[p][pos] as usize).cmp(&pos) {
+                std::cmp::Ordering::Less => {
+                    deciding = Some(slot);
                     break;
                 }
-                let pos = positions[slot];
-                match (perm[k][pos] as usize).cmp(&pos) {
-                    std::cmp::Ordering::Less => {
-                        deciding = Some(slot);
-                        break;
-                    }
-                    std::cmp::Ordering::Greater => break,
-                    std::cmp::Ordering::Equal => {}
-                }
+                std::cmp::Ordering::Greater => break,
+                std::cmp::Ordering::Equal => {}
             }
         }
-        deciding
     }
+    deciding
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scope::Scope;
+    use crate::space::candidate_list;
+    use semcommute_logic::Sort;
 
     fn set(ids: &[u32]) -> Value {
         Value::set_of(ids.iter().map(|&i| ElemId(i)))
@@ -290,6 +267,20 @@ mod tests {
         assert!(!is_canonical(&[Value::Int(5), set(&[2])], 1..3));
     }
 
+    /// A scope whose memo lists the tests below read: orbit reduction on,
+    /// `elem_padding` anonymous elements, sets of up to `entries` elements
+    /// and the two integers `0..=1`.
+    fn scope(elem_padding: usize, entries: usize) -> Scope {
+        Scope {
+            elem_padding,
+            max_collection_entries: entries,
+            int_min: 0,
+            int_max: 1,
+            ..Scope::small()
+        }
+        .with_orbit(true)
+    }
+
     #[test]
     fn orbit_tables_agree_with_is_canonical_exhaustively() {
         // Two set slots and one int slot over universe {1, 2, 3} with block
@@ -308,16 +299,23 @@ mod tests {
         ];
         sets.sort();
         let ints: Vec<Value> = (0..2).map(Value::Int).collect();
-        let candidates = vec![sets.clone(), ints.clone(), sets.clone()];
-        let sorts = [Sort::Set, Sort::Int, Sort::Set];
-        let tables = OrbitTables::build(&candidates, &sorts, block.clone()).unwrap();
+        // The memo lists of `elem_padding` 2 at `max_class` 1: universe 3.
+        let scope = scope(2, 3);
+        let lists = vec![
+            candidate_list(Sort::Set, 3, &scope),
+            candidate_list(Sort::Int, 3, &scope),
+            candidate_list(Sort::Set, 3, &scope),
+        ];
+        assert_eq!(lists[0].values, sets);
+        assert_eq!(lists[1].values, ints);
+        let slots = [0, 2];
         for a in 0..sets.len() {
             for (b, int_value) in ints.iter().enumerate() {
                 for c in 0..sets.len() {
                     let positions = [a, b, c];
                     let values = vec![sets[a].clone(), int_value.clone(), sets[c].clone()];
                     assert_eq!(
-                        tables.violation(&positions).is_none(),
+                        violation(&lists, &slots, &positions).is_none(),
                         is_canonical(&values, block.clone()),
                         "tuple {values:?}"
                     );
@@ -326,25 +324,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn violation_reports_the_smallest_deciding_slot() {
-        let block = 1u32..3;
+    /// The memo lists of two set slots over universe {1, 2} with block
+    /// {1, 2} (no named class), and the sorted values they must hold.
+    fn two_padding_set_slots() -> (Vec<Arc<CandidateList>>, Vec<Value>) {
         let mut sets: Vec<Value> = vec![set(&[]), set(&[1]), set(&[2]), set(&[1, 2])];
         sets.sort();
-        let candidates = vec![sets.clone(), sets.clone()];
-        let sorts = [Sort::Set, Sort::Set];
-        let tables = OrbitTables::build(&candidates, &sorts, block).unwrap();
+        let scope = scope(2, 2);
+        let lists = vec![
+            candidate_list(Sort::Set, 2, &scope),
+            candidate_list(Sort::Set, 2, &scope),
+        ];
+        assert_eq!(lists[0].values, sets);
+        (lists, sets)
+    }
+
+    #[test]
+    fn violation_reports_the_smallest_deciding_slot() {
+        let (lists, sets) = two_padding_set_slots();
+        let slots = [0, 1];
         let at = |v: &Value| sets.iter().position(|s| s == v).unwrap();
         // ({2}, {2}) is decided at slot 0 already: the swap sends it to
         // ({1}, {1}), strictly smaller in the first slot.
-        assert_eq!(tables.violation(&[at(&set(&[2])), at(&set(&[2]))]), Some(0));
+        assert_eq!(
+            violation(&lists, &slots, &[at(&set(&[2])), at(&set(&[2]))]),
+            Some(0)
+        );
         // ({1}, {2}) ties at slot 0 under the swap and loses at slot 1? No:
         // the swap maps it to ({2}, {1}) which is *larger* at slot 0, so the
         // tuple is canonical.
-        assert_eq!(tables.violation(&[at(&set(&[1])), at(&set(&[2]))]), None);
+        assert_eq!(
+            violation(&lists, &slots, &[at(&set(&[1])), at(&set(&[2]))]),
+            None
+        );
         // ({1,2}, {2}): the swap fixes slot 0 and improves slot 1.
         assert_eq!(
-            tables.violation(&[at(&set(&[1, 2])), at(&set(&[2]))]),
+            violation(&lists, &slots, &[at(&set(&[1, 2])), at(&set(&[2]))]),
             Some(1)
         );
     }
@@ -357,25 +371,29 @@ mod tests {
     /// decides at, so suffix digits cannot change the answer.
     #[test]
     fn violation_is_prefix_decided_for_mid_subtree_resumes() {
-        let block = 1u32..3;
-        let mut sets: Vec<Value> = vec![set(&[]), set(&[1]), set(&[2]), set(&[1, 2])];
-        sets.sort();
-        let candidates = vec![sets.clone(), sets.clone()];
-        let sorts = [Sort::Set, Sort::Set];
-        let tables = OrbitTables::build(&candidates, &sorts, block).unwrap();
+        let (lists, sets) = two_padding_set_slots();
         let at = |v: &Value| sets.iter().position(|s| s == v).unwrap();
         // ({2}, *) violates at slot 0 for every suffix digit.
         let j = at(&set(&[2]));
         for suffix in 0..sets.len() {
-            assert_eq!(tables.violation(&[j, suffix]), Some(0), "suffix {suffix}");
+            assert_eq!(
+                violation(&lists, &[0, 1], &[j, suffix]),
+                Some(0),
+                "suffix {suffix}"
+            );
         }
     }
 
     #[test]
     fn trivial_blocks_and_scalar_spaces_build_no_tables() {
-        let sets = vec![set(&[]), set(&[1])];
-        assert!(OrbitTables::build(&[sets], &[Sort::Set], 1..2).is_none());
-        let ints: Vec<Value> = (0..3).map(Value::Int).collect();
-        assert!(OrbitTables::build(&[ints], &[Sort::Int], 1..3).is_none());
+        // Block {1}: sets over universe 1 under one padding element.
+        let sets = candidate_list(Sort::Set, 1, &scope(1, 1));
+        assert_eq!(sets.values, vec![set(&[]), set(&[1])]);
+        assert!(sets.images.is_empty());
+        // Block {1, 2}, but integers are fixed points: no tables, no slot.
+        let ints = candidate_list(Sort::Int, 2, &scope(2, 2));
+        assert_eq!(ints.len(), 2);
+        assert!(ints.images.is_empty());
+        assert_eq!(violation(&[ints], &[], &[1]), None);
     }
 }

@@ -20,13 +20,27 @@
 //! pruned as soon as a prefix is provably non-canonical (see
 //! [`crate::orbit`]). The number of candidates skipped this way is reported
 //! through [`SpaceIter::orbits_pruned`].
+//!
+//! A non-element variable's candidate list is a pure function of its sort,
+//! the universe size, and the scope bounds the builder reads — never of the
+//! obligation, the element assignment beyond its universe size, or
+//! [`Scope::max_models`]. Each list is therefore built once per process
+//! and shared: a process-wide memo maps that key to an immutable
+//! `CandidateList` holding the values (sorted where the orbit reduction
+//! compares by index) and, for sorted collection lists, the index images
+//! of every value under each non-identity padding permutation. Entering an
+//! element assignment — at every range start, every skipped assignment of a
+//! mid-space seek, and every budget estimate — clones a few `Arc`s instead
+//! of rebuilding, re-sorting and re-indexing lists. The memo is locked once
+//! per list lookup, never on the per-candidate path.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use semcommute_logic::{ElemId, Model, PMap, PSeq, PSet, Sort, Value, NULL_ELEM};
 
 use crate::obligation::Obligation;
-use crate::orbit::{padding_block, OrbitTables};
+use crate::orbit::{image_tables, padding_block, violation};
 use crate::scope::Scope;
 
 /// The search space of candidate models for one obligation.
@@ -131,68 +145,11 @@ impl InputSpace {
             .unwrap_or(0)
     }
 
-    /// The collection universe for a given element assignment: the classes
-    /// used by the assignment plus `elem_padding` anonymous elements.
-    fn universe(&self, assignment: &[ElemId]) -> Vec<ElemId> {
-        let total = InputSpace::max_class(assignment) as usize + self.scope.elem_padding;
-        (1..=total as u32).map(ElemId).collect()
-    }
-
-    /// Candidate values for a non-element variable over a given universe.
-    fn candidates(&self, sort: Sort, universe: &[ElemId]) -> Vec<Value> {
-        match sort {
-            Sort::Bool => vec![Value::Bool(false), Value::Bool(true)],
-            Sort::Int => (self.scope.int_min..=self.scope.int_max)
-                .map(Value::Int)
-                .collect(),
-            Sort::Elem => universe
-                .iter()
-                .map(|&e| Value::Elem(e))
-                .chain(std::iter::once(Value::Elem(NULL_ELEM)))
-                .collect(),
-            Sort::Set => subsets_up_to(universe, self.scope.max_collection_entries)
-                .into_iter()
-                .map(Value::Set)
-                .collect(),
-            Sort::Map => {
-                let mut out = Vec::new();
-                for keys in subsets_up_to(universe, self.scope.max_collection_entries) {
-                    let mut partial: Vec<PMap> = vec![PMap::new()];
-                    for k in keys.iter() {
-                        let mut next = Vec::new();
-                        for m in &partial {
-                            for &v in universe {
-                                // Shared prefix + one delta: the clone is an
-                                // O(1) handle copy, the insert copies once.
-                                let mut m2 = m.clone();
-                                m2.insert(*k, v);
-                                next.push(m2);
-                            }
-                        }
-                        partial = next;
-                    }
-                    out.extend(partial.into_iter().map(Value::Map));
-                }
-                out
-            }
-            Sort::Seq => {
-                let mut out: Vec<PSeq> = vec![PSeq::new()];
-                let mut frontier: Vec<PSeq> = vec![PSeq::new()];
-                for _ in 0..self.scope.max_seq_len {
-                    let mut next = Vec::new();
-                    for s in &frontier {
-                        for &e in universe {
-                            let mut s2 = s.clone();
-                            s2.push(e);
-                            next.push(s2);
-                        }
-                    }
-                    out.extend(next.iter().cloned());
-                    frontier = next;
-                }
-                out.into_iter().map(Value::Seq).collect()
-            }
-        }
+    /// The size of the collection universe for a given element assignment:
+    /// the classes used by the assignment plus `elem_padding` anonymous
+    /// elements. The universe itself is the ids `1..=size`.
+    fn universe(&self, assignment: &[ElemId]) -> u32 {
+        InputSpace::max_class(assignment) + self.scope.elem_padding as u32
     }
 
     /// An estimate of the number of candidate models (used for reporting and
@@ -206,7 +163,8 @@ impl InputSpace {
             let universe = self.universe(&assignment);
             let mut per: u128 = 1;
             for (_, sort) in &self.other_vars {
-                per = per.saturating_mul(self.candidates(*sort, &universe).len() as u128);
+                let list = candidate_list(*sort, universe, &self.scope);
+                per = per.saturating_mul(list.len() as u128);
             }
             total = total.saturating_add(per);
         }
@@ -240,12 +198,169 @@ impl InputSpace {
     }
 }
 
+/// Whether candidate lists under `scope` are sorted for the orbit check:
+/// orbit reduction on and a padding block of at least two elements (a
+/// smaller block has no non-identity permutation, and the enumeration order
+/// then stays byte-identical to orbit-off).
+fn sorts_for_orbit(scope: &Scope) -> bool {
+    scope.orbit && scope.elem_padding >= 2
+}
+
+fn is_collection(sort: Sort) -> bool {
+    matches!(sort, Sort::Set | Sort::Map | Sort::Seq)
+}
+
+/// Everything a candidate list depends on: the sort, the universe size, and
+/// the scope fields [`candidates`] and [`CandidateList::build`] read.
+/// [`Scope::max_models`] is not part of it, so scopes that differ only in
+/// their budget share lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ListKey {
+    sort: Sort,
+    universe: u32,
+    int_min: i64,
+    int_max: i64,
+    max_collection_entries: usize,
+    max_seq_len: usize,
+    elem_padding: usize,
+    sorted: bool,
+}
+
+impl ListKey {
+    fn new(sort: Sort, universe: u32, scope: &Scope) -> ListKey {
+        ListKey {
+            sort,
+            universe,
+            int_min: scope.int_min,
+            int_max: scope.int_max,
+            max_collection_entries: scope.max_collection_entries,
+            max_seq_len: scope.max_seq_len,
+            elem_padding: scope.elem_padding,
+            sorted: sorts_for_orbit(scope),
+        }
+    }
+}
+
+/// One immutable candidate list of the enumerator, shared process-wide
+/// through the memo behind [`candidate_list`].
+#[derive(Debug)]
+pub(crate) struct CandidateList {
+    /// The candidate values in enumeration order: [`candidates`]' order,
+    /// sorted ascending for collection sorts when the key sorts, so that
+    /// index order is value order for the orbit check.
+    pub(crate) values: Vec<Value>,
+    /// `images[p][i]`: the index of the image of `values[i]` under the
+    /// `p`-th non-identity permutation of the padding block
+    /// `universe - elem_padding + 1 ..= universe` (see
+    /// [`crate::orbit::image_tables`]). Empty for unsorted and scalar lists.
+    pub(crate) images: Vec<Vec<u32>>,
+}
+
+impl CandidateList {
+    fn build(sort: Sort, universe: u32, scope: &Scope) -> CandidateList {
+        let mut values = candidates(sort, universe, scope);
+        let mut images = Vec::new();
+        if sorts_for_orbit(scope) && is_collection(sort) {
+            values.sort();
+            let padding = scope.elem_padding as u32;
+            images = image_tables(
+                &values,
+                padding_block(universe - padding, scope.elem_padding),
+            );
+        }
+        CandidateList { values, images }
+    }
+
+    /// Number of candidate values.
+    pub(crate) fn len(&self) -> usize {
+        self.values.len()
+    }
+}
+
+/// The shared candidate list of sort `sort` over the universe `1..=universe`
+/// under `scope`: built on first request (under the memo lock, so no key is
+/// ever built twice) and shared by every later request with the same
+/// [`ListKey`], from any space, range or thread.
+pub(crate) fn candidate_list(sort: Sort, universe: u32, scope: &Scope) -> Arc<CandidateList> {
+    type Memo = Mutex<HashMap<ListKey, Arc<CandidateList>>>;
+    static MEMO: OnceLock<Memo> = OnceLock::new();
+    let key = ListKey::new(sort, universe, scope);
+    let mut memo = MEMO
+        .get_or_init(Memo::default)
+        .lock()
+        .unwrap_or_else(|p| p.into_inner());
+    Arc::clone(
+        memo.entry(key)
+            .or_insert_with(|| Arc::new(CandidateList::build(sort, universe, scope))),
+    )
+}
+
+/// Builds the candidate values of a non-element variable of sort `sort`
+/// over the universe `1..=universe`, in enumeration order (unsorted): the
+/// direct construction [`candidate_list`] memoizes.
+fn candidates(sort: Sort, universe: u32, scope: &Scope) -> Vec<Value> {
+    let universe: Vec<ElemId> = (1..=universe).map(ElemId).collect();
+    let universe = universe.as_slice();
+    match sort {
+        Sort::Bool => vec![Value::Bool(false), Value::Bool(true)],
+        Sort::Int => (scope.int_min..=scope.int_max).map(Value::Int).collect(),
+        Sort::Elem => universe
+            .iter()
+            .map(|&e| Value::Elem(e))
+            .chain(std::iter::once(Value::Elem(NULL_ELEM)))
+            .collect(),
+        Sort::Set => subsets_up_to(universe, scope.max_collection_entries)
+            .into_iter()
+            .map(Value::Set)
+            .collect(),
+        Sort::Map => {
+            let mut out = Vec::new();
+            for keys in subsets_up_to(universe, scope.max_collection_entries) {
+                let mut partial: Vec<PMap> = vec![PMap::new()];
+                for k in keys.iter() {
+                    let mut next = Vec::new();
+                    for m in &partial {
+                        for &v in universe {
+                            // Shared prefix + one delta: the clone is an
+                            // O(1) handle copy, the insert copies once.
+                            let mut m2 = m.clone();
+                            m2.insert(*k, v);
+                            next.push(m2);
+                        }
+                    }
+                    partial = next;
+                }
+                out.extend(partial.into_iter().map(Value::Map));
+            }
+            out
+        }
+        Sort::Seq => {
+            let mut out: Vec<PSeq> = vec![PSeq::new()];
+            let mut frontier: Vec<PSeq> = vec![PSeq::new()];
+            for _ in 0..scope.max_seq_len {
+                let mut next = Vec::new();
+                for s in &frontier {
+                    for &e in universe {
+                        let mut s2 = s.clone();
+                        s2.push(e);
+                        next.push(s2);
+                    }
+                }
+                out.extend(next.iter().cloned());
+                frontier = next;
+            }
+            out.into_iter().map(Value::Seq).collect()
+        }
+    }
+}
+
 /// Generates all subsets of `universe` with at most `max_len` elements.
 ///
 /// Each subset is a persistent [`PSet`] built by cloning its parent subset (an
 /// O(1) shared-prefix handle copy) and inserting one element — the deep copy
-/// happens once per *generated* candidate, and downstream per-candidate use
-/// ([`SpaceIter::next_values`]) only ever clones handles.
+/// happens once per generated value, and since [`candidate_list`] builds
+/// each list once per process, once per value per process; per-candidate
+/// use ([`SpaceIter::next_values`]) only ever clones handles.
 fn subsets_up_to(universe: &[ElemId], max_len: usize) -> Vec<PSet> {
     let mut out: Vec<PSet> = vec![PSet::new()];
     for &e in universe {
@@ -283,20 +398,25 @@ fn subsets_up_to(universe: &[ElemId], max_len: usize) -> Vec<PSet> {
 /// work-stealing scheduler splits one obligation's model search into such
 /// ranges; position order is also the tie-break that keeps "which
 /// counter-model is reported" identical at every split granularity.
+///
+/// Entering an element assignment only looks up the shared candidate lists
+/// of its universe size (see the module docs): every iterator over spaces of
+/// one scope shape reads the same lists and the same orbit image tables.
 pub struct SpaceIter<'a> {
     space: &'a InputSpace,
     elem_assignments: Vec<Vec<ElemId>>,
     elem_index: usize,
-    /// Candidate values for each non-element variable under the current
-    /// element assignment. In orbit mode the collection-valued lists are
-    /// sorted ascending, so index order is value order.
-    candidates: Vec<Vec<Value>>,
+    /// The shared candidate list of each non-element variable under the
+    /// current element assignment. In orbit mode the collection-valued
+    /// lists are sorted ascending, so index order is value order.
+    candidates: Vec<Arc<CandidateList>>,
     /// Odometer positions into `candidates`.
     positions: Vec<usize>,
     exhausted_current: bool,
-    /// Orbit pruning tables for the current element assignment (`None` when
-    /// orbit reduction is off or has nothing to act on).
-    orbit: Option<OrbitTables>,
+    /// The odometer slots the orbit check compares, ascending: the
+    /// collection-valued slots when their lists carry image tables, none
+    /// when orbit reduction is off or the padding block is trivial.
+    orbit_slots: Vec<usize>,
     /// Candidates skipped as non-canonical within `[start, end)` so far.
     orbits_pruned: u64,
     /// Unreduced position of the current candidate.
@@ -313,6 +433,13 @@ impl<'a> SpaceIter<'a> {
     fn with_range(space: &'a InputSpace, lo: u64, hi: u64) -> SpaceIter<'a> {
         assert!(lo <= hi, "invalid range [{lo}, {hi})");
         let elem_assignments = space.elem_assignments();
+        let orbit_slots = space
+            .other_vars
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, sort))| sorts_for_orbit(&space.scope) && is_collection(*sort))
+            .map(|(slot, _)| slot)
+            .collect();
         let mut it = SpaceIter {
             space,
             elem_assignments,
@@ -320,7 +447,7 @@ impl<'a> SpaceIter<'a> {
             candidates: Vec::new(),
             positions: Vec::new(),
             exhausted_current: true,
-            orbit: None,
+            orbit_slots,
             orbits_pruned: 0,
             upos: 0,
             end: hi,
@@ -439,7 +566,7 @@ impl<'a> SpaceIter<'a> {
             buf.push(Value::Elem(*v));
         }
         for (cands, &pos) in self.candidates.iter().zip(&self.positions) {
-            buf.push(cands[pos].clone());
+            buf.push(cands.values[pos].clone());
         }
         self.advance();
         true
@@ -469,7 +596,7 @@ impl<'a> SpaceIter<'a> {
                 out.values.push(Value::Elem(*v));
             }
             for (cands, &pos) in self.candidates.iter().zip(&self.positions) {
-                out.values.push(cands[pos].clone());
+                out.values.push(cands.values[pos].clone());
             }
             self.advance();
             out.pruned_after.push(self.orbits_pruned);
@@ -479,39 +606,21 @@ impl<'a> SpaceIter<'a> {
     }
 
     fn load_current(&mut self) {
-        if self.elem_index >= self.elem_assignments.len() {
+        let Some(assignment) = self.elem_assignments.get(self.elem_index) else {
             return;
-        }
-        let assignment = &self.elem_assignments[self.elem_index];
-        let universe = self.space.universe(assignment);
-        self.candidates = self
-            .space
-            .other_vars
-            .iter()
-            .map(|(_, sort)| self.space.candidates(*sort, &universe))
-            .collect();
-        self.orbit = None;
-        if self.space.scope.orbit {
-            let sorts: Vec<Sort> = self.space.other_vars.iter().map(|(_, s)| *s).collect();
-            let block = padding_block(
-                InputSpace::max_class(assignment),
-                self.space.scope.elem_padding,
-            );
-            if block.len() >= 2 {
-                // Sort the collection-valued candidate lists so the orbit
-                // tables can compare candidates by index. Only done when a
-                // reduction can actually happen: with a trivial block the
-                // enumeration order stays byte-identical to orbit-off.
-                for (list, sort) in self.candidates.iter_mut().zip(&sorts) {
-                    if matches!(sort, Sort::Set | Sort::Map | Sort::Seq) {
-                        list.sort();
-                    }
-                }
-                self.orbit = OrbitTables::build(&self.candidates, &sorts, block);
-            }
-        }
-        self.positions = vec![0; self.candidates.len()];
-        self.exhausted_current = self.candidates.iter().any(|c| c.is_empty());
+        };
+        let space = self.space;
+        let universe = space.universe(assignment);
+        self.candidates.clear();
+        self.candidates.extend(
+            space
+                .other_vars
+                .iter()
+                .map(|(_, sort)| candidate_list(*sort, universe, &space.scope)),
+        );
+        self.positions.clear();
+        self.positions.resize(self.candidates.len(), 0);
+        self.exhausted_current = self.candidates.iter().any(|c| c.values.is_empty());
     }
 
     fn current_model(&self) -> Model {
@@ -526,7 +635,7 @@ impl<'a> SpaceIter<'a> {
             .iter()
             .zip(self.candidates.iter().zip(&self.positions))
         {
-            m.insert(name.clone(), cands[pos].clone());
+            m.insert(name.clone(), cands.values[pos].clone());
         }
         m
     }
@@ -582,9 +691,11 @@ impl<'a> SpaceIter<'a> {
     /// range containing it, and pruned counts sum across subranges to the
     /// unsplit scan's count.
     fn seek_canonical(&mut self) {
+        if self.orbit_slots.is_empty() {
+            return;
+        }
         while !self.exhausted() {
-            let Some(tables) = &self.orbit else { return };
-            let Some(j) = tables.violation(&self.positions) else {
+            let Some(j) = violation(&self.candidates, &self.orbit_slots, &self.positions) else {
                 return;
             };
             let skip = self.suffix_remaining(j);
@@ -967,6 +1078,116 @@ mod tests {
         // A range past the end of the space is empty, not an error.
         assert_eq!(space.range_iter(2, 100).count(), 0);
         assert_eq!(space.range_iter(0, 2).count(), 2);
+    }
+
+    #[test]
+    fn candidate_lists_are_shared_per_key() {
+        let scope = Scope {
+            elem_padding: 2,
+            max_collection_entries: 2,
+            max_seq_len: 2,
+            ..Scope::small()
+        }
+        .with_orbit(true);
+        let vars = vars(&[
+            ("v", Sort::Elem),
+            ("i", Sort::Int),
+            ("q", Sort::Seq),
+            ("s", Sort::Set),
+        ]);
+        let same = |x: &SpaceIter, y: &SpaceIter| {
+            assert_eq!(x.elem_index, y.elem_index);
+            assert_eq!(x.candidates.len(), 3);
+            for (a, b) in x.candidates.iter().zip(&y.candidates) {
+                assert!(Arc::ptr_eq(a, b));
+            }
+        };
+        // Two spaces of one scope shape share their lists...
+        let a = InputSpace::new(&vars, scope.clone());
+        let b = InputSpace::new(&vars, scope.clone());
+        same(&a.iter(), &b.iter());
+        // ...and so do two ranges of one space, here both starting in the
+        // second element assignment (v = class 1, universe 3).
+        let first = a.iter().current_count();
+        let left = a.range_iter(first, first + 1);
+        let right = a.range_iter(first + 1, u64::MAX);
+        same(&left, &right);
+        assert_eq!(left.elem_index, 1);
+        let seq = candidate_list(Sort::Seq, 3, &scope);
+        assert!(Arc::ptr_eq(&left.candidates[1], &seq));
+
+        // Scopes that differ in one key field each get their own list,
+        // equal to a direct build. Interleaved lookups over one universe
+        // size: a key collision would hand one scope another's list.
+        let variants = [
+            scope.clone(),
+            scope.clone().with_orbit(false),
+            Scope {
+                elem_padding: 1,
+                ..scope.clone()
+            },
+            Scope {
+                elem_padding: 3,
+                ..scope.clone()
+            },
+            Scope {
+                max_collection_entries: 3,
+                ..scope.clone()
+            },
+            Scope {
+                max_seq_len: 3,
+                ..scope.clone()
+            },
+            Scope {
+                int_min: -3,
+                ..scope.clone()
+            },
+            Scope {
+                int_max: 2,
+                ..scope.clone()
+            },
+        ];
+        let sorts = [
+            Sort::Bool,
+            Sort::Int,
+            Sort::Elem,
+            Sort::Set,
+            Sort::Map,
+            Sort::Seq,
+        ];
+        let universe = 4;
+        for _round in 0..2 {
+            for sort in sorts {
+                for scope in &variants {
+                    let list = candidate_list(sort, universe, scope);
+                    let collection = matches!(sort, Sort::Set | Sort::Map | Sort::Seq);
+                    let sorted = collection && scope.orbit && scope.elem_padding >= 2;
+                    let mut want = candidates(sort, universe, scope);
+                    if sorted {
+                        want.sort();
+                    }
+                    assert_eq!(list.values, want, "{sort:?} under {scope:?}");
+                    let padding = scope.elem_padding as u32;
+                    let block = padding_block(universe - padding, scope.elem_padding);
+                    let perms = crate::orbit::block_permutations(block);
+                    let want_images = if sorted { perms.len() - 1 } else { 0 };
+                    assert_eq!(list.images.len(), want_images, "{sort:?} under {scope:?}");
+                    for (images, perm) in list.images.iter().zip(&perms[1..]) {
+                        for (value, &image) in list.values.iter().zip(images) {
+                            assert_eq!(list.values[image as usize], perm.apply_value(value));
+                        }
+                    }
+                }
+            }
+        }
+
+        // The model budget is not part of the key.
+        for sort in sorts {
+            assert!(Arc::ptr_eq(
+                &candidate_list(sort, universe, &scope),
+                &candidate_list(sort, universe, &scope.clone().with_max_models(7)),
+            ));
+        }
     }
 
     #[test]
