@@ -6,15 +6,23 @@
 //! proof time of each structure's obligations). Accepts an optional
 //! per-interface condition limit, `--seq-len N`, and `--threads N` (the
 //! work-stealing scheduler's width; `--threads 1` runs the same scheduler at
-//! one worker).
+//! one worker). A malformed argument prints what is wrong and the usage text
+//! and exits with status 2.
 
-use semcommute_bench::{banner, parse_options};
+use semcommute_bench::{banner, parse_args};
 use semcommute_core::report::verification_time_table;
 use semcommute_core::verify::verify_catalog;
 
+const USAGE: &str = "\
+usage: table_5_8 [LIMIT] [--seq-len N] [--threads N] [--split-threshold N]
+                 [--orbit on|off]";
+
 fn main() {
+    let options = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     banner("Table 5.8 — Commutativity Testing Method Verification Times");
-    let options = parse_options();
     println!(
         "threads: {}, ArrayList sequence scope: {}, limit: {:?}\n",
         options.threads, options.seq_len, options.limit

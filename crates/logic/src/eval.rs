@@ -321,8 +321,11 @@ fn eval_quantifier(
 ) -> Result<bool> {
     let lo = expect_int(eval(lo, model)?, "quantifier lower bound")?;
     let hi = expect_int(eval(hi, model)?, "quantifier upper bound")?;
-    if hi - lo > MAX_QUANTIFIER_RANGE {
-        return Err(EvalError::QuantifierRangeTooLarge(hi - lo));
+    // Saturating: a range wider than `i64` reports the largest width
+    // instead of wrapping below the guard.
+    let width = hi.saturating_sub(lo);
+    if width > MAX_QUANTIFIER_RANGE {
+        return Err(EvalError::QuantifierRangeTooLarge(width));
     }
     let mut inner = model.clone();
     for i in lo..hi {
@@ -585,6 +588,15 @@ mod tests {
             eval(&exists_int("i", int(0), int(1_000_000), tru()), &m),
             Err(EvalError::QuantifierRangeTooLarge(_))
         ));
+        // Widths past `i64` saturate instead of wrapping below the guard.
+        assert_eq!(
+            eval(&forall_int("i", int(i64::MIN), int(1), tru()), &m),
+            Err(EvalError::QuantifierRangeTooLarge(i64::MAX))
+        );
+        assert_eq!(
+            eval(&forall_int("i", int(i64::MAX), int(i64::MIN), fls()), &m),
+            Ok(Value::Bool(true))
+        );
         let err = EvalError::UnboundVariable("x".into());
         assert!(err.to_string().contains("x"));
     }

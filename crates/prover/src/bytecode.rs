@@ -14,21 +14,19 @@
 //! candidate; in the batched executor it clears the candidate's lane from
 //! the active mask, which is the block-level form of the same jump-to-end).
 //!
-//! Two executors run the program:
-//!
-//! * a **scalar** executor ([`Program::check`], and
-//!   [`Program::eval_in_regs`] for a formula) with one `Value` per register,
-//!   used by the runtime's admission gatekeeper and the property harness,
-//!   and
-//! * a **block** executor ([`Program::run_block`]) that evaluates up to
-//!   [`LANES`] candidates at once, column-wise: each register holds a
-//!   [`LANES`]-wide column, boolean columns are 256-bit masks (`u64x4`
-//!   words) so comparisons and connectives amortize to a few word ops,
-//!   integer columns are flat `i64` lanes, and whole-block-constant
-//!   ("uniform") operands are evaluated once per block. Collection-valued
-//!   registers, quantifiers and error paths fall back to per-lane execution
-//!   of that instruction (`exec_lane`), lane by lane, in ascending lane
-//!   order.
+//! One executor runs obligations: the **block** executor
+//! ([`Program::run_block`]) evaluates up to [`LANES`] candidates at once,
+//! column-wise. Each register holds a [`LANES`]-wide column, boolean columns
+//! are 256-bit masks (`u64x4` words) so comparisons and connectives amortize
+//! to a few word ops, integer columns are flat `i64` lanes, and
+//! whole-block-constant ("uniform") operands are evaluated once per block.
+//! Collection-valued registers, quantifiers and error paths fall back to the
+//! per-candidate instruction step (`Program::step`), lane by lane, in
+//! ascending lane order. That step is the only per-candidate semantics of
+//! the instruction set: it runs over a register view (`Regs`) that is either
+//! one lane of the block's columns or a plain `[Value]` slice, the latter
+//! for [`Program::eval_in_regs`], which evaluates a formula for the
+//! runtime's admission gatekeeper.
 //!
 //! Semantics mirror the reference evaluator ([`mod@semcommute_logic::eval`])
 //! **exactly** — totalization, operand evaluation order, sort-check order
@@ -301,9 +299,9 @@ enum CseKey {
 /// An obligation lowered to a flat register program.
 ///
 /// Built once per model search by [`Program::lower`] (or once per formula by
-/// [`Program::lower_formula`]); executed per candidate by [`Program::check`]
-/// (scalar) or per block of up to [`LANES`] candidates by
-/// [`Program::run_block`].
+/// [`Program::lower_formula`]); executed per block of up to [`LANES`]
+/// candidates by [`Program::run_block`], or for a formula by
+/// [`Program::eval_in_regs`].
 #[derive(Debug, Clone)]
 pub struct Program {
     /// Main instruction stream: defines, interleaved hypothesis checks, goal.
@@ -735,7 +733,8 @@ impl Program {
 }
 
 // ---------------------------------------------------------------------------
-// Pure operation semantics shared by the scalar and block executors.
+// Pure operation semantics shared by the per-candidate step and the block
+// executor's column paths.
 // ---------------------------------------------------------------------------
 //
 // Every operand of these helpers has already passed its `Coerce` assertion
@@ -966,102 +965,107 @@ fn apply(instr: &Instr, a: &Value, b: &Value, c: &Value) -> Result<Value, String
 }
 
 // ---------------------------------------------------------------------------
-// Scalar executor.
+// The per-candidate instruction step.
 // ---------------------------------------------------------------------------
 
-/// What a scalar instruction told the candidate loop to do next.
-enum Flow {
-    Continue,
-    /// A hypothesis failed: the candidate is rejected, skip the rest.
-    Reject,
-    /// The goal failed: the candidate is a counterexample.
-    Cex,
+/// One candidate's registers, as [`Program::step`] reads and writes them: a
+/// `[Value]` slice ([`Program::eval_in_regs`]) or one lane of a block's
+/// columns ([`LaneRegs`]).
+trait Regs {
+    /// Borrows register `r`; a packed lane is materialized into `scratch`.
+    fn get<'a>(&'a self, r: R, scratch: &'a mut Value) -> &'a Value;
+    /// Writes register `r`. `shape` is the writing instruction's fixed
+    /// [`out_shape`], the column representation the lane view keeps.
+    fn set(&mut self, r: R, shape: Shape, v: Value);
 }
 
-/// Reusable scalar execution environment: one [`Value`] per register,
-/// constants preloaded. Created by [`Program::scalar_exec`], reused across
-/// candidates (registers a candidate writes are rewritten before any read).
-pub struct ScalarExec {
-    regs: Vec<Value>,
+impl Regs for [Value] {
+    fn get<'a>(&'a self, r: R, _: &'a mut Value) -> &'a Value {
+        &self[r as usize]
+    }
+
+    fn set(&mut self, r: R, _: Shape, v: Value) {
+        self[r as usize] = v;
+    }
+}
+
+/// One lane of a block's columns.
+struct LaneRegs<'a> {
+    cols: &'a mut [Col],
+    lane: usize,
+}
+
+impl Regs for LaneRegs<'_> {
+    fn get<'a>(&'a self, r: R, scratch: &'a mut Value) -> &'a Value {
+        lane_ref(&self.cols[r as usize], self.lane, scratch)
+    }
+
+    fn set(&mut self, r: R, shape: Shape, v: Value) {
+        write_lane(&mut self.cols[r as usize], self.lane, shape, v);
+    }
+}
+
+/// A pure instruction's operand registers, output register and output shape:
+/// decoded once per instruction, so a per-lane loop pays only for the
+/// operation.
+type Decoded = ([R; 3], R, Shape);
+
+fn decode(pure: &Instr) -> Decoded {
+    (operands(pure), out_reg(pure), out_shape(pure))
+}
+
+/// The per-candidate step of a pure instruction: reads the operands,
+/// applies the operation, writes the result.
+#[inline(always)]
+fn step_pure<V: Regs + ?Sized>(
+    pure: &Instr,
+    ([a, b, c], out, shape): Decoded,
+    regs: &mut V,
+) -> Result<(), String> {
+    let mut s = [Value::Bool(false), Value::Bool(false), Value::Bool(false)];
+    let [s1, s2, s3] = &mut s;
+    let v = apply(pure, regs.get(a, s1), regs.get(b, s2), regs.get(c, s3))?;
+    regs.set(out, shape, v);
+    Ok(())
 }
 
 impl Program {
-    /// Creates a reusable scalar environment sized for this program.
-    pub fn scalar_exec(&self) -> ScalarExec {
-        let mut regs = vec![Value::Bool(false); self.reg_count];
-        for (r, v) in &self.consts {
-            regs[*r as usize] = v.clone();
-        }
-        ScalarExec { regs }
-    }
-
-    /// Checks one candidate, scalar: `inputs` are the input-variable values
-    /// in the input order the program was lowered with. Same contract as [`crate::FiniteModelProver::replay`]
-    /// — `Ok(None)` when the candidate is not a counterexample,
-    /// `Ok(Some(()))` when it is (call [`Program::reconstruct`] on the same
-    /// environment for the model), and `Err` with the reference evaluator's
-    /// exact message on an evaluation error.
-    pub fn check(
-        &self,
-        inputs: &mut Vec<Value>,
-        exec: &mut ScalarExec,
-    ) -> Result<Option<()>, String> {
-        debug_assert_eq!(inputs.len(), self.input_count);
-        for (slot, value) in inputs.drain(..).enumerate() {
-            exec.regs[slot] = value;
-        }
-        for (pc, instr) in self.instrs.iter().enumerate() {
-            match self.exec_scalar(instr, &mut exec.regs) {
-                Ok(Flow::Continue) => {}
-                Ok(Flow::Reject) => return Ok(None),
-                Ok(Flow::Cex) => return Ok(Some(())),
-                Err(e) => return Err(self.wrap(pc, e)),
-            }
-        }
-        Ok(None)
-    }
-
-    /// Executes one instruction against the scalar registers; errors are raw
-    /// (unwrapped) and the caller applies the region prefix.
-    fn exec_scalar(&self, instr: &Instr, regs: &mut [Value]) -> Result<Flow, String> {
+    /// Executes one instruction for one candidate: the per-candidate
+    /// semantics of the instruction set, shared by formula evaluation and the
+    /// block executor's per-lane paths. Errors are raw (the caller applies
+    /// the region prefix). `Check` and `CheckGoal` are handled by
+    /// [`Program::run_block`] and [`Program::eval_in_regs`] and never reach
+    /// here.
+    #[inline]
+    fn step<V: Regs + ?Sized>(&self, instr: &Instr, regs: &mut V) -> Result<(), String> {
         match instr {
             Instr::Coerce { a, kind, ctx } => {
-                coerce_value(&regs[*a as usize], *kind, ctx)?;
+                coerce_value(regs.get(*a, &mut Value::Bool(false)), *kind, ctx)
             }
-            Instr::Unbound { name } => return Err(unbound(name)),
-            Instr::Check { r } => match &regs[*r as usize] {
-                Value::Bool(true) => {}
-                Value::Bool(false) => return Ok(Flow::Reject),
-                other => return Err(format!("expected bool, found {}", other.sort())),
-            },
-            Instr::CheckGoal { r } => match &regs[*r as usize] {
-                Value::Bool(true) => {}
-                Value::Bool(false) => return Ok(Flow::Cex),
-                other => return Err(format!("expected bool, found {}", other.sort())),
-            },
+            Instr::Unbound { name } => Err(unbound(name)),
+            Instr::Check { .. } | Instr::CheckGoal { .. } => {
+                Err("internal: check outside the main stream".to_string())
+            }
             Instr::Quant { out, .. } => {
-                let v = self.exec_quant_scalar(instr, regs)?;
-                regs[*out as usize] = Value::Bool(v);
+                let b = self.quant(instr, regs)?;
+                regs.set(*out, Shape::Bool, Value::Bool(b));
+                Ok(())
             }
-            pure => {
-                let [a, b, c] = operands(pure);
-                let v = apply(
-                    pure,
-                    &regs[a as usize],
-                    &regs[b as usize],
-                    &regs[c as usize],
-                )?;
-                regs[out_reg(pure) as usize] = v;
-            }
+            pure => step_pure(pure, decode(pure), regs),
         }
-        Ok(Flow::Continue)
     }
 
-    /// Executes a quantifier instruction scalar-wise, mirroring the reference
+    /// Evaluates a quantifier for one candidate, mirroring the reference
     /// loop exactly: range guard, ascending iteration, early exit on the
     /// deciding iteration, first body error wins. The binder register is
     /// private to the body, so no save/restore is needed.
-    fn exec_quant_scalar(&self, instr: &Instr, regs: &mut [Value]) -> Result<bool, String> {
+    ///
+    /// Kept out of line so that [`Program::step`], which it calls once per
+    /// body instruction and iteration, inlines into its loop instead of
+    /// being a call each time: with `step` called, candidate evaluation on
+    /// the catalog ran about 2 % slower.
+    #[inline(never)]
+    fn quant<V: Regs + ?Sized>(&self, instr: &Instr, regs: &mut V) -> Result<bool, String> {
         let Instr::Quant {
             universal,
             binder,
@@ -1070,49 +1074,31 @@ impl Program {
             body,
             body_out,
             ..
-        } = instr
+        } = *instr
         else {
             return Err("internal: not a quantifier".to_string());
         };
-        let lo = int_of(&regs[*lo as usize])?;
-        let hi = int_of(&regs[*hi as usize])?;
-        if hi - lo > MAX_QUANTIFIER_RANGE {
+        let mut scratch = Value::Bool(false);
+        let lo = int_of(regs.get(lo, &mut scratch))?;
+        let hi = int_of(regs.get(hi, &mut scratch))?;
+        // Saturating, like the reference: a range wider than `i64` reports
+        // the largest width instead of wrapping below the guard.
+        let width = hi.saturating_sub(lo);
+        if width > MAX_QUANTIFIER_RANGE {
             return Err(format!(
-                "quantifier range of width {} is too large to enumerate",
-                hi - lo
+                "quantifier range of width {width} is too large to enumerate"
             ));
         }
-        let mut result = *universal;
         for i in lo..hi {
-            regs[*binder as usize] = Value::Int(i);
-            for body_instr in &self.bodies[*body as usize] {
-                match self.exec_scalar(body_instr, regs)? {
-                    Flow::Continue => {}
-                    _ => return Err("internal: check inside quantifier body".to_string()),
-                }
+            regs.set(binder, Shape::Int, Value::Int(i));
+            for body_instr in &self.bodies[body as usize] {
+                self.step(body_instr, regs)?;
             }
-            let b = bool_of(&regs[*body_out as usize])?;
-            if *universal && !b {
-                result = false;
-                break;
-            }
-            if !*universal && b {
-                result = true;
-                break;
+            if bool_of(regs.get(body_out, &mut scratch))? != universal {
+                return Ok(!universal);
             }
         }
-        Ok(result)
-    }
-
-    /// Rebuilds the named-variable [`Model`] (inputs plus computed defines)
-    /// from the environment of the last [`Program::check`] call that
-    /// returned `Ok(Some(()))`.
-    pub fn reconstruct(&self, exec: &ScalarExec) -> Model {
-        let mut model = Model::new();
-        for (name, r) in &self.named {
-            model.insert(name.clone(), exec.regs[*r as usize].clone());
-        }
-        model
+        Ok(universal)
     }
 
     /// Lowers a bare boolean formula to a goal-only program against a
@@ -1219,22 +1205,16 @@ impl Program {
     /// variable, an ill-sorted operand, or an oversized quantifier range.
     pub fn eval_in_regs(&self, regs: &mut [Value]) -> Result<bool, String> {
         for (pc, instr) in self.instrs.iter().enumerate() {
-            match self.exec_scalar(instr, regs) {
-                Ok(Flow::Continue) => {}
-                // A goal-only program has no hypothesis checks, so the only
-                // non-continue flow is the goal deciding `false`.
-                Ok(Flow::Reject) | Ok(Flow::Cex) => return Ok(false),
-                Err(e) => {
-                    // `eval_bool` reports a non-bool formula with a
-                    // `"formula:"` context; the goal check is that check.
-                    let e = if matches!(instr, Instr::CheckGoal { .. }) {
-                        format!("formula: {e}")
-                    } else {
-                        e
-                    };
-                    return Err(self.wrap(pc, e));
-                }
-            }
+            let step = match instr {
+                // The goal check ends a goal-only program. `eval_bool`
+                // reports a non-bool formula with a `"formula:"` context.
+                Instr::CheckGoal { r } => match &regs[*r as usize] {
+                    Value::Bool(b) => return Ok(*b),
+                    other => Err(format!("formula: expected bool, found {}", other.sort())),
+                },
+                _ => self.step(instr, regs),
+            };
+            step.map_err(|e| self.wrap(pc, e))?;
         }
         Ok(true)
     }
@@ -1399,16 +1379,6 @@ fn ints_view(col: &Col) -> Option<IntsView<'_>> {
     }
 }
 
-/// The owned value of a column at one lane.
-fn lane_value(col: &Col, lane: usize) -> Value {
-    match col {
-        Col::Uniform(v) => v.clone(),
-        Col::Bools(m) => Value::Bool(lane_bit(m, lane)),
-        Col::Ints(a) => Value::Int(a[lane]),
-        Col::Values(vs) => vs[lane].clone(),
-    }
-}
-
 /// A borrowed view of a column at one lane; `Bools` / `Ints` lanes are
 /// materialized into `scratch`, `Uniform` / `Values` lanes are borrowed in
 /// place (so collection reads keep their no-refcount borrow path).
@@ -1555,8 +1525,8 @@ pub struct BlockExec {
     active: Lanes,
     /// Lanes whose goal evaluated to `false` — counterexamples.
     cex: Lanes,
-    /// Lanes that executed at least one instruction on the per-lane scalar
-    /// fallback path within the current block.
+    /// Lanes that executed at least one instruction on the per-lane step
+    /// ([`Program::step`]) within the current block.
     fallback: Lanes,
     batches: u64,
     fallback_lanes: u64,
@@ -1582,7 +1552,7 @@ impl BlockExec {
         self.batches
     }
 
-    /// Number of candidate lanes that took the per-lane scalar fallback for
+    /// Number of candidate lanes that took the per-lane step fallback for
     /// at least one instruction (collection-valued or mixed-sort columns,
     /// quantifiers).
     pub fn fallback_lanes(&self) -> u64 {
@@ -1750,31 +1720,45 @@ impl Program {
                     }
                 }
             }
-            Instr::Quant { out, .. } => {
-                exec.fallback = mask_or(exec.fallback, exec.active);
-                let mut result = mask_zero();
-                for lane in LaneIter::new(exec.active) {
-                    match self.quant_lane(instr, lane, exec) {
-                        Ok(b) => set_lane_bit(&mut result, lane, b),
-                        Err(e) => {
-                            exec.cols[*out as usize] = Col::Bools(result);
-                            return Err((lane, e));
-                        }
-                    }
-                }
-                exec.cols[*out as usize] = Col::Bools(result);
-                Ok(())
-            }
+            Instr::Quant { .. } => self.step_lanes(instr, exec),
             pure => self.exec_pure_col(pure, exec),
         }
+    }
+
+    /// Runs [`Program::step`] at each active lane in ascending order, so the
+    /// first error is the minimum-lane error: the per-lane fallback of an
+    /// instruction the column paths do not cover. A pure instruction is
+    /// decoded once for the block, not once per lane.
+    fn step_lanes(&self, instr: &Instr, exec: &mut BlockExec) -> Result<(), (usize, String)> {
+        exec.fallback = mask_or(exec.fallback, exec.active);
+        let cols = &mut exec.cols[..];
+        if matches!(instr, Instr::Quant { .. }) {
+            for lane in LaneIter::new(exec.active) {
+                let regs = &mut LaneRegs {
+                    cols: &mut *cols,
+                    lane,
+                };
+                self.step(instr, regs).map_err(|e| (lane, e))?;
+            }
+        } else {
+            let decoded = decode(instr);
+            for lane in LaneIter::new(exec.active) {
+                let regs = &mut LaneRegs {
+                    cols: &mut *cols,
+                    lane,
+                };
+                step_pure(instr, decoded, regs).map_err(|e| (lane, e))?;
+            }
+        }
+        Ok(())
     }
 }
 
 impl Program {
     /// Executes a value-producing pure instruction column-wise: an
     /// all-uniform fast path (evaluate once per block), vectorized boolean /
-    /// integer paths over packed lanes, and a per-lane scalar fallback for
-    /// everything else (collection columns, mixed sorts).
+    /// integer paths over packed lanes, and the per-lane step for everything
+    /// else (collection columns, mixed sorts).
     fn exec_pure_col(&self, instr: &Instr, exec: &mut BlockExec) -> Result<(), (usize, String)> {
         let [ra, rb, rc] = operands(instr);
         let out = out_reg(instr) as usize;
@@ -1891,115 +1875,7 @@ impl Program {
             _ => {}
         }
 
-        // Per-lane scalar fallback, ascending lane order (first error is the
-        // minimum-lane error).
-        exec.fallback = mask_or(exec.fallback, exec.active);
-        let shape = out_shape(instr);
-        for lane in LaneIter::new(exec.active) {
-            let v = {
-                let mut s1 = Value::Bool(false);
-                let mut s2 = Value::Bool(false);
-                let mut s3 = Value::Bool(false);
-                let a = lane_ref(&exec.cols[ra as usize], lane, &mut s1);
-                let b = lane_ref(&exec.cols[rb as usize], lane, &mut s2);
-                let c = lane_ref(&exec.cols[rc as usize], lane, &mut s3);
-                apply(instr, a, b, c).map_err(|e| (lane, e))?
-            };
-            write_lane(&mut exec.cols[out], lane, shape, v);
-        }
-        Ok(())
-    }
-
-    /// Executes one instruction at a single lane (the scalar fallback inside
-    /// a block, and the whole of quantifier-body execution). Errors are raw.
-    fn exec_lane(&self, instr: &Instr, lane: usize, exec: &mut BlockExec) -> Result<(), String> {
-        match instr {
-            Instr::Coerce { a, kind, ctx } => {
-                let mut s = Value::Bool(false);
-                coerce_value(lane_ref(&exec.cols[*a as usize], lane, &mut s), *kind, ctx)
-            }
-            Instr::Unbound { name } => Err(unbound(name)),
-            Instr::Check { .. } | Instr::CheckGoal { .. } => {
-                Err("internal: check inside quantifier body".to_string())
-            }
-            Instr::Quant { out, .. } => {
-                let b = self.quant_lane(instr, lane, exec)?;
-                write_lane(
-                    &mut exec.cols[*out as usize],
-                    lane,
-                    Shape::Bool,
-                    Value::Bool(b),
-                );
-                Ok(())
-            }
-            pure => {
-                let [ra, rb, rc] = operands(pure);
-                let v = {
-                    let mut s1 = Value::Bool(false);
-                    let mut s2 = Value::Bool(false);
-                    let mut s3 = Value::Bool(false);
-                    let a = lane_ref(&exec.cols[ra as usize], lane, &mut s1);
-                    let b = lane_ref(&exec.cols[rb as usize], lane, &mut s2);
-                    let c = lane_ref(&exec.cols[rc as usize], lane, &mut s3);
-                    apply(pure, a, b, c)?
-                };
-                write_lane(
-                    &mut exec.cols[out_reg(pure) as usize],
-                    lane,
-                    out_shape(pure),
-                    v,
-                );
-                Ok(())
-            }
-        }
-    }
-
-    /// Evaluates a quantifier at one lane, mirroring the reference loop
-    /// exactly (range guard, ascending iteration, early exit, first error
-    /// wins). Binder and body registers are written at this lane only.
-    fn quant_lane(&self, instr: &Instr, lane: usize, exec: &mut BlockExec) -> Result<bool, String> {
-        let Instr::Quant {
-            universal,
-            binder,
-            lo,
-            hi,
-            body,
-            body_out,
-            ..
-        } = instr
-        else {
-            return Err("internal: not a quantifier".to_string());
-        };
-        let lo = int_of(&lane_value(&exec.cols[*lo as usize], lane))?;
-        let hi = int_of(&lane_value(&exec.cols[*hi as usize], lane))?;
-        if hi - lo > MAX_QUANTIFIER_RANGE {
-            return Err(format!(
-                "quantifier range of width {} is too large to enumerate",
-                hi - lo
-            ));
-        }
-        let mut result = *universal;
-        for i in lo..hi {
-            write_lane(
-                &mut exec.cols[*binder as usize],
-                lane,
-                Shape::Int,
-                Value::Int(i),
-            );
-            for body_instr in &self.bodies[*body as usize] {
-                self.exec_lane(body_instr, lane, exec)?;
-            }
-            let b = bool_of(&lane_value(&exec.cols[*body_out as usize], lane))?;
-            if *universal && !b {
-                result = false;
-                break;
-            }
-            if !*universal && b {
-                result = true;
-                break;
-            }
-        }
-        Ok(result)
+        self.step_lanes(instr, exec)
     }
 
     /// Rebuilds the named-variable [`Model`] for one lane of the last
@@ -2009,7 +1885,9 @@ impl Program {
     pub fn reconstruct_lane(&self, exec: &BlockExec, lane: usize) -> Model {
         let mut model = Model::new();
         for (name, r) in &self.named {
-            model.insert(name.clone(), lane_value(&exec.cols[*r as usize], lane));
+            let mut scratch = Value::Bool(false);
+            let value = lane_ref(&exec.cols[*r as usize], lane, &mut scratch);
+            model.insert(name.clone(), value.clone());
         }
         model
     }
@@ -2021,52 +1899,76 @@ mod tests {
     use crate::obligation::Obligation;
     use semcommute_logic::build::*;
 
-    /// Checks one candidate with the scalar executor and with the reference
-    /// ([`crate::FiniteModelProver::replay`] over `logic::eval`): the same
-    /// outcome, the same counter-model, the same wrapped error string.
-    fn compare_scalar(ob: &Obligation, order: &[&str], inputs: Vec<Value>) {
-        let input = Model::from_bindings(order.iter().copied().zip(inputs.iter().cloned()));
-        let order: Vec<String> = order.iter().map(|s| s.to_string()).collect();
-        let program = Program::lower(ob, &order);
-        let mut exec = program.scalar_exec();
-        let mut bc_inputs = inputs;
-        let reference = crate::FiniteModelProver::default().replay(ob, &input);
-        let bytecode = program
-            .check(&mut bc_inputs, &mut exec)
-            .map(|cex| cex.map(|()| program.reconstruct(&exec)));
-        assert_eq!(reference, bytecode);
+    /// Runs `candidates` through the block executor, each alone and all in
+    /// one block, and through the reference ([`crate::Replayer`] over
+    /// `logic::eval`): the same deciding candidate, the same counter-model,
+    /// the same wrapped error string.
+    fn compare_block(ob: &Obligation, order: &[&str], candidates: &[Vec<Value>]) {
+        let names: Vec<String> = order.iter().map(|s| s.to_string()).collect();
+        let program = Program::lower(ob, &names);
+        let mut exec = program.block_exec();
+        let mut run = |lanes: &[Vec<Value>]| match program
+            .run_block(&BlockBuf::from_lanes(lanes), &mut exec)
+        {
+            None => None,
+            Some(BlockEvent::Counterexample(lane)) => {
+                Some((lane, Ok(program.reconstruct_lane(&exec, lane))))
+            }
+            Some(BlockEvent::Error(lane, e)) => Some((lane, Err(e))),
+        };
+        let replayer = crate::Replayer::new(ob);
+        let reference: Vec<Option<Result<Model, String>>> = candidates
+            .iter()
+            .map(|values| {
+                let input = Model::from_bindings(order.iter().copied().zip(values.iter().cloned()));
+                replayer.check(&input).transpose()
+            })
+            .collect();
+        for (values, expected) in candidates.iter().zip(&reference) {
+            let alone = run(std::slice::from_ref(values)).map(|(_, event)| event);
+            assert_eq!(&alone, expected, "candidate {values:?}");
+        }
+        let first = reference
+            .iter()
+            .enumerate()
+            .find_map(|(lane, event)| Some((lane, event.clone()?)));
+        assert_eq!(
+            run(candidates),
+            first,
+            "all {} candidates",
+            candidates.len()
+        );
     }
 
     #[test]
-    fn scalar_execution_matches_the_reference() {
+    fn block_execution_matches_the_reference() {
         let ob = Obligation::new("t")
             .define("r1", member(var_elem("v1"), var_set("s")))
             .define("s1", set_add(var_set("s"), var_elem("v2")))
             .define("r2", member(var_elem("v1"), var_set("s1")))
             .goal(eq(var_bool("r1"), var_bool("r2")));
-        compare_scalar(
+        compare_block(
             &ob,
             &["v1", "v2", "s"],
-            vec![Value::elem(1), Value::elem(1), Value::set_of([])],
-        );
-        compare_scalar(
-            &ob,
-            &["v1", "v2", "s"],
-            vec![
-                Value::elem(1),
-                Value::elem(2),
-                Value::set_of([semcommute_logic::ElemId(1)]),
+            &[
+                vec![Value::elem(1), Value::elem(1), Value::set_of([])],
+                vec![
+                    Value::elem(1),
+                    Value::elem(2),
+                    Value::set_of([semcommute_logic::ElemId(1)]),
+                ],
+                vec![Value::elem(1), Value::elem(2), Value::set_of([])],
             ],
         );
     }
 
     #[test]
-    fn scalar_execution_matches_the_reference_on_errors() {
+    fn block_execution_matches_the_reference_on_errors() {
         // Ill-sorted operand inside a define: identical wrapped message.
         let ob = Obligation::new("bad")
             .define("n", card(var_elem("v")))
             .goal(eq(var_int("n"), int(0)));
-        compare_scalar(&ob, &["v"], vec![Value::elem(1)]);
+        compare_block(&ob, &["v"], &[vec![Value::elem(1)], vec![Value::elem(2)]]);
         // Oversized quantifier range inside the goal.
         let ob = Obligation::new("wide").goal(forall_int(
             "i",
@@ -2074,7 +1976,7 @@ mod tests {
             int(MAX_QUANTIFIER_RANGE + 2),
             le(int(0), var_int("i")),
         ));
-        compare_scalar(&ob, &[], vec![]);
+        compare_block(&ob, &[], &[vec![]]);
     }
 
     #[test]
@@ -2084,7 +1986,14 @@ mod tests {
         let ob = Obligation::new("rejected")
             .assume(lt(var_int("i"), int(0)))
             .goal(eq(card(var_elem("v")), int(0)));
-        compare_scalar(&ob, &["i", "v"], vec![Value::Int(3), Value::elem(1)]);
+        compare_block(
+            &ob,
+            &["i", "v"],
+            &[
+                vec![Value::Int(3), Value::elem(1)],
+                vec![Value::Int(2), Value::elem(2)],
+            ],
+        );
     }
 
     #[test]
@@ -2098,15 +2007,17 @@ mod tests {
                 forall_int("i", int(0), int(2), le(int(0), var_int("i"))),
             ),
         ));
-        for (q, v) in [
-            (
-                Value::seq_of([semcommute_logic::ElemId(4), semcommute_logic::ElemId(7)]),
-                Value::elem(7),
-            ),
-            (Value::seq_of([semcommute_logic::ElemId(4)]), Value::elem(7)),
-        ] {
-            compare_scalar(&ob, &["q", "v"], vec![q, v]);
-        }
+        compare_block(
+            &ob,
+            &["q", "v"],
+            &[
+                vec![
+                    Value::seq_of([semcommute_logic::ElemId(4), semcommute_logic::ElemId(7)]),
+                    Value::elem(7),
+                ],
+                vec![Value::seq_of([semcommute_logic::ElemId(4)]), Value::elem(7)],
+            ],
+        );
     }
 
     /// Collection reads agree with the reference on results and, for
@@ -2127,15 +2038,24 @@ mod tests {
                 ),
             ),
         ));
-        compare_scalar(
+        compare_block(
             &ob,
             &["v", "w", "s", "mp", "q"],
-            vec![
-                Value::elem(1),
-                Value::elem(2),
-                Value::set_of([ElemId(1), ElemId(2)]),
-                Value::map_of([(ElemId(1), ElemId(2))]),
-                Value::seq_of([ElemId(1), ElemId(2)]),
+            &[
+                vec![
+                    Value::elem(1),
+                    Value::elem(2),
+                    Value::set_of([ElemId(1), ElemId(2)]),
+                    Value::map_of([(ElemId(1), ElemId(2))]),
+                    Value::seq_of([ElemId(1), ElemId(2)]),
+                ],
+                vec![
+                    Value::elem(2),
+                    Value::elem(1),
+                    Value::set_of([ElemId(1), ElemId(2)]),
+                    Value::map_of([(ElemId(2), ElemId(1))]),
+                    Value::seq_of([ElemId(2), ElemId(2)]),
+                ],
             ],
         );
         for read in [
@@ -2147,16 +2067,23 @@ mod tests {
             map_get(var_int("x"), var_elem("v")),
         ] {
             let ob = Obligation::new("bad").goal(eq(read, int(0)));
-            compare_scalar(&ob, &["v", "x"], vec![Value::elem(1), Value::Int(3)]);
+            compare_block(
+                &ob,
+                &["v", "x"],
+                &[
+                    vec![Value::elem(1), Value::Int(3)],
+                    vec![Value::elem(2), Value::Int(4)],
+                ],
+            );
         }
     }
 
-    /// A variable that is in scope nowhere it is read: the scalar executor
+    /// A variable that is in scope nowhere it is read: the block executor
     /// reports the reference replay's message.
     #[test]
-    fn scalar_check_reports_unbound_variables_like_the_replayer() {
+    fn block_execution_reports_unbound_variables_like_the_replayer() {
         let ob = Obligation::new("unbound").goal(eq(var_int("x"), int(0)));
-        compare_scalar(&ob, &["s"], vec![Value::set_of([])]);
+        compare_block(&ob, &["s"], &[vec![Value::set_of([])]]);
         let input = Model::from_bindings([("s", Value::set_of([]))]);
         assert_eq!(
             crate::Replayer::new(&ob).check(&input),
@@ -2179,26 +2106,6 @@ mod tests {
             program.eval_in_regs(&mut regs),
             Err(format!("evaluating goal: {reference}"))
         );
-    }
-
-    /// The block executor reports an unbound variable by name too.
-    #[test]
-    fn block_execution_reports_unbound_variables_by_name() {
-        let ob = Obligation::new("unbound").goal(eq(var_int("x"), var_int("i")));
-        let program = Program::lower(&ob, &["i".to_string()]);
-        let space = crate::InputSpace::from_obligation(
-            &Obligation::new("inputs").goal(eq(var_int("i"), int(0))),
-            crate::Scope::default(),
-        );
-        let mut block = BlockBuf::new();
-        assert!(space.iter().next_block(LANES, &mut block) > 0);
-        let mut exec = program.block_exec();
-        match program.run_block(&block, &mut exec) {
-            Some(BlockEvent::Error(0, e)) => {
-                assert_eq!(e, "evaluating goal: unbound variable `x`")
-            }
-            other => panic!("expected an error at lane 0, got {other:?}"),
-        }
     }
 
     /// The main stream follows the obligation's schedule: each hypothesis
@@ -2300,7 +2207,7 @@ mod tests {
             })
             .count();
         assert_eq!(cards, 1);
-        compare_scalar(&ob, &["s"], vec![Value::set_of([])]);
+        compare_block(&ob, &["s"], &[vec![Value::set_of([])]]);
     }
 
     #[test]

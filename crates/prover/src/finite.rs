@@ -960,30 +960,66 @@ mod tests {
     /// The define/hypothesis schedule is shared by the bytecode and the
     /// reference: an input-only hypothesis that is false rejects the
     /// candidate before a define that cannot be evaluated runs, in both; when
-    /// the hypothesis holds, both report the same wrapped define error.
+    /// the hypothesis holds, both report the same wrapped define error — for
+    /// each candidate alone and for both in one block.
     #[test]
     fn bytecode_and_reference_share_the_evaluation_schedule() {
         let ob = Obligation::new("schedule")
             .define("n", card(var_elem("v")))
             .assume(lt(var_int("i"), int(0)))
             .goal(eq(var_int("n"), int(0)));
-        let order = ["i", "v"].map(String::from);
-        let program = Program::lower(&ob, &order);
-        let mut exec = program.scalar_exec();
-        for (i, expected) in [
-            (3, Ok(None)),
-            (
-                -1,
-                Err("evaluating `n`: card: expected obj set, found obj".to_string()),
-            ),
-        ] {
+        let program = Program::lower(&ob, &["i", "v"].map(String::from));
+        let mut exec = program.block_exec();
+        let error = "evaluating `n`: card: expected obj set, found obj".to_string();
+        let mut run = |is: &[i64]| {
+            let lanes: Vec<Vec<Value>> = is
+                .iter()
+                .map(|&i| vec![Value::Int(i), Value::elem(1)])
+                .collect();
+            match program.run_block(&BlockBuf::from_lanes(&lanes), &mut exec) {
+                Some(BlockEvent::Error(lane, e)) => Some((lane, e)),
+                None => None,
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        for (i, expected) in [(3, Ok(None)), (-1, Err(error.clone()))] {
             let input = Model::from_bindings([("i", Value::Int(i)), ("v", Value::elem(1))]);
-            let reference = prover().replay(&ob, &input);
-            let mut inputs = vec![Value::Int(i), Value::elem(1)];
-            let bytecode = program.check(&mut inputs, &mut exec);
-            assert_eq!(reference, expected, "i = {i}");
-            assert_eq!(bytecode, expected.map(|_| None), "i = {i}");
+            assert_eq!(prover().replay(&ob, &input), expected, "i = {i}");
+            assert_eq!(run(&[i]), expected.err().map(|e| (0, e)), "i = {i}");
         }
+        assert_eq!(run(&[3, -1]), Some((1, error)));
+    }
+
+    /// A quantifier range wider than `i64` is refused with one typed error
+    /// through all three evaluation paths — the reference `eval_bool`, the
+    /// formula path (`Program::eval_in_regs`) and the model search (the
+    /// block executor) — instead of wrapping below the range guard and
+    /// enumerating about 2^63 iterations.
+    #[test]
+    fn an_overflowing_quantifier_width_is_refused_on_every_path() {
+        let formula = forall_int("i", int(i64::MIN), int(1), tru());
+        let reference = eval::eval_bool(&formula, &Model::new())
+            .unwrap_err()
+            .to_string();
+        assert_eq!(
+            reference,
+            format!(
+                "quantifier range of width {} is too large to enumerate",
+                i64::MAX
+            )
+        );
+        let program = Program::lower_formula(&formula, &[]);
+        let mut regs = Vec::new();
+        program.prepare_regs(&mut regs);
+        assert_eq!(
+            program.eval_in_regs(&mut regs),
+            Err(format!("evaluating goal: {reference}"))
+        );
+        let verdict = prover().prove(&Obligation::new("overflow").goal(formula));
+        assert_eq!(
+            unknown_reason(&verdict),
+            Some(format!("evaluating goal: {reference}").as_str())
+        );
     }
 
     #[test]

@@ -92,9 +92,8 @@ impl InputSpace {
     }
 
     /// The enumeration order of all input variables: element variables first,
-    /// then the rest — the order in which [`SpaceIter::next_values`] emits
-    /// values, and the input order [`crate::Program::lower`] assigns
-    /// registers in.
+    /// then the rest — the slot order of a [`BlockBuf`] lane, and the input
+    /// order [`crate::Program::lower`] assigns registers in.
     pub fn var_order(&self) -> Vec<String> {
         self.elem_vars
             .iter()
@@ -360,7 +359,7 @@ fn candidates(sort: Sort, universe: u32, scope: &Scope) -> Vec<Value> {
 /// O(1) shared-prefix handle copy) and inserting one element — the deep copy
 /// happens once per generated value, and since [`candidate_list`] builds
 /// each list once per process, once per value per process; per-candidate
-/// use ([`SpaceIter::next_values`]) only ever clones handles.
+/// use ([`SpaceIter::next_block`]) only ever clones handles.
 fn subsets_up_to(universe: &[ElemId], max_len: usize) -> Vec<PSet> {
     let mut out: Vec<PSet> = vec![PSet::new()];
     for &e in universe {
@@ -382,7 +381,7 @@ fn subsets_up_to(universe: &[ElemId], max_len: usize) -> Vec<PSet> {
 /// With [`Scope::orbit`] set, the iterator emits only orbit-canonical
 /// candidates (see [`crate::orbit`]): non-canonical tuples are stepped over
 /// — pruning the whole odometer subtree of a doomed prefix at once — before
-/// a position is ever observable through [`SpaceIter::next_values`] or
+/// a position is ever observable through [`SpaceIter::next_block`] or
 /// `next()`.
 ///
 /// Every candidate — canonical or not — has a deterministic **unreduced
@@ -463,9 +462,8 @@ impl<'a> SpaceIter<'a> {
 
     /// The unreduced position of the current candidate: its index in the
     /// plain (orbit-off) odometer enumeration. Stable across split
-    /// granularities and thread counts; after [`SpaceIter::next_values`]
-    /// returns `true` the emitted candidate's position is the value this
-    /// returned *before* the call.
+    /// granularities and thread counts; after `next()` returns a candidate,
+    /// its position is the value this returned *before* the call.
     pub fn position(&self) -> u64 {
         self.upos
     }
@@ -552,33 +550,12 @@ impl<'a> SpaceIter<'a> {
         }
     }
 
-    /// Writes the current candidate's values into `buf` in
-    /// [`InputSpace::var_order`] order and advances; returns `false` when the
-    /// space is exhausted. This is the allocation-lean counterpart of
-    /// `next()` used by per-candidate scalar bytecode scans: no names, no
-    /// `Model` map — just the values.
-    pub fn next_values(&mut self, buf: &mut Vec<Value>) -> bool {
-        if self.exhausted() {
-            return false;
-        }
-        buf.clear();
-        for v in &self.elem_assignments[self.elem_index] {
-            buf.push(Value::Elem(*v));
-        }
-        for (cands, &pos) in self.candidates.iter().zip(&self.positions) {
-            buf.push(cands.values[pos].clone());
-        }
-        self.advance();
-        true
-    }
-
     /// Materializes up to `max` candidates into `out` (clearing it first) and
     /// returns how many were emitted — the block-mode counterpart of
-    /// [`SpaceIter::next_values`], used by the bytecode backend's batched
-    /// driver.
+    /// `next()`, used by the model search's block loop.
     ///
-    /// Lane `k` of the block is exactly the `k`-th candidate
-    /// [`SpaceIter::next_values`] would have emitted, with its unreduced
+    /// Lane `k` of the block is exactly the `k`-th candidate `next()` would
+    /// have emitted (its values in [`InputSpace::var_order`]), with its unreduced
     /// position recorded in [`BlockBuf::position`] and the cumulative
     /// [`SpaceIter::orbits_pruned`] snapshot *after* its advance (including
     /// any prune-ahead past it) in [`BlockBuf::pruned_after`] — the two
@@ -782,6 +759,20 @@ mod tests {
         pairs.iter().map(|(n, s)| (n.to_string(), *s)).collect()
     }
 
+    impl BlockBuf {
+        /// A block of the given candidates, one lane each (positions and
+        /// pruned counts zero): runs chosen inputs through the block executor
+        /// in unit tests.
+        pub(crate) fn from_lanes(lanes: &[Vec<Value>]) -> BlockBuf {
+            BlockBuf {
+                values: lanes.concat(),
+                positions: vec![0; lanes.len()],
+                pruned_after: vec![0; lanes.len()],
+                width: lanes.first().map_or(0, Vec::len),
+            }
+        }
+    }
+
     #[test]
     fn empty_space_yields_one_model() {
         let space = InputSpace::new(&BTreeMap::new(), Scope::small());
@@ -953,12 +944,7 @@ mod tests {
         };
         let space = InputSpace::new(&vars(&[("s", Sort::Set)]), scope.with_orbit(false));
         let mut it = space.iter();
-        let mut n = 0;
-        let mut buf = Vec::new();
-        while it.next_values(&mut buf) {
-            n += 1;
-        }
-        assert_eq!(n, 4);
+        assert_eq!(it.by_ref().count(), 4);
         assert_eq!(it.orbits_pruned(), 0);
     }
 
@@ -995,7 +981,7 @@ mod tests {
     }
 
     #[test]
-    fn next_block_matches_next_values_at_any_block_size() {
+    fn next_block_matches_the_model_iterator_at_any_block_size() {
         let scope = Scope {
             elem_padding: 2,
             max_collection_entries: 2,
@@ -1008,19 +994,19 @@ mod tests {
             // Sequential reference: one candidate at a time, with the
             // position before and the pruned snapshot after each emission.
             let mut seq = space.iter();
-            let mut expected: Vec<(u64, Vec<Value>, u64)> = Vec::new();
-            let mut buf = Vec::new();
+            let mut expected: Vec<(u64, Model, u64)> = Vec::new();
             loop {
                 let upos = seq.position();
-                if !seq.next_values(&mut buf) {
+                let Some(model) = seq.next() else {
                     break;
-                }
-                expected.push((upos, buf.clone(), seq.orbits_pruned()));
+                };
+                expected.push((upos, model, seq.orbits_pruned()));
             }
+            let order = space.var_order();
             for block_size in [1, 3, 7, 256] {
                 let mut it = space.iter();
                 let mut block = BlockBuf::new();
-                let mut got: Vec<(u64, Vec<Value>, u64)> = Vec::new();
+                let mut got: Vec<(u64, Model, u64)> = Vec::new();
                 loop {
                     let lanes = it.next_block(block_size, &mut block);
                     if lanes == 0 {
@@ -1028,10 +1014,13 @@ mod tests {
                     }
                     assert!(lanes <= block_size);
                     for lane in 0..lanes {
-                        let values = (0..block.width())
-                            .map(|v| block.value(lane, v).clone())
-                            .collect();
-                        got.push((block.position(lane), values, block.pruned_after(lane)));
+                        let model = Model::from_bindings(
+                            order
+                                .iter()
+                                .enumerate()
+                                .map(|(v, name)| (name.clone(), block.value(lane, v).clone())),
+                        );
+                        got.push((block.position(lane), model, block.pruned_after(lane)));
                     }
                 }
                 assert_eq!(got, expected, "orbit {orbit}, block size {block_size}");
