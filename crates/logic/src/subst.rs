@@ -1,55 +1,36 @@
 //! Free variables, renaming, and capture-avoiding substitution.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::sort::Sort;
-use crate::term::Term;
+use crate::term::{Term, Var};
 
 /// Returns the free variables of `term` together with their sorts, in name
 /// order.
 ///
 /// Bound quantifier variables are not reported (the quantifier bounds are
 /// evaluated outside the binder and are therefore free).
-///
-/// The result comes from the calling thread's hash-consed arena, where every
-/// interned node caches its free-variable list — asking again for any
-/// already-seen term (or a term sharing sub-DAGs with one) is cheap.
 pub fn free_vars(term: &Term) -> BTreeMap<String, Sort> {
-    crate::arena::with_arena(|arena| {
-        let id = arena.intern(term);
-        arena.free_vars_map(id)
-    })
-}
-
-/// Tree-walking free-variable collection, kept as the reference
-/// implementation for the arena's cached lists (compared by property tests).
-pub fn free_vars_uncached(term: &Term) -> BTreeMap<String, Sort> {
     let mut acc = BTreeMap::new();
-    collect_free(term, &mut BTreeSet::new(), &mut acc);
+    collect_free(term, &mut Vec::new(), &mut acc);
     acc
 }
 
-fn collect_free(term: &Term, bound: &mut BTreeSet<String>, acc: &mut BTreeMap<String, Sort>) {
+fn collect_free<'a>(term: &'a Term, bound: &mut Vec<&'a str>, acc: &mut BTreeMap<String, Sort>) {
     match term {
         Term::Var(v) => {
-            if !bound.contains(&v.name) {
+            if !bound.contains(&v.name.as_str()) && !acc.contains_key(&v.name) {
                 acc.insert(v.name.clone(), v.sort);
             }
         }
         Term::ForallInt { var, lo, hi, body } | Term::ExistsInt { var, lo, hi, body } => {
             collect_free(lo, bound, acc);
             collect_free(hi, bound, acc);
-            let fresh = bound.insert(var.clone());
+            bound.push(var);
             collect_free(body, bound, acc);
-            if fresh {
-                bound.remove(var);
-            }
+            bound.pop();
         }
-        other => {
-            for c in other.children() {
-                collect_free(c, bound, acc);
-            }
-        }
+        other => other.for_each_child(&mut |c| collect_free(c, bound, acc)),
     }
 }
 
@@ -62,24 +43,11 @@ fn collect_free(term: &Term, bound: &mut BTreeSet<String>, acc: &mut BTreeMap<St
 /// convention are fresh names (`__q0`, `__q1`, …) distinct from all
 /// specification variables; [`rename_vars`] can be used first when this
 /// convention does not hold.
-///
-/// The walk runs on the calling thread's hash-consed arena (see
-/// [`crate::arena::TermArena::substitute_id`]): shared sub-DAGs are rewritten
-/// once per call, and sub-terms whose cached free variables are disjoint from
-/// the substitution domain are skipped entirely.
 pub fn substitute(term: &Term, subst: &BTreeMap<String, Term>) -> Term {
     if subst.is_empty() {
         return term.clone();
     }
-    crate::arena::with_arena(|arena| {
-        let id = arena.intern(term);
-        let map = subst
-            .iter()
-            .map(|(name, replacement)| (arena.sym(name), arena.intern(replacement)))
-            .collect();
-        let out = arena.substitute_id(id, &map);
-        arena.to_term(out)
-    })
+    replace_free(term, &mut Vec::new(), &|v| subst.get(&v.name).cloned())
 }
 
 /// Renames free variables according to `renaming` (old name → new name).
@@ -88,44 +56,31 @@ pub fn substitute(term: &Term, subst: &BTreeMap<String, Term>) -> Term {
 /// specifications (written in terms of formal parameter and state names) are
 /// instantiated with the actual names used by a testing method.
 pub fn rename_vars(term: &Term, renaming: &BTreeMap<String, String>) -> Term {
-    rename_rec(term, renaming)
+    replace_free(term, &mut Vec::new(), &|v| {
+        renaming
+            .get(&v.name)
+            .map(|name| Term::var(name.clone(), v.sort))
+    })
 }
 
-fn rename_rec(term: &Term, renaming: &BTreeMap<String, String>) -> Term {
+/// Rebuilds `term`, replacing every free occurrence of a variable `v` with
+/// `f(v)` where that is `Some`. A quantifier's bounds lie outside its binder,
+/// its body inside: `bound` holds the binders around the current sub-term.
+fn replace_free(term: &Term, bound: &mut Vec<String>, f: &impl Fn(&Var) -> Option<Term>) -> Term {
     match term {
-        Term::Var(v) => {
-            if let Some(new_name) = renaming.get(&v.name) {
-                Term::var(new_name.clone(), v.sort)
-            } else {
-                term.clone()
-            }
-        }
+        Term::Var(v) if !bound.contains(&v.name) => f(v).unwrap_or_else(|| term.clone()),
         Term::ForallInt { var, lo, hi, body } | Term::ExistsInt { var, lo, hi, body } => {
-            let lo2 = rename_rec(lo, renaming);
-            let hi2 = rename_rec(hi, renaming);
-            let body2 = if renaming.contains_key(var) {
-                let mut narrowed = renaming.clone();
-                narrowed.remove(var);
-                rename_rec(body, &narrowed)
-            } else {
-                rename_rec(body, renaming)
-            };
+            let (lo, hi) = (replace_free(lo, bound, f), replace_free(hi, bound, f));
+            bound.push(var.clone());
+            let body = replace_free(body, bound, f);
+            bound.pop();
+            let (var, lo, hi, body) = (var.clone(), Box::new(lo), Box::new(hi), Box::new(body));
             match term {
-                Term::ForallInt { .. } => Term::ForallInt {
-                    var: var.clone(),
-                    lo: Box::new(lo2),
-                    hi: Box::new(hi2),
-                    body: Box::new(body2),
-                },
-                _ => Term::ExistsInt {
-                    var: var.clone(),
-                    lo: Box::new(lo2),
-                    hi: Box::new(hi2),
-                    body: Box::new(body2),
-                },
+                Term::ForallInt { .. } => Term::ForallInt { var, lo, hi, body },
+                _ => Term::ExistsInt { var, lo, hi, body },
             }
         }
-        other => other.map_children(|c| rename_rec(c, renaming)),
+        other => other.map_children(|c| replace_free(c, bound, f)),
     }
 }
 

@@ -1,5 +1,7 @@
 //! Terms of the specification logic.
 
+use std::hash::{Hash, Hasher};
+
 use crate::sort::Sort;
 
 /// A typed variable of the specification logic.
@@ -246,6 +248,49 @@ impl Term {
         }
     }
 
+    /// Calls `f` on every immediate sub-term, mutably, in the same order as
+    /// [`Term::for_each_child`]: the in-place rewriting passes use it to
+    /// leave a subtree no rule touches where it is.
+    pub(crate) fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut Term)) {
+        use Term::*;
+        match self {
+            Var(_) | BoolLit(_) | IntLit(_) | Null | EmptySet | EmptyMap | EmptySeq => {}
+            Not(a) | Neg(a) | Card(a) | MapSize(a) | SeqLen(a) => f(a),
+            And(cs) | Or(cs) => cs.iter_mut().for_each(f),
+            Implies(a, b)
+            | Iff(a, b)
+            | Eq(a, b)
+            | Add(a, b)
+            | Sub(a, b)
+            | Lt(a, b)
+            | Le(a, b)
+            | SetAdd(a, b)
+            | SetRemove(a, b)
+            | Member(a, b)
+            | MapRemove(a, b)
+            | MapGet(a, b)
+            | MapHasKey(a, b)
+            | SeqRemoveAt(a, b)
+            | SeqAt(a, b)
+            | SeqIndexOf(a, b)
+            | SeqLastIndexOf(a, b)
+            | SeqContains(a, b) => {
+                f(a);
+                f(b);
+            }
+            Ite(a, b, c) | MapPut(a, b, c) | SeqInsertAt(a, b, c) | SeqSetAt(a, b, c) => {
+                f(a);
+                f(b);
+                f(c);
+            }
+            ForallInt { lo, hi, body, .. } | ExistsInt { lo, hi, body, .. } => {
+                f(lo);
+                f(hi);
+                f(body);
+            }
+        }
+    }
+
     /// Rebuilds this term, applying `f` to every immediate sub-term.
     ///
     /// The structure (variant, bound variable names) is preserved. This is the
@@ -305,8 +350,7 @@ impl Term {
     ///
     /// The traversal is iterative with a single explicit stack, so counting a
     /// term never allocates a per-node `Vec` (unlike [`Term::children`]) and
-    /// cannot overflow the call stack on deep terms. Arena-interned terms get
-    /// the same measure for free via [`crate::arena::TermArena::size_of`].
+    /// cannot overflow the call stack on deep terms.
     pub fn size(&self) -> usize {
         let mut count = 0usize;
         let mut stack: Vec<&Term> = vec![self];
@@ -323,6 +367,51 @@ impl Term {
             Term::ForallInt { var, .. } | Term::ExistsInt { var, .. } => Some(var),
             _ => None,
         }
+    }
+}
+
+/// A 128-bit hash of the term's structure: equal terms hash equally on every
+/// thread and in every process (there is no seed), so the prover's
+/// cross-thread obligation dedup cache can use it as a key. The derived
+/// [`Hash`] walk, an unambiguous encoding of the tree, is fed word by word
+/// into two independently mixed 64-bit lanes.
+pub fn structural_hash(term: &Term) -> u128 {
+    let mut lanes = Lanes(0x517C_C1B7_2722_0A95, 0x2545_F491_4F6C_DD1D);
+    term.hash(&mut lanes);
+    u128::from(lanes.0) | (u128::from(lanes.1) << 64)
+}
+
+struct Lanes(u64, u64);
+
+impl Hasher for Lanes {
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_usize(bytes.len());
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x)
+            .wrapping_mul(0x0000_0100_0000_01B3)
+            .rotate_left(23);
+        self.1 = (self.1 ^ x.rotate_left(17))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -364,6 +453,45 @@ mod tests {
         let q = exists_int("i", int(0), seq_len(var_seq("s")), tru());
         assert_eq!(q.binder(), Some("i"));
         assert_eq!(tru().binder(), None);
+    }
+
+    #[test]
+    fn structural_hash_is_thread_independent_and_separates_terms() {
+        let samples = || {
+            vec![
+                iff(
+                    member(var_elem("x"), set_add(var_set("s"), var_elem("y"))),
+                    var_bool("r"),
+                ),
+                iff(
+                    member(var_elem("y"), set_add(var_set("s"), var_elem("x"))),
+                    var_bool("r"),
+                ),
+                var_bool("r"),
+                var_int("r"),
+                and(vec![]),
+                or(vec![]),
+                tru(),
+                forall_int("i", int(0), int(3), var_bool("p")),
+                exists_int("i", int(0), int(3), var_bool("p")),
+                exists_int("j", int(0), int(3), var_bool("p")),
+            ]
+        };
+        let here: Vec<u128> = samples().iter().map(structural_hash).collect();
+        let there = std::thread::spawn(move || -> Vec<u128> {
+            samples().iter().map(structural_hash).collect()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(here, there, "equal terms hash equally on every thread");
+        let mut distinct = here.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            here.len(),
+            "distinct samples, distinct hashes"
+        );
     }
 
     #[test]

@@ -78,8 +78,8 @@ impl FiniteModelProver {
         // The obligation is lowered once per search: every variable
         // occurrence becomes a register, so the per-candidate loop never
         // builds a name-keyed model or looks anything up by string. The
-        // program holds no arena ids, so one search can be scanned from many
-        // worker threads.
+        // program owns everything it reads, so one search can be scanned
+        // from many worker threads.
         let program = Program::lower(ob, &space.var_order());
         Ok(ModelSearch {
             space,

@@ -16,10 +16,12 @@
 //! is reused by all of them without funnelling every lookup through a
 //! single lock.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-use semcommute_logic::with_arena;
+use semcommute_logic::{simplify, structural_hash};
 
 use crate::finite::{FiniteModelProver, ModelSearch};
 use crate::obligation::Obligation;
@@ -192,37 +194,29 @@ impl Portfolio {
         self.cache.len()
     }
 
-    /// The canonical cache key of an obligation: a structural hash of its
-    /// simplified definitions, hypotheses, and goal, mixed with the scope
-    /// fingerprint. Stable across threads (the structural hash does not
-    /// depend on arena ids; defined-variable names reuse the arena's cached
-    /// symbol hashes), so a key computed by the scheduler on one worker
-    /// addresses the same verdict everywhere.
+    /// The canonical cache key of an obligation: the scope fingerprint mixed
+    /// with a hash of each definition's name and the structural hash of
+    /// each simplified definition, hypothesis, and goal. None of the hashes
+    /// is seeded per process or per thread, so a key computed by the
+    /// scheduler on one worker addresses the same verdict everywhere.
     /// Thread count and split granularity are deliberately *not* part of the
     /// key: the range-split model search reports exactly the sequential
     /// scan's verdict (the minimum-position deciding event), so verdicts are
     /// shareable across every scheduling configuration.
     pub fn canonical_key(&self, ob: &Obligation) -> u128 {
         use crate::scope::mix128 as mix;
-        with_arena(|arena| {
-            let mut key: u128 = 0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C834;
-            key = mix(key, self.scope.fingerprint());
-            for (name, term) in &ob.defines {
-                let id = arena.intern(term);
-                let simplified = arena.simplify_id(id);
-                let name_sym = arena.sym(name);
-                key = mix(key, arena.sym_hash(name_sym));
-                key = mix(key, arena.structural_hash(simplified));
-            }
-            for h in &ob.hypotheses {
-                let id = arena.intern(h);
-                let simplified = arena.simplify_id(id);
-                key = mix(key, arena.structural_hash(simplified));
-            }
-            let goal = arena.intern(&ob.goal);
-            let goal_simplified = arena.simplify_id(goal);
-            mix(key, arena.structural_hash(goal_simplified))
-        })
+        let mut key: u128 = 0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C834;
+        key = mix(key, self.scope.fingerprint());
+        for (name, term) in &ob.defines {
+            let mut name_hash = DefaultHasher::new();
+            name.hash(&mut name_hash);
+            key = mix(key, u128::from(name_hash.finish()));
+            key = mix(key, structural_hash(&simplify(term)));
+        }
+        for part in ob.hypotheses.iter().chain([&ob.goal]) {
+            key = mix(key, structural_hash(&simplify(part)));
+        }
+        key
     }
 
     /// Attempts to prove an obligation.

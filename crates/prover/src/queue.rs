@@ -8,8 +8,8 @@
 //!
 //! * every submitted obligation is addressed by its **canonical hash**
 //!   ([`Portfolio::canonical_key`]: the structural hash of the simplified
-//!   obligation mixed with the scope). Keying — the intern +
-//!   simplify pass over the obligation — happens **on the worker that pops
+//!   obligation mixed with the scope). Keying — the simplify + hash
+//!   pass over the obligation — happens **on the worker that pops
 //!   the submission**, not on the submitting thread: an up-front serial
 //!   keying pre-pass was the scheduler's Amdahl floor at high worker
 //!   counts. Canonically identical submissions still collapse: the first
@@ -56,8 +56,7 @@
 //! Every width runs the same worker loop on `workers` scoped threads. At one
 //! worker the single deque holds the submissions in submission order, so
 //! they are processed in order, and splitting is off (there is no one to
-//! steal a range); running that worker on a scoped thread rather than the
-//! caller's also keeps the caller's thread-local term arena from growing.
+//! steal a range).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -350,7 +349,7 @@ pub fn prove_all_scheduled(
 /// tasks (`u64::MAX` disables splitting; values below 1 are clamped to 1).
 ///
 /// The returned verdicts are positionally aligned with `items`. Each
-/// submission is keyed (intern + simplify) by the worker that pops it; the
+/// submission is keyed (simplify + hash) by the worker that pops it; the
 /// submission that claims a canonical hash first receives the prover's
 /// verdict, and every other submission of that hash receives it as a dedup
 /// hit (zeroed work counters, `cache_hits = 1`), mirroring what
@@ -503,9 +502,9 @@ pub fn prove_all_scheduled_split(
                 }
             }
             let portfolio = &portfolios[item.portfolio];
-            // Keying — intern + simplify of the obligation — runs here, on the
-            // popping worker's thread-local arena. The canonical hash does not
-            // depend on arena ids, so every worker computes the same key.
+            // Keying — simplify + hash of the obligation — runs here, on the
+            // popping worker. The hash is unseeded, so every worker computes
+            // the same key.
             let key = portfolio.canonical_key(&item.obligation);
             let published = {
                 let mut shard = in_flight

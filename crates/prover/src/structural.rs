@@ -16,11 +16,11 @@
 //! The structural prover is sound but deliberately incomplete; anything it
 //! cannot discharge falls through to the finite-model prover.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
-use semcommute_logic::arena::{Sym, TermId};
-use semcommute_logic::{build, substitute, with_arena, Term};
+use semcommute_logic::simplify::simplify_owned;
+use semcommute_logic::{build, substitute, Term};
 
 use crate::obligation::Obligation;
 use crate::stats::ProofStats;
@@ -29,42 +29,11 @@ use crate::stats::ProofStats;
 ///
 /// Returns `Some(stats)` if the obligation was proved, `None` if this prover
 /// cannot decide it (which says nothing about validity).
-///
-/// The whole pipeline — inlining the definitions, normalizing set-update
-/// runs, building the implication, simplifying — runs on the calling
-/// thread's hash-consed term arena without ever reconstructing boxed trees,
-/// so the repetitive obligations of a catalog run share all of their
-/// rewriting work.
 pub fn prove_structural(ob: &Obligation) -> Option<ProofStats> {
     let start = Instant::now();
-    let proved = with_arena(|arena| {
-        let mut inlined: HashMap<Sym, TermId> = HashMap::new();
-        for (name, term) in &ob.defines {
-            let id = arena.intern(term);
-            let substituted = arena.substitute_id(id, &inlined);
-            let expanded = arena.normalize_sets_id(substituted);
-            let sym = arena.sym(name);
-            inlined.insert(sym, expanded);
-        }
-        let mut hyps = Vec::with_capacity(ob.hypotheses.len());
-        for h in &ob.hypotheses {
-            let id = arena.intern(h);
-            let substituted = arena.substitute_id(id, &inlined);
-            hyps.push(arena.normalize_sets_id(substituted));
-        }
-        let goal_id = arena.intern(&ob.goal);
-        let goal_sub = arena.substitute_id(goal_id, &inlined);
-        let goal = arena.normalize_sets_id(goal_sub);
-        let hyp = arena.and_ids(hyps);
-        let formula = arena.implies_ids(hyp, goal);
-        let simplified = arena.simplify_id(formula);
-        arena.is_true_id(simplified)
-    });
-    if proved {
-        Some(ProofStats::structural(start.elapsed()))
-    } else {
-        None
-    }
+    simplify_owned(inline_and_normalize(ob))
+        .is_true()
+        .then(|| ProofStats::structural(start.elapsed()))
 }
 
 /// Inlines the obligation's definitions into its hypotheses and goal,
@@ -112,16 +81,15 @@ fn sort_run(term: Term, kind: RunKind) -> Term {
     let mut elems = Vec::new();
     let mut base = term;
     loop {
-        match (&base, kind) {
-            (Term::SetAdd(s, v), RunKind::Add) => {
-                elems.push((**v).clone());
-                base = (**s).clone();
+        match (base, kind) {
+            (Term::SetAdd(s, v), RunKind::Add) | (Term::SetRemove(s, v), RunKind::Remove) => {
+                elems.push(*v);
+                base = *s;
             }
-            (Term::SetRemove(s, v), RunKind::Remove) => {
-                elems.push((**v).clone());
-                base = (**s).clone();
+            (other, _) => {
+                base = other;
+                break;
             }
-            _ => break,
         }
     }
     // Idempotence: duplicate adds (or removes) of the same element collapse.
@@ -205,6 +173,16 @@ mod tests {
             ("c", Value::elem(2)),
         ]);
         assert_eq!(eval(&t, &model).unwrap(), eval(&n, &model).unwrap());
+    }
+
+    #[test]
+    fn normalization_is_order_insensitive() {
+        let ab = set_add(set_add(var_set("s"), var_elem("a")), var_elem("b"));
+        let ba = set_add(set_add(var_set("s"), var_elem("b")), var_elem("a"));
+        assert_eq!(normalize(&ab), normalize(&ba));
+        let ab = set_remove(set_remove(var_set("s"), var_elem("a")), var_elem("b"));
+        let ba = set_remove(set_remove(var_set("s"), var_elem("b")), var_elem("a"));
+        assert_eq!(normalize(&ab), normalize(&ba));
     }
 
     #[test]

@@ -206,9 +206,28 @@ fn full_catalog_verdicts_match_sequential_oracle() {
             "{workers}w/{threshold}: scheduler accounting must balance"
         );
         assert_eq!(scheduler.skipped, 0, "nothing fails, so nothing is skipped");
-        assert!(
-            scheduler.unique <= scheduler.submitted,
-            "dedup can only shrink the queue"
+        // The canonical keys split the catalog's obligations into the same
+        // classes, and the structural prover decides the same testing
+        // methods, at every width and threshold.
+        assert_eq!(
+            (scheduler.submitted, scheduler.unique, scheduler.cache_hits),
+            (2179, 2095, 84),
+            "{workers}w/{threshold}: submitted, unique and dedup hits"
+        );
+        let breakdown: Vec<_> = run
+            .interfaces
+            .iter()
+            .map(|r| (r.interface, r.prover_breakdown()))
+            .collect();
+        assert_eq!(
+            breakdown,
+            [
+                (InterfaceId::Accumulator, (9, 15)),
+                (InterfaceId::Set, (27, 189)),
+                (InterfaceId::Map, (45, 249)),
+                (InterfaceId::List, (99, 387)),
+            ],
+            "{workers}w/{threshold}: (structural, finite-model) verdicts per interface"
         );
         if workers == 1 {
             assert_eq!(
