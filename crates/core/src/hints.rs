@@ -23,7 +23,7 @@
 //! verification to go through (the enumeration covers the relevant sequences
 //! directly); they are attached to reproduce the structure and accounting of
 //! Table 5.9 and are verified together with the methods that carry them.
-//! `EXPERIMENTS.md` records the command counts next to the paper's.
+//! The `semcommute-bench` binary `table_5_9` prints the command counts.
 
 use semcommute_logic::build::*;
 use semcommute_logic::Term;

@@ -1,8 +1,8 @@
 //! Table-formatted reports reproducing the paper's evaluation tables.
 //!
 //! Each function renders one of Tables 5.1–5.10 as plain text; the
-//! `semcommute-bench` binaries print them, and `EXPERIMENTS.md` records the
-//! outputs next to the paper's numbers.
+//! `semcommute-bench` binaries `table_5_1` … `table_5_10` print them
+//! (`cargo run --release -p semcommute-bench --bin table_5_8`).
 
 use std::fmt::Write as _;
 

@@ -1,60 +1,409 @@
-//! Persistent, cheaply-clonable collection payloads for [`Value`].
+//! Cheaply-clonable collection payloads for [`Value`].
 //!
 //! The finite-model prover evaluates the same obligation under millions of
-//! candidate models, and the speculative runtime snapshots its abstract-state
-//! mirror once per pre-state-reading operation. Both workloads *clone*
-//! collections far more often than they update them — and when they do
-//! update, the update lands on a handle whose older revision is still alive
-//! (a candidate's parent model, a transaction's logged pre-state).
+//! candidate models, and the speculative runtime snapshots its ArrayList
+//! mirror once per pre-state-reading operation. Both *clone* collections far
+//! more often than they update them, so every handle here is one pointer
+//! wide, `clone` is an O(1) reference-count increment, and an empty
+//! collection is a null handle that allocates nothing.
 //!
-//! [`PSet`], [`PMap`], and [`PSeq`] are therefore **persistent trees** rather
-//! than `Arc`-wrapped flat collections:
+//! The two representations follow the sizes each shape reaches:
 //!
-//! * **`clone` is O(1)** — an atomic reference-count increment on the root,
-//!   no allocation. Reading a collection out of an evaluation slot,
-//!   enumerating a candidate model, or snapshotting the runtime mirror never
-//!   copies element data.
-//! * **Updates path-copy in O(log n)** — every node is its own [`Arc`];
-//!   mutating a handle whose nodes are shared clones only the nodes on the
-//!   root-to-target path (plus O(1) rotation nodes per level), leaving the
-//!   rest of the tree shared with every older revision. Mutating a handle
-//!   whose path happens to be uniquely owned updates those nodes in place
-//!   (`Arc::make_mut`), so chained updates (`((s ∪ {v1}) ∪ {v2}) \ {v3}`)
-//!   allocate only the nodes they logically create. This is the property the
-//!   flat representation lacked: there, the first update after a snapshot
-//!   paid a full O(n) copy-on-write detach.
-//! * **Structural semantics are unchanged** — `Eq`, `Ord`, `Hash`, `Debug`,
-//!   and iteration order are exactly those of the eager
-//!   `BTreeSet` / `BTreeMap` / `Vec` representation (the property tests pin
-//!   hash-for-hash agreement). Two handles that share a root short-circuit
-//!   comparison through [`PSet::ptr_eq`] before falling back to the
-//!   structural walk.
+//! * [`PSet`] and [`PMap`] are **sorted, deduplicated flat arrays** behind
+//!   one shared `Arc<Vec<_>>`. The prover's sets and maps hold at most a
+//!   handful of entries (`Scope::standard` allows 4), and the callers that
+//!   build large ones (the spec interpreter, the runtime's abstraction
+//!   function) convert a whole eager collection per call anyway. Lookups
+//!   binary-search the array. An update shifts the array in place when the
+//!   handle is uniquely owned and copies it once, O(n), when it is shared.
+//! * [`PSeq`] is a **persistent order-statistic tree**: a weight-balanced
+//!   Adams tree (Δ = 3, ratio = 2) with an `Arc` per node and the subtree
+//!   size in each node. It backs the runtime's ArrayList mirror, whose
+//!   state every logged operation snapshots. A positional `insert` /
+//!   `remove` / `set` path-copies O(log n) nodes and leaves the rest shared
+//!   with the logged pre-states, where a flat array would copy the whole
+//!   sequence per update.
 //!
-//! Internally all three shapes reuse one weight-balanced binary tree (the
-//! Adams tree of `Data.Set`/`Data.Map` fame, Δ = 3, ratio = 2) with a subtree
-//! size in every node: `PSet` and `PMap` descend by key order, `PSeq`
-//! descends by subtree size (an order-statistic tree), which gives O(log n)
-//! `push` / `insert` / `remove` / `set` with shared spines. The empty
-//! collection of each shape is a root-less handle: constructing an empty
-//! value ([`PSet::new`], or evaluating the `{}` / `[]` literals) allocates
-//! nothing, and all empty handles of a shape share "storage" trivially.
+//! `Eq`, `Ord`, `Hash`, `Debug` and iteration order are exactly those of the
+//! eager `BTreeSet` / `BTreeMap` / `Vec` (the property tests pin
+//! hash-for-hash agreement). `to_inner` materializes the eager collection
+//! for callers that need one.
 //!
-//! The handles no longer [`Deref`](std::ops::Deref) to an eager collection —
-//! there is no eager collection inside to borrow. They instead expose the
-//! read surface the evaluators use directly (`contains`, `get`, `len`,
-//! `iter`, indexing, …); [`PSet::to_inner`] materializes an eager collection
-//! for the callers that genuinely need one.
+//! The flat payload is `Arc<Vec<_>>`, not `Arc<[_]>`: a slice pointer is
+//! two words wide and would grow every [`Value`] (every register and lane
+//! of the prover's bytecode) from 16 to 24 bytes.
 //!
 //! [`Value`]: crate::Value
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::value::ElemId;
 
+/// Hashes like the eager collections: the standard library prefixes
+/// slice/`BTreeSet`/`BTreeMap` hashes with the length (as a `usize` write)
+/// and then hashes the entries in order.
+fn hash_like_eager<E: Hash, H: Hasher>(
+    len: usize,
+    entries: impl Iterator<Item = E>,
+    state: &mut H,
+) {
+    state.write_usize(len);
+    for entry in entries {
+        entry.hash(state);
+    }
+}
+
 // ---------------------------------------------------------------------------
-// The shared weight-balanced tree core.
+// Flat sorted arrays (PSet, PMap).
+// ---------------------------------------------------------------------------
+
+/// Sorted, deduplicated entries behind one shared handle. The empty
+/// collection is always `None`, never an empty array, so the derived `Eq`
+/// and `Ord` are the eager collections' (`Arc`'s `Eq` checks the pointer
+/// first).
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct Flat<E>(Option<Arc<Vec<E>>>);
+
+impl<E: Clone> Flat<E> {
+    fn from_sorted(entries: Vec<E>) -> Flat<E> {
+        Flat((!entries.is_empty()).then(|| Arc::new(entries)))
+    }
+
+    fn as_slice(&self) -> &[E] {
+        self.0.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    fn ptr_eq(&self, other: &Flat<E>) -> bool {
+        match (&self.0, &other.0) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// Applies `edit` to the entries and returns its result: in place when
+    /// the array is uniquely owned, otherwise to one fresh copy with room
+    /// for an insert.
+    fn edit<R>(&mut self, edit: impl FnOnce(&mut Vec<E>) -> R) -> R {
+        let result = match self.0.as_mut().and_then(Arc::get_mut) {
+            Some(entries) => edit(entries),
+            None => {
+                let mut entries = Vec::with_capacity(self.as_slice().len() + 1);
+                entries.extend_from_slice(self.as_slice());
+                let result = edit(&mut entries);
+                self.0 = Some(Arc::new(entries));
+                result
+            }
+        };
+        if self.as_slice().is_empty() {
+            self.0 = None;
+        }
+        result
+    }
+}
+
+impl<E> Default for Flat<E> {
+    fn default() -> Flat<E> {
+        Flat(None)
+    }
+}
+
+impl<E: Clone + Hash> Hash for Flat<E> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let entries = self.as_slice();
+        hash_like_eager(entries.len(), entries.iter(), state);
+    }
+}
+
+/// A finite set of [`ElemId`]s — the payload of
+/// [`Value::Set`](crate::Value::Set).
+///
+/// A sorted array behind one `Arc`: `clone` is O(1), `contains` is a binary
+/// search, and [`PSet::insert`] / [`PSet::remove`] copy the array once when
+/// it is shared and shift it in place when it is not. Iteration, `Eq`,
+/// `Ord`, `Hash`, and `Debug` match `BTreeSet<ElemId>` exactly.
+///
+/// # Example
+///
+/// ```
+/// use semcommute_logic::pvalue::PSet;
+/// use semcommute_logic::ElemId;
+///
+/// let s: PSet = [ElemId(1), ElemId(2)].into_iter().collect();
+/// let mut t = s.clone(); // O(1): shares the array with `s`
+/// assert!(t.ptr_eq(&s));
+///
+/// t.insert(ElemId(3)); // copies once: `s` is unaffected
+/// assert!(!t.ptr_eq(&s));
+/// assert_eq!(s.len(), 2);
+/// assert_eq!(t.len(), 3);
+/// assert!(t.contains(&ElemId(1)));
+/// ```
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PSet(Flat<ElemId>);
+
+impl PSet {
+    /// The empty set: a null handle, no allocation.
+    pub fn new() -> PSet {
+        PSet::default()
+    }
+
+    /// Returns `true` if `self` and `other` share their array (two empty
+    /// handles trivially share). Shared storage implies equality, never the
+    /// converse; tests use it to observe sharing.
+    pub fn ptr_eq(&self, other: &PSet) -> bool {
+        self.0.ptr_eq(&other.0)
+    }
+
+    /// The number of members.
+    pub fn len(&self) -> usize {
+        self.0.as_slice().len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether `elem` is a member — O(log n).
+    pub fn contains(&self, elem: &ElemId) -> bool {
+        self.0.as_slice().binary_search(elem).is_ok()
+    }
+
+    /// The members in ascending order.
+    pub fn iter(&self) -> std::slice::Iter<'_, ElemId> {
+        self.0.as_slice().iter()
+    }
+
+    /// Inserts `elem`, returning `true` if it was not already present.
+    /// Inserting a present element is a no-op and never copies sharing away.
+    pub fn insert(&mut self, elem: ElemId) -> bool {
+        match self.0.as_slice().binary_search(&elem) {
+            Ok(_) => false,
+            Err(index) => {
+                self.0.edit(|entries| entries.insert(index, elem));
+                true
+            }
+        }
+    }
+
+    /// Removes `elem`, returning `true` if it was present. Removing an
+    /// absent element is a no-op and never copies sharing away.
+    pub fn remove(&mut self, elem: &ElemId) -> bool {
+        let Ok(index) = self.0.as_slice().binary_search(elem) else {
+            return false;
+        };
+        self.0.edit(|entries| entries.remove(index));
+        true
+    }
+
+    /// Returns the image of this set under an element relabeling: every
+    /// member `e` is replaced by `f(e)`, and the image is re-sorted.
+    ///
+    /// When `f` is injective on the members (the orbit-reduction use case:
+    /// `f` is a permutation of a block of anonymous elements) the image has
+    /// the same cardinality. When `f` fixes every member, the original
+    /// handle is returned unchanged (O(1), shares the array).
+    pub fn map_elems(&self, f: impl Fn(ElemId) -> ElemId) -> PSet {
+        if self.iter().all(|&e| f(e) == e) {
+            return self.clone();
+        }
+        self.iter().map(|&e| f(e)).collect()
+    }
+
+    /// Clones out an eager `BTreeSet`.
+    pub fn to_inner(&self) -> BTreeSet<ElemId> {
+        self.iter().copied().collect()
+    }
+}
+
+impl<'a> IntoIterator for &'a PSet {
+    type Item = &'a ElemId;
+    type IntoIter = std::slice::Iter<'a, ElemId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for PSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl From<BTreeSet<ElemId>> for PSet {
+    fn from(inner: BTreeSet<ElemId>) -> PSet {
+        PSet(Flat::from_sorted(inner.into_iter().collect()))
+    }
+}
+
+impl From<PSet> for BTreeSet<ElemId> {
+    fn from(handle: PSet) -> BTreeSet<ElemId> {
+        handle.to_inner()
+    }
+}
+
+impl FromIterator<ElemId> for PSet {
+    fn from_iter<I: IntoIterator<Item = ElemId>>(items: I) -> PSet {
+        let mut entries: Vec<ElemId> = items.into_iter().collect();
+        entries.sort_unstable();
+        entries.dedup();
+        PSet(Flat::from_sorted(entries))
+    }
+}
+
+impl PartialEq<BTreeSet<ElemId>> for PSet {
+    fn eq(&self, other: &BTreeSet<ElemId>) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+/// A finite partial map from [`ElemId`] to [`ElemId`] — the payload of
+/// [`Value::Map`](crate::Value::Map).
+///
+/// An array of bindings sorted by key behind one `Arc`: `clone` is O(1),
+/// `get` is a binary search, and [`PMap::insert`] / [`PMap::remove`] copy
+/// the array once when it is shared. Iteration, `Eq`, `Ord`, `Hash`, and
+/// `Debug` match `BTreeMap<ElemId, ElemId>` exactly.
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PMap(Flat<(ElemId, ElemId)>);
+
+impl PMap {
+    /// The empty map: a null handle, no allocation.
+    pub fn new() -> PMap {
+        PMap::default()
+    }
+
+    /// Returns `true` if `self` and `other` share their array (two empty
+    /// handles trivially share).
+    pub fn ptr_eq(&self, other: &PMap) -> bool {
+        self.0.ptr_eq(&other.0)
+    }
+
+    /// The number of bindings.
+    pub fn len(&self) -> usize {
+        self.0.as_slice().len()
+    }
+
+    /// Whether the map is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The position of `key`'s binding, or where it would be inserted.
+    fn search(&self, key: &ElemId) -> Result<usize, usize> {
+        self.0.as_slice().binary_search_by_key(key, |&(k, _)| k)
+    }
+
+    /// The value bound to `key`, if any — O(log n).
+    pub fn get(&self, key: &ElemId) -> Option<&ElemId> {
+        let index = self.search(key).ok()?;
+        Some(&self.0.as_slice()[index].1)
+    }
+
+    /// Whether `key` is bound — O(log n).
+    pub fn contains_key(&self, key: &ElemId) -> bool {
+        self.search(key).is_ok()
+    }
+
+    /// The bindings in ascending key order.
+    pub fn iter(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (&ElemId, &ElemId)> + ExactSizeIterator + '_ {
+        self.0.as_slice().iter().map(|(k, v)| (k, v))
+    }
+
+    /// Binds `key` to `value`, returning the previous binding of `key`, if
+    /// any. Rebinding a key to its current value is a no-op and never
+    /// copies sharing away.
+    pub fn insert(&mut self, key: ElemId, value: ElemId) -> Option<ElemId> {
+        match self.search(&key) {
+            Ok(index) => {
+                let prior = self.0.as_slice()[index].1;
+                if prior != value {
+                    self.0.edit(|entries| entries[index].1 = value);
+                }
+                Some(prior)
+            }
+            Err(index) => {
+                self.0.edit(|entries| entries.insert(index, (key, value)));
+                None
+            }
+        }
+    }
+
+    /// Removes the binding for `key`, returning the removed value, if any.
+    /// Removing an unbound key is a no-op and never copies sharing away.
+    pub fn remove(&mut self, key: &ElemId) -> Option<ElemId> {
+        let index = self.search(key).ok()?;
+        Some(self.0.edit(|entries| entries.remove(index)).1)
+    }
+
+    /// Returns the image of this map under an element relabeling: every
+    /// binding `k ↦ v` is replaced by `f(k) ↦ f(v)`, and the image is
+    /// re-sorted by key.
+    ///
+    /// Keys and values relabel *together* — a permutation of anonymous
+    /// elements must act on the whole model uniformly for evaluation to be
+    /// invariant (`get(π(k))` on the image equals `π(get(k))` on the
+    /// original). When `f` fixes every key and value, the original handle is
+    /// returned unchanged (O(1), shares the array).
+    pub fn map_elems(&self, f: impl Fn(ElemId) -> ElemId) -> PMap {
+        if self.iter().all(|(&k, &v)| f(k) == k && f(v) == v) {
+            return self.clone();
+        }
+        self.iter().map(|(&k, &v)| (f(k), f(v))).collect()
+    }
+
+    /// Clones out an eager `BTreeMap`.
+    pub fn to_inner(&self) -> BTreeMap<ElemId, ElemId> {
+        self.iter().map(|(&k, &v)| (k, v)).collect()
+    }
+}
+
+impl fmt::Debug for PMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl From<BTreeMap<ElemId, ElemId>> for PMap {
+    fn from(inner: BTreeMap<ElemId, ElemId>) -> PMap {
+        PMap(Flat::from_sorted(inner.into_iter().collect()))
+    }
+}
+
+impl From<PMap> for BTreeMap<ElemId, ElemId> {
+    fn from(handle: PMap) -> BTreeMap<ElemId, ElemId> {
+        handle.to_inner()
+    }
+}
+
+impl FromIterator<(ElemId, ElemId)> for PMap {
+    /// The last binding of a repeated key wins, as in `BTreeMap`.
+    fn from_iter<I: IntoIterator<Item = (ElemId, ElemId)>>(items: I) -> PMap {
+        let mut entries: Vec<(ElemId, ElemId)> = items.into_iter().collect();
+        // Reversed, the last binding of a key leads its run under the stable
+        // sort, and `dedup_by_key` keeps the first of a run.
+        entries.reverse();
+        entries.sort_by_key(|&(k, _)| k);
+        entries.dedup_by_key(|&mut (k, _)| k);
+        PMap(Flat::from_sorted(entries))
+    }
+}
+
+impl PartialEq<BTreeMap<ElemId, ElemId>> for PMap {
+    fn eq(&self, other: &BTreeMap<ElemId, ElemId>) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The order-statistic tree (PSeq).
 // ---------------------------------------------------------------------------
 
 /// Balance bound: neither child may hold more than `DELTA` times the weight
@@ -69,21 +418,21 @@ const RATIO: usize = 2;
 /// One tree node. Children are `Arc`-shared links, so a node is the unit of
 /// structural sharing: path-copying clones O(log n) of these per update.
 #[derive(Debug, Clone)]
-struct Node<E> {
+struct Node {
     /// Number of entries in the subtree rooted here (including this one).
     size: usize,
-    entry: E,
-    left: Link<E>,
-    right: Link<E>,
+    entry: ElemId,
+    left: Link,
+    right: Link,
 }
 
-type Link<E> = Option<Arc<Node<E>>>;
+type Link = Option<Arc<Node>>;
 
-fn link_size<E>(link: &Link<E>) -> usize {
+fn link_size(link: &Link) -> usize {
     link.as_ref().map_or(0, |n| n.size)
 }
 
-fn leaf<E>(entry: E) -> Link<E> {
+fn leaf(entry: ElemId) -> Link {
     Some(Arc::new(Node {
         size: 1,
         entry,
@@ -92,7 +441,7 @@ fn leaf<E>(entry: E) -> Link<E> {
     }))
 }
 
-fn update_size<E>(node: &mut Node<E>) {
+fn update_size(node: &mut Node) {
     node.size = link_size(&node.left) + link_size(&node.right) + 1;
 }
 
@@ -100,7 +449,7 @@ fn update_size<E>(node: &mut Node<E>) {
 ///
 /// Shared nodes on the rotation are cloned by `Arc::make_mut`; uniquely
 /// owned ones are restructured in place without allocating.
-fn rotate_right<E: Clone>(arc: &mut Arc<Node<E>>) {
+fn rotate_right(arc: &mut Arc<Node>) {
     let n = Arc::make_mut(arc);
     let mut l_arc = n.left.take().expect("rotate_right requires a left child");
     {
@@ -116,7 +465,7 @@ fn rotate_right<E: Clone>(arc: &mut Arc<Node<E>>) {
 }
 
 /// Left rotation: `(l, x, r=(rl,y,rr))` becomes `((l,x,rl), y, rr)`.
-fn rotate_left<E: Clone>(arc: &mut Arc<Node<E>>) {
+fn rotate_left(arc: &mut Arc<Node>) {
     let n = Arc::make_mut(arc);
     let mut r_arc = n.right.take().expect("rotate_left requires a right child");
     {
@@ -132,7 +481,7 @@ fn rotate_left<E: Clone>(arc: &mut Arc<Node<E>>) {
 
 /// Restores the weight-balance invariant at `arc` after one child gained or
 /// lost a single entry (the standard Adams one-step rebalance).
-fn rebalance<E: Clone>(arc: &mut Arc<Node<E>>) {
+fn rebalance(arc: &mut Arc<Node>) {
     let (ls, rs) = {
         let n = arc.as_ref();
         (link_size(&n.left), link_size(&n.right))
@@ -177,11 +526,11 @@ fn rebalance<E: Clone>(arc: &mut Arc<Node<E>>) {
 }
 
 /// Removes and returns the smallest entry of a non-empty subtree.
-fn remove_min<E: Clone>(link: &mut Link<E>) -> E {
+fn remove_min(link: &mut Link) -> ElemId {
     let arc = link.as_mut().expect("remove_min needs a non-empty subtree");
     let node = Arc::make_mut(arc);
     if node.left.is_none() {
-        let entry = node.entry.clone();
+        let entry = node.entry;
         *link = node.right.take();
         entry
     } else {
@@ -192,108 +541,7 @@ fn remove_min<E: Clone>(link: &mut Link<E>) -> E {
     }
 }
 
-// --- keyed descent (PSet / PMap) -------------------------------------------
-
-/// An entry with a lookup key — `ElemId` for sets (the entry is its own
-/// key), `(ElemId, ElemId)` for maps (keyed on the first component).
-trait Keyed {
-    fn key(&self) -> ElemId;
-}
-
-impl Keyed for ElemId {
-    fn key(&self) -> ElemId {
-        *self
-    }
-}
-
-impl Keyed for (ElemId, ElemId) {
-    fn key(&self) -> ElemId {
-        self.0
-    }
-}
-
-fn get_keyed<E: Keyed>(link: &Link<E>, key: ElemId) -> Option<&E> {
-    let mut cur = link;
-    while let Some(node) = cur.as_deref() {
-        match key.cmp(&node.entry.key()) {
-            std::cmp::Ordering::Less => cur = &node.left,
-            std::cmp::Ordering::Greater => cur = &node.right,
-            std::cmp::Ordering::Equal => return Some(&node.entry),
-        }
-    }
-    None
-}
-
-/// Inserts `entry` by key, returning the replaced entry if the key was
-/// already bound. Callers pre-check for observable no-ops, so every call
-/// that reaches a shared node genuinely needs the path copy it pays for.
-fn insert_keyed<E: Keyed + Clone>(link: &mut Link<E>, entry: E) -> Option<E> {
-    let Some(arc) = link.as_mut() else {
-        *link = leaf(entry);
-        return None;
-    };
-    let node = Arc::make_mut(arc);
-    match entry.key().cmp(&node.entry.key()) {
-        std::cmp::Ordering::Equal => Some(std::mem::replace(&mut node.entry, entry)),
-        std::cmp::Ordering::Less => {
-            let prior = insert_keyed(&mut node.left, entry);
-            if prior.is_none() {
-                update_size(node);
-                rebalance(arc);
-            }
-            prior
-        }
-        std::cmp::Ordering::Greater => {
-            let prior = insert_keyed(&mut node.right, entry);
-            if prior.is_none() {
-                update_size(node);
-                rebalance(arc);
-            }
-            prior
-        }
-    }
-}
-
-/// Removes the entry with the given key, returning it if present.
-fn remove_keyed<E: Keyed + Clone>(link: &mut Link<E>, key: ElemId) -> Option<E> {
-    let arc = link.as_mut()?;
-    let node = Arc::make_mut(arc);
-    match key.cmp(&node.entry.key()) {
-        std::cmp::Ordering::Less => {
-            let removed = remove_keyed(&mut node.left, key);
-            if removed.is_some() {
-                update_size(node);
-                rebalance(arc);
-            }
-            removed
-        }
-        std::cmp::Ordering::Greater => {
-            let removed = remove_keyed(&mut node.right, key);
-            if removed.is_some() {
-                update_size(node);
-                rebalance(arc);
-            }
-            removed
-        }
-        std::cmp::Ordering::Equal => {
-            let entry = node.entry.clone();
-            if node.left.is_none() {
-                *link = node.right.take();
-            } else if node.right.is_none() {
-                *link = node.left.take();
-            } else {
-                node.entry = remove_min(&mut node.right);
-                update_size(node);
-                rebalance(arc);
-            }
-            Some(entry)
-        }
-    }
-}
-
-// --- positional descent (PSeq) ---------------------------------------------
-
-fn get_at<E>(link: &Link<E>, mut index: usize) -> Option<&E> {
+fn get_at(link: &Link, mut index: usize) -> Option<&ElemId> {
     let mut cur = link;
     while let Some(node) = cur.as_deref() {
         let ls = link_size(&node.left);
@@ -311,7 +559,7 @@ fn get_at<E>(link: &Link<E>, mut index: usize) -> Option<&E> {
 
 /// Inserts `entry` before position `index` (`index == size` appends). The
 /// caller guarantees `index <= size`.
-fn insert_at<E: Clone>(link: &mut Link<E>, index: usize, entry: E) {
+fn insert_at(link: &mut Link, index: usize, entry: ElemId) {
     let Some(arc) = link.as_mut() else {
         *link = leaf(entry);
         return;
@@ -329,7 +577,7 @@ fn insert_at<E: Clone>(link: &mut Link<E>, index: usize, entry: E) {
 
 /// Removes and returns the entry at `index`. The caller guarantees
 /// `index < size`.
-fn remove_at<E: Clone>(link: &mut Link<E>, index: usize) -> E {
+fn remove_at(link: &mut Link, index: usize) -> ElemId {
     let arc = link.as_mut().expect("remove_at index within bounds");
     let node = Arc::make_mut(arc);
     let ls = link_size(&node.left);
@@ -347,7 +595,7 @@ fn remove_at<E: Clone>(link: &mut Link<E>, index: usize) -> E {
             entry
         }
         std::cmp::Ordering::Equal => {
-            let entry = node.entry.clone();
+            let entry = node.entry;
             if node.left.is_none() {
                 *link = node.right.take();
             } else if node.right.is_none() {
@@ -364,7 +612,7 @@ fn remove_at<E: Clone>(link: &mut Link<E>, index: usize) -> E {
 
 /// Overwrites the entry at `index` — no size change, no rebalance. The
 /// caller guarantees `index < size`.
-fn set_at<E: Clone>(link: &mut Link<E>, index: usize, entry: E) {
+fn set_at(link: &mut Link, index: usize, entry: ElemId) {
     let arc = link.as_mut().expect("set_at index within bounds");
     let node = Arc::make_mut(arc);
     let ls = link_size(&node.left);
@@ -377,544 +625,26 @@ fn set_at<E: Clone>(link: &mut Link<E>, index: usize, entry: E) {
     }
 }
 
-// --- bulk construction ------------------------------------------------------
-
-/// Builds a perfectly balanced tree from entries already in tree order —
+/// Builds a perfectly balanced tree from entries in positional order —
 /// O(n), one node per entry, no rebalancing.
-fn build_from_slice<E: Clone>(entries: &[E]) -> Link<E> {
+fn build_from_slice(entries: &[ElemId]) -> Link {
     if entries.is_empty() {
         return None;
     }
     let mid = entries.len() / 2;
     Some(Arc::new(Node {
         size: entries.len(),
-        entry: entries[mid].clone(),
+        entry: entries[mid],
         left: build_from_slice(&entries[..mid]),
         right: build_from_slice(&entries[mid + 1..]),
     }))
 }
 
-// --- iteration --------------------------------------------------------------
-
-/// In-order iterator over a tree, double-ended via two independent descent
-/// stacks; the exact remaining count (subtree sizes make it free) tells the
-/// two ends when they have met.
-struct TreeIter<'a, E> {
-    front: Vec<&'a Node<E>>,
-    back: Vec<&'a Node<E>>,
-    remaining: usize,
-}
-
-impl<'a, E> TreeIter<'a, E> {
-    fn new(root: &'a Link<E>) -> TreeIter<'a, E> {
-        let mut iter = TreeIter {
-            front: Vec::new(),
-            back: Vec::new(),
-            remaining: link_size(root),
-        };
-        iter.descend_left(root);
-        iter.descend_right(root);
-        iter
-    }
-
-    fn descend_left(&mut self, mut link: &'a Link<E>) {
-        while let Some(node) = link.as_deref() {
-            self.front.push(node);
-            link = &node.left;
-        }
-    }
-
-    fn descend_right(&mut self, mut link: &'a Link<E>) {
-        while let Some(node) = link.as_deref() {
-            self.back.push(node);
-            link = &node.right;
-        }
-    }
-}
-
-impl<'a, E> Iterator for TreeIter<'a, E> {
-    type Item = &'a E;
-
-    fn next(&mut self) -> Option<&'a E> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let node = self.front.pop().expect("front stack tracks remaining");
-        self.descend_left(&node.right);
-        Some(&node.entry)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl<'a, E> DoubleEndedIterator for TreeIter<'a, E> {
-    fn next_back(&mut self) -> Option<&'a E> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let node = self.back.pop().expect("back stack tracks remaining");
-        self.descend_right(&node.left);
-        Some(&node.entry)
-    }
-}
-
-impl<E> ExactSizeIterator for TreeIter<'_, E> {}
-impl<E> std::iter::FusedIterator for TreeIter<'_, E> {}
-
-// --- sharing introspection (test hook) --------------------------------------
-
-fn collect_node_addrs<E>(link: &Link<E>, out: &mut Vec<usize>) {
+fn collect_node_addrs(link: &Link, out: &mut Vec<usize>) {
     if let Some(node) = link {
         out.push(Arc::as_ptr(node) as usize);
         collect_node_addrs(&node.left, out);
         collect_node_addrs(&node.right, out);
-    }
-}
-
-/// Counts nodes of `link` that do not appear (by address) in `snapshot`.
-/// The walk never prunes: an in-place (`Arc::make_mut`) update keeps a
-/// node's address while rewriting its children, so a known address says
-/// nothing about the subtree below it.
-fn count_fresh_nodes<E>(link: &Link<E>, snapshot: &std::collections::HashSet<usize>) -> usize {
-    match link {
-        None => 0,
-        Some(node) => {
-            let fresh = usize::from(!snapshot.contains(&(Arc::as_ptr(node) as usize)));
-            fresh
-                + count_fresh_nodes(&node.left, snapshot)
-                + count_fresh_nodes(&node.right, snapshot)
-        }
-    }
-}
-
-fn fresh_between<E>(new: &Link<E>, old: &Link<E>) -> usize {
-    let mut addrs = Vec::new();
-    collect_node_addrs(old, &mut addrs);
-    count_fresh_nodes(new, &addrs.into_iter().collect())
-}
-
-fn root_ptr_eq<E>(a: &Link<E>, b: &Link<E>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-        _ => false,
-    }
-}
-
-/// Hashes like the eager ordered collection: the standard library prefixes
-/// slice/`BTreeSet`/`BTreeMap` hashes with the length (as a `usize` write)
-/// and then hashes the entries in order — the property tests pin agreement
-/// hash-for-hash.
-fn hash_like_eager<E: std::hash::Hash, H: std::hash::Hasher>(
-    len: usize,
-    entries: impl Iterator<Item = E>,
-    state: &mut H,
-) {
-    state.write_usize(len);
-    for entry in entries {
-        entry.hash(state);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The public handles.
-// ---------------------------------------------------------------------------
-
-/// Implements the representation-independent trait surface shared by the
-/// three persistent handles: structural `Eq` / `Ord` with a root-pointer
-/// fast path, `Default`, and the sharing/test introspection helpers.
-macro_rules! persistent_handle {
-    ($name:ident) => {
-        impl PartialEq for $name {
-            fn eq(&self, other: &Self) -> bool {
-                self.ptr_eq(other) || (self.len() == other.len() && self.iter().eq(other.iter()))
-            }
-        }
-
-        impl Eq for $name {}
-
-        impl PartialOrd for $name {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        impl Ord for $name {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                if self.ptr_eq(other) {
-                    std::cmp::Ordering::Equal
-                } else {
-                    self.iter().cmp(other.iter())
-                }
-            }
-        }
-
-        impl Default for $name {
-            fn default() -> Self {
-                Self::new()
-            }
-        }
-
-        impl $name {
-            /// Returns `true` if `self` and `other` share their root node
-            /// (two empty handles trivially share).
-            ///
-            /// Shared roots imply structural equality (never the converse);
-            /// `Eq` and `Ord` use this as a short-circuit before walking the
-            /// trees. Tests use it to observe sharing: a clone shares its
-            /// root with the original until one of the two is mutated.
-            pub fn ptr_eq(&self, other: &Self) -> bool {
-                root_ptr_eq(&self.root, &other.root)
-            }
-
-            /// The number of entries — O(1), stored in the root.
-            pub fn len(&self) -> usize {
-                link_size(&self.root)
-            }
-
-            /// Whether the collection is empty.
-            pub fn is_empty(&self) -> bool {
-                self.root.is_none()
-            }
-
-            /// Test-only introspection: the heap addresses of every tree
-            /// node, pre-order. Property tests snapshot these to count how
-            /// many nodes a mutation detaches.
-            #[doc(hidden)]
-            pub fn node_addrs(&self) -> Vec<usize> {
-                let mut out = Vec::with_capacity(self.len());
-                collect_node_addrs(&self.root, &mut out);
-                out
-            }
-
-            /// Test-only introspection: how many of `self`'s nodes are *not*
-            /// shared (by address) with `snapshot` — i.e. the nodes a
-            /// mutation freshly allocated. O(log n) of these per update is
-            /// the structural-sharing guarantee the property tests pin.
-            #[doc(hidden)]
-            pub fn fresh_nodes_since(&self, snapshot: &Self) -> usize {
-                fresh_between(&self.root, &snapshot.root)
-            }
-        }
-    };
-}
-
-/// A persistent finite set of [`ElemId`]s — the structurally-shared payload
-/// of [`Value::Set`](crate::Value::Set).
-///
-/// A weight-balanced ordered tree with an `Arc` per node: `clone` is O(1),
-/// [`PSet::insert`] / [`PSet::remove`] path-copy O(log n) nodes when the
-/// tree is shared and update in place when it is not. Iteration, `Eq`,
-/// `Ord`, `Hash`, and `Debug` match `BTreeSet<ElemId>` exactly.
-///
-/// # Example
-///
-/// ```
-/// use semcommute_logic::pvalue::PSet;
-/// use semcommute_logic::ElemId;
-///
-/// let s: PSet = [ElemId(1), ElemId(2)].into_iter().collect();
-/// let mut t = s.clone(); // O(1): shares the whole tree with `s`
-/// assert!(t.ptr_eq(&s));
-///
-/// t.insert(ElemId(3)); // path-copy: `s` is unaffected
-/// assert!(!t.ptr_eq(&s));
-/// assert_eq!(s.len(), 2);
-/// assert_eq!(t.len(), 3);
-/// assert!(t.contains(&ElemId(1)));
-/// ```
-#[derive(Clone)]
-pub struct PSet {
-    root: Link<ElemId>,
-}
-
-persistent_handle!(PSet);
-
-impl PSet {
-    /// The empty set: a root-less handle, no allocation ever.
-    pub fn new() -> PSet {
-        PSet { root: None }
-    }
-
-    /// Whether `elem` is a member — O(log n).
-    pub fn contains(&self, elem: &ElemId) -> bool {
-        get_keyed(&self.root, *elem).is_some()
-    }
-
-    /// The members in ascending order.
-    pub fn iter(&self) -> SetIter<'_> {
-        SetIter(TreeIter::new(&self.root))
-    }
-
-    /// Inserts `elem`, path-copying the descent if the tree is shared.
-    /// Returns `true` if the element was not already present. Inserting a
-    /// present element is observably a no-op and never copies sharing away.
-    pub fn insert(&mut self, elem: ElemId) -> bool {
-        if self.contains(&elem) {
-            return false;
-        }
-        insert_keyed(&mut self.root, elem);
-        true
-    }
-
-    /// Removes `elem`, path-copying the descent if the tree is shared.
-    /// Returns `true` if the element was present. Removing an absent element
-    /// is observably a no-op and never copies sharing away.
-    pub fn remove(&mut self, elem: &ElemId) -> bool {
-        if !self.contains(elem) {
-            return false;
-        }
-        remove_keyed(&mut self.root, *elem);
-        true
-    }
-
-    /// Returns the image of this set under an element relabeling: every
-    /// member `e` is replaced by `f(e)`.
-    ///
-    /// When `f` is injective on the members (the orbit-reduction use case:
-    /// `f` is a permutation of a block of anonymous elements) the image has
-    /// the same cardinality. When `f` fixes every member, the original
-    /// handle is returned unchanged (O(1), shares the whole tree).
-    pub fn map_elems(&self, f: impl Fn(ElemId) -> ElemId) -> PSet {
-        if self.iter().all(|&e| f(e) == e) {
-            return self.clone();
-        }
-        self.iter().map(|&e| f(e)).collect()
-    }
-
-    /// Clones out an eager `BTreeSet` — the explicit deep copy `clone` no
-    /// longer performs; callers that need an independent eager collection
-    /// (e.g. abstract-state reconstruction) pay for it here.
-    pub fn to_inner(&self) -> BTreeSet<ElemId> {
-        self.iter().copied().collect()
-    }
-}
-
-/// Borrowing iterator over a [`PSet`], ascending.
-pub struct SetIter<'a>(TreeIter<'a, ElemId>);
-
-impl<'a> Iterator for SetIter<'a> {
-    type Item = &'a ElemId;
-
-    fn next(&mut self) -> Option<&'a ElemId> {
-        self.0.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
-impl DoubleEndedIterator for SetIter<'_> {
-    fn next_back(&mut self) -> Option<Self::Item> {
-        self.0.next_back()
-    }
-}
-
-impl ExactSizeIterator for SetIter<'_> {}
-impl std::iter::FusedIterator for SetIter<'_> {}
-
-impl<'a> IntoIterator for &'a PSet {
-    type Item = &'a ElemId;
-    type IntoIter = SetIter<'a>;
-
-    fn into_iter(self) -> SetIter<'a> {
-        self.iter()
-    }
-}
-
-impl fmt::Debug for PSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
-    }
-}
-
-impl std::hash::Hash for PSet {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        hash_like_eager(self.len(), self.iter(), state);
-    }
-}
-
-impl From<BTreeSet<ElemId>> for PSet {
-    fn from(inner: BTreeSet<ElemId>) -> PSet {
-        let ordered: Vec<ElemId> = inner.into_iter().collect();
-        PSet {
-            root: build_from_slice(&ordered),
-        }
-    }
-}
-
-impl From<PSet> for BTreeSet<ElemId> {
-    fn from(handle: PSet) -> BTreeSet<ElemId> {
-        handle.to_inner()
-    }
-}
-
-impl FromIterator<ElemId> for PSet {
-    fn from_iter<I: IntoIterator<Item = ElemId>>(items: I) -> PSet {
-        let inner: BTreeSet<ElemId> = items.into_iter().collect();
-        PSet::from(inner)
-    }
-}
-
-impl PartialEq<BTreeSet<ElemId>> for PSet {
-    fn eq(&self, other: &BTreeSet<ElemId>) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
-    }
-}
-
-/// A persistent finite partial map from [`ElemId`] to [`ElemId`] — the
-/// structurally-shared payload of [`Value::Map`](crate::Value::Map).
-///
-/// A weight-balanced tree ordered by key with an `Arc` per node: `clone` is
-/// O(1), [`PMap::insert`] / [`PMap::remove`] path-copy O(log n) nodes when
-/// the tree is shared. Iteration, `Eq`, `Ord`, `Hash`, and `Debug` match
-/// `BTreeMap<ElemId, ElemId>` exactly.
-#[derive(Clone)]
-pub struct PMap {
-    root: Link<(ElemId, ElemId)>,
-}
-
-persistent_handle!(PMap);
-
-impl PMap {
-    /// The empty map: a root-less handle, no allocation ever.
-    pub fn new() -> PMap {
-        PMap { root: None }
-    }
-
-    /// The value bound to `key`, if any — O(log n).
-    pub fn get(&self, key: &ElemId) -> Option<&ElemId> {
-        get_keyed(&self.root, *key).map(|(_, v)| v)
-    }
-
-    /// Whether `key` is bound — O(log n).
-    pub fn contains_key(&self, key: &ElemId) -> bool {
-        get_keyed(&self.root, *key).is_some()
-    }
-
-    /// The bindings in ascending key order.
-    pub fn iter(&self) -> MapIter<'_> {
-        MapIter(TreeIter::new(&self.root))
-    }
-
-    /// Binds `key` to `value`, path-copying the descent if the tree is
-    /// shared. Returns the previous binding of `key`, if any. Rebinding a
-    /// key to its current value is observably a no-op and never copies
-    /// sharing away.
-    pub fn insert(&mut self, key: ElemId, value: ElemId) -> Option<ElemId> {
-        if self.get(&key) == Some(&value) {
-            return Some(value);
-        }
-        insert_keyed(&mut self.root, (key, value)).map(|(_, v)| v)
-    }
-
-    /// Removes the binding for `key`, path-copying the descent if the tree
-    /// is shared. Returns the removed value, if any. Removing an unbound key
-    /// is observably a no-op and never copies sharing away.
-    pub fn remove(&mut self, key: &ElemId) -> Option<ElemId> {
-        if !self.contains_key(key) {
-            return None;
-        }
-        remove_keyed(&mut self.root, *key).map(|(_, v)| v)
-    }
-
-    /// Returns the image of this map under an element relabeling: every
-    /// binding `k ↦ v` is replaced by `f(k) ↦ f(v)`.
-    ///
-    /// Keys and values relabel *together* — a permutation of anonymous
-    /// elements must act on the whole model uniformly for evaluation to be
-    /// invariant (`get(π(k))` on the image equals `π(get(k))` on the
-    /// original). When `f` fixes every key and value, the original handle is
-    /// returned unchanged (O(1), shares the whole tree).
-    pub fn map_elems(&self, f: impl Fn(ElemId) -> ElemId) -> PMap {
-        if self.iter().all(|(&k, &v)| f(k) == k && f(v) == v) {
-            return self.clone();
-        }
-        self.iter().map(|(&k, &v)| (f(k), f(v))).collect()
-    }
-
-    /// Clones out an eager `BTreeMap` — the explicit deep copy `clone` no
-    /// longer performs.
-    pub fn to_inner(&self) -> BTreeMap<ElemId, ElemId> {
-        self.iter().map(|(&k, &v)| (k, v)).collect()
-    }
-}
-
-/// Borrowing iterator over a [`PMap`], ascending by key.
-pub struct MapIter<'a>(TreeIter<'a, (ElemId, ElemId)>);
-
-impl<'a> Iterator for MapIter<'a> {
-    type Item = (&'a ElemId, &'a ElemId);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0.next().map(|(k, v)| (k, v))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
-impl DoubleEndedIterator for MapIter<'_> {
-    fn next_back(&mut self) -> Option<Self::Item> {
-        self.0.next_back().map(|(k, v)| (k, v))
-    }
-}
-
-impl ExactSizeIterator for MapIter<'_> {}
-impl std::iter::FusedIterator for MapIter<'_> {}
-
-impl<'a> IntoIterator for &'a PMap {
-    type Item = (&'a ElemId, &'a ElemId);
-    type IntoIter = MapIter<'a>;
-
-    fn into_iter(self) -> MapIter<'a> {
-        self.iter()
-    }
-}
-
-impl fmt::Debug for PMap {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map().entries(self.iter()).finish()
-    }
-}
-
-impl std::hash::Hash for PMap {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        hash_like_eager(self.len(), self.iter(), state);
-    }
-}
-
-impl From<BTreeMap<ElemId, ElemId>> for PMap {
-    fn from(inner: BTreeMap<ElemId, ElemId>) -> PMap {
-        let ordered: Vec<(ElemId, ElemId)> = inner.into_iter().collect();
-        PMap {
-            root: build_from_slice(&ordered),
-        }
-    }
-}
-
-impl From<PMap> for BTreeMap<ElemId, ElemId> {
-    fn from(handle: PMap) -> BTreeMap<ElemId, ElemId> {
-        handle.to_inner()
-    }
-}
-
-impl FromIterator<(ElemId, ElemId)> for PMap {
-    fn from_iter<I: IntoIterator<Item = (ElemId, ElemId)>>(items: I) -> PMap {
-        let inner: BTreeMap<ElemId, ElemId> = items.into_iter().collect();
-        PMap::from(inner)
-    }
-}
-
-impl PartialEq<BTreeMap<ElemId, ElemId>> for PMap {
-    fn eq(&self, other: &BTreeMap<ElemId, ElemId>) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
@@ -923,22 +653,44 @@ impl PartialEq<BTreeMap<ElemId, ElemId>> for PMap {
 ///
 /// An order-statistic weight-balanced tree (descent by subtree size) with an
 /// `Arc` per node: `clone` is O(1) and `push` / `insert` / `remove` / `set`
-/// are O(log n) with shared spines — where the flat `Vec` representation
-/// paid an O(n) copy-on-write detach for the first update after a snapshot,
-/// and an O(n) shift for every mid-sequence insert or remove besides.
-/// Iteration, indexing, `Eq`, `Ord`, `Hash`, and `Debug` match
-/// `Vec<ElemId>` exactly.
-#[derive(Clone)]
+/// are O(log n) with shared spines — where a flat `Vec` would pay an O(n)
+/// copy for the first update after a snapshot, and an O(n) shift for every
+/// mid-sequence insert or remove besides. Iteration, indexing, `Eq`, `Ord`,
+/// `Hash`, and `Debug` match `Vec<ElemId>` exactly.
+#[derive(Clone, Default)]
 pub struct PSeq {
-    root: Link<ElemId>,
+    root: Link,
 }
-
-persistent_handle!(PSeq);
 
 impl PSeq {
     /// The empty sequence: a root-less handle, no allocation ever.
     pub fn new() -> PSeq {
         PSeq { root: None }
+    }
+
+    /// Returns `true` if `self` and `other` share their root node (two empty
+    /// handles trivially share).
+    ///
+    /// Shared roots imply structural equality (never the converse); `Eq` and
+    /// `Ord` use this as a short-circuit before walking the trees. Tests use
+    /// it to observe sharing: a clone shares its root with the original
+    /// until one of the two is mutated.
+    pub fn ptr_eq(&self, other: &PSeq) -> bool {
+        match (&self.root, &other.root) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// The number of elements — O(1), stored in the root.
+    pub fn len(&self) -> usize {
+        link_size(&self.root)
+    }
+
+    /// Whether the sequence is empty.
+    pub fn is_empty(&self) -> bool {
+        self.root.is_none()
     }
 
     /// The element at `index`, if in range — O(log n).
@@ -953,7 +705,7 @@ impl PSeq {
 
     /// The elements in positional order.
     pub fn iter(&self) -> SeqIter<'_> {
-        SeqIter(TreeIter::new(&self.root))
+        SeqIter::new(&self.root)
     }
 
     /// Appends `elem` — O(log n), path-copying the right spine if shared.
@@ -1026,31 +778,124 @@ impl PSeq {
         self.iter().map(|&e| f(e)).collect()
     }
 
-    /// Clones out an eager `Vec` — the explicit deep copy `clone` no longer
-    /// performs.
+    /// Clones out an eager `Vec`.
     pub fn to_inner(&self) -> Vec<ElemId> {
         self.iter().copied().collect()
     }
+
+    /// Test-only introspection: the heap addresses of every tree node,
+    /// pre-order. Property tests snapshot these to count how many nodes a
+    /// mutation detaches.
+    #[doc(hidden)]
+    pub fn node_addrs(&self) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.len());
+        collect_node_addrs(&self.root, &mut out);
+        out
+    }
+
+    /// Test-only introspection: how many of `self`'s nodes are *not* shared
+    /// (by address) with `snapshot` — i.e. the nodes a mutation freshly
+    /// allocated. O(log n) of these per update is the structural-sharing
+    /// guarantee the property tests pin. Every node is counted: an in-place
+    /// (`Arc::make_mut`) update keeps a node's address while rewriting its
+    /// children, so a known address says nothing about the subtree below.
+    #[doc(hidden)]
+    pub fn fresh_nodes_since(&self, snapshot: &PSeq) -> usize {
+        let old: std::collections::HashSet<usize> = snapshot.node_addrs().into_iter().collect();
+        self.node_addrs()
+            .iter()
+            .filter(|a| !old.contains(a))
+            .count()
+    }
 }
 
-/// Borrowing iterator over a [`PSeq`], in positional order.
-pub struct SeqIter<'a>(TreeIter<'a, ElemId>);
+impl PartialEq for PSeq {
+    fn eq(&self, other: &Self) -> bool {
+        self.ptr_eq(other) || (self.len() == other.len() && self.iter().eq(other.iter()))
+    }
+}
+
+impl Eq for PSeq {}
+
+impl PartialOrd for PSeq {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for PSeq {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        if self.ptr_eq(other) {
+            std::cmp::Ordering::Equal
+        } else {
+            self.iter().cmp(other.iter())
+        }
+    }
+}
+
+/// In-order iterator over a [`PSeq`], double-ended via two independent
+/// descent stacks; the exact remaining count (subtree sizes make it free)
+/// tells the two ends when they have met.
+pub struct SeqIter<'a> {
+    front: Vec<&'a Node>,
+    back: Vec<&'a Node>,
+    remaining: usize,
+}
+
+impl<'a> SeqIter<'a> {
+    fn new(root: &'a Link) -> SeqIter<'a> {
+        let mut iter = SeqIter {
+            front: Vec::new(),
+            back: Vec::new(),
+            remaining: link_size(root),
+        };
+        iter.descend_left(root);
+        iter.descend_right(root);
+        iter
+    }
+
+    fn descend_left(&mut self, mut link: &'a Link) {
+        while let Some(node) = link.as_deref() {
+            self.front.push(node);
+            link = &node.left;
+        }
+    }
+
+    fn descend_right(&mut self, mut link: &'a Link) {
+        while let Some(node) = link.as_deref() {
+            self.back.push(node);
+            link = &node.right;
+        }
+    }
+}
 
 impl<'a> Iterator for SeqIter<'a> {
     type Item = &'a ElemId;
 
     fn next(&mut self) -> Option<&'a ElemId> {
-        self.0.next()
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let node = self.front.pop().expect("front stack tracks remaining");
+        self.descend_left(&node.right);
+        Some(&node.entry)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
+        (self.remaining, Some(self.remaining))
     }
 }
 
-impl DoubleEndedIterator for SeqIter<'_> {
-    fn next_back(&mut self) -> Option<Self::Item> {
-        self.0.next_back()
+impl<'a> DoubleEndedIterator for SeqIter<'a> {
+    fn next_back(&mut self) -> Option<&'a ElemId> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let node = self.back.pop().expect("back stack tracks remaining");
+        self.descend_right(&node.left);
+        Some(&node.entry)
     }
 }
 
@@ -1085,8 +930,8 @@ impl fmt::Debug for PSeq {
     }
 }
 
-impl std::hash::Hash for PSeq {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+impl Hash for PSeq {
+    fn hash<H: Hasher>(&self, state: &mut H) {
         hash_like_eager(self.len(), self.iter(), state);
     }
 }
@@ -1123,7 +968,7 @@ mod tests {
     use super::*;
 
     /// Recomputes sizes and checks the weight-balance invariant bottom-up.
-    fn check_tree<E: Clone>(link: &Link<E>) -> usize {
+    fn check_tree(link: &Link) -> usize {
         match link.as_deref() {
             None => 0,
             Some(node) => {
@@ -1163,27 +1008,57 @@ mod tests {
     }
 
     #[test]
+    fn flat_handles_copy_only_when_shared() {
+        let addr = |s: &PSet| s.0 .0.as_ref().map(Arc::as_ptr);
+        let mut s: PSet = [ElemId(1), ElemId(3)].into_iter().collect();
+        let unique = addr(&s);
+        s.insert(ElemId(2));
+        s.remove(&ElemId(1));
+        assert_eq!(addr(&s), unique, "a unique handle updates in place");
+        let snapshot = s.clone();
+        s.insert(ElemId(4));
+        assert_ne!(addr(&s), unique, "a shared handle copies");
+        assert_eq!(snapshot.to_inner(), BTreeSet::from([ElemId(2), ElemId(3)]));
+        assert_eq!(
+            s.to_inner(),
+            BTreeSet::from([ElemId(2), ElemId(3), ElemId(4)])
+        );
+
+        let mut m: PMap = [(ElemId(1), ElemId(2))].into_iter().collect();
+        let snapshot = m.clone();
+        assert_eq!(m.insert(ElemId(1), ElemId(5)), Some(ElemId(2)));
+        assert_eq!(snapshot.get(&ElemId(1)), Some(&ElemId(2)));
+        assert_eq!(m.get(&ElemId(1)), Some(&ElemId(5)));
+    }
+
+    #[test]
     fn unique_handles_allocate_only_the_new_node() {
         // With a uniquely-owned tree, `Arc::make_mut` rewrites the descent
         // path in place: a push allocates exactly the one leaf it creates
         // (rotations reuse existing allocations), and an overwrite allocates
         // nothing at all.
+        let fresh = |s: &PSeq, before: &[usize]| {
+            s.node_addrs()
+                .iter()
+                .filter(|a| !before.contains(a))
+                .count()
+        };
         let mut s: PSeq = (0..64).map(ElemId).collect();
-        let snapshot_addrs: std::collections::HashSet<usize> = s.node_addrs().into_iter().collect();
+        let before = s.node_addrs();
         s.push(ElemId(100));
-        assert_eq!(count_fresh_nodes(&s.root, &snapshot_addrs), 1);
-        let before_set: std::collections::HashSet<usize> = s.node_addrs().into_iter().collect();
+        assert_eq!(fresh(&s, &before), 1);
+        let before = s.node_addrs();
         s.set(0, ElemId(99));
-        assert_eq!(count_fresh_nodes(&s.root, &before_set), 0);
+        assert_eq!(fresh(&s, &before), 0);
     }
 
     #[test]
     fn shared_handles_detach_logarithmically() {
         let n = 1024usize;
-        let base: PSet = (0..n as u32).map(ElemId).collect();
+        let base: PSeq = (0..n as u32).map(ElemId).collect();
         let snapshot = base.clone();
         let mut mutated = base.clone();
-        mutated.insert(ElemId(5000));
+        mutated.insert(n / 3, ElemId(5000));
         // Path copy: O(log n) fresh nodes, the rest shared with the snapshot.
         let fresh = mutated.fresh_nodes_since(&snapshot);
         assert!(fresh >= 1, "an insert allocates at least the new leaf");
@@ -1227,26 +1102,19 @@ mod tests {
 
     #[test]
     fn balanced_under_mixed_updates() {
-        // A deterministic adversarial-ish schedule: ascending inserts (the
-        // classic unbalanced-BST killer), interleaved removes, then
-        // positional churn on a sequence.
-        let mut s = PSet::new();
-        for i in 0..500u32 {
-            assert!(s.insert(ElemId(i)));
-            check_tree(&s.root);
-        }
-        for i in (0..500u32).step_by(3) {
-            assert!(s.remove(&ElemId(i)));
-        }
-        check_tree(&s.root);
-        assert_eq!(s.len(), 500 - 167);
-
+        // Deterministic adversarial-ish schedules: ascending appends (the
+        // classic unbalanced-BST killer), front inserts, then removes from
+        // the middle.
         let mut q = PSeq::new();
+        for i in 0..300u32 {
+            q.push(ElemId(i));
+            check_tree(&q.root);
+        }
         for i in 0..300u32 {
             q.insert(0, ElemId(i)); // always at the front: left-heavy abuse
             check_tree(&q.root);
         }
-        for _ in 0..150 {
+        for _ in 0..450 {
             q.remove(q.len() / 2);
         }
         check_tree(&q.root);
@@ -1319,6 +1187,15 @@ mod tests {
         let eager: BTreeMap<ElemId, ElemId> = [(ElemId(1), ElemId(2))].into_iter().collect();
         let p = PMap::from(eager.clone());
         assert_eq!(p.to_inner(), eager);
+
+        // Collecting keeps the last binding of a repeated key, as `BTreeMap`.
+        let pairs = [
+            (ElemId(3), ElemId(1)),
+            (ElemId(1), ElemId(2)),
+            (ElemId(3), ElemId(4)),
+        ];
+        let p: PMap = pairs.into_iter().collect();
+        assert_eq!(p, pairs.into_iter().collect::<BTreeMap<_, _>>());
 
         let eager = vec![ElemId(3), ElemId(1), ElemId(3)];
         let p = PSeq::from(eager.clone());

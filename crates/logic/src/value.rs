@@ -42,15 +42,16 @@ impl fmt::Display for ElemId {
 /// and a deterministic `Debug`/`Display` representation, which keeps
 /// counterexample reporting and test output stable.
 ///
-/// Collection payloads are *persistent* structurally-shared trees
-/// ([`PSet`] / [`PMap`] / [`PSeq`]): cloning a collection value is an O(1)
-/// reference-count increment, and updating a shared collection path-copies
-/// O(log n) tree nodes (an unshared one is updated in place). Equality,
-/// ordering, hashing, and iteration are structural and identical to the
-/// eager `BTreeSet` / `BTreeMap` / `Vec` representation; the accessors
-/// [`Value::as_set`] / [`Value::as_map`] / [`Value::as_seq`] hand out
-/// borrowed views of the persistent handles, whose read API (`contains`,
-/// `get`, `len`, `iter`, indexing, …) mirrors the eager types'.
+/// Collection payloads are one-pointer shared handles, so a `Value` is two
+/// words and cloning a collection value is an O(1) reference-count
+/// increment. Sets and maps ([`PSet`] / [`PMap`]) are sorted flat arrays: an
+/// update copies a shared array once and edits an unshared one in place.
+/// Sequences ([`PSeq`]) are persistent trees: an update path-copies
+/// O(log n) nodes. Equality, ordering, hashing, and iteration are structural
+/// and identical to the eager `BTreeSet` / `BTreeMap` / `Vec`
+/// representation; the accessors [`Value::as_set`] / [`Value::as_map`] /
+/// [`Value::as_seq`] hand out borrowed views of the handles, whose read API
+/// (`contains`, `get`, `len`, `iter`, indexing, …) mirrors the eager types'.
 ///
 /// # Example
 ///
@@ -321,6 +322,17 @@ mod tests {
         assert!(Value::set_of([]).as_set().is_some());
         assert!(Value::map_of([]).as_map().is_some());
         assert!(Value::seq_of([]).as_seq().is_some());
+    }
+
+    /// Every register and lane of the prover's bytecode is a `Value`: a
+    /// fat collection pointer (`Arc<[ElemId]>`) would grow it to 24 bytes.
+    #[test]
+    fn values_stay_two_words() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Value>(), 16);
+        assert_eq!(size_of::<PSet>(), 8);
+        assert_eq!(size_of::<PMap>(), 8);
+        assert_eq!(size_of::<PSeq>(), 8);
     }
 
     #[test]

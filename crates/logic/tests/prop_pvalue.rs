@@ -242,6 +242,36 @@ proptest! {
         );
     }
 
+    /// Relabeling a set or map through a random permutation of `1..=6`
+    /// equals the eager relabel (the `BTreeSet` / `BTreeMap` rebuilt from
+    /// the mapped entries), hash included: the flat image must be re-sorted.
+    #[test]
+    fn map_elems_matches_eager_relabel(
+        set in proptest::collection::btree_set(1u32..7, 0..6),
+        map in proptest::collection::btree_map(1u32..7, 1u32..7, 0..6),
+        keys in proptest::collection::vec(0u32..1000, 6),
+    ) {
+        // The permutation sends `i + 1` to `order[i] + 1`, where `order`
+        // sorts the random keys (ties by index): uniform enough, and always
+        // a bijection.
+        let mut order: Vec<u32> = (0..6).collect();
+        order.sort_by_key(|&i| (keys[i as usize], i));
+        let pi = |e: ElemId| ElemId(order[e.0 as usize - 1] + 1);
+
+        let eset: BTreeSet<ElemId> = set.into_iter().map(ElemId).collect();
+        let image = PSet::from(eset.clone()).map_elems(pi);
+        let eager: BTreeSet<ElemId> = eset.iter().map(|&e| pi(e)).collect();
+        prop_assert_eq!(&image, &eager);
+        prop_assert_eq!(hash_of(&image), hash_of(&eager));
+
+        let emap: BTreeMap<ElemId, ElemId> =
+            map.into_iter().map(|(k, v)| (ElemId(k), ElemId(v))).collect();
+        let image = PMap::from(emap.clone()).map_elems(pi);
+        let eager: BTreeMap<ElemId, ElemId> = emap.iter().map(|(&k, &v)| (pi(k), pi(v))).collect();
+        prop_assert_eq!(&image, &eager);
+        prop_assert_eq!(hash_of(&image), hash_of(&eager));
+    }
+
     /// Sequence comparison semantics are structural too: `Eq`/`Ord`/`Hash`
     /// of `PSeq` handles agree with the eager `Vec` for arbitrary pairs.
     #[test]
@@ -271,53 +301,15 @@ fn log_detach_bound(n: usize) -> usize {
 }
 
 proptest! {
-    // Trees here are three orders of magnitude larger than in the
+    // Sequences here are three orders of magnitude larger than in the
     // observational tests; fewer cases keep the suite fast.
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole property: mutating a *shared* N-element set detaches only
-    /// `O(log N)` nodes from the snapshot — not the whole spine. Counted with
-    /// the test-only `fresh_nodes_since` hook, which walks the mutated tree
-    /// and counts nodes whose address was not present in the snapshot.
-    #[test]
-    fn set_detach_is_logarithmic(n in 256usize..2048, e in 0u32..4096, insert in proptest::bool::ANY) {
-        let base: PSet = (1..=n as u32).map(ElemId).collect();
-        let mut mutated = base.clone();
-        if insert {
-            mutated.insert(ElemId(e + n as u32 + 1));
-        } else {
-            mutated.remove(&ElemId(e % n as u32 + 1));
-        }
-        let fresh = mutated.fresh_nodes_since(&base);
-        prop_assert!(
-            fresh <= log_detach_bound(n),
-            "one mutation of a shared {n}-element set cloned {fresh} nodes (bound {})",
-            log_detach_bound(n)
-        );
-        // The snapshot itself never acquires fresh nodes.
-        prop_assert_eq!(base.fresh_nodes_since(&base), 0);
-    }
-
-    /// Same for maps: one `insert`/`remove` against a shared N-entry map.
-    #[test]
-    fn map_detach_is_logarithmic(n in 256usize..2048, k in 0u32..4096, insert in proptest::bool::ANY) {
-        let base: PMap = (1..=n as u32).map(|i| (ElemId(i), ElemId(i + 1))).collect();
-        let mut mutated = base.clone();
-        if insert {
-            mutated.insert(ElemId(k % n as u32 + 1), ElemId(9999));
-        } else {
-            mutated.remove(&ElemId(k % n as u32 + 1));
-        }
-        let fresh = mutated.fresh_nodes_since(&base);
-        prop_assert!(
-            fresh <= log_detach_bound(n),
-            "one mutation of a shared {n}-entry map cloned {fresh} nodes (bound {})",
-            log_detach_bound(n)
-        );
-    }
-
-    /// Same for sequences, across the whole positional update surface
-    /// (`push` / `insert` / `remove` / `set`).
+    /// Mutating a *shared* N-element sequence detaches only `O(log N)` nodes
+    /// from the snapshot, across the whole positional update surface
+    /// (`push` / `insert` / `remove` / `set`). Counted with the test-only
+    /// `fresh_nodes_since` hook, which walks the mutated tree and counts
+    /// nodes whose address was not present in the snapshot.
     #[test]
     fn seq_detach_is_logarithmic(n in 256usize..2048, i in 0usize..4096, kind in 0u32..4) {
         let base: PSeq = (1..=n as u32).map(ElemId).collect();

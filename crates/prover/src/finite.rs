@@ -24,10 +24,12 @@ use crate::verdict::Verdict;
 /// model within the scope is a counter-model, the obligation is reported
 /// valid.
 ///
-/// For the counter / set / map fragment the scope-derived universe is
-/// sufficient for this to be a complete decision procedure; for the sequence
-/// fragment validity is relative to the sequence-length scope (reported in the
-/// verdict statistics and by the verification driver).
+/// That verdict means "no counter-model within the scope", for every
+/// fragment: the [`Scope`] bounds the universe, the collection sizes, the
+/// sequence lengths and the integers, and an obligation whose counter-models
+/// all lie outside it comes back valid (`card(s) <= 4` needs a five-element
+/// set, which [`Scope::standard`] never enumerates). Only the structural
+/// prover's verdicts hold unboundedly.
 ///
 /// [`FiniteModelProver::prove`] runs the whole search on the calling thread.
 /// For intra-obligation parallelism, [`FiniteModelProver::begin`] prepares a
@@ -509,6 +511,28 @@ mod tests {
         // In the counterexample v is indeed not a member of s.
         let v = model.get("v").unwrap().as_elem().unwrap();
         assert!(!model.get("s").unwrap().as_set().unwrap().contains(&v));
+    }
+
+    /// A set-fragment `Valid` is bounded by the scope: `card(s) <= 4` has no
+    /// counter-model at `Scope::standard`, nor with only the entry bound
+    /// widened (two padding elements cap every set at two members), but one
+    /// appears once the universe and the entry bound both reach five.
+    #[test]
+    fn set_validity_is_relative_to_the_scope() {
+        let ob = Obligation::new("card_bound").goal(le(card(var_set("s")), int(4)));
+        let prove = |scope: Scope| FiniteModelProver::new(scope).prove(&ob);
+        assert!(prove(Scope::standard()).is_valid());
+        let entries_only = Scope {
+            max_collection_entries: 5,
+            ..Scope::standard()
+        };
+        assert!(prove(entries_only.clone()).is_valid());
+        let widened = prove(Scope {
+            elem_padding: 5,
+            ..entries_only
+        });
+        let model = widened.counter_model().expect("a five-element set");
+        assert_eq!(model.get("s").unwrap().as_set().unwrap().len(), 5);
     }
 
     #[test]

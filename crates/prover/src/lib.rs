@@ -12,11 +12,13 @@
 //!   purely algebraic reasons (a large part of the catalog), and
 //! * a **finite-model prover** ([`finite`]) that exhaustively searches for a
 //!   counter-model over a *relevant universe* derived from the obligation
-//!   ([`scope`], [`space`]). For the counter / set / map fragment the derived
-//!   universe is large enough that the search is a sound and complete decision
-//!   procedure; for the sequence (ArrayList) fragment the sequence length is an
-//!   explicit, reported scope parameter (the analog of the paper's observation
-//!   that ArrayList obligations need extra help). The search space is doubly
+//!   ([`scope`], [`space`]). A counter-model it finds is real; its "valid"
+//!   means no counter-model within the scope, for every fragment (the
+//!   universe, collection sizes, sequence lengths and integers are all
+//!   bounded), while the structural prover's verdicts are unbounded. The
+//!   sequence length is an explicit, reported scope parameter (the analog of
+//!   the paper's observation that ArrayList obligations need extra help). The
+//!   search space is doubly
 //!   symmetry-reduced: element variables are assigned partition patterns, and
 //!   collection-valued inputs are enumerated orbit-canonically under
 //!   permutations of the anonymous padding elements ([`orbit`]). Each

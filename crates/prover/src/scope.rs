@@ -31,13 +31,13 @@ pub(crate) fn mix128(h: u128, x: u128) -> u128 {
 
 /// Bounds for the finite-model search.
 ///
-/// The relevant-universe argument (see the crate documentation) says that
-/// for the counter / set / map fragment a counter-model, if one exists,
-/// exists within a universe consisting of the obligation's named
-/// element variables plus a small number of anonymous "padding" elements, with
-/// collections containing at most a few entries beyond the named ones. The
-/// scope records those paddings, plus the explicit sequence-length and integer
-/// bounds used for the ArrayList fragment.
+/// The search universe is the obligation's named element variables plus a
+/// small number of anonymous "padding" elements, with collections holding
+/// at most a few entries. The scope records those paddings, plus the
+/// sequence-length and integer bounds. Every bound can decide a verdict: a
+/// goal whose counter-models all need more (`card(s) <= 4` needs a
+/// five-element set) comes back valid, so a finite-model `Valid` means "no
+/// counter-model within this scope".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scope {
     /// Number of anonymous elements added to the universe beyond the named

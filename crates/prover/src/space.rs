@@ -320,8 +320,8 @@ fn candidates(sort: Sort, universe: u32, scope: &Scope) -> Vec<Value> {
                     let mut next = Vec::new();
                     for m in &partial {
                         for &v in universe {
-                            // Shared prefix + one delta: the clone is an
-                            // O(1) handle copy, the insert copies once.
+                            // The clone is an O(1) handle copy; the
+                            // insert copies the shared prefix's array once.
                             let mut m2 = m.clone();
                             m2.insert(*k, v);
                             next.push(m2);
@@ -355,11 +355,11 @@ fn candidates(sort: Sort, universe: u32, scope: &Scope) -> Vec<Value> {
 
 /// Generates all subsets of `universe` with at most `max_len` elements.
 ///
-/// Each subset is a persistent [`PSet`] built by cloning its parent subset (an
-/// O(1) shared-prefix handle copy) and inserting one element — the deep copy
-/// happens once per generated value, and since [`candidate_list`] builds
-/// each list once per process, once per value per process; per-candidate
-/// use ([`SpaceIter::next_block`]) only ever clones handles.
+/// Each subset is a flat [`PSet`] built by cloning its parent subset (an
+/// O(1) handle copy) and inserting one element, which copies the parent's
+/// array once into the new value's own. Since [`candidate_list`] builds each
+/// list once per process, that copy happens once per value per process;
+/// per-candidate use ([`SpaceIter::next_block`]) only ever clones handles.
 fn subsets_up_to(universe: &[ElemId], max_len: usize) -> Vec<PSet> {
     let mut out: Vec<PSet> = vec![PSet::new()];
     for &e in universe {

@@ -9,8 +9,12 @@ use crate::stats::ProofStats;
 /// The outcome of attempting to prove an [`crate::Obligation`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Verdict {
-    /// The obligation is valid (within the scope used, for the sequence
-    /// fragment; unconditionally for the counter/set/map fragment).
+    /// No counter-model within the scope. From the finite-model prover this
+    /// is a bounded claim for every fragment, sets and maps included: the
+    /// [`crate::Scope`] bounds the universe, the collection sizes, the
+    /// sequence lengths and the integers, so `card(s) <= 4` is `Valid` at
+    /// [`crate::Scope::standard`]. Only structural verdicts (the obligation
+    /// simplifies to `true`) are unbounded.
     Valid {
         /// Statistics about the proof attempt.
         stats: ProofStats,
