@@ -5,7 +5,7 @@
 //! and prints the per-structure verification time (busy time: the summed
 //! proof time of each structure's obligations). Accepts an optional
 //! per-interface condition limit, `--seq-len N`, and `--threads N` (the
-//! work-stealing scheduler's width; `--threads 1` runs the same scheduler at
+//! obligation scheduler's width; `--threads 1` runs the same scheduler at
 //! one worker). A malformed argument prints what is wrong and the usage text
 //! and exits with status 2.
 

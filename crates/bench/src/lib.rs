@@ -21,8 +21,8 @@ pub fn banner(title: &str) {
 /// Parses the common command-line options of the table binaries (the
 /// arguments after the program name): an optional per-interface condition
 /// limit, `--seq-len N`, `--threads N`, `--split-threshold N`
-/// (unreduced-space size above which a model search is split into stealable
-/// range tasks), and `--orbit {on,off}` (orbit-canonical vs. unreduced
+/// (unreduced-space size above which a model search is split into range
+/// tasks), and `--orbit {on,off}` (orbit-canonical vs. unreduced
 /// enumeration).
 ///
 /// # Errors

@@ -6,7 +6,7 @@
 //! Every entry point — [`verify_catalog`], [`verify_interface`],
 //! [`verify_condition`] and [`crate::inverse::verify_inverse`] — plans its
 //! obligations into scheduler submissions and proves them through the
-//! work-stealing scheduler ([`semcommute_prover::queue`]), at one worker or
+//! obligation scheduler ([`semcommute_prover::queue`]), at one worker or
 //! many. This reproduces the experiment behind Table 5.8 (verification
 //! times per data structure) and the headline claim that all 765 conditions
 //! are sound and complete.
@@ -47,7 +47,7 @@ pub fn scope_for(interface: InterfaceId, seq_len: usize) -> Scope {
 /// Options controlling a verification run.
 #[derive(Debug, Clone)]
 pub struct VerifyOptions {
-    /// Number of worker threads in the unified work-stealing pool: the same
+    /// Number of worker threads draining the obligation scheduler: the same
     /// workers drain whole obligations *and* the range tasks of split model
     /// searches, so this is the only parallelism axis.
     pub threads: usize,
@@ -57,7 +57,7 @@ pub struct VerifyOptions {
     /// and tests); `None` verifies the whole catalog.
     pub limit: Option<usize>,
     /// Unreduced-candidate-space size above which a claimed obligation's
-    /// model search is split into stealable range tasks (see
+    /// model search is split into range tasks (see
     /// [`semcommute_prover::queue::prove_all_scheduled_split`]);
     /// `u64::MAX` disables splitting. Verdicts do not depend on this value
     /// — only the work distribution does.
@@ -215,7 +215,7 @@ impl InterfaceReport {
     }
 
     /// Every non-fatal evaluation error the provers surfaced through
-    /// [`ProofStats::errors`] across the run (e.g. a sharded model search
+    /// [`ProofStats::errors`] across the run (e.g. a split model search's
     /// worker that raced past an evaluation error while another worker
     /// decided the obligation).
     pub fn errors(&self) -> Vec<&str> {
@@ -422,11 +422,11 @@ impl CatalogReport {
     }
 }
 
-/// Verifies every interface against one global work-stealing scheduler.
+/// Verifies every interface through one obligation scheduler.
 ///
 /// *All* interfaces' obligations are flattened into a single
 /// canonical-hash-addressed work queue drained by `options.threads`
-/// stealing workers — one worker included, which processes the submissions
+/// workers — one worker included, which processes the submissions
 /// in catalog order. Compared to the static one-thread-group-per-interface
 /// split this keeps every worker busy to the end on skewed catalogs
 /// (ArrayList dominates the paper's wall-clock), and the scheduler's

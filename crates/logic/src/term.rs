@@ -251,7 +251,7 @@ impl Term {
     /// Calls `f` on every immediate sub-term, mutably, in the same order as
     /// [`Term::for_each_child`]: the in-place rewriting passes use it to
     /// leave a subtree no rule touches where it is.
-    pub(crate) fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut Term)) {
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut Term)) {
         use Term::*;
         match self {
             Var(_) | BoolLit(_) | IntLit(_) | Null | EmptySet | EmptyMap | EmptySeq => {}

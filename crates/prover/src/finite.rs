@@ -35,8 +35,8 @@ use crate::verdict::Verdict;
 /// For intra-obligation parallelism, [`FiniteModelProver::begin`] prepares a
 /// [`ModelSearch`] whose candidate space can be scanned as independent
 /// unreduced-position ranges ([`ModelSearch::run_range`]) — the
-/// work-stealing scheduler splits a large obligation into such range tasks
-/// so idle workers can steal parts of one monolithic search.
+/// obligation scheduler splits a large obligation into such range tasks
+/// so idle workers can take parts of one monolithic search.
 #[derive(Debug, Clone, Default)]
 pub struct FiniteModelProver {
     scope: Scope,
@@ -484,7 +484,7 @@ pub fn assemble_verdict(outcome: SearchOutcome, elapsed: Duration) -> Verdict {
 mod tests {
     use super::*;
     use semcommute_logic::build::*;
-    use semcommute_logic::Value;
+    use semcommute_logic::{eval, Value};
 
     fn prover() -> FiniteModelProver {
         FiniteModelProver::new(Scope::small())
@@ -513,26 +513,86 @@ mod tests {
         assert!(!model.get("s").unwrap().as_set().unwrap().contains(&v));
     }
 
-    /// A set-fragment `Valid` is bounded by the scope: `card(s) <= 4` has no
-    /// counter-model at `Scope::standard`, nor with only the entry bound
-    /// widened (two padding elements cap every set at two members), but one
-    /// appears once the universe and the entry bound both reach five.
+    /// A finite-model `Valid` is bounded by the scope on every axis. Each
+    /// goal below is false, has no counter-model at `Scope::standard` nor
+    /// after widening any other axis, and gets one (`witness` holds in it)
+    /// once its own axis widens. A set or map of five entries needs the
+    /// entry bound *and* the padding at five: two padding elements cap every
+    /// set at two anonymous members. `card(s) <= 3 ∨ a ∈ s` needs four
+    /// members besides `a`, so padding 3 is not enough, and padding 4 finds
+    /// one with `a = null`.
     #[test]
-    fn set_validity_is_relative_to_the_scope() {
-        let ob = Obligation::new("card_bound").goal(le(card(var_set("s")), int(4)));
-        let prove = |scope: Scope| FiniteModelProver::new(scope).prove(&ob);
-        assert!(prove(Scope::standard()).is_valid());
-        let entries_only = Scope {
+    fn validity_is_relative_to_every_scope_axis() {
+        let standard = Scope::standard;
+        let entries = Scope {
             max_collection_entries: 5,
-            ..Scope::standard()
+            ..standard()
         };
-        assert!(prove(entries_only.clone()).is_valid());
-        let widened = prove(Scope {
+        let collections = Scope {
             elem_padding: 5,
-            ..entries_only
-        });
-        let model = widened.counter_model().expect("a five-element set");
-        assert_eq!(model.get("s").unwrap().as_set().unwrap().len(), 5);
+            ..entries.clone()
+        };
+        let ints = Scope {
+            int_max: 6,
+            ..standard()
+        };
+        let seqs = Scope {
+            max_seq_len: 5,
+            ..standard()
+        };
+        let padding = |elem_padding| Scope {
+            elem_padding,
+            ..standard()
+        };
+        // (goal, still valid at, counter-model at, witness)
+        let table = [
+            (
+                le(card(var_set("s")), int(4)),
+                vec![entries.clone(), ints.clone(), seqs.clone()],
+                collections.clone(),
+                eq(card(var_set("s")), int(5)),
+            ),
+            (
+                le(var_int("x"), int(5)),
+                vec![collections.clone(), seqs.clone()],
+                ints.clone(),
+                eq(var_int("x"), int(6)),
+            ),
+            (
+                le(map_size(var_map("m")), int(4)),
+                vec![entries, ints.clone(), seqs.clone()],
+                collections.clone(),
+                eq(map_size(var_map("m")), int(5)),
+            ),
+            (
+                le(seq_len(var_seq("q")), int(4)),
+                vec![collections, ints.clone()],
+                seqs.clone(),
+                eq(seq_len(var_seq("q")), int(5)),
+            ),
+            (
+                or2(
+                    le(card(var_set("s")), int(3)),
+                    member(var_elem("a"), var_set("s")),
+                ),
+                vec![padding(3), ints, seqs],
+                padding(4),
+                eq(var_elem("a"), null()),
+            ),
+        ];
+        for (goal, still_valid, widened, witness) in table {
+            let ob = Obligation::new("scope_probe").goal(goal.clone());
+            let prove = |scope: &Scope| FiniteModelProver::new(scope.clone()).prove(&ob);
+            for scope in std::iter::once(&standard()).chain(&still_valid) {
+                assert!(prove(scope).is_valid(), "{goal:?} at {scope:?}");
+            }
+            let verdict = prove(&widened);
+            let model = verdict
+                .counter_model()
+                .unwrap_or_else(|| panic!("{goal:?} at {widened:?}: {verdict}"));
+            assert_eq!(eval(&goal, model), Ok(Value::Bool(false)), "{goal:?}");
+            assert_eq!(eval(&witness, model), Ok(Value::Bool(true)), "{model}");
+        }
     }
 
     #[test]
@@ -624,7 +684,7 @@ mod tests {
 
     /// Runs a prepared search as `parts` contiguous ranges (in the given
     /// completion order) and finalizes — the split execution the scheduler
-    /// performs, minus the deques.
+    /// performs, minus the queue.
     fn run_split(ob: &Obligation, scope: Scope, parts: u64, order: &[u64]) -> Verdict {
         let search = FiniteModelProver::new(scope).begin(ob).expect("searchable");
         let total = search.total();

@@ -28,8 +28,8 @@
 //!   ([`FiniteModelProver::replay`]).
 //!
 //! The [`portfolio`] module combines the two (structural first, then
-//! finite-model) behind a sharded canonical-hash verdict cache, [`queue`]
-//! drains batches of obligations with work-stealing workers addressing that
+//! finite-model) behind a canonical-hash verdict cache, [`queue`] drains
+//! batches of obligations from one task queue on workers addressing that
 //! cache, and [`hints`] implements the three Jahob proof-language commands
 //! the paper uses for the 57 hard ArrayList methods: `note`, `assuming`, and
 //! `pickWitness`.

@@ -1,5 +1,5 @@
 //! The prover portfolio: structural prover first, finite-model prover second,
-//! with a sharded obligation dedup cache in front of both.
+//! with an obligation dedup cache in front of both.
 //!
 //! This mirrors the paper's "integrated reasoning" architecture, in which an
 //! obligation is dispatched to a collection of cooperating reasoning systems
@@ -10,41 +10,27 @@
 //! simplification). The portfolio therefore keys every verdict by the
 //! 128-bit structural hash of the *simplified* obligation (definitions,
 //! hypotheses, goal), mixed with the scope, and answers repeats from the
-//! cache. The cache is sharded by `key % N_SHARDS` ([`VerdictCache`]) and
-//! shared between clones of the portfolio — the verification scheduler
-//! runs one portfolio clone per worker, so a verdict computed on any worker
-//! is reused by all of them without funnelling every lookup through a
-//! single lock.
+//! cache ([`VerdictCache`]). Clones of the portfolio share the cache, so a
+//! verdict computed on any scheduler worker is reused by all of them.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use semcommute_logic::{simplify, structural_hash};
 
 use crate::finite::{FiniteModelProver, ModelSearch};
 use crate::obligation::Obligation;
 use crate::scope::Scope;
-use crate::stats::ProofStats;
 use crate::structural::prove_structural;
 use crate::verdict::Verdict;
 
-/// Number of shards in a [`VerdictCache`]. Sixteen keeps the per-shard lock
-/// essentially uncontended for the worker counts the scheduler runs with
-/// (the canonical hash is uniform, so shard collisions between concurrent
-/// workers are rare) while staying cheap to aggregate over.
-pub const N_SHARDS: usize = 16;
-
-/// A sharded map from canonical obligation keys to verdicts.
-///
-/// Shard `i` holds the keys with `key % N_SHARDS == i`, each behind its own
-/// mutex, so concurrent workers publishing and consuming verdicts only
-/// contend when their obligations actually land in the same shard. Clones
-/// share the underlying shards.
+/// A map from canonical obligation keys to verdicts, behind one mutex.
+/// Clones share the map.
 #[derive(Debug, Clone, Default)]
 pub struct VerdictCache {
-    shards: Arc<[Mutex<HashMap<u128, Verdict>>; N_SHARDS]>,
+    verdicts: Arc<Mutex<HashMap<u128, Verdict>>>,
 }
 
 impl VerdictCache {
@@ -53,35 +39,24 @@ impl VerdictCache {
         VerdictCache::default()
     }
 
-    fn shard(&self, key: u128) -> &Mutex<HashMap<u128, Verdict>> {
-        &self.shards[(key % N_SHARDS as u128) as usize]
+    fn lock(&self) -> MutexGuard<'_, HashMap<u128, Verdict>> {
+        self.verdicts.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Looks up the verdict cached under `key`.
     pub fn get(&self, key: u128) -> Option<Verdict> {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
-            .cloned()
+        self.lock().get(&key).cloned()
     }
 
     /// Publishes a verdict under `key` (first writer wins; canonically equal
     /// obligations have equal verdicts, so racing writers are harmless).
     pub fn insert(&self, key: u128, verdict: Verdict) {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .entry(key)
-            .or_insert(verdict);
+        self.lock().entry(key).or_insert(verdict);
     }
 
-    /// Number of verdicts currently held, summed over all shards.
+    /// Number of verdicts currently held.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).len())
-            .sum()
+        self.lock().len()
     }
 
     /// `true` when no verdict is cached.
@@ -119,7 +94,7 @@ impl VerdictCache {
 #[derive(Debug, Clone)]
 pub struct Portfolio {
     scope: Scope,
-    /// Canonical obligation key → verdict, sharded, shared across clones.
+    /// Canonical obligation key → verdict, shared across clones.
     cache: VerdictCache,
 }
 
@@ -253,20 +228,13 @@ impl Portfolio {
     /// cache and the structural prover, prepares the finite-model search
     /// otherwise. This is the scheduler's entry point for making one large
     /// obligation *splittable* — on [`Started::Search`] it turns the
-    /// returned [`ModelSearch`] into stealable range tasks instead of
+    /// returned [`ModelSearch`] into range tasks instead of
     /// calling [`ModelSearch::run`]. Callers must publish non-cached
     /// verdicts via [`Portfolio::publish_keyed`];
     /// [`Portfolio::prove_keyed`] is the run-it-here composition of the two.
     pub fn start_keyed(&self, key: u128, ob: &Obligation) -> Started {
         if let Some(verdict) = self.cache.get(key) {
-            let mut hit = verdict;
-            let prover = hit.stats().prover;
-            *hit.stats_mut() = ProofStats {
-                prover,
-                cache_hits: 1,
-                ..ProofStats::none()
-            };
-            return Started::Cached(hit);
+            return Started::Cached(verdict.into_cache_hit());
         }
         if let Some(stats) = prove_structural(ob) {
             return Started::Decided(Verdict::Valid { stats });
@@ -389,7 +357,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_is_shared_and_sharded() {
+    fn shared_cache_is_shared_and_counts_every_verdict() {
         let a = Portfolio::small();
         assert!(a.cache().is_empty());
         let b = a.clone();
@@ -397,7 +365,7 @@ mod tests {
         assert_eq!(first.stats().cache_hits, 0);
         let second = b.prove(&add_add_obligation());
         assert_eq!(second.stats().cache_hits, 1);
-        // Distinct obligations spread over the shards but stay countable.
+        // Distinct obligations are all counted.
         for i in 0..8 {
             let ob = Obligation::new("n").goal(eq(var_int("x"), int(i)));
             b.prove(&ob);

@@ -1,33 +1,24 @@
-//! A work-stealing scheduler over proof obligations.
+//! The obligation scheduler: one work queue over proof obligations.
 //!
-//! The verification driver used to split the catalog statically: one thread
-//! group per interface, each group chunking its conditions. On skewed
-//! catalogs (ArrayList dominates the paper's wall-clock) that leaves three
-//! groups idle while one finishes. This module replaces the static split
-//! with a single flat work queue:
+//! The verification driver submits every interface's obligations as one
+//! flat batch, and `workers` scoped threads drain it through one
+//! mutex-guarded queue:
 //!
-//! * every submitted obligation is addressed by its **canonical hash**
-//!   ([`Portfolio::canonical_key`]: the structural hash of the simplified
-//!   obligation mixed with the scope). Keying — the simplify + hash
-//!   pass over the obligation — happens **on the worker that pops
-//!   the submission**, not on the submitting thread: an up-front serial
-//!   keying pre-pass was the scheduler's Amdahl floor at high worker
-//!   counts. Canonically identical submissions still collapse: the first
-//!   worker to key a hash *claims* it in a sharded in-flight table (sharded
-//!   exactly like the verdict cache) and proves it; workers that key the
-//!   same hash while the claim is open *subscribe* and have the verdict
-//!   fanned out to them when the claimant publishes; workers that key it
-//!   after publication answer directly from the table — in every case the
-//!   hash is proved at most once per run;
-//! * submissions are distributed round-robin over per-worker deques; a
-//!   worker pops from the front of its own deque and, when empty, **steals
-//!   a batch** (half the victim's remaining submissions) from the back of
-//!   another worker's deque, so a worker that drew cheap structural
-//!   obligations immediately takes over part of a loaded worker's share;
-//! * workers publish verdicts through the portfolio's sharded
+//! * submissions are taken **in submission order** through a cursor.
+//!   Keying — the simplify + hash pass of [`Portfolio::canonical_key`]: the
+//!   structural hash of the simplified obligation mixed with the scope —
+//!   happens **on the worker that takes the submission**, so no serial
+//!   keying pre-pass bounds the run. Canonically identical submissions
+//!   collapse: the first worker to key a hash *claims* it in the run's
+//!   in-flight table and proves it; workers that key the same hash while
+//!   the claim is open *subscribe* and have the verdict fanned out to them
+//!   when the claimant publishes; workers that key it after publication
+//!   answer directly from the table — in every case the hash is proved at
+//!   most once per run;
+//! * workers publish verdicts through the portfolio's
 //!   [`VerdictCache`](crate::portfolio::VerdictCache), keyed by the same
-//!   canonical hash, so duplicate work
-//!   is impossible even across scheduler runs sharing a cache;
+//!   canonical hash, so duplicate work is impossible even across scheduler
+//!   runs sharing a cache;
 //! * an optional [`ExitGuard`] per obligation group (the driver uses one per
 //!   testing method) reproduces the sequential early-exit semantics: once
 //!   the obligation at index `i` of a group fails, obligations of the same
@@ -37,46 +28,46 @@
 //!   the group would report;
 //! * obligations are **splittable**: when the claimed obligation needs a
 //!   finite-model search whose unreduced candidate space exceeds the
-//!   *split threshold*, the worker turns it into range tasks Cilk-style —
-//!   it repeatedly pushes the back half of its remaining range onto the
-//!   front of its own deque (where thieves steal from the back, so a thief
-//!   takes the largest, farthest-away ranges) and scans the front chunk
-//!   itself. All subranges of one obligation share a
-//!   [`SearchShared`]: an `AtomicU64`
-//!   minimum-position early-exit guard plus merged work counters, so the
-//!   finalized verdict — including which counter-model is reported and
-//!   which evaluation error decides an `Unknown` — is exactly the
-//!   sequential scan's, at every worker count and threshold. The last
-//!   subrange to complete finalizes, publishes, and fans out to
-//!   subscribers. Without splitting, a handful of monolithic obligations
-//!   (the ArrayList searches run millions of candidates) pin one worker
-//!   each while the rest of the pool idles; with it, the largest obligation
-//!   parallelizes like the rest of the catalog.
+//!   *split threshold*, the worker repeatedly pushes the back half of its
+//!   remaining range onto the queue's range FIFO and scans the front chunk
+//!   itself. Ranges are taken before the next submission, oldest first, so
+//!   the first (largest) back half of a search is the first one another
+//!   worker picks up. All subranges of one obligation share a
+//!   [`SearchShared`]: an `AtomicU64` minimum-position early-exit guard plus
+//!   merged work counters, so the finalized verdict — including which
+//!   counter-model is reported and which evaluation error decides an
+//!   `Unknown` — is exactly the sequential scan's, at every worker count and
+//!   threshold. The last subrange to complete finalizes, publishes, and fans
+//!   out to subscribers. Without splitting, a handful of monolithic
+//!   obligations (the ArrayList searches run millions of candidates) pin
+//!   one worker each while the rest of the pool idles.
+//!
+//! A worker that finds the queue empty while another task is still running
+//! blocks on a condition variable: the running task may yet split, so it is
+//! woken when a range is pushed, and every waiter is woken to exit once
+//! nothing is queued or running.
 //!
 //! Every width runs the same worker loop on `workers` scoped threads. At one
-//! worker the single deque holds the submissions in submission order, so
-//! they are processed in order, and splitting is off (there is no one to
-//! steal a range).
+//! worker the submissions are processed in submission order and splitting
+//! is off (no other worker could take a range).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use crate::finite::{ModelSearch, SearchShared};
 use crate::obligation::Obligation;
 use crate::portfolio::{Portfolio, Started};
-use crate::stats::ProofStats;
 use crate::verdict::Verdict;
 
 /// The default split threshold: obligations whose unreduced candidate space
 /// is at most this many positions run as one task; larger searches are split
-/// into stealable range chunks of roughly this size. Large enough that a
-/// chunk amortizes its deque traffic and iterator resume by tens of
-/// milliseconds of scanning, small enough that the catalog's monolithic
-/// ArrayList obligations shatter into hundreds of stealable pieces.
+/// into range chunks of roughly this size. Large enough that a chunk
+/// amortizes its queue traffic and iterator resume by tens of milliseconds
+/// of scanning, small enough that the catalog's monolithic ArrayList
+/// obligations shatter into hundreds of pieces.
 pub const DEFAULT_SPLIT_THRESHOLD: u64 = 32_768;
-
 /// The process-wide default split threshold:
 /// [`DEFAULT_SPLIT_THRESHOLD`] unless the `SEMCOMMUTE_SPLIT` environment
 /// variable holds a number when first consulted.
@@ -146,8 +137,7 @@ pub struct ScheduledObligation {
     /// The obligation to prove.
     pub obligation: Obligation,
     /// Index into the portfolio slice given to [`prove_all_scheduled`] (the
-    /// driver uses one portfolio per interface scope, all sharing one
-    /// sharded cache).
+    /// driver uses one portfolio per interface scope).
     pub portfolio: usize,
     /// Early-exit group membership: the shared guard and this obligation's
     /// index within its group.
@@ -190,7 +180,7 @@ pub struct QueueReport {
     /// Obligations submitted.
     pub submitted: usize,
     /// Unique canonical hashes keyed during the run. Keying happens on the
-    /// worker that pops a submission, so guard-skipped submissions (which
+    /// worker that takes a submission, so guard-skipped submissions (which
     /// are never keyed) do not contribute.
     pub unique: usize,
     /// Obligations actually sent to the prover portfolio (cache misses).
@@ -201,14 +191,13 @@ pub struct QueueReport {
     /// the shared cache.
     pub cache_hits: u64,
     /// Submissions skipped because their early-exit guard had already failed
-    /// at a lower index when the submission was popped.
+    /// at a lower index when the submission was taken.
     pub skipped: u64,
-    /// Successful steal operations (a batch moved between worker deques).
+    /// Split-off ranges run by a worker other than the one that split them
+    /// (zero at one worker, where nothing splits).
     pub steals: u64,
-    /// Tasks moved by those steals.
-    pub stolen_tasks: u64,
     /// Split operations: each time a worker pushed the back half of a model
-    /// search's remaining range onto its deque for thieves.
+    /// search's remaining range onto the queue.
     pub splits: u64,
     /// Range chunks actually scanned (a search that never split counts
     /// zero; a split search counts one per executed chunk).
@@ -223,7 +212,8 @@ pub struct QueueReport {
     pub p99_obligation_wall: Duration,
     /// Aggregated errors: `Unknown` verdict reasons and the non-fatal
     /// evaluation errors the provers surfaced through
-    /// [`ProofStats::errors`], each prefixed with the obligation name.
+    /// [`ProofStats::errors`](crate::stats::ProofStats::errors), each
+    /// prefixed with the obligation name.
     pub errors: Vec<String>,
 }
 
@@ -251,54 +241,60 @@ enum KeyState {
     Done(Verdict),
 }
 
-/// The in-flight dedup table of one scheduler run: canonical hash →
-/// [`KeyState`], sharded exactly like the verdict cache
-/// ([`crate::portfolio::N_SHARDS`], same `key % N` split) so concurrent
-/// workers claiming and publishing different hashes rarely contend.
-///
-/// Keying now happens on the workers, so two workers can key the same hash
-/// concurrently; this table is what keeps each hash proved at most once per
-/// run without ever blocking a worker — a loser of the claim race subscribes
-/// and moves on to its next submission.
-struct InFlight {
-    shards: [Mutex<HashMap<u128, KeyState>>; crate::portfolio::N_SHARDS],
-}
-
-impl InFlight {
-    fn new() -> InFlight {
-        InFlight {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
-
-    fn shard(&self, key: u128) -> &Mutex<HashMap<u128, KeyState>> {
-        &self.shards[(key % self.shards.len() as u128) as usize]
-    }
-
-    /// Number of distinct canonical hashes keyed during the run.
-    fn unique(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).len())
-            .sum()
-    }
+/// A split-off range of a model search, waiting in the queue.
+struct Range {
+    /// The obligation-wide search state this range belongs to.
+    search: Arc<ActiveSearch>,
+    /// Inclusive start of the range.
+    lo: u64,
+    /// Exclusive end of the range.
+    hi: u64,
+    /// The worker that split it off.
+    owner: usize,
 }
 
 /// One unit of worker-loop work: a whole submitted obligation, or one range
-/// of a split model search.
+/// of a split model search (split further when it still exceeds the
+/// threshold).
 enum Task {
     /// Index into the submission list.
     Submission(usize),
-    /// Scan unreduced positions `[lo, hi)` of a shared model search
-    /// (splitting further when the range still exceeds the threshold).
-    Range {
-        /// The obligation-wide search state this range belongs to.
-        search: Arc<ActiveSearch>,
-        /// Inclusive start of the range.
-        lo: u64,
-        /// Exclusive end of the range.
-        hi: u64,
-    },
+    /// A split-off range.
+    Range(Range),
+}
+
+/// The run's work queue, all behind one mutex.
+#[derive(Default)]
+struct Work {
+    /// The next submission to take.
+    next: usize,
+    /// Split-off ranges, oldest first.
+    ranges: VecDeque<Range>,
+    /// Tasks taken and not yet finished: while any runs, a range may still
+    /// be pushed.
+    running: usize,
+    /// See [`QueueReport::splits`].
+    splits: u64,
+    /// See [`QueueReport::steals`].
+    steals: u64,
+}
+
+impl Work {
+    /// The next task for worker `me`, if one is queued: a split-off range
+    /// before the next of the `submitted` submissions.
+    fn take(&mut self, me: usize, submitted: usize) -> Option<Task> {
+        let task = if let Some(range) = self.ranges.pop_front() {
+            self.steals += u64::from(range.owner != me);
+            Task::Range(range)
+        } else if self.next < submitted {
+            self.next += 1;
+            Task::Submission(self.next - 1)
+        } else {
+            return None;
+        };
+        self.running += 1;
+        Some(task)
+    }
 }
 
 /// A claimed obligation whose finite-model search is running as range tasks.
@@ -322,9 +318,14 @@ struct ActiveSearch {
     outstanding: AtomicU64,
 }
 
-/// Proves a batch of obligations with one portfolio and `workers` stealing
-/// workers. Convenience wrapper over [`prove_all_scheduled`]; since no
-/// early-exit guards are involved every verdict is present.
+/// Locks `mutex`, recovering the data of a poisoned one.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Proves a batch of obligations with one portfolio on `workers` workers.
+/// Convenience wrapper over [`prove_all_scheduled`]; since no early-exit
+/// guards are involved every verdict is present.
 pub fn prove_all(portfolio: &Portfolio, obligations: &[Obligation], workers: usize) -> QueueRun {
     let items = obligations
         .iter()
@@ -343,23 +344,23 @@ pub fn prove_all_scheduled(
     prove_all_scheduled_split(portfolios, items, workers, default_split_threshold())
 }
 
-/// Proves a batch of [`ScheduledObligation`]s on `workers` work-stealing
-/// workers, splitting any claimed finite-model search whose unreduced
-/// candidate space exceeds `split_threshold` positions into stealable range
-/// tasks (`u64::MAX` disables splitting; values below 1 are clamped to 1).
+/// Proves a batch of [`ScheduledObligation`]s on `workers` workers sharing
+/// one queue, splitting any claimed finite-model search whose unreduced
+/// candidate space exceeds `split_threshold` positions into range tasks
+/// (`u64::MAX` disables splitting; values below 1 are clamped to 1).
 ///
 /// The returned verdicts are positionally aligned with `items`. Each
-/// submission is keyed (simplify + hash) by the worker that pops it; the
+/// submission is keyed (simplify + hash) by the worker that takes it; the
 /// submission that claims a canonical hash first receives the prover's
 /// verdict, and every other submission of that hash receives it as a dedup
-/// hit (zeroed work counters, `cache_hits = 1`), mirroring what
-/// [`Portfolio::prove`] reports for a cache hit — so accumulated statistics
-/// are identical to what a sequential run over the same submissions would
-/// have accumulated. A submission whose early-exit guard has already failed
-/// at a lower index when it is popped is skipped outright (verdict `None`),
-/// exactly as an in-order proof of the group would have stopped before it.
-/// Verdicts — including reported counter-models and deciding `Unknown`
-/// reasons — are identical at every worker count and split threshold.
+/// hit (zeroed work counters, `cache_hits = 1`), mirroring what [`Portfolio::prove`]
+/// reports for a cache hit — so accumulated statistics are identical to
+/// what a sequential run over the same submissions would have accumulated.
+/// A submission whose early-exit guard has already failed at a lower index
+/// when it is taken is skipped outright (verdict `None`), exactly as an
+/// in-order proof of the group would have stopped before it. Verdicts —
+/// including reported counter-models and deciding `Unknown` reasons — are
+/// identical at every worker count and split threshold.
 ///
 /// # Panics
 ///
@@ -371,10 +372,6 @@ pub fn prove_all_scheduled_split(
     split_threshold: u64,
 ) -> QueueRun {
     let submitted = items.len();
-    let mut report = QueueReport {
-        submitted,
-        ..QueueReport::default()
-    };
     for item in &items {
         assert!(
             item.portfolio < portfolios.len(),
@@ -389,21 +386,21 @@ pub fn prove_all_scheduled_split(
     // range tasks once its search splits.
     let workers = if submitted == 0 { 1 } else { workers.max(1) };
     // A chunk must make progress, so the smallest meaningful threshold is 1
-    // (every position its own task); a lone worker has no thief to split
-    // for.
+    // (every position its own task); a lone worker has no one to split for.
     let split_threshold = if workers <= 1 {
         u64::MAX
     } else {
         split_threshold.max(1)
     };
 
-    let in_flight = InFlight::new();
+    // Canonical hash → dedup state, for the run. Keying happens on the
+    // workers, so two of them can key the same hash concurrently; this
+    // table keeps each hash proved at most once per run without blocking a
+    // worker — a loser of the claim race subscribes and moves on.
+    let in_flight: Mutex<HashMap<u128, KeyState>> = Mutex::new(HashMap::new());
     let results: Vec<OnceLock<Verdict>> = (0..submitted).map(|_| OnceLock::new()).collect();
     let proved = AtomicU64::new(0);
     let cache_hits = AtomicU64::new(0);
-    let steals = AtomicU64::new(0);
-    let stolen_tasks = AtomicU64::new(0);
-    let splits = AtomicU64::new(0);
     let subranges = AtomicU64::new(0);
     let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
     // Claim-to-verdict wall-clock of every proved obligation, for the skew
@@ -421,21 +418,6 @@ pub fn prove_all_scheduled_split(
         let _ = results[index].set(verdict);
     };
 
-    // The answer a duplicate submission receives: the proved verdict with
-    // zeroed work counters and `cache_hits = 1`, mirroring what
-    // [`Portfolio::prove`] reports for a cache hit — so accumulated
-    // statistics are identical to a sequential run over the submissions.
-    let dedup_hit = |verdict: &Verdict| -> Verdict {
-        let mut hit = verdict.clone();
-        let prover = hit.stats().prover;
-        *hit.stats_mut() = ProofStats {
-            prover,
-            cache_hits: 1,
-            ..ProofStats::none()
-        };
-        hit
-    };
-
     // Books a claimed obligation's verdict: counters, error aggregation,
     // publication through the in-flight table, delivery to the claiming
     // submission and fan-out to everyone who subscribed while it ran. Used
@@ -446,10 +428,7 @@ pub fn prove_all_scheduled_split(
             cache_hits.fetch_add(1, Ordering::Relaxed);
         } else {
             proved.fetch_add(1, Ordering::Relaxed);
-            obligation_walls
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push(verdict.stats().elapsed);
+            lock(&obligation_walls).push(verdict.stats().elapsed);
         }
         let name = &items[index].obligation.name;
         let mut found: Vec<String> = verdict
@@ -464,32 +443,23 @@ pub fn prove_all_scheduled_split(
             }
         }
         if !found.is_empty() {
-            errors
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .extend(found);
+            lock(&errors).extend(found);
         }
 
         // Publish, collecting whoever subscribed while the proof ran.
-        let subscribers = {
-            let mut shard = in_flight
-                .shard(key)
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            match shard.insert(key, KeyState::Done(verdict.clone())) {
-                Some(KeyState::Claimed(subscribers)) => subscribers,
-                // Unreachable: the claim was held exclusively.
-                _ => Vec::new(),
-            }
+        let subscribers = match lock(&in_flight).insert(key, KeyState::Done(verdict.clone())) {
+            Some(KeyState::Claimed(subscribers)) => subscribers,
+            // Unreachable: the claim was held exclusively.
+            _ => Vec::new(),
         };
-        deliver(index, guard, verdict.clone());
         for (subscriber, guard) in subscribers {
             cache_hits.fetch_add(1, Ordering::Relaxed);
-            deliver(subscriber, &guard, dedup_hit(&verdict));
+            deliver(subscriber, &guard, verdict.clone().into_cache_hit());
         }
+        deliver(index, guard, verdict);
     };
 
-    // Pops one submission: guard check, worker-side keying, claim/dedup.
+    // Takes one submission: guard check, worker-side keying, claim/dedup.
     // Returns a search to be run as range tasks when the claimed obligation
     // is large enough to split; everything else completes inline.
     let process_submission =
@@ -503,17 +473,14 @@ pub fn prove_all_scheduled_split(
             }
             let portfolio = &portfolios[item.portfolio];
             // Keying — simplify + hash of the obligation — runs here, on the
-            // popping worker. The hash is unseeded, so every worker computes
+            // taking worker. The hash is unseeded, so every worker computes
             // the same key.
             let key = portfolio.canonical_key(&item.obligation);
             let published = {
-                let mut shard = in_flight
-                    .shard(key)
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner());
-                match shard.get_mut(&key) {
+                let mut in_flight = lock(&in_flight);
+                match in_flight.get_mut(&key) {
                     None => {
-                        shard.insert(key, KeyState::Claimed(Vec::new()));
+                        in_flight.insert(key, KeyState::Claimed(Vec::new()));
                         None
                     }
                     Some(KeyState::Claimed(subscribers)) => {
@@ -525,7 +492,7 @@ pub fn prove_all_scheduled_split(
             };
             if let Some(verdict) = published {
                 cache_hits.fetch_add(1, Ordering::Relaxed);
-                deliver(index, &item.guard, dedup_hit(&verdict));
+                deliver(index, &item.guard, verdict.into_cache_hit());
                 return None;
             }
 
@@ -544,7 +511,7 @@ pub fn prove_all_scheduled_split(
                 Started::Search(search) => {
                     if search.total() > split_threshold {
                         // Too large for one worker: hand back a shared search
-                        // for the worker loop to scan as stealable range tasks.
+                        // for the worker loop to scan as range tasks.
                         Some(Arc::new(ActiveSearch {
                             key,
                             portfolio: item.portfolio,
@@ -575,170 +542,98 @@ pub fn prove_all_scheduled_split(
         }
     };
 
-    // Seed the per-worker deques round-robin so every worker starts
-    // with a cross-section of the catalog, then let emptied workers
-    // steal batches from the back of loaded ones. `pending` counts
-    // tasks queued or running; a worker only exits when it finds
-    // nothing to steal *and* nothing is still running — a running
-    // range task may yet split and repopulate the deques.
-    let deques: Vec<Mutex<VecDeque<Task>>> = (0..workers)
-        .map(|w| {
-            Mutex::new(
-                (0..submitted)
-                    .filter(|i| i % workers == w)
-                    .map(Task::Submission)
-                    .collect::<VecDeque<Task>>(),
-            )
-        })
-        .collect();
-    let pending = AtomicU64::new(submitted as u64);
+    let queue = Mutex::new(Work::default());
+    // Signalled when a range is pushed, and when the last running task
+    // finishes with nothing queued.
+    let ready = Condvar::new();
     std::thread::scope(|scope| {
         for me in 0..workers {
-            let (deques, items, pending) = (&deques, &items, &pending);
-            let (process_submission, finish_range) = (&process_submission, &finish_range);
-            let (steals, stolen_tasks) = (&steals, &stolen_tasks);
-            let (splits, subranges) = (&splits, &subranges);
+            let (queue, ready, items) = (&queue, &ready, &items);
+            let (process_submission, finish_range, subranges) =
+                (&process_submission, &finish_range, &subranges);
             scope.spawn(move || {
-                // Scans `[lo, hi)` of a split search Cilk-style: while
-                // the range exceeds the threshold, push the back half
-                // onto the *front* of the own deque (the owner drains
-                // nearest-first for locality; thieves take from the
-                // back, so a thief grabs the largest, farthest range)
-                // and keep the front. The chunk scan shares the
-                // search's minimum-position guard, so racing chunks
-                // stop as soon as the verdict is decided to their left.
+                // Scans `[lo, hi)` of a split search: while the range
+                // exceeds the threshold, push the back half onto the queue
+                // and keep the front. The chunk scan shares the search's
+                // minimum-position guard, so racing chunks stop as soon as
+                // the verdict is decided to their left.
                 let run_chunk = |search: Arc<ActiveSearch>, lo: u64, mut hi: u64| {
                     while hi - lo > split_threshold {
                         let mid = lo + (hi - lo) / 2;
                         search.outstanding.fetch_add(1, Ordering::Relaxed);
-                        pending.fetch_add(1, Ordering::Relaxed);
-                        splits.fetch_add(1, Ordering::Relaxed);
-                        deques[me]
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .push_front(Task::Range {
-                                search: search.clone(),
-                                lo: mid,
-                                hi,
-                            });
+                        let mut work = lock(queue);
+                        work.splits += 1;
+                        work.ranges.push_back(Range {
+                            search: search.clone(),
+                            lo: mid,
+                            hi,
+                            owner: me,
+                        });
+                        drop(work);
+                        ready.notify_one();
                         hi = mid;
                     }
                     subranges.fetch_add(1, Ordering::Relaxed);
                     search.search.run_range(lo, hi, &search.shared);
                     finish_range(&search);
                 };
-                // Consecutive empty pop+steal rounds: yield at first,
-                // then back off to short sleeps so workers starved by a
-                // long-running unsplittable task don't burn their cores
-                // polling the deques.
-                let mut idle_rounds: u32 = 0;
+                let mut work = lock(queue);
                 loop {
-                    let next = deques[me]
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .pop_front();
-                    let task = match next {
-                        Some(task) => task,
-                        None => {
-                            // Steal half of the first non-empty
-                            // victim's deque (from the back, so the
-                            // victim keeps the front it is about to
-                            // pop).
-                            let mut batch: VecDeque<Task> = VecDeque::new();
-                            for offset in 1..workers {
-                                let victim = (me + offset) % workers;
-                                let mut v =
-                                    deques[victim].lock().unwrap_or_else(|p| p.into_inner());
-                                let take = v.len().div_ceil(2);
-                                if take == 0 {
-                                    continue;
-                                }
-                                for _ in 0..take {
-                                    if let Some(task) = v.pop_back() {
-                                        batch.push_front(task);
+                    match work.take(me, submitted) {
+                        Some(task) => {
+                            drop(work);
+                            match task {
+                                Task::Submission(index) => {
+                                    if let Some(active) = process_submission(index, &items[index]) {
+                                        let total = active.search.total();
+                                        run_chunk(active, 0, total);
                                     }
                                 }
-                                break;
-                            }
-                            match batch.pop_front() {
-                                None => {
-                                    if pending.load(Ordering::Acquire) == 0 {
-                                        // Nothing queued, nothing
-                                        // running: done.
-                                        break;
-                                    }
-                                    // A running task may still split;
-                                    // wait for work to appear — yield
-                                    // briefly, then sleep (capped at
-                                    // 1 ms so newly split ranges are
-                                    // picked up promptly).
-                                    idle_rounds = idle_rounds.saturating_add(1);
-                                    if idle_rounds < 16 {
-                                        std::thread::yield_now();
-                                    } else {
-                                        let exp = (idle_rounds - 16).min(4);
-                                        std::thread::sleep(Duration::from_micros(62 << exp));
-                                    }
-                                    continue;
-                                }
-                                Some(task) => {
-                                    steals.fetch_add(1, Ordering::Relaxed);
-                                    stolen_tasks
-                                        .fetch_add(batch.len() as u64 + 1, Ordering::Relaxed);
-                                    if !batch.is_empty() {
-                                        deques[me]
-                                            .lock()
-                                            .unwrap_or_else(|p| p.into_inner())
-                                            .append(&mut batch);
-                                    }
-                                    task
+                                Task::Range(Range { search, lo, hi, .. }) => {
+                                    run_chunk(search, lo, hi)
                                 }
                             }
+                            work = lock(queue);
+                            work.running -= 1;
                         }
-                    };
-                    idle_rounds = 0;
-                    match task {
-                        Task::Submission(index) => {
-                            if let Some(active) = process_submission(index, &items[index]) {
-                                let total = active.search.total();
-                                run_chunk(active, 0, total);
-                            }
+                        // Nothing queued, nothing running: done, and so is
+                        // every waiter.
+                        None if work.running == 0 => {
+                            ready.notify_all();
+                            break;
                         }
-                        Task::Range { search, lo, hi } => run_chunk(search, lo, hi),
+                        // A running task may still split: wait for it.
+                        None => work = ready.wait(work).unwrap_or_else(|p| p.into_inner()),
                     }
-                    pending.fetch_sub(1, Ordering::Release);
                 }
             });
         }
     });
 
-    report.unique = in_flight.unique();
-    let mut skipped = 0u64;
-    let verdicts: Vec<Option<Verdict>> = results
-        .into_iter()
-        .map(|slot| {
-            let verdict = slot.into_inner();
-            if verdict.is_none() {
-                skipped += 1;
-            }
-            verdict
-        })
-        .collect();
-    report.proved = proved.into_inner();
-    report.cache_hits = cache_hits.into_inner();
-    report.skipped = skipped;
-    report.steals = steals.into_inner();
-    report.stolen_tasks = stolen_tasks.into_inner();
-    report.splits = splits.into_inner();
-    report.subranges = subranges.into_inner();
+    let work = queue.into_inner().unwrap_or_else(|p| p.into_inner());
+    let verdicts: Vec<Option<Verdict>> = results.into_iter().map(OnceLock::into_inner).collect();
     let mut walls = obligation_walls
         .into_inner()
         .unwrap_or_else(|p| p.into_inner());
     walls.sort_unstable();
-    if let Some(&max) = walls.last() {
-        report.max_obligation_wall = max;
-        report.p99_obligation_wall = walls[((walls.len() * 99) / 100).min(walls.len() - 1)];
-    }
-    report.errors = errors.into_inner().unwrap_or_else(|p| p.into_inner());
+    let report = QueueReport {
+        submitted,
+        unique: in_flight
+            .into_inner()
+            .unwrap_or_else(|p| p.into_inner())
+            .len(),
+        proved: proved.into_inner(),
+        cache_hits: cache_hits.into_inner(),
+        skipped: verdicts.iter().filter(|v| v.is_none()).count() as u64,
+        steals: work.steals,
+        splits: work.splits,
+        subranges: subranges.into_inner(),
+        max_obligation_wall: walls.last().copied().unwrap_or_default(),
+        p99_obligation_wall: walls
+            .get((walls.len() * 99 / 100).min(walls.len().saturating_sub(1)))
+            .copied()
+            .unwrap_or_default(),
+        errors: errors.into_inner().unwrap_or_else(|p| p.into_inner()),
+    };
     QueueRun { verdicts, report }
 }

@@ -139,7 +139,7 @@ impl Scope {
     ///
     /// A finite-model verdict is only meaningful relative to the scope it was
     /// searched under, so the portfolio mixes this fingerprint into the
-    /// canonical cache key of every obligation. That makes one sharded
+    /// canonical cache key of every obligation. That makes one
     /// verdict cache safely shareable between portfolios with different
     /// scopes (the global obligation scheduler proves all four interfaces,
     /// under two different scopes, against a single cache).

@@ -394,7 +394,7 @@ fn subsets_up_to(universe: &[ElemId], max_len: usize) -> Vec<PSet> {
 /// bound, and a recursive partition of `[0, n)` into ranges tiles the
 /// candidate set exactly — canonical candidates and pruned-as-non-canonical
 /// counts both land in the unique range containing their position. The
-/// work-stealing scheduler splits one obligation's model search into such
+/// obligation scheduler splits one obligation's model search into such
 /// ranges; position order is also the tie-break that keeps "which
 /// counter-model is reported" identical at every split granularity.
 ///

@@ -42,15 +42,15 @@ pub fn prove_structural(ob: &Obligation) -> Option<ProofStats> {
 pub fn inline_and_normalize(ob: &Obligation) -> Term {
     let mut inlined: BTreeMap<String, Term> = BTreeMap::new();
     for (name, term) in &ob.defines {
-        let expanded = normalize(&substitute(term, &inlined));
+        let expanded = normalize(substitute(term, &inlined));
         inlined.insert(name.clone(), expanded);
     }
     let hyps: Vec<Term> = ob
         .hypotheses
         .iter()
-        .map(|h| normalize(&substitute(h, &inlined)))
+        .map(|h| normalize(substitute(h, &inlined)))
         .collect();
-    let goal = normalize(&substitute(&ob.goal, &inlined));
+    let goal = normalize(substitute(&ob.goal, &inlined));
     build::implies(build::and(hyps), goal)
 }
 
@@ -60,12 +60,16 @@ pub fn inline_and_normalize(ob: &Obligation) -> Term {
 /// `(s ∪ {a}) ∪ {b}` and `(s ∪ {b}) ∪ {a}` denote the same set for every `a`,
 /// `b`, and `s`, so sorting the run is semantics-preserving; the same holds
 /// for runs of removals. Runs are *not* merged across an add/remove boundary
-/// (removal of an element does not commute with its own insertion).
-pub fn normalize(term: &Term) -> Term {
-    let t = term.map_children(normalize);
-    match t {
-        Term::SetAdd(_, _) => sort_run(t, RunKind::Add),
-        Term::SetRemove(_, _) => sort_run(t, RunKind::Remove),
+/// (removal of an element does not commute with its own insertion). Takes
+/// the term by value and rewrites it in place, so a sub-term outside every
+/// run is not rebuilt.
+pub fn normalize(mut term: Term) -> Term {
+    term.for_each_child_mut(&mut |child| {
+        *child = normalize(std::mem::replace(child, Term::Null));
+    });
+    match term {
+        Term::SetAdd(_, _) => sort_run(term, RunKind::Add),
+        Term::SetRemove(_, _) => sort_run(term, RunKind::Remove),
         other => other,
     }
 }
@@ -165,7 +169,7 @@ mod tests {
             set_add(set_add(var_set("s"), var_elem("b")), var_elem("a")),
             var_elem("c"),
         );
-        let n = normalize(&t);
+        let n = normalize(t.clone());
         let model = Model::from_bindings([
             ("s", Value::set_of([semcommute_logic::ElemId(5)])),
             ("a", Value::elem(1)),
@@ -179,16 +183,16 @@ mod tests {
     fn normalization_is_order_insensitive() {
         let ab = set_add(set_add(var_set("s"), var_elem("a")), var_elem("b"));
         let ba = set_add(set_add(var_set("s"), var_elem("b")), var_elem("a"));
-        assert_eq!(normalize(&ab), normalize(&ba));
+        assert_eq!(normalize(ab), normalize(ba));
         let ab = set_remove(set_remove(var_set("s"), var_elem("a")), var_elem("b"));
         let ba = set_remove(set_remove(var_set("s"), var_elem("b")), var_elem("a"));
-        assert_eq!(normalize(&ab), normalize(&ba));
+        assert_eq!(normalize(ab), normalize(ba));
     }
 
     #[test]
     fn duplicate_adds_collapse() {
         let t = set_add(set_add(var_set("s"), var_elem("a")), var_elem("a"));
-        let n = normalize(&t);
+        let n = normalize(t);
         assert_eq!(n, set_add(var_set("s"), var_elem("a")));
     }
 

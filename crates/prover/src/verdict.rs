@@ -79,6 +79,19 @@ impl Verdict {
             | Verdict::Unknown { stats, .. } => stats,
         }
     }
+
+    /// This verdict as an answer to a repeat of its obligation: the same
+    /// outcome and prover with zeroed work counters and `cache_hits = 1`,
+    /// so statistics summed over a run count the work once.
+    pub(crate) fn into_cache_hit(mut self) -> Verdict {
+        let prover = self.stats().prover;
+        *self.stats_mut() = ProofStats {
+            prover,
+            cache_hits: 1,
+            ..ProofStats::none()
+        };
+        self
+    }
 }
 
 impl fmt::Display for Verdict {

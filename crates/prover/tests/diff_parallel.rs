@@ -1,7 +1,7 @@
 //! Differential test: the verification driver against a test-local
 //! sequential reference, across a worker-count × split-threshold matrix.
 //!
-//! Every width of the driver runs through the work-stealing scheduler, so
+//! Every width of the driver runs through the obligation scheduler, so
 //! the reference lives here: each condition's testing methods generated,
 //! symbolically executed and proved with `Portfolio::prove` strictly in
 //! order, each method stopping at its first non-valid verdict. For every
@@ -236,6 +236,13 @@ fn full_catalog_verdicts_match_sequential_oracle() {
                 "a lone worker neither steals nor splits"
             );
         }
+        // Each split-off range is taken once, by its splitter or another.
+        assert!(
+            scheduler.steals <= scheduler.splits,
+            "{workers}w/{threshold}: {} steals vs {} splits",
+            scheduler.steals,
+            scheduler.splits
+        );
         // At seq_len 3 the largest searches run ~15k unreduced positions:
         // under the default threshold nothing splits (and the run must
         // still match the reference); the small-threshold row exercises

@@ -1,4 +1,4 @@
-//! Property-based tests of the work-stealing obligation scheduler: arbitrary
+//! Property-based tests of the obligation scheduler: arbitrary
 //! obligation multisets are fully drained at any worker count, each unique
 //! canonical hash is proved exactly once — including when duplicates race
 //! through the worker-side keying + in-flight claim/subscribe path — the
@@ -120,7 +120,7 @@ proptest! {
     }
 
     /// A second run over a warm shared cache proves nothing new: every
-    /// submission is answered by the sharded verdict cache.
+    /// submission is answered by the verdict cache.
     #[test]
     fn warm_cache_answers_everything(obligations in multiset(), workers in 1usize..9) {
         let portfolio = Portfolio::new(Scope::small());

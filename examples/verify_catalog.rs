@@ -12,7 +12,7 @@
 //! Run with `cargo run --release --example verify_catalog`. Pass a number to
 //! limit how many conditions per interface are verified (useful for a quick
 //! look), `--seq-len N` to change the ArrayList sequence scope,
-//! `--threads N` to size the work-stealing obligation scheduler (`1` runs
+//! `--threads N` to size the obligation scheduler (`1` runs
 //! the same scheduler at one worker, in catalog order), `--orbit off` to enumerate
 //! candidate models unreduced (the oracle the differential soundness
 //! harness compares the default orbit-canonical enumeration against).
@@ -31,9 +31,9 @@ usage: verify_catalog [LIMIT] [--seq-len N] [--threads N]
 
   LIMIT               verify only the first LIMIT conditions per interface
   --seq-len N         ArrayList sequence scope (default 4)
-  --threads N         work-stealing scheduler width (1 = one worker)
+  --threads N         obligation scheduler width (1 = one worker)
   --split-threshold N unreduced-space size above which one obligation's
-                      model search splits into stealable range tasks
+                      model search splits into range tasks
   --orbit on|off      orbit-canonical (default) vs. unreduced enumeration";
 
 /// Parses a required numeric option value; on a missing or non-numeric value
@@ -137,14 +137,15 @@ fn main() {
 
     if let Some(s) = &catalog.scheduler {
         println!(
-            "\nscheduler: {} obligations ({} unique), {} proved, {} dedup hits, \
-             {} skipped, {} steals moving {} tasks",
-            s.submitted, s.unique, s.proved, s.cache_hits, s.skipped, s.steals, s.stolen_tasks
+            "\nscheduler: {} obligations ({} unique), {} proved, {} dedup hits, {} skipped",
+            s.submitted, s.unique, s.proved, s.cache_hits, s.skipped
         );
         println!(
-            "           {} splits into {} subranges; obligation wall max {:.3}s, p99 {:.3}s",
+            "           {} splits into {} subranges ({} split-off ranges run by another \
+             worker); obligation wall max {:.3}s, p99 {:.3}s",
             s.splits,
             s.subranges,
+            s.steals,
             s.max_obligation_wall.as_secs_f64(),
             s.p99_obligation_wall.as_secs_f64()
         );

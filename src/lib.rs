@@ -6,8 +6,8 @@
 //! on Linked Data Structures". It re-exports the member crates:
 //!
 //! * [`logic`] — the specification logic (terms, values, evaluation),
-//! * [`prover`] — proof obligations, the prover portfolio with its sharded
-//!   verdict cache, and the work-stealing obligation scheduler,
+//! * [`prover`] — proof obligations, the prover portfolio with its verdict
+//!   cache, and the obligation scheduler,
 //! * [`spec`] — abstract states and the four interface specifications,
 //! * [`structures`] — the six concrete linked data structures,
 //! * [`core`] — commutativity conditions, testing methods, verification,
