@@ -9,9 +9,9 @@
 //! one worker). A malformed argument prints what is wrong and the usage text
 //! and exits with status 2.
 
-use semcommute_bench::{banner, parse_args};
+use semcommute_bench::banner;
 use semcommute_core::report::verification_time_table;
-use semcommute_core::verify::verify_catalog;
+use semcommute_core::verify::{parse_args, verify_catalog};
 
 const USAGE: &str = "\
 usage: table_5_8 [LIMIT] [--seq-len N] [--threads N] [--split-threshold N]

@@ -95,6 +95,56 @@ impl VerifyOptions {
     }
 }
 
+/// Parses the verification flags (the arguments after the program name) that
+/// the `verify_catalog` example and the `table_5_8` binary share: an optional
+/// per-interface condition limit, `--seq-len N`, `--threads N`,
+/// `--split-threshold N` (unreduced-space size above which a model search is
+/// split into range tasks), and `--orbit {on,off}` (orbit-canonical vs.
+/// unreduced enumeration).
+///
+/// # Errors
+///
+/// Returns what is wrong with the first malformed argument: a missing or
+/// non-numeric value, an `--orbit` value other than `on` or `off`, or an
+/// argument that is neither a flag nor a limit.
+pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<VerifyOptions, String> {
+    fn number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+        let value = value.ok_or_else(|| format!("{flag} needs a number"))?;
+        value
+            .parse()
+            .map_err(|_| format!("{flag} needs a number, got `{value}`"))
+    }
+    let mut options = VerifyOptions::default();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--seq-len" => options.seq_len = number("--seq-len", args.next())?,
+            "--threads" => options.threads = number("--threads", args.next())?,
+            "--split-threshold" => {
+                options.split_threshold = number("--split-threshold", args.next())?
+            }
+            "--orbit" => {
+                options.orbit = match args.next().as_deref() {
+                    Some("on") => true,
+                    Some("off") => false,
+                    other => {
+                        return Err(format!(
+                            "--orbit needs `on` or `off`, got {}",
+                            other.map_or("nothing".to_string(), |v| format!("`{v}`"))
+                        ))
+                    }
+                }
+            }
+            other => {
+                let limit = other
+                    .parse()
+                    .map_err(|_| format!("unrecognized argument `{other}`"))?;
+                options.limit = Some(limit);
+            }
+        }
+    }
+    Ok(options)
+}
+
 /// The outcome of verifying one commutativity condition: the verdicts of its
 /// soundness and completeness testing methods (each aggregating every proof
 /// obligation the method produced).
@@ -497,6 +547,51 @@ fn verify_interfaces(interfaces: &[InterfaceId], options: &VerifyOptions) -> Cat
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<VerifyOptions, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parse_args_reads_every_flag() {
+        let options = parse(&[
+            "12",
+            "--threads",
+            "4",
+            "--split-threshold",
+            "4096",
+            "--seq-len",
+            "3",
+            "--orbit",
+            "off",
+        ])
+        .expect("valid flags");
+        assert_eq!(options.limit, Some(12));
+        assert_eq!(options.threads, 4);
+        assert_eq!(options.split_threshold, 4096);
+        assert_eq!(options.seq_len, 3);
+        assert!(!options.orbit);
+    }
+
+    #[test]
+    fn parse_args_rejects_a_non_numeric_thread_count() {
+        assert_eq!(
+            parse(&["--threads", "x"]).err().as_deref(),
+            Some("--threads needs a number, got `x`")
+        );
+        assert_eq!(
+            parse(&["--threads"]).err().as_deref(),
+            Some("--threads needs a number")
+        );
+    }
+
+    #[test]
+    fn parse_args_rejects_an_unknown_orbit_value() {
+        assert_eq!(
+            parse(&["--orbit", "maybe"]).err().as_deref(),
+            Some("--orbit needs `on` or `off`, got `maybe`")
+        );
+    }
 
     #[test]
     fn accumulator_catalog_fully_verifies() {

@@ -44,10 +44,10 @@ impl fmt::Display for ElemId {
 ///
 /// Collection payloads are one-pointer shared handles, so a `Value` is two
 /// words and cloning a collection value is an O(1) reference-count
-/// increment. Sets and maps ([`PSet`] / [`PMap`]) are sorted flat arrays: an
+/// increment. Every payload is one flat array: sorted for sets and maps
+/// ([`PSet`] / [`PMap`]), in position order for sequences ([`PSeq`]). An
 /// update copies a shared array once and edits an unshared one in place.
-/// Sequences ([`PSeq`]) are persistent trees: an update path-copies
-/// O(log n) nodes. Equality, ordering, hashing, and iteration are structural
+/// Equality, ordering, hashing, and iteration are structural
 /// and identical to the eager `BTreeSet` / `BTreeMap` / `Vec`
 /// representation; the accessors [`Value::as_set`] / [`Value::as_map`] /
 /// [`Value::as_seq`] hand out borrowed views of the handles, whose read API

@@ -1,9 +1,9 @@
-//! Property-based tests of the persistent copy-on-write collection values:
-//! a [`PSet`] / [`PMap`] / [`PSeq`] driven through an arbitrary update
-//! sequence is observationally identical to the eager `BTreeSet` /
-//! `BTreeMap` / `Vec` driven through the same sequence (contents, iteration
-//! order, equality, ordering, hashing), and a handle that was shared and
-//! then mutated never aliases its siblings.
+//! Property-based tests of the copy-on-write collection values: a [`PSet`] /
+//! [`PMap`] / [`PSeq`] (one flat array behind a shared handle) driven
+//! through an arbitrary update sequence is observationally identical to the
+//! eager `BTreeSet` / `BTreeMap` / `Vec` driven through the same sequence
+//! (contents, iteration order, equality, ordering, hashing), and a handle
+//! that was shared and then updated never aliases its siblings.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
@@ -286,46 +286,5 @@ proptest! {
         prop_assert_eq!(pa == pb, ea == eb);
         prop_assert_eq!(pa.cmp(&pb), ea.cmp(&eb));
         prop_assert_eq!(hash_of(&pa) == hash_of(&pb), hash_of(&ea) == hash_of(&eb));
-    }
-}
-
-/// A generous `O(log n)` ceiling on the number of tree nodes a single
-/// mutation may clone: the weight-balanced tree (Δ = 3) has height at most
-/// ~2.41·log₂(n), and one path-copy touches each level at most a constant
-/// number of times (the spine node plus at most two rotation participants).
-/// Any linear-cost regression blows straight through this for the sizes the
-/// detach tests use (n ≥ 256, bound ≤ ~78).
-fn log_detach_bound(n: usize) -> usize {
-    let log2 = usize::BITS as usize - n.max(1).leading_zeros() as usize;
-    6 * log2 + 18
-}
-
-proptest! {
-    // Sequences here are three orders of magnitude larger than in the
-    // observational tests; fewer cases keep the suite fast.
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Mutating a *shared* N-element sequence detaches only `O(log N)` nodes
-    /// from the snapshot, across the whole positional update surface
-    /// (`push` / `insert` / `remove` / `set`). Counted with the test-only
-    /// `fresh_nodes_since` hook, which walks the mutated tree and counts
-    /// nodes whose address was not present in the snapshot.
-    #[test]
-    fn seq_detach_is_logarithmic(n in 256usize..2048, i in 0usize..4096, kind in 0u32..4) {
-        let base: PSeq = (1..=n as u32).map(ElemId).collect();
-        let mut mutated = base.clone();
-        match kind {
-            0 => mutated.push(ElemId(7)),
-            1 => mutated.insert(i % (n + 1), ElemId(7)),
-            2 => { mutated.remove(i % n); }
-            _ => { mutated.set(i % n, ElemId(7)); }
-        }
-        let fresh = mutated.fresh_nodes_since(&base);
-        prop_assert!(
-            fresh <= log_detach_bound(n),
-            "one positional update of a shared {n}-element sequence cloned {fresh} nodes (bound {})",
-            log_detach_bound(n)
-        );
-        prop_assert_eq!(base.len(), n, "the shared snapshot changed length");
     }
 }

@@ -64,11 +64,6 @@ impl Obligation {
         self
     }
 
-    /// Returns the names of the defined variables, in definition order.
-    pub fn defined_names(&self) -> Vec<&str> {
-        self.defines.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// Returns the *input* variables of the obligation: free variables of the
     /// definitions, hypotheses, and goal that are not themselves defined.
     pub fn input_vars(&self) -> BTreeMap<String, Sort> {
@@ -97,21 +92,6 @@ impl Obligation {
             all.insert(name.clone(), sort);
         }
         all
-    }
-
-    /// The obligation as a single closed formula:
-    /// `(defines ∧ hypotheses) → goal`.
-    pub fn as_formula(&self) -> Term {
-        let mut hyps: Vec<Term> = self
-            .defines
-            .iter()
-            .map(|(n, t)| {
-                let sort = semcommute_logic::sort_of(t).unwrap_or(Sort::Bool);
-                build::eq(Term::var(n.clone(), sort), t.clone())
-            })
-            .collect();
-        hyps.extend(self.hypotheses.iter().cloned());
-        build::implies(build::and(hyps), self.goal.clone())
     }
 
     /// Checks that the definitions are well-formed: no variable is defined
@@ -249,7 +229,6 @@ mod tests {
         assert!(inputs.contains_key("s"));
         assert!(!inputs.contains_key("r"));
         assert!(!inputs.contains_key("s1"));
-        assert_eq!(ob.defined_names(), vec!["r", "s1"]);
     }
 
     #[test]
@@ -258,13 +237,6 @@ mod tests {
         assert_eq!(all["r"], Sort::Bool);
         assert_eq!(all["s1"], Sort::Set);
         assert_eq!(all["v"], Sort::Elem);
-    }
-
-    #[test]
-    fn as_formula_is_implication() {
-        let f = sample().as_formula();
-        assert!(matches!(f, Term::Implies(_, _)));
-        assert!(semcommute_logic::ty::check_formula(&f).is_ok());
     }
 
     #[test]

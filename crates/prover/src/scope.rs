@@ -121,14 +121,6 @@ impl Scope {
         self
     }
 
-    /// Returns a copy with a different sequence length bound (and matching
-    /// integer bounds).
-    pub fn with_max_seq_len(mut self, max_seq_len: usize) -> Scope {
-        self.max_seq_len = max_seq_len;
-        self.int_max = self.int_max.max(max_seq_len as i64 + 1);
-        self
-    }
-
     /// Returns a copy with orbit-canonical enumeration switched on or off.
     pub fn with_orbit(mut self, orbit: bool) -> Scope {
         self.orbit = orbit;
@@ -196,10 +188,8 @@ mod tests {
 
     #[test]
     fn builders_adjust_fields() {
-        let s = Scope::small().with_max_models(10).with_max_seq_len(6);
+        let s = Scope::small().with_max_models(10);
         assert_eq!(s.max_models, 10);
-        assert_eq!(s.max_seq_len, 6);
-        assert!(s.int_max >= 7);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub fn prove_structural(ob: &Obligation) -> Option<ProofStats> {
 /// Inlines the obligation's definitions into its hypotheses and goal,
 /// normalizes update chains, and returns the single implication formula to be
 /// proved.
-pub fn inline_and_normalize(ob: &Obligation) -> Term {
+fn inline_and_normalize(ob: &Obligation) -> Term {
     let mut inlined: BTreeMap<String, Term> = BTreeMap::new();
     for (name, term) in &ob.defines {
         let expanded = normalize(substitute(term, &inlined));

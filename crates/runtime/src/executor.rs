@@ -1813,6 +1813,22 @@ mod tests {
             AbstractState::from_value(&pre).unwrap(),
             AbstractState::List(vec![ElemId(2), ElemId(1)])
         );
+        // A later update leaves the logged pre-state as it was: the entry and
+        // the live mirror share one array until the update copies it.
+        t.execute("addAt", &[Value::Int(0), Value::elem(3)])
+            .unwrap();
+        let pre = logged_pre_states(&rt, &t)[1].1.clone().unwrap();
+        assert_eq!(
+            AbstractState::from_value(&pre).unwrap(),
+            AbstractState::List(vec![ElemId(2), ElemId(1)])
+        );
+        let live = AbstractState::List(vec![ElemId(3), ElemId(2), ElemId(1)]);
+        assert_eq!(rt.snapshot(), live);
+        let mirror = rt.shared.hold(None).guards()[0]
+            .tracked
+            .state_value()
+            .clone();
+        assert_eq!(AbstractState::from_value(&mirror).unwrap(), live);
         t.commit();
     }
 

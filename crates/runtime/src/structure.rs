@@ -412,10 +412,13 @@ impl AnyStructure {
 /// recomputing it through the abstraction function
 /// ([`AnyStructure::abstract_state`]) walks the whole structure — O(size)
 /// per logged operation. For an `ArrayList`, `TrackedStructure` instead keeps
-/// the abstract state as a persistent logical [`Value`] (a `PSeq` payload)
-/// and updates it in step with every dispatched operation: the update is
-/// O(log size), and taking a snapshot for a log entry is an O(1) handle
-/// clone ([`state_value`](TrackedStructure::state_value)). Set and map
+/// the abstract state as a logical [`Value`] (a `PSeq` payload, one
+/// copy-on-write array) and updates it in step with every dispatched
+/// operation. Taking a snapshot for a log entry is an O(1) handle clone
+/// ([`state_value`](TrackedStructure::state_value)); the first mirror update
+/// after a logged pre-state copies the array once, the same O(size) that the
+/// concrete `ArrayList`'s shift already pays, and later updates edit the
+/// mirror in place until the next snapshot. Set and map
 /// conditions read the state only at keys, which the concrete structure
 /// answers ([`AnyStructure::project`]), so sets, maps and the accumulator
 /// keep no mirror: [`apply`](TrackedStructure::apply) is the concrete apply
@@ -469,7 +472,7 @@ impl TrackedStructure {
 
     /// The abstract state as a logical value. For a sequence this borrows
     /// the mirror, and cloning the returned reference is O(1) — the payload
-    /// is a persistent handle. For any other structure the first call after
+    /// is a shared copy-on-write handle. For any other structure the first call after
     /// a change walks the structure through the abstraction function; the
     /// runtime never calls it on its admission path.
     pub fn state_value(&self) -> &Value {

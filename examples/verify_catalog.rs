@@ -20,7 +20,7 @@
 use std::time::Instant;
 
 use semcommute::core::runtime_form::{runtime_rewrites, stripe_license};
-use semcommute::core::verify::{verify_catalog, VerifyOptions};
+use semcommute::core::verify::{parse_args, verify_catalog};
 use semcommute::core::{inverse_catalog, report};
 use semcommute::prover::Portfolio;
 use semcommute::spec::InterfaceId;
@@ -36,56 +36,16 @@ usage: verify_catalog [LIMIT] [--seq-len N] [--threads N]
                       model search splits into range tasks
   --orbit on|off      orbit-canonical (default) vs. unreduced enumeration";
 
-/// Parses a required numeric option value; on a missing or non-numeric value
-/// prints what was wrong plus the usage text and exits with status 2 (instead
-/// of panicking with a backtrace).
-fn numeric_option(flag: &str, value: Option<String>) -> usize {
-    match value {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: {flag} needs a number, got `{v}`\n{USAGE}");
-            std::process::exit(2);
-        }),
-        None => {
-            eprintln!("error: {flag} needs a number\n{USAGE}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
-    let mut options = VerifyOptions::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            "--seq-len" => options.seq_len = numeric_option("--seq-len", args.next()),
-            "--threads" => options.threads = numeric_option("--threads", args.next()),
-            "--split-threshold" => {
-                options.split_threshold = numeric_option("--split-threshold", args.next()) as u64
-            }
-            "--orbit" => match args.next().as_deref() {
-                Some("on") => options.orbit = true,
-                Some("off") => options.orbit = false,
-                other => {
-                    eprintln!(
-                        "error: --orbit needs `on` or `off`, got {}\n{USAGE}",
-                        other.map_or("nothing".to_string(), |v| format!("`{v}`"))
-                    );
-                    std::process::exit(2);
-                }
-            },
-            other => match other.parse() {
-                Ok(limit) => options.limit = Some(limit),
-                Err(_) => {
-                    eprintln!("error: unrecognized argument `{other}`\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        println!("{USAGE}");
+        return;
     }
+    let options = parse_args(args.into_iter()).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     println!("Verifying the commutativity-condition catalog");
     println!(
